@@ -24,7 +24,10 @@ Launch discipline
 -----------------
 Clients are (re)launched in *waves*: wave ``w`` starts when flush
 ``w - 1`` closes (wave 1 at time zero) and refills the concurrency
-target from the then-available, not-currently-training fleet.  Wave
+target from the then-available, not-currently-training fleet (the
+in-flight clients are excluded inside
+:meth:`~repro.fl.systems.Availability.sample`, whether availability
+lists ids or only counts them).  Wave
 ``w`` draws from the same ``(seed, w)`` selection stream and the same
 ``(seed, w, client)`` client streams the sync loop uses for round ``w``
 — so with ``buffer_size >= cohort`` and ``max_concurrency == cohort``
@@ -63,7 +66,6 @@ import numpy as np
 from .client import ClientUpdate
 from .metrics import RoundRecord
 from .simulation import FederatedSimulation
-from .systems import FleetAvailability
 
 __all__ = ["AsyncFederatedSimulation", "ASYNC_VIRTUAL_LTTR_SECONDS"]
 
@@ -123,20 +125,7 @@ class AsyncFederatedSimulation(FederatedSimulation):
             return
         sys_rng = self._system_rng(wave)
         available = self.system.available_clients(wave, sys_rng)
-        if isinstance(available, FleetAvailability):
-            # fleet path: exclusion happens inside the index sampler —
-            # filtering an availability *array* would be O(K)
-            selected = self._select_clients(
-                wave, available, cap=free, exclude=self._in_flight
-            )
-        else:
-            candidates = np.array(
-                [c for c in available if int(c) not in self._in_flight],
-                dtype=np.int64,
-            )
-            if candidates.size == 0:
-                return
-            selected = self._select_clients(wave, candidates, cap=free)
+        selected = self._select_clients(wave, available, cap=free, exclude=self._in_flight)
         if selected.size == 0:
             return
 

@@ -10,6 +10,12 @@ The server side of Algorithm 1 is layered over two pluggable parts:
   and a :class:`~repro.fl.systems.VirtualClock` turns that into
   simulated wall-clock per round — see :mod:`repro.fl.systems`.
 
+Availability reaches the server as one
+:class:`~repro.fl.systems.Availability` value, whether it lists the up
+clients or only counts them (million-client fleets), and
+:meth:`FederatedSimulation._select_clients` draws every sync cohort and
+every async refill through its single ``sample`` call.
+
 Two server disciplines share this module's orchestration core
 (selection streams, client execution, arrival simulation, evaluation,
 checkpoint state):
@@ -62,14 +68,7 @@ from .config import FLConfig
 from .engine import ClientResult, ExecutionBackend, make_backend
 from .metrics import History, RoundRecord, evaluate
 from .parameters import ParamSet
-from .systems import (
-    ClientArrival,
-    FleetAvailability,
-    SystemModel,
-    VirtualClock,
-    make_system,
-    sample_index_cohort,
-)
+from .systems import Availability, ClientArrival, SystemModel, VirtualClock, make_system
 
 __all__ = ["FederatedSimulation", "run_simulation"]
 
@@ -149,7 +148,7 @@ class FederatedSimulation:
     def _select_clients(
         self,
         round_index: int,
-        available,
+        available: Availability,
         cap: int | None = None,
         exclude=None,
     ) -> np.ndarray:
@@ -159,41 +158,18 @@ class FederatedSimulation:
         from a shared generator — so selection is independent of how
         many times any other RNG was consumed before this round.
 
-        ``cap`` further limits the sample size (async refills pass
-        their free concurrency slots).  Sync and async *must* share
-        this helper: the async buffer>=cohort reduction to the sync
-        trajectory rests on both drawing identically from the same
-        ``(seed, round)`` stream.
-
-        ``available`` is either an index array (historical path, drawn
-        with ``rng.choice`` exactly as before) or a
-        :class:`~repro.fl.systems.FleetAvailability` descriptor, in
-        which case cohort ids are sampled directly from the fleet's id
-        range in O(cohort) — no ``arange(K)`` is ever built.
-        ``exclude`` (fleet path only) removes ids from consideration;
-        the array path's callers filter their candidate arrays instead.
+        ``cap`` further limits the sample size and ``exclude`` removes
+        ids from consideration (async refills pass their free
+        concurrency slots and their in-flight clients).  Sync and async
+        *must* share this helper: the async buffer>=cohort reduction to
+        the sync trajectory rests on both drawing identically from the
+        same ``(seed, round)`` stream.
         """
         rng = np.random.default_rng([self.config.seed, round_index])
-        if isinstance(available, FleetAvailability):
-            pool = available.size - (len(exclude) if exclude else 0)
-            c = min(self.config.clients_per_round(self.task.n_clients), pool)
-            if cap is not None:
-                c = min(c, cap)
-            if c <= 0:
-                return np.empty(0, dtype=np.int64)
-            return sample_index_cohort(rng, available.n_clients, c, exclude=exclude)
-        if exclude:
-            # the array path draws from `available` as given; silently
-            # ignoring an exclusion set would let an in-flight client be
-            # selected twice — callers must pre-filter their candidates
-            raise ValueError(
-                "exclude is only supported with FleetAvailability; "
-                "filter the availability array instead"
-            )
-        c = min(self.config.clients_per_round(self.task.n_clients), available.size)
+        c = self.config.clients_per_round(self.task.n_clients)
         if cap is not None:
             c = min(c, cap)
-        return rng.choice(available, size=c, replace=False)
+        return available.sample(rng, c, exclude)
 
     def _client_rng(self, round_index: int, client_id: int) -> np.random.Generator:
         return np.random.default_rng([self.config.seed, round_index, client_id])

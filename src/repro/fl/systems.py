@@ -9,14 +9,21 @@ touching the learning code:
   are scheduled at their simulated arrival time; the server pops events
   until its round deadline and advances the clock to the time the round
   actually closed.  Rounds therefore cost *simulated* seconds (derived
-  from measured LTTR and the modeled link), not host wall-clock.
-* :class:`SystemModel` — pluggable per-client device behaviour:
-  availability (which clients can be selected this round), compute
-  latency (scaling each client's measured LTTR by a per-device speed
-  factor), network bandwidth (a per-client
-  :class:`~repro.comm.network.NetworkModel` feeding
-  :mod:`repro.comm.timing`), and a round deadline after which late
-  clients are dropped from aggregation (stragglers).
+  from the device's compute time and the modeled link), not host
+  wall-clock.
+* :class:`Availability` — the clients selectable in one round, as one
+  value: explicit ascending ids (paper-scale fleets) or only an
+  up-count (million-client fleets, where even an ``arange(K)`` is too
+  much per round).  It owns the one sampling call that picks
+  Algorithm 1's cohort, so the server never branches on its shape.
+* :class:`SystemModel` — the one device model.  A device is a
+  ``(speed, bandwidth_divisor)`` trait pair: compute time is the LTTR
+  base (measured, or the virtual ``lttr_seconds``) times the speed, and
+  the link is ``base_network`` with both rates divided by the
+  bandwidth trait.  Subclasses only say where traits come from
+  (:meth:`SystemModel.traits`), how many devices are up each round
+  (:meth:`SystemModel.availability_rate`) and, optionally, when a round
+  closes (:meth:`SystemModel.round_deadline`).
 
 Profiles are registered in :data:`DEVICE_PROFILES` and selected by name
 through ``FLConfig.system`` or ``experiments.cli run --device-profile``.
@@ -35,7 +42,7 @@ built-in ``straggler`` profile does this).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +52,7 @@ from ..comm.network import TMOBILE_5G, NetworkModel
 __all__ = [
     "VirtualClock",
     "ClientArrival",
-    "FleetAvailability",
+    "Availability",
     "sample_index_cohort",
     "SystemModel",
     "IdealSystem",
@@ -56,6 +63,17 @@ __all__ = [
     "SYSTEM_NAMES",
     "make_system",
 ]
+
+#: Fleet sizes at or above this threshold draw availability as an
+#: up-count (and select with :func:`sample_index_cohort`) unless the
+#: system model fixes the shape.  Far above every paper-scale fleet
+#: (K <= 1000), so existing trajectories are untouched; far below the
+#: million-client regime, so fleet runs never pay O(K) per round.
+LAZY_AVAILABILITY_THRESHOLD = 100_000
+
+#: Per-client traits kept by a bound system model before the cache is
+#: emptied; bounds memory over long fleet runs.
+TRAIT_CACHE_SIZE = 4096
 
 
 class VirtualClock:
@@ -125,28 +143,80 @@ class VirtualClock:
         return len(self._heap)
 
 
-@dataclass(frozen=True)
-class FleetAvailability:
-    """Lazy stand-in for the available-client index array at fleet scale.
+@dataclass(frozen=True, eq=False)
+class Availability:
+    """The clients selectable in one round of a ``n_clients`` fleet.
 
-    At a million clients the availability hook must not return (or even
-    internally draw) an O(K) array.  This descriptor carries only the
-    fleet size and how many clients are up; selection then samples
-    cohort *indices* directly (:func:`sample_index_cohort`), so the
-    per-round cost is O(cohort).  ``size`` mirrors ``ndarray.size`` so
-    the selection core treats both shapes uniformly.
+    Exactly one of ``ids`` (explicit, ascending client ids) or ``count``
+    (how many devices are up, without saying which) is set.  Either way
+    :meth:`sample` draws the round's cohort uniformly, so the server's
+    selection code never looks at the shape.
     """
 
     n_clients: int
-    n_available: int
+    ids: np.ndarray | None = None
+    count: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_available <= self.n_clients:
-            raise ValueError("n_available must be in [0, n_clients]")
+        if (self.ids is None) == (self.count is None):
+            raise ValueError("set exactly one of ids and count")
+        if self.count is not None and not 0 <= self.count <= self.n_clients:
+            raise ValueError("count must be in [0, n_clients]")
+
+    @classmethod
+    def at_rate(
+        cls,
+        n_clients: int,
+        rate: float,
+        rng: np.random.Generator,
+        lazy: bool | None = None,
+    ) -> "Availability":
+        """Each device up independently with probability ``rate``.
+
+        ``lazy`` picks the shape: an up-count drawn as one binomial
+        (O(1) per round), or ids from a Bernoulli sweep over the fleet.
+        ``None`` takes the count at or above
+        :data:`LAZY_AVAILABILITY_THRESHOLD` clients.  A server cannot run
+        an empty round, so a draw that leaves nobody up falls back to one
+        device.  ``rate >= 1`` draws nothing.
+        """
+        if lazy is None:
+            lazy = n_clients >= LAZY_AVAILABILITY_THRESHOLD
+        if lazy:
+            count = n_clients if rate >= 1.0 else int(rng.binomial(n_clients, rate))
+            return cls(n_clients, count=max(count, 1))
+        if rate >= 1.0:
+            return cls(n_clients, ids=np.arange(n_clients))
+        up = rng.random(n_clients) < rate
+        if not up.any():
+            return cls(n_clients, ids=np.array([rng.integers(n_clients)]))
+        return cls(n_clients, ids=np.flatnonzero(up))
 
     @property
     def size(self) -> int:
-        return self.n_available
+        """How many clients are up."""
+        return self.count if self.ids is None else self.ids.size
+
+    def sample(self, rng: np.random.Generator, c: int, exclude=None) -> np.ndarray:
+        """Up to ``c`` distinct available ids, none of them in ``exclude``.
+
+        Explicit ids are drawn with ``rng.choice`` after dropping the
+        excluded ones; an up-count samples the fleet's id range directly
+        (:func:`sample_index_cohort`), in O(cohort).  Returns an empty
+        array when nobody is left to draw.
+        """
+        if self.ids is None:
+            c = min(c, self.count - (len(exclude) if exclude else 0))
+            if c <= 0:
+                return np.empty(0, dtype=np.int64)
+            return sample_index_cohort(rng, self.n_clients, c, exclude=exclude)
+        ids = self.ids
+        if exclude:
+            ids = ids[~np.isin(ids, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))]
+        c = min(c, ids.size)
+        if c <= 0:
+            return np.empty(0, dtype=np.int64)
+        return rng.choice(ids, size=c, replace=False)
 
 
 def sample_index_cohort(
@@ -225,50 +295,73 @@ class ClientArrival:
 
 
 class SystemModel:
-    """Device-behaviour interface consumed by the simulation.
+    """The device model consumed by the simulation.
 
-    Subclasses override any of the four hooks; the base class is the
-    ideal system (everyone available, measured latency, the paper's 5G
-    link, no deadline).  :meth:`bind` is called once per simulation with
-    the task and config so models can derive per-client traits
-    deterministically from ``config.seed``.
+    Every device is a ``(speed, bandwidth_divisor)`` trait pair from
+    :meth:`traits`; the base class is the ideal system (everyone
+    available, unit traits, the paper's 5G link, no deadline).
+    Subclasses supply a trait source, an :meth:`availability_rate` and
+    optionally a :meth:`round_deadline`; the hooks the simulation calls
+    (:meth:`available_clients`, :meth:`compute_seconds`,
+    :meth:`network`) are defined here once.  :meth:`bind` is called once
+    per simulation with the task and config so models can derive
+    per-client traits deterministically from ``config.seed``.
+
+    Parameters
+    ----------
+    availability:
+        Per-round probability that a client is selectable.
+    base_network:
+        The link of a unit-bandwidth device; a device's link divides
+        both rates by its bandwidth trait.
+    lttr_seconds:
+        When set, local compute is ``lttr_seconds * speed`` — a fully
+        virtual, run-to-run deterministic quantity.  When ``None``, the
+        client's *measured* LTTR is scaled instead: realistic
+        magnitudes, but under a deadline the straggler set then
+        inherits host timing jitter.
     """
 
     name = "ideal"
 
-    def __init__(self) -> None:
+    #: availability shape: ``True`` always draws an up-count, ``False``
+    #: always explicit ids, ``None`` decides by fleet size (see
+    #: :meth:`Availability.at_rate`)
+    lazy_availability: bool | None = None
+
+    def __init__(
+        self,
+        availability: float = 1.0,
+        base_network: NetworkModel = TMOBILE_5G,
+        lttr_seconds: float | None = None,
+    ) -> None:
+        if not 0.0 < availability <= 1.0:
+            raise ValueError("availability must be in (0, 1]")
+        if lttr_seconds is not None and lttr_seconds <= 0:
+            raise ValueError("lttr_seconds must be positive")
+        self.availability = availability
+        self.base_network = base_network
+        self.lttr_seconds = lttr_seconds
         self.task = None
         self.config = None
+        self._trait_cache: dict[int, tuple[float, float]] = {}
 
     def bind(self, task, config) -> None:
         self.task = task
         self.config = config
+        # traits may be keyed by config.seed; a rebind (same instance,
+        # new config) must not serve the previous run's cache
+        self._trait_cache.clear()
 
-    # -- hooks ----------------------------------------------------------
-    def available_clients(self, round_index: int, rng: np.random.Generator):
-        """Client ids selectable this round (never empty).
+    # -- what subclasses supply ------------------------------------------
+    def traits(self, client_id: int) -> tuple[float, float]:
+        """``(speed, bandwidth_divisor)`` of one device; 1.0 is the
+        unit device (compute at the LTTR base, link at ``base_network``)."""
+        return 1.0, 1.0
 
-        Returns either an index array or a :class:`FleetAvailability`
-        descriptor.  Under full availability, fleets at or above
-        :data:`LAZY_AVAILABILITY_THRESHOLD` clients return the lazy
-        descriptor so no ``arange(K)`` is ever materialized; smaller
-        fleets keep the historical array (and hence the historical
-        ``rng.choice`` selection stream) bit-for-bit.
-        """
-        n = self.task.n_clients
-        if n >= LAZY_AVAILABILITY_THRESHOLD:
-            return FleetAvailability(n, n)
-        return np.arange(n)
-
-    def compute_seconds(
-        self, round_index: int, client_id: int, measured_lttr: float, rng: np.random.Generator
-    ) -> float:
-        """Simulated local-training time; default = measured LTTR."""
-        return measured_lttr
-
-    def network(self, round_index: int, client_id: int) -> NetworkModel:
-        """The client's link for this round."""
-        return TMOBILE_5G
+    def availability_rate(self, round_index: int) -> float:
+        """Probability that a client is selectable in this round."""
+        return self.availability
 
     def round_deadline(self, arrival_seconds: np.ndarray) -> float | None:
         """Cutoff (seconds after round start) past which clients are
@@ -278,6 +371,36 @@ class SystemModel:
         duration, letting relative deadlines anchor on the cohort.
         """
         return None
+
+    # -- hooks ----------------------------------------------------------
+    def available_clients(self, round_index: int, rng: np.random.Generator) -> Availability:
+        """Clients selectable this round (never empty)."""
+        return Availability.at_rate(
+            self.task.n_clients, self.availability_rate(round_index), rng,
+            lazy=self.lazy_availability,
+        )
+
+    def _traits(self, client_id: int) -> tuple[float, float]:
+        """:meth:`traits` through a bounded per-client cache."""
+        client_id = int(client_id)
+        cached = self._trait_cache.get(client_id)
+        if cached is None:
+            cached = self.traits(client_id)
+            if len(self._trait_cache) >= TRAIT_CACHE_SIZE:
+                self._trait_cache.clear()
+            self._trait_cache[client_id] = cached
+        return cached
+
+    def compute_seconds(
+        self, round_index: int, client_id: int, measured_lttr: float, rng: np.random.Generator
+    ) -> float:
+        """Simulated local-training time: the LTTR base times the speed."""
+        base = self.lttr_seconds if self.lttr_seconds is not None else measured_lttr
+        return base * self._traits(client_id)[0]
+
+    def network(self, round_index: int, client_id: int) -> NetworkModel:
+        """The client's link for this round."""
+        return _scaled_network(self.base_network, self._traits(client_id)[1])
 
 
 class IdealSystem(SystemModel):
@@ -292,17 +415,17 @@ class HeterogeneousSystem(SystemModel):
     Per-client traits are drawn once in :meth:`bind` from
     ``default_rng([seed, 0x51D5])``:
 
-    * ``speed`` — multiplies the measured LTTR (1.0 = as fast as the
+    * ``speed`` — multiplies the LTTR base (1.0 = as fast as the
       simulating host; log-normal with ``sigma = log(speed_spread)/2``);
     * ``bandwidth`` — divides both link rates of ``base_network``
       (log-normal with ``sigma = log(bandwidth_spread)/2``).
 
+    Availability is always explicit ids, from a per-round Bernoulli
+    sweep at ``availability``.  ``availability``, ``base_network`` and
+    ``lttr_seconds`` are as in :class:`SystemModel`.
+
     Parameters
     ----------
-    availability:
-        Per-round probability that a client is selectable.  If a draw
-        leaves nobody available the round falls back to one uniformly
-        chosen client (a server cannot run an empty round).
     speed_spread, bandwidth_spread:
         Heterogeneity width; ``1.0`` disables that axis.
     deadline_factor:
@@ -313,15 +436,10 @@ class HeterogeneousSystem(SystemModel):
     deadline_seconds:
         Absolute deadline alternative (applied after, and capped by,
         ``deadline_factor`` when both are set).
-    lttr_seconds:
-        When set, local compute is ``lttr_seconds * speed`` — a fully
-        virtual, run-to-run deterministic quantity.  When ``None``
-        (default), the client's *measured* LTTR is scaled instead:
-        realistic magnitudes, but under a deadline the straggler set
-        then inherits host timing jitter.
     """
 
     name = "heterogeneous"
+    lazy_availability = False
 
     def __init__(
         self,
@@ -333,48 +451,26 @@ class HeterogeneousSystem(SystemModel):
         base_network: NetworkModel = TMOBILE_5G,
         lttr_seconds: float | None = None,
     ) -> None:
-        super().__init__()
-        if not 0.0 < availability <= 1.0:
-            raise ValueError("availability must be in (0, 1]")
-        if speed_spread < 1.0 or bandwidth_spread < 1.0:
-            raise ValueError("spreads must be >= 1")
+        super().__init__(availability, base_network, lttr_seconds)
         if deadline_factor is not None and deadline_factor < 1.0:
             raise ValueError("deadline_factor must be >= 1")
-        self.availability = availability
         self.speed_spread = speed_spread
         self.bandwidth_spread = bandwidth_spread
-        if lttr_seconds is not None and lttr_seconds <= 0:
-            raise ValueError("lttr_seconds must be positive")
+        self._sigmas = (_spread_sigma(speed_spread), _spread_sigma(bandwidth_spread))
         self.deadline_factor = deadline_factor
         self.deadline_seconds = deadline_seconds
-        self.base_network = base_network
-        self.lttr_seconds = lttr_seconds
         self._speed: np.ndarray | None = None
-        self._networks: list[NetworkModel] = []
+        self._bandwidth: np.ndarray | None = None
 
     def bind(self, task, config) -> None:
         super().bind(task, config)
         rng = np.random.default_rng([config.seed, 0x51D5])
         n = task.n_clients
-        self._speed = np.exp(rng.normal(0.0, _spread_sigma(self.speed_spread), size=n))
-        bw = np.exp(rng.normal(0.0, _spread_sigma(self.bandwidth_spread), size=n))
-        self._networks = [_scaled_network(self.base_network, b) for b in bw]
+        self._speed = np.exp(rng.normal(0.0, self._sigmas[0], size=n))
+        self._bandwidth = np.exp(rng.normal(0.0, self._sigmas[1], size=n))
 
-    def available_clients(self, round_index: int, rng: np.random.Generator) -> np.ndarray:
-        n = self.task.n_clients
-        if self.availability >= 1.0:
-            return np.arange(n)
-        up = rng.random(n) < self.availability
-        if not up.any():
-            return np.array([rng.integers(n)])
-        return np.flatnonzero(up)
-
-    def compute_seconds(self, round_index, client_id, measured_lttr, rng) -> float:
-        base = self.lttr_seconds if self.lttr_seconds is not None else measured_lttr
-        return base * float(self._speed[client_id])
-
-    def network(self, round_index: int, client_id: int) -> NetworkModel:
-        return self._networks[client_id]
+    def traits(self, client_id: int) -> tuple[float, float]:
+        return float(self._speed[client_id]), float(self._bandwidth[client_id])
 
     def round_deadline(self, arrival_seconds: np.ndarray) -> float | None:
         cutoff = None
@@ -389,17 +485,14 @@ class FleetSystem(SystemModel):
     """Fleet-scale heterogeneity: per-round cost O(cohort), not O(K).
 
     :class:`HeterogeneousSystem` draws per-client trait *arrays* at bind
-    time — O(K) memory and an O(K) list of per-client
-    :class:`~repro.comm.network.NetworkModel`s — which caps it at the
-    paper's thousand-client fleets.  This model binds in O(1):
+    time — O(K) memory — which caps it at the paper's thousand-client
+    fleets.  This model binds in O(1):
 
     * traits are drawn on demand from ``default_rng([seed, 0xF1EE7,
       client_id])`` — a pure function of the key, so any client's speed
       and bandwidth can be computed in any process without touching the
-      rest of the fleet (a small per-round cache avoids redrawing the
-      cohort's traits);
-    * availability is a *binomial count* (how many of the K devices are
-      up this round) returned as a :class:`FleetAvailability` descriptor
+      rest of the fleet;
+    * availability is always an up-count, one binomial draw per round
       instead of a ``rng.random(K)`` Bernoulli sweep; selection then
       samples cohort indices directly.
 
@@ -415,6 +508,7 @@ class FleetSystem(SystemModel):
     """
 
     name = "fleet"
+    lazy_availability = True
 
     #: per-client trait keying tag (cannot collide with the 3-element
     #: ``[seed, round, client]`` client streams: the tag exceeds any
@@ -429,65 +523,16 @@ class FleetSystem(SystemModel):
         base_network: NetworkModel = TMOBILE_5G,
         lttr_seconds: float | None = 1.0,
     ) -> None:
-        super().__init__()
-        if not 0.0 < availability <= 1.0:
-            raise ValueError("availability must be in (0, 1]")
-        if speed_spread < 1.0 or bandwidth_spread < 1.0:
-            raise ValueError("spreads must be >= 1")
-        if lttr_seconds is not None and lttr_seconds <= 0:
-            raise ValueError("lttr_seconds must be positive")
-        self.availability = availability
+        super().__init__(availability, base_network, lttr_seconds)
         self.speed_spread = speed_spread
         self.bandwidth_spread = bandwidth_spread
-        self.base_network = base_network
-        self.lttr_seconds = lttr_seconds
-        self._trait_cache: dict[int, tuple[float, float]] = {}
+        self._sigmas = (_spread_sigma(speed_spread), _spread_sigma(bandwidth_spread))
 
-    def bind(self, task, config) -> None:
-        super().bind(task, config)
-        # traits are keyed by config.seed at draw time; a rebind (same
-        # instance, new config) must not serve the previous seed's cache
-        self._trait_cache.clear()
-
-    def _traits(self, client_id: int) -> tuple[float, float]:
-        """(speed, bandwidth_divisor) for one client, drawn on demand."""
-        client_id = int(client_id)
-        cached = self._trait_cache.get(client_id)
-        if cached is not None:
-            return cached
-        rng = np.random.default_rng(
-            [self.config.seed, self._TRAIT_TAG, client_id]
-        )
-        speed = float(np.exp(rng.normal(0.0, _spread_sigma(self.speed_spread))))
-        bw = float(np.exp(rng.normal(0.0, _spread_sigma(self.bandwidth_spread))))
-        if len(self._trait_cache) >= 4096:  # bound memory over long runs
-            self._trait_cache.clear()
-        self._trait_cache[client_id] = (speed, bw)
+    def traits(self, client_id: int) -> tuple[float, float]:
+        rng = np.random.default_rng([self.config.seed, self._TRAIT_TAG, client_id])
+        speed = float(np.exp(rng.normal(0.0, self._sigmas[0])))
+        bw = float(np.exp(rng.normal(0.0, self._sigmas[1])))
         return speed, bw
-
-    def available_clients(self, round_index: int, rng: np.random.Generator):
-        n = self.task.n_clients
-        if self.availability >= 1.0:
-            return FleetAvailability(n, n)
-        count = int(rng.binomial(n, self.availability))
-        # a server cannot run an empty round; mirror the historical
-        # fallback of at least one reachable device
-        return FleetAvailability(n, max(count, 1))
-
-    def compute_seconds(self, round_index, client_id, measured_lttr, rng) -> float:
-        base = self.lttr_seconds if self.lttr_seconds is not None else measured_lttr
-        return base * self._traits(client_id)[0]
-
-    def network(self, round_index: int, client_id: int) -> NetworkModel:
-        return _scaled_network(self.base_network, self._traits(client_id)[1])
-
-
-#: Fleet sizes at or above this threshold switch full availability to
-#: the lazy :class:`FleetAvailability` descriptor (and selection to
-#: :func:`sample_index_cohort`).  Far above every paper-scale fleet
-#: (K <= 1000), so existing trajectories are untouched; far below the
-#: million-client regime, so fleet runs never pay O(K) per round.
-LAZY_AVAILABILITY_THRESHOLD = 100_000
 
 
 #: Named device profiles selectable via ``FLConfig.system``.

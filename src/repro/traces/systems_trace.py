@@ -1,15 +1,17 @@
 """Trace replay as a :class:`~repro.fl.systems.SystemModel`.
 
 :class:`TraceSystem` makes a :class:`~repro.traces.schema.DeviceTrace`
-drive every device hook of the simulation: per-client compute latency
-and link bandwidth come from the trace's client records, and per-round
-availability follows the trace's period schedule (day/night cycles).
+the trait and availability source of the device model: each client
+record's ``compute_speed`` and ``bandwidth_divisor`` are its
+``(speed, bandwidth_divisor)`` traits, fetched on demand through the
+model's bounded trait cache, and the per-round availability rate follows
+the trace's period schedule (day/night cycles).
 
-Scaling behaviour mirrors :class:`~repro.fl.systems.FleetSystem`:
-records are fetched on demand through a small bounded cache, and fleets
-at or above :data:`~repro.fl.systems.LAZY_AVAILABILITY_THRESHOLD`
-clients take the lazy :class:`~repro.fl.systems.FleetAvailability` path
-— the round's up-count is one **binomial draw at the period's rate**
+Availability takes the shape the fleet size calls for
+(:meth:`~repro.fl.systems.Availability.at_rate`): explicit ids from a
+Bernoulli sweep on paper-scale fleets, and at or above
+:data:`~repro.fl.systems.LAZY_AVAILABILITY_THRESHOLD` clients an
+up-count that is **one binomial draw at the period's rate**
 (round-dependent, so diurnal cycles survive at K = 1,000,000 with
 O(cohort) per-round cost), never a ``rng.random(K)`` sweep.
 
@@ -22,16 +24,9 @@ instead.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..comm.network import TMOBILE_5G, NetworkModel
-from ..fl.systems import (
-    LAZY_AVAILABILITY_THRESHOLD,
-    FleetAvailability,
-    SystemModel,
-    _scaled_network,
-)
-from .schema import ClientRecord, DeviceTrace
+from ..fl.systems import SystemModel
+from .schema import DeviceTrace
 
 __all__ = ["TraceSystem"]
 
@@ -45,56 +40,17 @@ class TraceSystem(SystemModel):
         base_network: NetworkModel = TMOBILE_5G,
         lttr_seconds: float | None = 1.0,
     ) -> None:
-        super().__init__()
-        if lttr_seconds is not None and lttr_seconds <= 0:
-            raise ValueError("lttr_seconds must be positive")
+        super().__init__(base_network=base_network, lttr_seconds=lttr_seconds)
         self.trace = trace
-        self.base_network = base_network
-        self.lttr_seconds = lttr_seconds
         self.name = f"trace:{trace.name}"
-        self._record_cache: dict[int, ClientRecord] = {}
 
     def bind(self, task, config) -> None:
         super().bind(task, config)
         self.trace.require_fleet(task.n_clients)
-        # a rebind may bring a different task slice of the same trace;
-        # records are keyed by client id only, but clearing keeps the
-        # cache bounded by the live run
-        self._record_cache.clear()
 
-    def _record(self, client_id: int) -> ClientRecord:
-        client_id = int(client_id)
-        cached = self._record_cache.get(client_id)
-        if cached is not None:
-            return cached
+    def traits(self, client_id: int) -> tuple[float, float]:
         record = self.trace.client_record(client_id)
-        if len(self._record_cache) >= 4096:  # bound memory over long runs
-            self._record_cache.clear()
-        self._record_cache[client_id] = record
-        return record
+        return record.compute_speed, record.bandwidth_divisor
 
-    # -- hooks ----------------------------------------------------------
-    def available_clients(self, round_index: int, rng: np.random.Generator):
-        n = self.task.n_clients
-        rate = self.trace.availability_rate(round_index)
-        if rate >= 1.0:
-            if n >= LAZY_AVAILABILITY_THRESHOLD:
-                return FleetAvailability(n, n)
-            return np.arange(n)
-        if n >= LAZY_AVAILABILITY_THRESHOLD:
-            # round-dependent binomial up-count: day/night cycles at
-            # fleet scale without ever drawing an O(K) Bernoulli sweep
-            count = int(rng.binomial(n, rate))
-            return FleetAvailability(n, max(count, 1))
-        up = rng.random(n) < rate
-        if not up.any():
-            # a server cannot run an empty round
-            return np.array([rng.integers(n)])
-        return np.flatnonzero(up)
-
-    def compute_seconds(self, round_index, client_id, measured_lttr, rng) -> float:
-        base = self.lttr_seconds if self.lttr_seconds is not None else measured_lttr
-        return base * self._record(client_id).compute_speed
-
-    def network(self, round_index: int, client_id: int) -> NetworkModel:
-        return _scaled_network(self.base_network, self._record(client_id).bandwidth_divisor)
+    def availability_rate(self, round_index: int) -> float:
+        return self.trace.availability_rate(round_index)

@@ -19,7 +19,7 @@ from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 from repro.fl.systems import (
     DEVICE_PROFILES,
-    FleetAvailability,
+    Availability,
     FleetSystem,
     LAZY_AVAILABILITY_THRESHOLD,
     SystemModel,
@@ -67,20 +67,24 @@ class TestSampleIndexCohort:
 
 class TestFleetAvailability:
     def test_size_mirrors_ndarray(self):
-        avail = FleetAvailability(100, 40)
-        assert avail.size == 40
+        assert Availability(100, count=40).size == 40
+        assert Availability(100, ids=np.array([3, 9])).size == 2
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            FleetAvailability(10, 11)
+            Availability(10, count=11)
         with pytest.raises(ValueError):
-            FleetAvailability(10, -1)
+            Availability(10, count=-1)
+        with pytest.raises(ValueError, match="exactly one"):
+            Availability(10)
+        with pytest.raises(ValueError, match="exactly one"):
+            Availability(10, ids=np.arange(3), count=3)
 
     def test_base_model_goes_lazy_above_threshold(self):
         system = SystemModel()
         system.bind(_Fleet(), FLConfig())
         avail = system.available_clients(1, np.random.default_rng(0))
-        assert isinstance(avail, FleetAvailability)
+        assert avail.ids is None
         assert avail.size == _Fleet.n_clients
 
     def test_base_model_keeps_arrays_below_threshold(self):
@@ -90,7 +94,23 @@ class TestFleetAvailability:
         system = SystemModel()
         system.bind(_SmallTask(), FLConfig())
         avail = system.available_clients(1, np.random.default_rng(0))
-        np.testing.assert_array_equal(avail, np.arange(8))
+        np.testing.assert_array_equal(avail.ids, np.arange(8))
+
+    def test_sample_excludes_on_both_shapes(self):
+        """Async refills exclude in-flight clients from explicit ids and
+        from an up-count alike."""
+        in_flight = {0: None, 2: None, 4: None}
+        ids = Availability(6, ids=np.arange(6)).sample(
+            np.random.default_rng(0), 5, exclude=in_flight
+        )
+        assert sorted(ids.tolist()) == [1, 3, 5]
+        ids = Availability(6, count=6).sample(
+            np.random.default_rng(0), 5, exclude=in_flight
+        )
+        assert sorted(ids.tolist()) == [1, 3, 5]
+        assert Availability(6, ids=np.array([2])).sample(
+            np.random.default_rng(0), 5, exclude=in_flight
+        ).size == 0
 
 
 class TestFleetSystem:
@@ -251,7 +271,7 @@ class _EmptyAvailability(SystemModel):
     name = "empty"
 
     def available_clients(self, round_index, rng):
-        return np.empty(0, dtype=np.int64)
+        return Availability(self.task.n_clients, ids=np.empty(0, dtype=np.int64))
 
 
 class TestAvailabilityValidation:

@@ -106,7 +106,7 @@ class TestSystemModels:
         system.bind(_Task(), FLConfig())
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(
-            system.available_clients(1, rng), np.arange(8)
+            system.available_clients(1, rng).ids, np.arange(8)
         )
         assert system.compute_seconds(1, 3, 0.25, rng) == 0.25
         assert system.round_deadline(np.array([1.0, 2.0])) is None

@@ -9,11 +9,7 @@ from repro.baselines.fedavg import FedAvg
 from repro.data.registry import make_task, task_summary
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
-from repro.fl.systems import (
-    LAZY_AVAILABILITY_THRESHOLD,
-    FleetAvailability,
-    make_system,
-)
+from repro.fl.systems import LAZY_AVAILABILITY_THRESHOLD, make_system
 from repro.traces import (
     ClientRecord,
     TabularTrace,
@@ -71,7 +67,7 @@ class TestHooks:
         rng = np.random.default_rng(0)
         for cid in range(5000):
             system.compute_seconds(1, cid, 1.0, rng)
-        assert len(system._record_cache) <= 4096
+        assert len(system._trait_cache) <= 4096
         # eviction never changes a draw
         assert system.compute_seconds(1, 17, 1.0, rng) == pytest.approx(
             trace.client_record(17).compute_speed
@@ -82,7 +78,7 @@ class TestAvailability:
     def test_full_rate_small_fleet_keeps_array_path(self):
         system = _bound(make_synthetic_trace("t"), 50)
         avail = system.available_clients(1, np.random.default_rng(0))
-        np.testing.assert_array_equal(avail, np.arange(50))
+        np.testing.assert_array_equal(avail.ids, np.arange(50))
 
     def test_partial_rate_small_fleet_bernoulli(self):
         trace = make_synthetic_trace("t", availability=(0.5,))
@@ -109,8 +105,8 @@ class TestAvailability:
             avail = system.available_clients(
                 round_index, np.random.default_rng([0, round_index])
             )
-            assert isinstance(avail, FleetAvailability)
-            counts[round_index] = avail.n_available
+            assert avail.ids is None
+            counts[round_index] = avail.count
         for round_index, count in counts.items():
             expected = rates[(round_index - 1) % len(rates)] * n
             assert abs(count - expected) < 5_000  # binomial concentration
@@ -120,7 +116,7 @@ class TestAvailability:
     def test_full_rate_large_fleet_lazy(self):
         system = _bound(make_synthetic_trace("t"), LAZY_AVAILABILITY_THRESHOLD)
         avail = system.available_clients(1, np.random.default_rng(0))
-        assert isinstance(avail, FleetAvailability)
+        assert avail.ids is None
         assert avail.size == LAZY_AVAILABILITY_THRESHOLD
 
 
