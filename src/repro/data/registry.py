@@ -25,12 +25,12 @@ Fleet-scale simulation
 Beyond the five paper tasks there is a ``"fleet"`` task whose client
 payloads are *generated on demand* from ``(seed, client_id)`` — memory
 and per-round cost follow the selected cohort, never the fleet, so a
-million-client simulation fits in a laptop's RAM.  Lazy access is
-formalized by the :class:`ClientDataSource` protocol; plain per-client
-lists (every existing task and test fixture) keep working unchanged
-through the :class:`EagerClientData` adapter, and ``make_task(...,
-lazy=True)`` builds the five paper tasks on lazy sources that are
-bit-identical to the eager lists (pinned by property tests).
+million-client simulation fits in a laptop's RAM.  Every task's
+``client_data`` is a :class:`ClientDataSource`: the five paper tasks
+slice their resident arrays per access (:class:`IndexedArraySource`,
+:class:`StreamShardSource`; Reddit's per-user streams sit behind
+:class:`EagerClientData`), and a task built from a plain per-client
+list wraps it in :class:`EagerClientData` once.
 """
 
 from __future__ import annotations
@@ -262,22 +262,26 @@ class FleetImageSource(ClientDataSource):
 class FederatedTask:
     """A federated dataset plus its model spec and metric.
 
-    ``client_data`` holds per-client payloads — ``(x, y)`` tuples for
-    image tasks, token streams for text tasks — either as a plain list
-    (the historical shape, still accepted everywhere) or as any
+    ``client_data`` serves per-client payloads — ``(x, y)`` tuples for
+    image tasks, token streams for text tasks — through a
     :class:`ClientDataSource`, which lets payloads be computed on demand
-    so fleet-scale tasks never hold all K shards at once.
+    so fleet-scale tasks never hold all K shards at once.  A plain
+    payload list is wrapped in :class:`EagerClientData` on construction.
     """
 
     name: str
     kind: str  # "image" | "text"
     model_spec: dict
     metric: str  # "top1" | "top3"
-    client_data: object  # list of payloads | ClientDataSource
+    client_data: ClientDataSource
     test_data: object
     seq_len: int = 0
     default_dropout_rate: float = 0.5
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.client_data, ClientDataSource):
+            self.client_data = EagerClientData(self.client_data)
 
     @property
     def n_clients(self) -> int:
@@ -293,28 +297,19 @@ class FederatedTask:
         payloads per job instead of regenerating them (sources whose
         payloads are *computed* on access, e.g. generated fleet shards;
         slicing sources resolve locally in the worker instead)."""
-        return (
-            isinstance(self.client_data, ClientDataSource)
-            and self.client_data.ships_payloads
-        )
+        return self.client_data.ships_payloads
 
     def client_payload(self, client_id: int):
         """One client's payload (materialized on demand for lazy sources)."""
-        return self.client_data[client_id]
+        return self.client_data.client_payload(client_id)
 
     def client_size(self, client_id: int) -> int:
         """|D_k| — the aggregation weight of Eq. (10)."""
-        if isinstance(self.client_data, ClientDataSource):
-            return int(self.client_data.client_size(client_id))
-        if self.kind == "image":
-            return int(self.client_data[client_id][0].shape[0])
-        return int(self.client_data[client_id].shape[0])
+        return int(self.client_data.client_size(client_id))
 
     def min_client_size(self) -> int:
         """min_k |D_k|; O(1) for sources that know it without a fleet walk."""
-        if isinstance(self.client_data, ClientDataSource):
-            return int(self.client_data.min_client_size())
-        return min(self.client_size(c) for c in range(self.n_clients))
+        return int(self.client_data.min_client_size())
 
     def batcher_from_payload(self, payload, batch_size: int, rng: np.random.Generator):
         """Build a minibatch sampler over an already-materialized payload
@@ -403,7 +398,7 @@ _FLEET = {
 }
 
 
-def _make_image_task(name: str, cfg: dict, seed: int, lazy: bool = False) -> FederatedTask:
+def _make_image_task(name: str, cfg: dict, seed: int) -> FederatedTask:
     ds = make_image_dataset(
         name,
         n_train=cfg["n_train"],
@@ -416,10 +411,7 @@ def _make_image_task(name: str, cfg: dict, seed: int, lazy: bool = False) -> Fed
     parts = partition_label_shards(
         ds.y_train, cfg["n_clients"], shards_per_client=cfg["shards"], rng=rng
     )
-    if lazy:
-        client_data = IndexedArraySource(ds.x_train, ds.y_train, parts)
-    else:
-        client_data = [(ds.x_train[idx], ds.y_train[idx]) for idx in parts]
+    client_data = IndexedArraySource(ds.x_train, ds.y_train, parts)
     model_spec = {
         "kind": "mlp",
         "input_dim": ds.input_dim,
@@ -437,7 +429,7 @@ def _make_image_task(name: str, cfg: dict, seed: int, lazy: bool = False) -> Fed
     )
 
 
-def _make_text_task(name: str, cfg: dict, seed: int, lazy: bool = False) -> FederatedTask:
+def _make_text_task(name: str, cfg: dict, seed: int) -> FederatedTask:
     if name == "reddit":
         corpus = make_user_corpora(
             name,
@@ -448,10 +440,8 @@ def _make_text_task(name: str, cfg: dict, seed: int, lazy: bool = False) -> Fede
             seed=seed,
         )
         # per-user streams are the natural partition and already
-        # materialized by the corpus; the lazy variant is the adapter
-        client_data = (
-            EagerClientData(corpus.user_streams) if lazy else list(corpus.user_streams)
-        )
+        # materialized by the corpus
+        client_data = EagerClientData(corpus.user_streams)
     else:
         corpus = make_text_corpus(
             name,
@@ -464,10 +454,7 @@ def _make_text_task(name: str, cfg: dict, seed: int, lazy: bool = False) -> Fede
         parts = partition_stream_contiguous(
             corpus.train_stream.shape[0], cfg["n_clients"], rng
         )
-        if lazy:
-            client_data = StreamShardSource(corpus.train_stream, parts)
-        else:
-            client_data = [corpus.train_stream[idx] for idx in parts]
+        client_data = StreamShardSource(corpus.train_stream, parts)
     model_spec = {
         "kind": "lstm",
         "vocab_size": corpus.vocab_size,
@@ -552,9 +539,7 @@ def make_fleet_task(
     return _make_fleet_task(cfg, seed)
 
 
-def make_task(
-    name: str, scale: str = "small", seed: int = 0, lazy: bool = False
-) -> FederatedTask:
+def make_task(name: str, scale: str = "small", seed: int = 0) -> FederatedTask:
     """Build one of the five federated evaluation tasks, or the fleet task.
 
     Parameters
@@ -565,11 +550,6 @@ def make_task(
         ``"small"`` (default) or ``"paper"``.
     seed:
         Controls data generation and partitioning.
-    lazy:
-        Build ``client_data`` on a :class:`ClientDataSource` that
-        materializes payloads per access instead of an eager list.
-        Payloads and sizes are bit-identical either way; the fleet task
-        is always lazy.
     """
     if name not in ALL_TASK_NAMES:
         raise ValueError(f"unknown task {name!r}; choose from {ALL_TASK_NAMES}")
@@ -579,8 +559,8 @@ def make_task(
         return _make_fleet_task(_FLEET[scale], seed)
     cfg = _SCALES[scale][name]
     if name in ("mnist", "fmnist"):
-        return _make_image_task(name, cfg, seed, lazy=lazy)
-    return _make_text_task(name, cfg, seed, lazy=lazy)
+        return _make_image_task(name, cfg, seed)
+    return _make_text_task(name, cfg, seed)
 
 
 #: Above this fleet size, :func:`task_summary` reports sizes over a

@@ -1,14 +1,17 @@
-"""Lazy client data sources: bit-identical to the eager path.
+"""Client data sources: bit-identical to the historical eager lists.
 
-The fleet-scale refactor lets ``client_data`` be a
+Every task's ``client_data`` is a
 :class:`~repro.data.registry.ClientDataSource` materializing payloads on
 demand.  These tests pin the core contract: for every one of the five
-paper tasks, the lazy source produces byte-for-byte the payloads and
-sizes of the eager list — so switching a task to lazy access can never
-change a trajectory.
+paper tasks, the source produces byte-for-byte the payloads, sizes and
+minibatch streams of the eager per-client lists the tasks were built
+from before sources became the only data path — recorded below as
+sha256 digests — so the data path can never change a trajectory.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,6 +27,24 @@ from repro.data.registry import (
     task_summary,
 )
 
+#: sha256 over every client's payload arrays (dtype, shape, bytes), its
+#: size and the task's ``min_client_size`` — from the eager lists of
+#: ``make_task(name, "small", seed=1)``.
+EAGER_PAYLOAD_DIGESTS = {
+    "mnist": "23563d527635714f0db16a7c0455cd176d69fa593e91b8066bc1fe8c7a063978",
+    "fmnist": "2a6a3062e39ccc71461c05f988b16886dcc10fa65f2b20ba87ebb426f5234f04",
+    "ptb": "4b8345354e143b4c3916a87ce57a5b9f27bda04c84b6e27a8d9656f764a12d8e",
+    "wikitext2": "3f5b2e5b25d9c214b7063ac5f4462c86fe15930f2f8a9014c9c64941d8119ecd",
+    "reddit": "f4f927084d92545c67ad917f3d2962e10e4398e0e9edf429531e205f7bd4e5fb",
+}
+
+#: sha256 over three 8-sample minibatches of the first and last client,
+#: each from its ``(0, 1, client)`` stream — from the eager lists.
+EAGER_BATCH_DIGESTS = {
+    "mnist": "26717981ba08c8d99e4dc8336d8279cc237a3eacf98c56c75177e087735e8806",
+    "ptb": "0b0df9946ac3610936b599df9b6844c7d9b6c40e7b6adce5220bffb6fc19cb33",
+}
+
 
 def _payloads_equal(a, b) -> bool:
     if isinstance(a, tuple):
@@ -33,42 +54,56 @@ def _payloads_equal(a, b) -> bool:
     return np.array_equal(a, b)
 
 
+def _update(h, arrays) -> None:
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+
+
+def payload_digest(task) -> str:
+    h = hashlib.sha256()
+    for c in range(task.n_clients):
+        payload = task.client_payload(c)
+        _update(h, payload if isinstance(payload, tuple) else (payload,))
+        h.update(str(task.client_size(c)).encode())
+    h.update(str(task.min_client_size()).encode())
+    return h.hexdigest()
+
+
+def batch_digest(task) -> str:
+    h = hashlib.sha256()
+    for c in (0, task.n_clients - 1):
+        batcher = task.batcher(c, 8, np.random.default_rng([0, 1, c]))
+        for _ in range(3):
+            _update(h, tuple(batcher.next_batch()))
+    return h.hexdigest()
+
+
 class TestLazyMatchesEager:
     @pytest.mark.parametrize("name", TASK_NAMES)
     def test_payloads_and_sizes_bit_identical(self, name):
-        eager = make_task(name, "small", seed=1)
-        lazy = make_task(name, "small", seed=1, lazy=True)
-        assert isinstance(lazy.client_data, ClientDataSource)
-        assert lazy.n_clients == eager.n_clients
-        for c in range(eager.n_clients):
-            assert _payloads_equal(eager.client_payload(c), lazy.client_payload(c))
-            assert eager.client_size(c) == lazy.client_size(c)
-        assert eager.min_client_size() == lazy.min_client_size()
+        task = make_task(name, "small", seed=1)
+        assert isinstance(task.client_data, ClientDataSource)
+        assert payload_digest(task) == EAGER_PAYLOAD_DIGESTS[name]
 
     @pytest.mark.parametrize("name", ("mnist", "ptb"))
     def test_batcher_streams_identical(self, name):
-        """The same (seed, round, client) RNG over a lazy payload yields
-        the same minibatches — the engine-level equivalence."""
-        eager = make_task(name, "small", seed=1)
-        lazy = make_task(name, "small", seed=1, lazy=True)
-        for c in (0, eager.n_clients - 1):
-            be = eager.batcher(c, 8, np.random.default_rng([0, 1, c]))
-            bl = lazy.batcher(c, 8, np.random.default_rng([0, 1, c]))
-            for _ in range(3):
-                batch_e, batch_l = be.next_batch(), bl.next_batch()
-                assert _payloads_equal(tuple(batch_e), tuple(batch_l))
+        """The same (seed, round, client) RNG over a source's payload
+        yields the eager minibatches — the engine-level equivalence."""
+        assert batch_digest(make_task(name, "small", seed=1)) == EAGER_BATCH_DIGESTS[name]
 
     def test_repeated_access_is_stable(self):
-        lazy = make_task("fmnist", "small", seed=3, lazy=True)
-        first = lazy.client_payload(5)
-        second = lazy.client_payload(5)
+        task = make_task("fmnist", "small", seed=3)
+        first = task.client_payload(5)
+        second = task.client_payload(5)
         assert _payloads_equal(first, second)
 
     def test_slicing_sources_do_not_ship_payloads(self):
-        """Array-backed lazy sources resolve locally in pool workers
-        (the arrays already live there); only *generated* sources ship."""
+        """Array-backed sources resolve locally in pool workers (the
+        arrays already live there); only *generated* sources ship."""
         for name in ("mnist", "ptb"):
-            assert not make_task(name, "small", seed=1, lazy=True).ships_cohort_payloads
+            assert not make_task(name, "small", seed=1).ships_cohort_payloads
 
 
 class TestEagerAdapter:
@@ -84,7 +119,8 @@ class TestEagerAdapter:
         assert [len(p) for p in source] == [4, 9]
 
     def test_raw_lists_still_work_on_tasks(self, tiny_image_task):
-        """The historical plain-list shape needs no adapter at all."""
+        """A task built from a plain payload list wraps it once."""
+        assert isinstance(tiny_image_task.client_data, EagerClientData)
         assert tiny_image_task.n_clients == 4
         assert tiny_image_task.client_size(0) == 40
         assert tiny_image_task.min_client_size() == 40

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,10 +104,13 @@ class TestCNNClassifier:
             client_data.append((x, y))
         y_test = gen.integers(0, 3, size=60)
         x_test = protos[y_test] + 0.3 * gen.normal(size=(60, 16))
-        task.client_data = client_data
-        task.test_data = (x_test, y_test)
-        task.model_spec = {"kind": "cnn", "side": 4, "n_classes": 3,
-                           "channels": (4, 8), "kernel_size": 2, "hidden": 16}
+        task = dataclasses.replace(
+            task,
+            client_data=client_data,
+            test_data=(x_test, y_test),
+            model_spec={"kind": "cnn", "side": 4, "n_classes": 3,
+                        "channels": (4, 8), "kernel_size": 2, "hidden": 16},
+        )
 
         cfg = FLConfig(rounds=6, kappa=0.5, local_iterations=8, batch_size=10,
                        lr=0.3, dropout_rate=0.3, tau=2, seed=0)
