@@ -6,17 +6,10 @@ The harness is declarative: each artifact is an
 :class:`~repro.experiments.sweep.SweepScheduler` against a
 :class:`~repro.experiments.store.RunStore` (sharded across processes,
 resumable after interruption), with a rows/result function folding the
-finished cells back into the paper's layout.  The historical
-``run_table1``-style one-call entry points remain as deprecated shims.
+finished cells back into the paper's layout.
 """
 
-from .ablations import (
-    AblationRow,
-    ablation_rows,
-    ablations_spec,
-    format_ablations,
-    run_ablations,
-)
+from .ablations import AblationRow, ablation_rows, ablations_spec, format_ablations
 from .configs import (
     FIG2_METHODS,
     FIG7_TRACED,
@@ -28,10 +21,10 @@ from .configs import (
     preset_for,
 )
 from .context import ExecutionContext
-from .fig2 import Fig2Result, fig2_result, fig2_spec, format_fig2, run_fig2
-from .fig6 import Fig6Panel, fig6_panels, fig6_spec, format_fig6, run_fig6
-from .fig7 import FIG7_METHODS, Fig7Row, fig7_rows, fig7_spec, format_fig7, run_fig7
-from .fig8 import FIG8_METHODS, Fig8Row, fig8_rows, fig8_spec, format_fig8, run_fig8
+from .fig2 import Fig2Result, fig2_result, fig2_spec, format_fig2
+from .fig6 import Fig6Panel, fig6_panels, fig6_spec, format_fig6
+from .fig7 import FIG7_METHODS, Fig7Row, fig7_rows, fig7_spec, format_fig7
+from .fig8 import FIG8_METHODS, Fig8Row, fig8_rows, fig8_spec, format_fig8
 from .reporting import format_series, format_table, percent, pm, sparkline
 from .runner import (
     RunResult,
@@ -39,20 +32,18 @@ from .runner import (
     dense_upload_bits,
     resolve_method,
     run_experiment,
-    set_default_execution,
 )
 from .spec import ExperimentSpec, SweepSpec
 from .store import MemoryRunStore, RunStore
 from .sweep import SweepResult, SweepScheduler, run_sweep
-from .table1 import Table1Row, format_table1, run_table1, table1_rows, table1_spec
-from .table2 import Table2Row, format_table2, run_table2, table2_rows, table2_spec
+from .table1 import Table1Row, format_table1, table1_rows, table1_spec
+from .table2 import Table2Row, format_table2, table2_rows, table2_spec
 
 __all__ = [
     "AblationRow",
     "ablation_rows",
     "ablations_spec",
     "format_ablations",
-    "run_ablations",
     "FIG2_METHODS",
     "TABLE1_METHODS",
     "TABLE2_METHODS",
@@ -66,24 +57,20 @@ __all__ = [
     "fig2_result",
     "fig2_spec",
     "format_fig2",
-    "run_fig2",
     "Fig6Panel",
     "fig6_panels",
     "fig6_spec",
     "format_fig6",
-    "run_fig6",
     "FIG7_METHODS",
     "Fig7Row",
     "fig7_rows",
     "fig7_spec",
     "format_fig7",
-    "run_fig7",
     "FIG8_METHODS",
     "Fig8Row",
     "fig8_rows",
     "fig8_spec",
     "format_fig8",
-    "run_fig8",
     "format_series",
     "format_table",
     "percent",
@@ -94,7 +81,6 @@ __all__ = [
     "dense_upload_bits",
     "resolve_method",
     "run_experiment",
-    "set_default_execution",
     "ExperimentSpec",
     "SweepSpec",
     "MemoryRunStore",
@@ -104,12 +90,10 @@ __all__ = [
     "run_sweep",
     "Table1Row",
     "format_table1",
-    "run_table1",
     "table1_rows",
     "table1_spec",
     "Table2Row",
     "format_table2",
-    "run_table2",
     "table2_rows",
     "table2_spec",
 ]

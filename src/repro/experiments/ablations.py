@@ -12,20 +12,18 @@ decision the paper makes implicitly; the ablation bench quantifies it:
 * ``rescale`` — inverted-dropout rescaling of kept rows.
 
 Declarative form: :func:`ablations_spec` (one cell per variant) +
-:func:`ablation_rows` (same arguments rebuild the cells for lookup);
-``run_ablations`` is a deprecated shim.
+:func:`ablation_rows` (same arguments rebuild the cells for lookup).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .reporting import format_table
 from .spec import ExperimentSpec, SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 
-__all__ = ["AblationRow", "ablations_spec", "ablation_rows", "run_ablations", "format_ablations"]
+__all__ = ["AblationRow", "ablations_spec", "ablation_rows", "format_ablations"]
 
 
 @dataclass
@@ -93,23 +91,6 @@ def ablation_rows(
             )
         )
     return rows
-
-
-def run_ablations(
-    dataset: str = "fmnist",
-    scale: str | None = None,
-    seed: int = 0,
-) -> list[AblationRow]:
-    """Deprecated: run the ablation bench in one (serial) call; use
-    ``ablation_rows(run_sweep(ablations_spec(...)), ...)``."""
-    warnings.warn(
-        "run_ablations() is deprecated; use "
-        "ablation_rows(run_sweep(ablations_spec(...)), ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = ablations_spec(dataset=dataset, scale=scale, seed=seed)
-    return ablation_rows(run_sweep(spec), dataset=dataset, scale=scale, seed=seed)
 
 
 def format_ablations(rows: list[AblationRow], dataset: str = "fmnist") -> str:

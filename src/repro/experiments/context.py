@@ -2,8 +2,8 @@
 
 :class:`ExecutionContext` carries the *how* of a run — execution
 backend, pool size, device profile, server discipline — separately from
-the *what* (task, method, seed, hyper-parameters).  It replaces the
-process-global ``set_default_execution`` mutable-singleton pattern: the
+the *what* (task, method, seed, hyper-parameters).  There is no
+process-global default: the
 CLI builds one context from its flags and threads it explicitly through
 :func:`~repro.experiments.runner.run_experiment` and the sweep
 scheduler, so two concurrent sweeps can run under different backends in

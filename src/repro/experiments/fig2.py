@@ -5,12 +5,11 @@ LSTM next-word task, while FedBIAD does not suffer the same recurrent-
 dropout penalty.
 
 Declarative form: :func:`fig2_spec` (one PTB cell per method) +
-:func:`fig2_result`; ``run_fig2`` is a deprecated shim.
+:func:`fig2_result`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,9 @@ import numpy as np
 from .configs import FIG2_METHODS
 from .reporting import format_series
 from .spec import SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 
-__all__ = ["Fig2Result", "fig2_spec", "fig2_result", "run_fig2", "format_fig2"]
+__all__ = ["Fig2Result", "fig2_spec", "fig2_result", "format_fig2"]
 
 
 @dataclass
@@ -64,21 +63,6 @@ def fig2_result(results: SweepResult) -> Fig2Result:
         test_loss=test_loss,
         test_accuracy=test_accuracy,
     )
-
-
-def run_fig2(
-    methods: tuple[str, ...] = FIG2_METHODS,
-    scale: str | None = None,
-    seed: int = 0,
-) -> Fig2Result:
-    """Deprecated: regenerate Fig. 2 in one (serial) call; use
-    ``fig2_result(run_sweep(fig2_spec(...)))``."""
-    warnings.warn(
-        "run_fig2() is deprecated; use fig2_result(run_sweep(fig2_spec(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return fig2_result(run_sweep(fig2_spec(methods=methods, scale=scale, seed=seed)))
 
 
 def format_fig2(result: Fig2Result) -> str:

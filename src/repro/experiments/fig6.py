@@ -5,13 +5,11 @@ WikiText-2-like task; all seven Table-I methods are drawn.  The paper
 smooths panel (b) with a moving average — :func:`format_fig6` does the
 same.
 
-Declarative form: :func:`fig6_spec` + :func:`fig6_panels`; ``run_fig6``
-is a deprecated shim.
+Declarative form: :func:`fig6_spec` + :func:`fig6_panels`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +17,9 @@ import numpy as np
 from .configs import TABLE1_METHODS
 from .reporting import format_series
 from .spec import SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 
-__all__ = ["Fig6Panel", "fig6_spec", "fig6_panels", "run_fig6", "format_fig6"]
+__all__ = ["Fig6Panel", "fig6_spec", "fig6_panels", "format_fig6"]
 
 
 @dataclass
@@ -70,23 +68,6 @@ def fig6_panels(results: SweepResult) -> list[Fig6Panel]:
             )
         )
     return panels
-
-
-def run_fig6(
-    datasets: tuple[str, ...] = ("mnist", "wikitext2"),
-    methods: tuple[str, ...] = TABLE1_METHODS,
-    scale: str | None = None,
-    seed: int = 0,
-) -> list[Fig6Panel]:
-    """Deprecated: regenerate Fig. 6 in one (serial) call; use
-    ``fig6_panels(run_sweep(fig6_spec(...)))``."""
-    warnings.warn(
-        "run_fig6() is deprecated; use fig6_panels(run_sweep(fig6_spec(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = fig6_spec(datasets=datasets, methods=methods, scale=scale, seed=seed)
-    return fig6_panels(run_sweep(spec))
 
 
 def format_fig6(panels: list[Fig6Panel], smooth_window: int = 3) -> str:

@@ -8,7 +8,7 @@ bookkeeping, yet lowest TTA thanks to fewer bits and fewer rounds to
 target).
 
 Declarative form: :func:`fig7_spec` + :func:`fig7_rows` (targets come
-from each cell's recorded scale); ``run_fig7`` is a deprecated shim.
+from each cell's recorded scale).
 
 Traced variant: ``fig7_spec(trace=...)`` pins every cell to a device
 trace (``FLConfig.system = "trace:<name-or-path>"``; ``trace="preset"``
@@ -22,7 +22,6 @@ LTTR/TTA rows regenerate under trace-calibrated device distributions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..comm.network import TMOBILE_5G, NetworkModel
@@ -31,9 +30,9 @@ from ..traces import is_trace_spec, trace_system_spec
 from .configs import TTA_TARGETS, resolve_fig7_trace
 from .reporting import format_table
 from .spec import SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 
-__all__ = ["Fig7Row", "fig7_spec", "fig7_rows", "run_fig7", "format_fig7"]
+__all__ = ["Fig7Row", "fig7_spec", "fig7_rows", "format_fig7"]
 
 #: the five methods drawn in Fig. 7's bars
 FIG7_METHODS = ("feddrop", "afd", "fjord", "fedmp", "fedbiad")
@@ -109,24 +108,6 @@ def fig7_rows(results: SweepResult, network: NetworkModel = TMOBILE_5G) -> list[
             )
         )
     return rows
-
-
-def run_fig7(
-    datasets: tuple[str, ...] = ("mnist", "fmnist", "wikitext2", "reddit"),
-    methods: tuple[str, ...] = FIG7_METHODS,
-    scale: str | None = None,
-    seed: int = 0,
-    network: NetworkModel = TMOBILE_5G,
-) -> list[Fig7Row]:
-    """Deprecated: regenerate Fig. 7 in one (serial) call; use
-    ``fig7_rows(run_sweep(fig7_spec(...)))``."""
-    warnings.warn(
-        "run_fig7() is deprecated; use fig7_rows(run_sweep(fig7_spec(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = fig7_spec(datasets=datasets, methods=methods, scale=scale, seed=seed)
-    return fig7_rows(run_sweep(spec), network=network)
 
 
 def format_fig7(rows: list[Fig7Row]) -> str:

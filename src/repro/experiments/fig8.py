@@ -7,22 +7,20 @@ rates 0.3-0.6.
 Declarative form: :func:`fig8_spec` builds explicit cells (FedAvg's
 rows all share one cell — content addressing deduplicates it across
 rates) and :func:`fig8_rows` rebuilds the same cells to look results
-up, so both must be called with the same arguments; ``run_fig8`` is a
-deprecated shim doing exactly that.
+up, so both must be called with the same arguments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..comm.network import TMOBILE_5G, NetworkModel
 from .configs import TTA_TARGETS, active_scale
 from .reporting import format_table
 from .spec import ExperimentSpec, SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 
-__all__ = ["Fig8Row", "fig8_spec", "fig8_rows", "run_fig8", "format_fig8"]
+__all__ = ["Fig8Row", "fig8_spec", "fig8_rows", "format_fig8"]
 
 FIG8_METHODS = ("fedavg", "feddrop", "afd", "fedbiad")
 FIG8A_RATES = (0.1, 0.3, 0.5, 0.7)
@@ -95,33 +93,6 @@ def fig8_rows(
                 )
             )
     return rows
-
-
-def run_fig8(
-    dataset: str = "reddit",
-    methods: tuple[str, ...] = FIG8_METHODS,
-    accuracy_rates: tuple[float, ...] = FIG8A_RATES,
-    tta_rates: tuple[float, ...] = FIG8B_RATES,
-    scale: str | None = None,
-    seed: int = 0,
-    network: NetworkModel = TMOBILE_5G,
-) -> list[Fig8Row]:
-    """Deprecated: regenerate Fig. 8 in one (serial) call; use
-    ``fig8_rows(run_sweep(fig8_spec(...)), ...)``."""
-    warnings.warn(
-        "run_fig8() is deprecated; use fig8_rows(run_sweep(fig8_spec(...)), ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = fig8_spec(
-        dataset=dataset, methods=methods, accuracy_rates=accuracy_rates,
-        tta_rates=tta_rates, scale=scale, seed=seed,
-    )
-    return fig8_rows(
-        run_sweep(spec), dataset=dataset, methods=methods,
-        accuracy_rates=accuracy_rates, tta_rates=tta_rates,
-        scale=scale, seed=seed, network=network,
-    )
 
 
 def format_fig8(rows: list[Fig8Row]) -> str:

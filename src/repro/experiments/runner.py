@@ -9,14 +9,10 @@ pass a persistent :class:`~repro.experiments.store.RunStore` (as the
 sweep scheduler does) to share results across processes and sessions.
 
 Execution choices (backend/workers/system/mode/buffer_size) arrive as
-an explicit :class:`~repro.experiments.context.ExecutionContext` rather
-than through the historical ``set_default_execution`` process-global,
-which survives only as a deprecated shim.
+an explicit :class:`~repro.experiments.context.ExecutionContext`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -42,7 +38,6 @@ __all__ = [
     "run_experiment",
     "clear_cache",
     "dense_upload_bits",
-    "set_default_execution",
 ]
 
 _TASK_CACHE: dict[tuple, object] = {}
@@ -50,53 +45,6 @@ _TASK_CACHE: dict[tuple, object] = {}
 #: The in-process memo every :func:`run_experiment` call without an
 #: explicit ``store`` shares (the old module-global ``_CACHE``).
 _DEFAULT_STORE = MemoryRunStore()
-
-#: Fallback context for calls that pass ``context=None``; mutated only
-#: by the deprecated :func:`set_default_execution` shim.
-_FALLBACK_CONTEXT = ExecutionContext()
-
-
-def _default_store() -> MemoryRunStore:
-    return _DEFAULT_STORE
-
-
-def _default_context() -> ExecutionContext:
-    return _FALLBACK_CONTEXT
-
-
-def _set_default_context(context: ExecutionContext | None) -> None:
-    """Reset hook for tests and the deprecated shim below."""
-    global _FALLBACK_CONTEXT
-    _FALLBACK_CONTEXT = context or ExecutionContext()
-
-
-def set_default_execution(
-    backend: str | None = None,
-    workers: int | None = None,
-    system: str | None = None,
-    mode: str | None = None,
-    buffer_size: int | None = None,
-) -> None:
-    """Deprecated: set process-wide execution defaults.
-
-    Build an :class:`~repro.experiments.context.ExecutionContext` and
-    pass it to :func:`run_experiment` /
-    :func:`~repro.experiments.sweep.run_sweep` instead — explicit
-    contexts compose (two sweeps in one process can use different
-    backends) where this global cannot.
-    """
-    warnings.warn(
-        "set_default_execution() is deprecated; pass an ExecutionContext "
-        "to run_experiment(context=...) or run_sweep(context=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _set_default_context(
-        ExecutionContext(
-            backend=backend, workers=workers, system=system,
-            mode=mode, buffer_size=buffer_size,
-        )
-    )
 
 
 def resolve_method(spec: str, preset: ExperimentPreset | None = None, **kwargs) -> FederatedMethod:
@@ -138,18 +86,11 @@ def run_experiment(
     use_cache: bool = True,
     context: ExecutionContext | None = None,
     store: MemoryRunStore | RunStore | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
-    system: str | None = None,
-    mode: str | None = None,
-    buffer_size: int | None = None,
 ) -> RunResult:
     """Run (or fetch from ``store``) one federated simulation.
 
     Precedence for execution/config choices, lowest to highest: the
-    preset's ``FLConfig``, ``context`` (or the deprecated process-wide
-    default), ``config_overrides``, then the explicit
-    ``backend``/``workers``/``system``/``mode``/``buffer_size`` kwargs.
+    preset's ``FLConfig``, ``context``, then ``config_overrides``.
 
     The cache key is the *structural* cell hash: ``backend`` and
     ``workers`` never miss the cache (the engine is bit-identical
@@ -157,24 +98,14 @@ def run_experiment(
     (seed, scale, any other override, ``method_kwargs``) does.
     """
     preset = preset_for(task_name, scale)
-    ctx = context if context is not None else _default_context()
-    overrides = ctx.overrides()
+    overrides = (context or ExecutionContext()).overrides()
     overrides.update(config_overrides or {})
-    for name, value in (
-        ("backend", backend),
-        ("workers", workers),
-        ("system", system),
-        ("mode", mode),
-        ("buffer_size", buffer_size),
-    ):
-        if value is not None:
-            overrides[name] = value
     fl: FLConfig = preset.fl.with_overrides(seed=seed, **overrides)
     spec = ExperimentSpec.make(
         task_name, method_spec, scale=preset.scale, seed=seed,
         overrides=overrides, method_kwargs=method_kwargs,
     )
-    store = store if store is not None else _default_store()
+    store = store if store is not None else _DEFAULT_STORE
     if use_cache:
         cached = store.get(spec)
         if cached is not None:

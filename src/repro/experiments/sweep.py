@@ -172,11 +172,10 @@ class SweepScheduler:
         self.reuse = reuse
 
     def _resolved(self):
-        from .runner import _default_context, _default_store
+        from .runner import _DEFAULT_STORE
 
-        store = self.store if self.store is not None else _default_store()
-        context = self.context if self.context is not None else _default_context()
-        return store, context
+        store = self.store if self.store is not None else _DEFAULT_STORE
+        return store, self.context or ExecutionContext()
 
     def run(self, progress: bool = False) -> SweepResult:
         store, context = self._resolved()

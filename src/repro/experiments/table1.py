@@ -4,13 +4,11 @@ Declarative form: :func:`table1_spec` expands the paper's grid into a
 :class:`~repro.experiments.spec.SweepSpec`, any scheduler
 (:func:`~repro.experiments.sweep.run_sweep`, the CLI ``sweep``
 subcommand) executes it, and :func:`table1_rows` folds the finished
-cells back into the paper's row order.  The historical ``run_table1``
-survives as a deprecated one-call shim over the same pieces.
+cells back into the paper's row order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +18,13 @@ from ..fl.sizing import format_bytes
 from .configs import TABLE1_METHODS
 from .reporting import format_table, pm
 from .spec import SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 
 __all__ = [
     "Table1Row",
     "table1_spec",
     "table1_rows",
     "fold_accuracy_rows",
-    "run_table1",
     "format_table1",
 ]
 
@@ -91,26 +88,6 @@ def table1_rows(results: SweepResult) -> list[Table1Row]:
     """Fold a finished Table I sweep into the paper's rows (see
     :func:`fold_accuracy_rows` for the aggregation rules)."""
     return fold_accuracy_rows(results, Table1Row)
-
-
-def run_table1(
-    datasets: tuple[str, ...] = TASK_NAMES,
-    methods: tuple[str, ...] = TABLE1_METHODS,
-    scale: str | None = None,
-    seeds: tuple[int, ...] = (0,),
-) -> list[Table1Row]:
-    """Deprecated: regenerate Table I's rows in one (serial) call.
-
-    Use ``table1_rows(run_sweep(table1_spec(...)))`` — the sweep form
-    shards across processes, persists to a store and resumes.
-    """
-    warnings.warn(
-        "run_table1() is deprecated; use table1_rows(run_sweep(table1_spec(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = table1_spec(datasets=datasets, methods=methods, scale=scale, seeds=seeds)
-    return table1_rows(run_sweep(spec))
 
 
 def format_table1(rows: list[Table1Row]) -> str:

@@ -1,13 +1,11 @@
 """Table II: sketched compression vs FedBIAD+DGC.
 
 Declarative form mirrors :mod:`repro.experiments.table1`:
-:func:`table2_spec` + :func:`table2_rows`, with ``run_table2`` as a
-deprecated shim.
+:func:`table2_spec` + :func:`table2_rows`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..data.registry import TASK_NAMES
@@ -15,10 +13,10 @@ from ..fl.sizing import format_bytes
 from .configs import TABLE2_METHODS
 from .reporting import format_table, pm
 from .spec import SweepSpec
-from .sweep import SweepResult, run_sweep
+from .sweep import SweepResult
 from .table1 import fold_accuracy_rows
 
-__all__ = ["Table2Row", "table2_spec", "table2_rows", "run_table2", "format_table2"]
+__all__ = ["Table2Row", "table2_spec", "table2_rows", "format_table2"]
 
 
 @dataclass
@@ -50,23 +48,6 @@ def table2_rows(results: SweepResult) -> list[Table2Row]:
     relative to dense FedAvg; aggregation rules shared with Table I —
     see :func:`~repro.experiments.table1.fold_accuracy_rows`)."""
     return fold_accuracy_rows(results, Table2Row)
-
-
-def run_table2(
-    datasets: tuple[str, ...] = TASK_NAMES,
-    methods: tuple[str, ...] = TABLE2_METHODS,
-    scale: str | None = None,
-    seeds: tuple[int, ...] = (0,),
-) -> list[Table2Row]:
-    """Deprecated: regenerate Table II in one (serial) call; use
-    ``table2_rows(run_sweep(table2_spec(...)))``."""
-    warnings.warn(
-        "run_table2() is deprecated; use table2_rows(run_sweep(table2_spec(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = table2_spec(datasets=datasets, methods=methods, scale=scale, seeds=seeds)
-    return table2_rows(run_sweep(spec))
 
 
 def format_table2(rows: list[Table2Row]) -> str:

@@ -4,24 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import runner
 from repro.experiments.results import RunResult
 from repro.fl.metrics import History, RoundRecord
 
 
-@pytest.fixture(autouse=True)
-def _reset_default_context():
-    """The deprecated set_default_execution() shim mutates the runner's
-    fallback context; reset it so no test leaks a backend/device profile
-    into later run_experiment calls."""
-    yield
-    runner._set_default_context(None)
-
-
 @pytest.fixture
 def make_result():
-    """Factory for synthetic RunResults — store/shim tests exercise the
-    sweep plumbing without paying for real simulations."""
+    """Factory for synthetic RunResults — store and row-folding tests
+    exercise the sweep plumbing without paying for real simulations."""
 
     def factory(
         task: str = "mnist",

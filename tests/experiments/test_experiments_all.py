@@ -8,6 +8,7 @@ import pytest
 from repro.experiments import (
     TABLE1_METHODS,
     TABLE2_METHODS,
+    ExecutionContext,
     active_scale,
     format_series,
     format_table,
@@ -105,7 +106,7 @@ class TestRunner:
         overrides = {"rounds": 3, "local_iterations": 3, "eval_every": 1}
         r = run_experiment(
             "mnist", "fedavg", scale="small", config_overrides=overrides,
-            mode="async", system="straggler",
+            context=ExecutionContext(mode="async", system="straggler"),
         )
         assert r.history.is_async
         assert r.tta(0.0) == pytest.approx(r.history.records[0].sim_clock_seconds)

@@ -8,6 +8,7 @@ the scheduler's computed/reused counters).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -15,10 +16,12 @@ from repro.experiments import (
     MemoryRunStore,
     RunStore,
     SweepScheduler,
+    clear_cache,
     run_sweep,
     table1_rows,
     table1_spec,
 )
+from repro.experiments import sweep
 
 #: smoke-scale overrides: every cell finishes in well under a second
 FAST = {"rounds": 2, "local_iterations": 3, "eval_every": 1}
@@ -176,3 +179,41 @@ class TestSweepResult:
         partial = run_sweep(tiny_spec(), store=RunStore(tmp_path / "store"), max_cells=1)
         with pytest.raises(LookupError):
             table1_rows(partial)
+
+
+class TestTable1Satellites:
+    """Table I row folding over stubbed cells (accuracy varies with the
+    seed, so the std aggregation is observable)."""
+
+    @pytest.fixture(autouse=True)
+    def stub_executor(self, monkeypatch, make_result):
+        def fake_execute_cell(spec, context, store, reuse):
+            result = make_result(
+                task=spec.task, method=spec.method, accs=(0.4, 0.5 + 0.1 * spec.seed)
+            )
+            store.put(spec, result)
+            return result
+
+        monkeypatch.setattr(sweep, "_execute_cell", fake_execute_cell)
+        clear_cache()
+        yield
+        clear_cache()
+
+    @staticmethod
+    def _rows(seeds):
+        spec = table1_spec(datasets=("mnist",), methods=("fedavg",), seeds=seeds)
+        return table1_rows(run_sweep(spec))
+
+    def test_empty_seeds_guarded(self):
+        with pytest.raises(ValueError, match="seeds"):
+            self._rows(seeds=())
+
+    def test_multi_seed_std_is_sample_std(self):
+        rows = self._rows(seeds=(0, 1))
+        # stub accuracies: best acc 0.5 at seed 0, 0.6 at seed 1
+        assert rows[0].accuracy_mean == pytest.approx(0.55)
+        assert rows[0].accuracy_std == pytest.approx(np.std([0.5, 0.6], ddof=1))
+
+    def test_single_seed_std_is_zero(self):
+        rows = self._rows(seeds=(0,))
+        assert rows[0].accuracy_std == 0.0
