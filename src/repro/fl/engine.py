@@ -76,6 +76,10 @@ def execute_client(
     instead of re-deriving them); the batcher over a shipped payload is
     identical to one built through ``task.batcher`` because lazy
     sources are pure functions of ``(data seed, client)``.
+
+    A local update whose mean training loss is not finite raises
+    ``FloatingPointError`` naming the round, the client and the method,
+    instead of folding NaN into the global model.
     """
     client_id = int(client_id)
     rng = np.random.default_rng([config.seed, round_index, client_id])
@@ -96,6 +100,11 @@ def execute_client(
     start = time.perf_counter()
     update = method.client_update(ctx)
     lttr = time.perf_counter() - start
+    if not np.isfinite(update.mean_loss):
+        raise FloatingPointError(
+            f"round {round_index}, client {client_id}: {method.name} local "
+            f"update diverged (mean training loss {update.mean_loss})"
+        )
     return ClientResult(client_id=client_id, update=update, state=state, lttr_seconds=lttr)
 
 

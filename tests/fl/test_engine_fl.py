@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,19 @@ class TestBackendEquivalence:
                 session_image_task, FedAvg(), session_config, backend=backend
             )
         assert backend._pool is None
+
+
+class _Diverging(FedAvg):
+    """FedAvg whose local updates report a NaN training loss."""
+
+    name = "diverging"
+
+    def client_update(self, ctx):
+        update = super().client_update(ctx)
+        return replace(update, train_losses=[*update.train_losses, float("nan")])
+
+
+class TestDivergence:
+    def test_nan_client_loss_fails_fast(self, tiny_image_task, fast_config):
+        with pytest.raises(FloatingPointError, match=r"round 1, client \d+: diverging"):
+            run_simulation(tiny_image_task, _Diverging(), fast_config)
