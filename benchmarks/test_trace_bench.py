@@ -18,7 +18,7 @@ from repro.baselines.registry import make_method
 from repro.data.registry import make_task, task_summary
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
-from repro.fl.systems import FleetAvailability, make_system
+from repro.fl.systems import make_system
 
 from conftest import emit
 
@@ -50,8 +50,8 @@ def test_trace_fleet_scale(benchmark):
         # the diurnal availability hook must stay on the lazy binomial
         # path at this scale
         probe = sim.system.available_clients(1, sim._system_rng(1))
-        assert isinstance(probe, FleetAvailability)
-        assert 0 < probe.n_available <= FLEET_CLIENTS
+        assert probe.ids is None
+        assert 0 < probe.count <= FLEET_CLIENTS
 
         def run_rounds() -> float:
             start = time.perf_counter()

@@ -145,8 +145,8 @@ class IndexedArraySource(ClientDataSource):
     """Lazy image shards: one ``(x, y)`` view sliced per access.
 
     Holds the full training arrays once plus the per-client index
-    arrays; ``client_payload(c)`` fancy-indexes on demand, producing
-    exactly the arrays the eager path materializes up front.
+    arrays; ``client_payload(c)`` fancy-indexes on demand, so no
+    per-client copy of the training set is held.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, parts: list[np.ndarray]) -> None:

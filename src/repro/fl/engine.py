@@ -293,12 +293,11 @@ class ProcessPoolBackend(ExecutionBackend):
         round_blob = _dump_round_blob(method, task, global_params)
         self._round_serial += 1
         round_key = (id(self), self._round_serial)
-        # Lazy tasks (e.g. fleet-scale generated shards) ship only the
+        # Generated sources (fleet-scale shards) ship only the
         # *cohort's* payloads, materialized once in the parent, so each
-        # worker pays O(shard) transfer instead of regenerating or
-        # holding per-client materializations.  Eager tasks already
-        # live whole in every worker; their jobs ship no payload
-        # (bit-identical historical path).
+        # worker pays O(shard) transfer instead of regenerating them.
+        # Array-backed sources already live whole in every worker and
+        # slice locally; their jobs ship no payload.
         ship = bool(getattr(task, "ships_cohort_payloads", False))
         jobs = [
             (

@@ -380,7 +380,7 @@ class SystemModel:
             lazy=self.lazy_availability,
         )
 
-    def _traits(self, client_id: int) -> tuple[float, float]:
+    def _cached_traits(self, client_id: int) -> tuple[float, float]:
         """:meth:`traits` through a bounded per-client cache."""
         client_id = int(client_id)
         cached = self._trait_cache.get(client_id)
@@ -396,11 +396,11 @@ class SystemModel:
     ) -> float:
         """Simulated local-training time: the LTTR base times the speed."""
         base = self.lttr_seconds if self.lttr_seconds is not None else measured_lttr
-        return base * self._traits(client_id)[0]
+        return base * self._cached_traits(client_id)[0]
 
     def network(self, round_index: int, client_id: int) -> NetworkModel:
         """The client's link for this round."""
-        return _scaled_network(self.base_network, self._traits(client_id)[1])
+        return _scaled_network(self.base_network, self._cached_traits(client_id)[1])
 
 
 class IdealSystem(SystemModel):

@@ -32,6 +32,7 @@ import pytest
 from repro.baselines.registry import make_method
 from repro.data.registry import make_fleet_task, make_task
 from repro.experiments.configs import preset_for
+from repro.fl.async_aggregation import AsyncFederatedSimulation
 from repro.fl.simulation import FederatedSimulation
 
 LEARNING_COLUMNS = (
@@ -114,10 +115,7 @@ def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch)
         return ids
 
     monkeypatch.setattr(FederatedSimulation, "_select_clients", logged)
-    if config.mode == "async":
-        from repro.fl.async_aggregation import AsyncFederatedSimulation as sim_cls
-    else:
-        sim_cls = FederatedSimulation
+    sim_cls = AsyncFederatedSimulation if config.mode == "async" else FederatedSimulation
     history = sim_cls(_task(task_name), make_method(method), config).run()
 
     h = hashlib.sha256()
