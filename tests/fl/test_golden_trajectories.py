@@ -16,6 +16,10 @@ The matrix covers both availability shapes the selection core serves:
 * bare up-counts (the ``fleet`` profile, and the ``flash-diurnal``
   trace at K=100,000), which sample cohort ids from the index space.
 
+A few cells widen the method and model coverage: the nested
+``fedbiad+dgc`` sketched method (a ``CombinedMethod`` wrapping FedBIAD)
+and the PTB LSTM under FedBIAD and under async FedAvg.
+
 Digests are floating-point results and so depend on the numerical
 stack; they were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, ``DYNAMIC_ARCH``), CPython 3.11.
@@ -30,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.registry import make_method
+from repro.compression.registry import make_sketched
 from repro.data.registry import make_fleet_task, make_task
 from repro.experiments.configs import preset_for
 from repro.fl.async_aggregation import AsyncFederatedSimulation
@@ -70,7 +75,12 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
     cells["fleet100k-fedavg-sync-trace:flash-diurnal"] = (
         "fleet-100k", "fedavg", dict(rounds=3, kappa=2e-4, system="trace:flash-diurnal")
     )
+    cells["mnist-fedbiad+dgc-sync-ideal"] = ("mnist", "fedbiad+dgc", dict(rounds=3))
     cells["ptb-fedavg-sync-ideal"] = ("ptb", "fedavg", dict(rounds=1))
+    cells["ptb-fedbiad-sync-ideal"] = ("ptb", "fedbiad", dict(rounds=2))
+    cells["ptb-fedavg-async-ideal"] = (
+        "ptb", "fedavg", dict(rounds=2, mode="async", buffer_size=1)
+    )
     return cells
 
 
@@ -90,6 +100,7 @@ GOLDEN = {
     "mnist-fedavg-sync-ideal": "9d3a83f24614c32cd7b7e50f78f074c8fee09973480981c750a65719366f5a49",
     "mnist-fedavg-sync-straggler": "7fccb5e3a85d67352ba35a9df962b3b8e3152a92079a4c8b37c442575efbbfcc",
     "mnist-fedavg-sync-trace:flash-diurnal": "4b049772ddffc42b7fab10cd789413db5a86037f562cd3c365c0cf5dfd14964e",
+    "mnist-fedbiad+dgc-sync-ideal": "71526a55ef6ca6982214b1c780a368614083aed5052d7e6393382bace2d3168e",
     "mnist-fedbiad-async-flaky": "fd71e56e9a03a360169495bc90621789317c90f8310e4f820eb219e06d19949c",
     "mnist-fedbiad-async-ideal": "8a849333ed9427a430e1e7f4019255a1e3071d680b3249f089f31661f6a7cecf",
     "mnist-fedbiad-async-straggler": "2f77d1e0c9bbbbaf2a280313056c1ce0ee0f89adeed550ce78ec3838c74564a3",
@@ -98,7 +109,9 @@ GOLDEN = {
     "mnist-fedbiad-sync-ideal": "61424d47a5600efa7e6e59acbb259a95f9ef4029cf87c295c752362937014f39",
     "mnist-fedbiad-sync-straggler": "a45c1b2e259b8e017af5915998b45105d6548714c9e25805e69e4ea8c0066546",
     "mnist-fedbiad-sync-trace:flash-diurnal": "26285d69ea845e9957b828ca6b3bf71e74bf6c97088d7c2af1807a3411c07fe0",
+    "ptb-fedavg-async-ideal": "393595c8a8064a6381e19c14509931f4c4599151ce48edd7c8b14c77203957b7",
     "ptb-fedavg-sync-ideal": "309bb362c39c515234fb10d8433f3abab312eda4658bacf18d574a055ebf56e4",
+    "ptb-fedbiad-sync-ideal": "091bdb86385341865d8b14db30cfd92cf82255e3cd071fe58898b23c590d1e3d",
 }
 
 
@@ -116,7 +129,8 @@ def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch)
 
     monkeypatch.setattr(FederatedSimulation, "_select_clients", logged)
     sim_cls = AsyncFederatedSimulation if config.mode == "async" else FederatedSimulation
-    history = sim_cls(_task(task_name), make_method(method), config).run()
+    fed_method = make_sketched(method) if "+" in method else make_method(method)
+    history = sim_cls(_task(task_name), fed_method, config).run()
 
     h = hashlib.sha256()
     for column in LEARNING_COLUMNS:
