@@ -94,15 +94,6 @@ class ClientDataSource:
     once.
     """
 
-    #: whether pool workers should receive this source's payloads
-    #: materialized per job.  True only when access *computes* the
-    #: payload (generated shards): shipping then replaces duplicate
-    #: per-worker generation with one O(shard) transfer.  Sources that
-    #: merely slice resident arrays leave it False — their workers
-    #: already hold the arrays (shipped once at pool init) and slice
-    #: locally for free.
-    ships_payloads = False
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -203,8 +194,6 @@ class FleetImageSource(ClientDataSource):
     historical payload stream bit-for-bit.
     """
 
-    ships_payloads = True
-
     def __init__(
         self,
         protos: np.ndarray,
@@ -291,14 +280,6 @@ class FederatedTask:
     def topk(self) -> int:
         return 1 if self.metric == "top1" else 3
 
-    @property
-    def ships_cohort_payloads(self) -> bool:
-        """Whether pool workers should receive materialized cohort
-        payloads per job instead of regenerating them (sources whose
-        payloads are *computed* on access, e.g. generated fleet shards;
-        slicing sources resolve locally in the worker instead)."""
-        return self.client_data.ships_payloads
-
     def client_payload(self, client_id: int):
         """One client's payload (materialized on demand for lazy sources)."""
         return self.client_data.client_payload(client_id)
@@ -311,17 +292,13 @@ class FederatedTask:
         """min_k |D_k|; O(1) for sources that know it without a fleet walk."""
         return int(self.client_data.min_client_size())
 
-    def batcher_from_payload(self, payload, batch_size: int, rng: np.random.Generator):
-        """Build a minibatch sampler over an already-materialized payload
-        (pool workers receive cohort payloads pre-sliced by the parent)."""
+    def batcher(self, client_id: int, batch_size: int, rng: np.random.Generator):
+        """Build the local minibatch sampler for one client."""
+        payload = self.client_payload(client_id)
         if self.kind == "image":
             x, y = payload
             return ImageBatcher(x, y, batch_size, rng)
         return SequenceBatcher(payload, batch_size, self.seq_len, rng)
-
-    def batcher(self, client_id: int, batch_size: int, rng: np.random.Generator):
-        """Build the local minibatch sampler for one client."""
-        return self.batcher_from_payload(self.client_payload(client_id), batch_size, rng)
 
     def eval_batches(self, batch_size: int = 256) -> Iterator:
         """Deterministic iterator over the global test set."""

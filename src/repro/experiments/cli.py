@@ -5,7 +5,6 @@ Usage::
     python -m repro.experiments.cli table1 --datasets mnist,fmnist
     python -m repro.experiments.cli fig7
     python -m repro.experiments.cli run mnist fedbiad --rounds 20
-    python -m repro.experiments.cli run mnist fedbiad --backend process --workers 4
     python -m repro.experiments.cli run mnist fedbiad --mode async --buffer-size 2
 
     # subsampled fleet simulation (K=5000 small / K=1,000,000 paper;
@@ -34,17 +33,17 @@ processes, and persists every finished cell to ``--store``; re-running
 the same sweep recomputes only the cells the store is missing
 (``--no-resume`` forces a full recompute), so a killed Table-I
 regeneration picks up where it left off.  ``--max-cells`` bounds one
-invocation's work (smoke tests, budgeted runs).
+invocation's work (smoke tests, budgeted runs).  ``--shards`` is the
+CLI's only parallelism: every run executes serially in-process, and a
+sweep spreads whole runs across processes.
 
-Every subcommand accepts ``--backend serial|process`` (with
-``--workers N``) to pick the execution engine, ``--device-profile``
-to run under a system model (``ideal``, ``heterogeneous``, ``flaky``,
-``straggler``), and ``--mode sync|async`` (with ``--buffer-size N``)
-to choose between barrier rounds and FedBuff-style buffered async
-aggregation.  The flags become an explicit
-:class:`~repro.experiments.context.ExecutionContext` threaded through
-the runner and scheduler; see :mod:`repro.fl.engine`,
-:mod:`repro.fl.systems` and :mod:`repro.fl.async_aggregation`.
+Every subcommand accepts ``--device-profile`` to run under a system
+model (``ideal``, ``heterogeneous``, ``flaky``, ``straggler``), and
+``--mode sync|async`` (with ``--buffer-size N``) to choose between
+barrier rounds and FedBuff-style buffered async aggregation.  The flags
+become an explicit :class:`~repro.experiments.context.ExecutionContext`
+threaded through the runner and scheduler; see :mod:`repro.fl.systems`
+and :mod:`repro.fl.async_aggregation`.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from functools import partial
 from ..baselines.registry import METHOD_NAMES
 from ..compression.registry import COMPRESSOR_NAMES
 from ..data.registry import ALL_TASK_NAMES, TASK_NAMES
-from ..fl.engine import BACKEND_NAMES
 from ..fl.systems import SYSTEM_NAMES
 from ..traces import trace_system_spec
 from .ablations import ablation_rows, ablations_spec, format_ablations
@@ -80,7 +78,7 @@ ARTIFACT_NAMES = ("table1", "table2", "fig2", "fig6", "fig7", "fig8", "ablations
 def _nonnegative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (0 = all cores)")
+        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -92,10 +90,6 @@ def _positive_int(raw: str) -> int:
 
 
 def _add_execution_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                   help="execution backend for client updates")
-    p.add_argument("--workers", type=_nonnegative_int, default=None,
-                   help="process-pool size (0 = all cores); implies --backend process")
     p.add_argument("--device-profile", default=None, choices=SYSTEM_NAMES,
                    help="system model for device heterogeneity")
     p.add_argument("--mode", default=None, choices=("sync", "async"),
@@ -108,19 +102,12 @@ def _add_execution_flags(p: argparse.ArgumentParser) -> None:
 
 def context_from_args(args: argparse.Namespace) -> ExecutionContext:
     """Build the run's :class:`ExecutionContext` from parsed CLI flags
-    (applying the ``--workers`` -> process and ``--buffer-size`` ->
-    async implications)."""
-    backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    if workers is not None and backend is None:
-        backend = "process"  # --workers only means anything to the pool
+    (applying the ``--buffer-size`` -> async implication)."""
     mode = getattr(args, "mode", None)
     buffer_size = getattr(args, "buffer_size", None)
     if buffer_size is not None and mode is None:
         mode = "async"  # --buffer-size only means anything to the buffer
     return ExecutionContext(
-        backend=backend,
-        workers=workers,
         system=getattr(args, "device_profile", None),
         mode=mode,
         buffer_size=buffer_size,

@@ -1,34 +1,33 @@
 """Explicit execution context for experiment runs.
 
-:class:`ExecutionContext` carries the *how* of a run — execution
-backend, pool size, device profile, server discipline — separately from
-the *what* (task, method, seed, hyper-parameters).  There is no
-process-global default: the
-CLI builds one context from its flags and threads it explicitly through
+:class:`ExecutionContext` carries the *how* of a run — device profile,
+server discipline — separately from the *what* (task, method, seed,
+hyper-parameters).  There is no process-global default: the CLI builds
+one context from its flags and threads it explicitly through
 :func:`~repro.experiments.runner.run_experiment` and the sweep
-scheduler, so two concurrent sweeps can run under different backends in
-one process without stepping on each other.
+scheduler, so two concurrent sweeps can run under different device
+profiles in one process without stepping on each other.
 
-The split matters for caching: ``backend``/``workers`` change only
-*where* the arithmetic happens (the engine guarantees bit-identical
-histories across backends and worker counts — see
-:mod:`repro.fl.engine`), so they are excluded from the structural cell
-hash that keys the :class:`~repro.experiments.store.RunStore`.
-``system``/``mode``/``buffer_size`` change the simulated trajectory and
-are therefore part of it.
+The split matters for caching: ``system``/``mode``/``buffer_size``
+change the simulated trajectory and are therefore part of the
+structural cell hash that keys the
+:class:`~repro.experiments.store.RunStore`.  ``backend`` is kept only
+for callers that spell the engine out; its one legal value,
+``"serial"``, changes nothing and stays out of the hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+
+from ..fl.config import check_backend
 
 __all__ = ["ExecutionContext", "EXECUTION_ONLY_KEYS"]
 
-#: Config keys that select *where* a run executes without changing its
-#: result (the engine is bit-identical across them); excluded from the
-#: structural cell hash so a process-pool sweep hits the cache entries
-#: a serial run wrote, and vice versa.
-EXECUTION_ONLY_KEYS = frozenset({"backend", "workers"})
+#: Config keys that name *how* a run executes without changing its
+#: result; excluded from the structural cell hash so a cell spelling out
+#: ``backend="serial"`` hits the entry a plain run wrote, and vice versa.
+EXECUTION_ONLY_KEYS = frozenset({"backend"})
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,20 @@ class ExecutionContext:
     :class:`~repro.fl.config.FLConfig` defaults (or to per-run
     ``config_overrides``, which take precedence over the context).
 
-    * ``backend`` — ``"serial"`` or ``"process"`` (:mod:`repro.fl.engine`);
-    * ``workers`` — process-pool size, ``0`` = all cores;
+    * ``backend`` — ``"serial"``, the only engine (:mod:`repro.fl.engine`);
     * ``system`` — device profile name (:mod:`repro.fl.systems`);
     * ``mode`` — ``"sync"`` or ``"async"`` server discipline;
     * ``buffer_size`` — async uploads per flush, ``0`` = cohort size.
     """
 
     backend: str | None = None
-    workers: int | None = None
     system: str | None = None
     mode: str | None = None
     buffer_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.backend is not None:
+            check_backend(self.backend)
 
     def overrides(self) -> dict[str, object]:
         """The context as ``FLConfig`` override kwargs (set fields only)."""
@@ -62,13 +63,3 @@ class ExecutionContext:
         """Overrides that change the simulated trajectory (and hence the
         cell hash): everything except :data:`EXECUTION_ONLY_KEYS`."""
         return {k: v for k, v in self.overrides().items() if k not in EXECUTION_ONLY_KEYS}
-
-    def with_serial_backend(self) -> "ExecutionContext":
-        """This context forced onto the serial engine backend.
-
-        Sweep shard workers are daemonic pool processes and cannot spawn
-        their own ``ProcessPoolBackend`` children; results are identical
-        either way, so the scheduler downgrades worker contexts with
-        this instead of failing.
-        """
-        return replace(self, backend="serial", workers=None)

@@ -8,8 +8,10 @@ The default store is an in-process :class:`~repro.experiments.store.MemoryRunSto
 pass a persistent :class:`~repro.experiments.store.RunStore` (as the
 sweep scheduler does) to share results across processes and sessions.
 
-Execution choices (backend/workers/system/mode/buffer_size) arrive as
-an explicit :class:`~repro.experiments.context.ExecutionContext`.
+Execution choices (system/mode/buffer_size) arrive as an explicit
+:class:`~repro.experiments.context.ExecutionContext`.  Every run
+executes serially in-process; a sweep parallelizes whole runs across
+shard processes (:mod:`repro.experiments.sweep`).
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ def run_experiment(
     Precedence for execution/config choices, lowest to highest: the
     preset's ``FLConfig``, ``context``, then ``config_overrides``.
 
-    The cache key is the *structural* cell hash: ``backend`` and
-    ``workers`` never miss the cache (the engine is bit-identical
-    across them), while anything that changes the simulated trajectory
-    (seed, scale, any other override, ``method_kwargs``) does.
+    The cache key is the *structural* cell hash: ``backend`` never
+    misses the cache (``"serial"`` is its only value), while anything
+    that changes the simulated trajectory (seed, scale, any other
+    override, ``method_kwargs``) does.
     """
     preset = preset_for(task_name, scale)
     overrides = (context or ExecutionContext()).overrides()

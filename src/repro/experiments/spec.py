@@ -14,10 +14,10 @@ Two properties the rest of the stack leans on:
   (task-major, then method, then seed), so sharding the cell list and
   re-gathering by hash reproduces the serial row order bit-for-bit.
 * **Structural hashing** — the cell hash covers everything that changes
-  the simulated trajectory and *nothing* that does not:
-  ``backend``/``workers`` (see
-  :data:`~repro.experiments.context.EXECUTION_ONLY_KEYS`) are stripped,
-  so a process-pool sweep shares cache entries with a serial one.
+  the simulated trajectory and *nothing* that does not: ``backend``
+  (see :data:`~repro.experiments.context.EXECUTION_ONLY_KEYS`) is
+  stripped, and the shard count of the sweep that ran a cell never
+  enters it, so sweeps at any ``--shards`` share cache entries.
 """
 
 from __future__ import annotations

@@ -5,14 +5,15 @@ A :class:`SweepScheduler` takes a
 :class:`~repro.experiments.context.ExecutionContext` into each cell,
 skips cells the :class:`~repro.experiments.store.RunStore` already
 holds, and executes the remainder — inline for ``shards=1``, or split
-round-robin across a ``multiprocessing`` pool of shard workers.  Each
-worker runs its cells serially through
-:func:`~repro.experiments.runner.run_experiment` (cells themselves
-still use the :mod:`repro.fl.engine` backends; the worker context is
-downgraded to the serial backend because daemonic pool processes cannot
-spawn grandchildren) and persists every finished cell to the shared
-on-disk store; the parent then gathers results *in grid order* by cell
-hash.
+round-robin across shard worker processes.  Sharding is the one layer
+of parallelism in the stack: cells are independent runs, so shards
+exchange nothing per round.  Each worker runs its cells serially
+through :func:`~repro.experiments.runner.run_experiment` and persists
+every finished cell to the shared on-disk store; the parent then
+gathers results *in grid order* by cell hash.  A shard worker that
+dies (killed, out of memory) fails the sweep with a ``RuntimeError``
+naming its unfinished cells instead of hanging; cells other shards
+finished stay in the store for the rerun.
 
 Because every cell is a pure function of its spec (RNG streams are
 keyed by ``(seed, round[, client])``; see :mod:`repro.fl.simulation`),
@@ -24,6 +25,8 @@ store is missing.
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .context import ExecutionContext
@@ -104,7 +107,6 @@ def _shard_worker(cells, store_root, context, reuse) -> int:  # pragma: no cover
     Returns the number of cells computed (a concurrent shard may have
     landed a deduplicated cell first; the cheap re-check skips it).
     """
-    context = (context or ExecutionContext()).with_serial_backend()
     store = RunStore(store_root)
     computed = 0
     for spec in cells:
@@ -202,14 +204,6 @@ class SweepScheduler:
                 f"sweep {self.sweep.name}: {len(base)} cells, "
                 f"{reused} cached, running {len(to_run)} on {self.shards} shard(s)"
             )
-        if self.shards > 1 and len(to_run) > 1 and context.backend == "process":
-            # daemonic shard workers cannot spawn a pool of their own;
-            # results are identical either way, but don't let the user
-            # misattribute the wall-clock to a backend that never ran
-            print(
-                "note: --backend process is downgraded to serial inside "
-                "shard workers (cells already run concurrently across shards)"
-            )
         if self.shards <= 1 or len(to_run) <= 1:
             computed = 0
             for i in to_run:
@@ -234,16 +228,31 @@ class SweepScheduler:
             [effective[i] for i in to_run[k :: self.shards]] for k in range(self.shards)
         ]
         shard_lists = [cells for cells in shard_lists if cells]
-        # Prefer fork (cheap page-sharing of the loaded tasks on Linux),
-        # like repro.fl.engine.ProcessPoolBackend.
+        # Prefer fork (cheap page-sharing of the loaded tasks on Linux).
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        with ctx.Pool(processes=len(shard_lists)) as pool:
-            counts = pool.starmap(
-                _shard_worker,
-                [(tuple(cells), str(store.root), context, self.reuse) for cells in shard_lists],
+        computed, unfinished = 0, []
+        # Unlike Pool.starmap, which replaces a dead worker and waits
+        # forever for its result, the executor breaks every pending
+        # future when a worker process dies.
+        with ProcessPoolExecutor(max_workers=len(shard_lists), mp_context=ctx) as pool:
+            futures = [
+                pool.submit(_shard_worker, tuple(cells), str(store.root), context, self.reuse)
+                for cells in shard_lists
+            ]
+            for cells, future in zip(shard_lists, futures):
+                try:
+                    computed += future.result()
+                except BrokenProcessPool:
+                    unfinished += [cell.label() for cell in cells]
+        if unfinished:
+            raise RuntimeError(
+                f"sweep {self.sweep.name!r}: a shard worker process died "
+                f"before its shard finished; cells of the broken shard(s): "
+                f"{'; '.join(unfinished)}.  Finished cells are in the store "
+                f"at {store.root}; rerun the sweep to resume from the store"
             )
-        return sum(counts)
+        return computed
 
 
 def run_sweep(

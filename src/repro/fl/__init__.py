@@ -15,14 +15,7 @@ from .checkpoints import (
 )
 from .client import ClientContext, ClientUpdate, FederatedMethod, run_local_sgd
 from .config import FLConfig
-from .engine import (
-    BACKEND_NAMES,
-    ClientResult,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
+from .engine import ClientResult
 from .metrics import History, RoundRecord, evaluate, topk_accuracy
 from .parameters import ParamSet
 from .rows import RowBlock, RowSpace
@@ -84,12 +77,7 @@ __all__ = [
     "RowSpace",
     "FederatedSimulation",
     "run_simulation",
-    "BACKEND_NAMES",
     "ClientResult",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "make_backend",
     "DEVICE_PROFILES",
     "SYSTEM_NAMES",
     "ClientArrival",

@@ -39,10 +39,9 @@ base below).
 Determinism
 -----------
 The hard requirement: at a fixed seed the async trajectory is
-bit-identical across :class:`~repro.fl.engine.SerialBackend` and
-:class:`~repro.fl.engine.ProcessPoolBackend` at any worker count.
-Arrival *order* decides buffer membership, so it must never depend on
-host timing jitter: async arrival simulation replaces each client's
+bit-identical across reruns, hosts and sweep shard counts.  Arrival
+*order* decides buffer membership, so it must never depend on host
+timing jitter: async arrival simulation replaces each client's
 measured LTTR with the virtual constant
 :data:`ASYNC_VIRTUAL_LTTR_SECONDS` before the system model scales it.
 Every arrival time is then a pure function of ``(seed, wave, client)``
@@ -93,15 +92,15 @@ class AsyncFederatedSimulation(FederatedSimulation):
     One ``run_round(flush_index)`` call advances the virtual clock to
     the next buffer flush; :meth:`run` (inherited) performs
     ``config.rounds`` flushes.  All orchestration primitives — RNG
-    streams, backend execution, arrival simulation, evaluation cadence,
+    streams, cohort execution, arrival simulation, evaluation cadence,
     checkpointing — are shared with the sync loop in
     :class:`~repro.fl.simulation.FederatedSimulation`.
     """
 
     mode = "async"
 
-    def __init__(self, task, method, config, backend=None, system=None) -> None:
-        super().__init__(task, method, config, backend=backend, system=system)
+    def __init__(self, task, method, config, system=None) -> None:
+        super().__init__(task, method, config, system=system)
         # client_id -> launch bookkeeping for everyone still training or
         # in transit; mirrors the events pending on the virtual clock
         self._in_flight: dict[int, _InFlight] = {}

@@ -4,7 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["FLConfig"]
+__all__ = ["FLConfig", "check_backend"]
+
+
+def check_backend(backend: str) -> None:
+    """Reject any execution backend but the one engine, ``"serial"``.
+
+    A run executes its cohort one client after another in-process;
+    independent runs parallelize across processes through sweep
+    sharding instead.
+    """
+    if backend != "serial":
+        raise ValueError(
+            f"unknown backend {backend!r}: runs execute serially in-process; "
+            "parallelize independent runs with `sweep --shards N`"
+        )
 
 
 @dataclass(frozen=True)
@@ -25,9 +39,9 @@ class FLConfig:
 
     Execution/system fields (not part of the paper's notation):
 
-    * ``backend`` — how the cohort executes: ``"serial"`` or
-      ``"process"`` (see :mod:`repro.fl.engine`);
-    * ``workers`` — process-pool size; ``0`` means all CPU cores;
+    * ``backend`` — how the cohort executes; ``"serial"`` is the only
+      legal value (see :mod:`repro.fl.engine` and
+      :func:`check_backend`);
     * ``system`` — device-behaviour profile name (see
       :data:`repro.fl.systems.DEVICE_PROFILES`), or a
       ``"trace:<name-or-path>"`` device-trace spec replayed by
@@ -63,7 +77,6 @@ class FLConfig:
     seed: int = 0
     posterior_std_override: float | None = None
     backend: str = "serial"
-    workers: int = 0
     system: str = "ideal"
     mode: str = "sync"
     buffer_size: int = 0
@@ -81,8 +94,7 @@ class FLConfig:
             raise ValueError("tau must be >= 1")
         if self.local_iterations < 1:
             raise ValueError("local_iterations must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = all cores)")
+        check_backend(self.backend)
         if self.mode not in ("sync", "async"):
             raise ValueError(f"mode must be 'sync' or 'async', got {self.mode!r}")
         if self.buffer_size < 0:

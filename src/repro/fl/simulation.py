@@ -1,14 +1,14 @@
 """Federated server orchestration (sync barrier rounds + shared core).
 
-The server side of Algorithm 1 is layered over two pluggable parts:
-
-* an :class:`~repro.fl.engine.ExecutionBackend` decides *how* the
-  selected cohort's local updates run (serially in-process, or fanned
-  out over a ``multiprocessing`` pool) — see :mod:`repro.fl.engine`;
-* a :class:`~repro.fl.systems.SystemModel` decides how the *devices*
-  behave (availability, compute speed, link bandwidth, round deadline)
-  and a :class:`~repro.fl.systems.VirtualClock` turns that into
-  simulated wall-clock per round — see :mod:`repro.fl.systems`.
+The server side of Algorithm 1 runs the selected cohort's local
+updates one client after another in-process through
+:func:`repro.fl.engine.execute_client`, and is layered over one
+pluggable part: a :class:`~repro.fl.systems.SystemModel` decides how
+the *devices* behave (availability, compute speed, link bandwidth,
+round deadline) and a :class:`~repro.fl.systems.VirtualClock` turns
+that into simulated wall-clock per round — see :mod:`repro.fl.systems`.
+Independent runs are parallelized by sweep sharding
+(:mod:`repro.experiments.sweep`), never inside a run.
 
 Availability reaches the server as one
 :class:`~repro.fl.systems.Availability` value, whether it lists the up
@@ -36,8 +36,8 @@ the class directly; :func:`run_simulation` dispatches on the config.
 Every stochastic choice is drawn from an RNG stream derived from
 ``(seed, round[, client])`` — never from shared-generator call order —
 so a run's learning trajectory (losses, accuracies, selection,
-upload/download bits) is bit-identical across execution backends and
-worker counts.  Two caveats about the *timing* columns of sync runs:
+upload/download bits) is bit-identical across reruns and sweep shard
+counts.  Two caveats about the *timing* columns of sync runs:
 
 * fields derived from measured wall-clock (``lttr_seconds_mean``,
   ``aggregation_seconds``, and sim-clock columns under any profile
@@ -65,7 +65,8 @@ import numpy as np
 from ..nn.models import build_model
 from .client import ClientUpdate, FederatedMethod
 from .config import FLConfig
-from .engine import ClientResult, ExecutionBackend, make_backend
+from . import engine
+from .engine import ClientResult
 from .metrics import History, RoundRecord, evaluate
 from .parameters import ParamSet
 from .systems import Availability, ClientArrival, SystemModel, VirtualClock, make_system
@@ -79,17 +80,14 @@ class FederatedSimulation:
     Also serves as the orchestration core shared with
     :class:`~repro.fl.async_aggregation.AsyncFederatedSimulation`:
     construction, per-``(seed, round[, client])`` RNG streams, cohort
-    execution through the backend, arrival simulation on the virtual
-    clock, evaluation cadence, and checkpoint state all live here.
+    execution, arrival simulation on the virtual clock, evaluation
+    cadence, and checkpoint state all live here.
 
     Parameters
     ----------
     task, method, config:
         The federated task, the method under test, and its
         hyper-parameters.
-    backend:
-        Execution backend instance; defaults to
-        ``make_backend(config.backend, config.workers)``.
     system:
         Device-behaviour model; defaults to
         ``make_system(config.system)``.
@@ -102,7 +100,6 @@ class FederatedSimulation:
         task,
         method: FederatedMethod,
         config: FLConfig,
-        backend: ExecutionBackend | None = None,
         system: SystemModel | None = None,
     ) -> None:
         self.task = task
@@ -114,8 +111,6 @@ class FederatedSimulation:
         method.setup(self.model, task, config, self.rng)
         self.global_params = ParamSet.from_module(self.model)
         self.client_states: dict[int, dict] = defaultdict(dict)
-        self._owns_backend = backend is None
-        self.backend = backend if backend is not None else make_backend(config.backend, config.workers)
         self.system = system if system is not None else make_system(config.system)
         self.system.bind(task, config)
         self.clock = VirtualClock()
@@ -124,14 +119,8 @@ class FederatedSimulation:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (worker pools); idempotent."""
-        self.backend.close()
-
-    def __enter__(self) -> "FederatedSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """No-op: a simulation holds no processes or other resources to
+        release.  Kept so callers may close every run uniformly."""
 
     # ------------------------------------------------------------------
     # shared orchestration core
@@ -175,24 +164,23 @@ class FederatedSimulation:
         return np.random.default_rng([self.config.seed, round_index, client_id])
 
     def _execute_cohort(self, round_index: int, selected: np.ndarray) -> list[ClientResult]:
-        """Run a cohort through the backend and persist client state.
+        """Run a cohort in selection order and persist client state.
 
         State is persisted for every executed client — in sync mode
         stragglers trained locally even if their upload later misses the
-        deadline.
+        deadline.  ``execute_client`` is looked up on the module at call
+        time, so a wrapper installed there (a tracing span) sees every
+        client.
         """
-        results = self.backend.run_clients(
-            self.task,
-            self.method,
-            self.model,
-            self.config,
-            self.global_params,
-            round_index,
-            selected,
-            self.client_states,
-        )
-        for res in results:
-            self.client_states[res.client_id] = res.state
+        results = []
+        for cid in selected:
+            cid = int(cid)
+            res = engine.execute_client(
+                self.task, self.method, self.model, self.config,
+                self.global_params, round_index, cid, self.client_states[cid],
+            )
+            self.client_states[cid] = res.state
+            results.append(res)
         return results
 
     def _simulate_arrivals(
@@ -385,22 +373,16 @@ class FederatedSimulation:
         restored from :meth:`checkpoint_state` continues where the
         snapshot left off, appending to the restored history.
         """
-        try:
-            while self._next_round <= self.config.rounds:
-                record = self.run_round(self._next_round)
-                self.history.append(record)
-                if progress:  # pragma: no cover - console convenience
-                    print(
-                        f"[{self.method.name}/{self.task.name}] round {record.round_index:3d} "
-                        f"loss={record.train_loss:.4f} acc={record.test_accuracy:.4f} "
-                        f"clients={record.n_selected}/{record.n_scheduled} "
-                        f"t_sim={record.sim_clock_seconds:.1f}s"
-                    )
-        finally:
-            # only tear down pools we created; a caller-provided backend
-            # may be shared across several runs
-            if self._owns_backend:
-                self.close()
+        while self._next_round <= self.config.rounds:
+            record = self.run_round(self._next_round)
+            self.history.append(record)
+            if progress:  # pragma: no cover - console convenience
+                print(
+                    f"[{self.method.name}/{self.task.name}] round {record.round_index:3d} "
+                    f"loss={record.train_loss:.4f} acc={record.test_accuracy:.4f} "
+                    f"clients={record.n_selected}/{record.n_scheduled} "
+                    f"t_sim={record.sim_clock_seconds:.1f}s"
+                )
         return self.history
 
 
@@ -409,7 +391,6 @@ def run_simulation(
     method: FederatedMethod,
     config: FLConfig,
     progress: bool = False,
-    backend: ExecutionBackend | None = None,
     system: SystemModel | None = None,
 ) -> History:
     """Convenience wrapper: construct and run a simulation.
@@ -424,5 +405,5 @@ def run_simulation(
         sim_cls = AsyncFederatedSimulation
     else:
         sim_cls = FederatedSimulation
-    sim = sim_cls(task, method, config, backend=backend, system=system)
+    sim = sim_cls(task, method, config, system=system)
     return sim.run(progress=progress)

@@ -30,7 +30,7 @@ through ``FLConfig.system`` or ``experiments.cli run --device-profile``.
 
 All stochastic device behaviour draws from RNG streams derived from
 ``(seed, round)`` — never from execution order — so a scenario is
-reproducible across execution backends and worker counts.  One caveat:
+reproducible across reruns and sweep shard counts.  One caveat:
 a system that both scales *measured* LTTR (the default) and sets a
 round deadline makes straggler membership depend on host timing
 jitter, so the aggregated cohort can differ run to run.  Pass
@@ -503,7 +503,7 @@ class FleetSystem(SystemModel):
 
     Local compute defaults to the virtual base ``lttr_seconds=1.0``
     scaled by the client's speed trait, making trajectories — sim-clock
-    columns included — reproducible across hosts and backends; pass
+    columns included — reproducible across hosts and reruns; pass
     ``lttr_seconds=None`` to scale measured LTTR instead.
     """
 
@@ -547,7 +547,7 @@ DEVICE_PROFILES: dict[str, Callable[[], SystemModel]] = {
     # wide speed spread + a deadline at 1.5x the fastest client: slow
     # devices become stragglers and are dropped from aggregation.
     # lttr_seconds pins compute to virtual time so the straggler set is
-    # identical across hosts, backends, and reruns.
+    # identical across hosts and reruns.
     "straggler": lambda: HeterogeneousSystem(
         speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.5, lttr_seconds=1.0
     ),

@@ -17,8 +17,8 @@ O(cohort) per-round cost), never a ``rng.random(K)`` sweep.
 
 Local compute defaults to the virtual base ``lttr_seconds=1.0`` scaled
 by each record's ``compute_speed``, making traced trajectories —
-sim-clock columns included — bit-identical across hosts, backends and
-worker counts; pass ``lttr_seconds=None`` to scale measured LTTR
+sim-clock columns included — bit-identical across hosts, reruns and
+sweep shard counts; pass ``lttr_seconds=None`` to scale measured LTTR
 instead.
 """
 

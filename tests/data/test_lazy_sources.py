@@ -99,18 +99,11 @@ class TestLazyMatchesEager:
         second = task.client_payload(5)
         assert _payloads_equal(first, second)
 
-    def test_slicing_sources_do_not_ship_payloads(self):
-        """Array-backed sources resolve locally in pool workers (the
-        arrays already live there); only *generated* sources ship."""
-        for name in ("mnist", "ptb"):
-            assert not make_task(name, "small", seed=1).ships_cohort_payloads
-
 
 class TestEagerAdapter:
     def test_wraps_plain_list(self):
         payloads = [np.arange(4), np.arange(9)]
         source = EagerClientData(payloads)
-        assert not source.ships_payloads
         assert len(source) == 2
         assert np.array_equal(source.client_payload(1), np.arange(9))
         assert np.array_equal(source[1], np.arange(9))
@@ -124,7 +117,6 @@ class TestEagerAdapter:
         assert tiny_image_task.n_clients == 4
         assert tiny_image_task.client_size(0) == 40
         assert tiny_image_task.min_client_size() == 40
-        assert not tiny_image_task.ships_cohort_payloads
 
 
 class TestFleetSource:
@@ -136,7 +128,6 @@ class TestFleetSource:
         task = make_task("fleet", "small", seed=2)
         source = task.client_data
         assert isinstance(source, FleetImageSource)
-        assert task.ships_cohort_payloads
         a = source.client_payload(1234)
         b = source.client_payload(1234)
         assert _payloads_equal(a, b)

@@ -51,12 +51,6 @@ class TestParser:
 
 
 class TestContextFromArgs:
-    def test_workers_implies_process_backend(self):
-        args = build_parser().parse_args(["run", "mnist", "fedavg", "--workers", "2"])
-        context = context_from_args(args)
-        assert context.backend == "process"
-        assert context.workers == 2
-
     def test_buffer_size_implies_async_mode(self):
         args = build_parser().parse_args(["run", "mnist", "fedavg", "--buffer-size", "2"])
         context = context_from_args(args)
@@ -91,10 +85,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "sim clock" in out and "participation" in out
         assert "per-round participation [straggler]" in out
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "mnist", "fedavg", "--workers", "-1"])
 
     def test_run_async_mode(self, capsys):
         code = main(

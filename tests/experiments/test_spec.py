@@ -46,9 +46,9 @@ class TestCellHash:
 
     def test_execution_only_keys_are_stripped(self):
         base = cell(overrides={"rounds": 3})
-        pooled = cell(overrides={"rounds": 3, "backend": "process", "workers": 4})
-        assert pooled.cell_hash() == base.cell_hash()
-        assert pooled.overrides_dict() == {"rounds": 3}
+        spelled_out = cell(overrides={"rounds": 3, "backend": "serial"})
+        assert spelled_out.cell_hash() == base.cell_hash()
+        assert spelled_out.overrides_dict() == {"rounds": 3}
 
     def test_unspecable_value_rejected(self):
         with pytest.raises(TypeError):
@@ -87,11 +87,9 @@ class TestMerged:
         merged = cell(overrides={"mode": "sync"}).merged({"mode": "async"})
         assert merged.overrides_dict() == {"mode": "sync"}
 
-    def test_backend_workers_never_merge_into_hash(self):
+    def test_backend_never_merges_into_hash(self):
         base = cell(overrides={"rounds": 3})
-        merged = base.merged(
-            ExecutionContext(backend="process", workers=8).structural_overrides()
-        )
+        merged = base.merged(ExecutionContext(backend="serial").structural_overrides())
         assert merged.cell_hash() == base.cell_hash()
 
     def test_empty_defaults_is_identity(self):

@@ -8,6 +8,10 @@ the scheduler's computed/reused counters).
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -117,6 +121,48 @@ class TestResume:
         assert second.complete
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched cell executor reaches shard workers only through fork",
+)
+class TestDeadShard:
+    def test_dead_shard_fails_loudly_then_rerun_resumes(self, tmp_path, monkeypatch):
+        spec = table1_spec(
+            datasets=("mnist",), methods=("fedavg", "fedbiad"), seeds=(0,),
+            overrides={"rounds": 1},
+        )
+        store = RunStore(tmp_path / "store")
+        execute = sweep._execute_cell
+
+        def dying(cell, *args):
+            if cell.method == "fedavg":
+                os._exit(3)  # the shard worker process dies mid-sweep
+            return execute(cell, *args)
+
+        def hung(signum, frame):
+            raise TimeoutError("sharded sweep hung after a shard worker died")
+
+        monkeypatch.setattr(sweep, "_execute_cell", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                run_sweep(spec, store=store, shards=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        message = str(err.value)
+        assert repr(spec.name) in message
+        assert spec.cells[0].label() in message  # the dead shard's cell
+        assert str(store.root) in message
+        assert "rerun" in message
+
+        monkeypatch.undo()
+        resumed = run_sweep(spec, store=store, shards=2)
+        assert resumed.complete
+        assert table1_rows(resumed) == table1_rows(run_sweep(spec, store=MemoryRunStore()))
+
+
 class TestSchedulerValidation:
     def test_sharded_requires_disk_store(self):
         with pytest.raises(ValueError, match="RunStore"):
@@ -149,17 +195,17 @@ class TestContextMerging:
         assert straggler.reused == 0
 
     def test_execution_only_context_shares_cells(self, tmp_path):
-        """backend/workers do not change results, so they hit the same
-        store cells a plain serial sweep wrote."""
+        """``backend="serial"`` does not change results, so it hits the
+        same store cells a plain sweep wrote."""
         store = RunStore(tmp_path / "store")
         run_sweep(tiny_spec(methods=("fedavg",), seeds=(0,)), store=store)
-        pooled = run_sweep(
+        spelled_out = run_sweep(
             tiny_spec(methods=("fedavg",), seeds=(0,)),
             store=store,
-            context=ExecutionContext(backend="serial", workers=2),
+            context=ExecutionContext(backend="serial"),
         )
-        assert pooled.computed == 0
-        assert pooled.reused == 1
+        assert spelled_out.computed == 0
+        assert spelled_out.reused == 1
 
 
 class TestSweepResult:

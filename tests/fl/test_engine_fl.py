@@ -1,138 +1,61 @@
-"""Tests for the pluggable execution backends (repro.fl.engine)."""
+"""Tests for the execution engine (repro.fl.engine): one client's round,
+run serially in selection order by the simulation."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.client import FedBIAD
-from repro.fl.engine import (
-    BACKEND_NAMES,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.experiments.context import ExecutionContext
+from repro.fl import engine
+from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 
 
-def _history_key(history):
-    """The deterministic columns of a run (wall-clock fields excluded)."""
-    return (
-        history.series("train_loss").tobytes(),
-        history.series("test_accuracy").tobytes(),
-        history.series("upload_bits_total").tobytes(),
-        history.series("n_selected").tobytes(),
-        history.series("n_scheduled").tobytes(),
-    )
+class TestSerialEngine:
+    def test_client_state_persists_across_rounds(self, session_image_task, session_config):
+        """FedBIAD scores written in one round are there in the next."""
+        sim = FederatedSimulation(session_image_task, FedBIAD(), session_config)
+        for r in range(1, 3):
+            sim.run_round(r)
+        assert any("scores" in s for s in sim.client_states.values())
 
-
-class TestMakeBackend:
-    def test_registry_names(self):
-        assert set(BACKEND_NAMES) == {"serial", "process"}
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process", workers=2), ProcessPoolBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("gpu")
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(workers=-1)
-
-    def test_zero_workers_means_all_cores(self):
-        assert ProcessPoolBackend(workers=0).workers >= 1
-
-
-class TestBackendEquivalence:
-    def test_default_backend_is_serial_reference(self, session_image_task, session_config):
-        """A config with no backend field set runs through SerialBackend
-        and matches an explicitly-passed one.
-
-        Note this is *not* equivalence with the pre-refactor seed
-        commit: client selection intentionally moved from shared-rng
-        call order to per-(seed, round) streams, so cohorts — and hence
-        regenerated table numbers — differ from pre-PR baselines by
-        design (see CHANGES.md).
-        """
-        h1 = run_simulation(session_image_task, FedAvg(), session_config)
-        h2 = run_simulation(
-            session_image_task, FedAvg(), session_config, backend=SerialBackend()
-        )
-        assert _history_key(h1) == _history_key(h2)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_pool_bit_identical(self, session_image_task, session_config, workers):
-        """Same History regardless of worker count (acceptance criterion)."""
-        serial = run_simulation(
-            session_image_task, FedBIAD(), session_config, backend=SerialBackend()
-        )
-        with ProcessPoolBackend(workers=workers) as backend:
-            pooled = run_simulation(
-                session_image_task, FedBIAD(), session_config, backend=backend
-            )
-        assert _history_key(serial) == _history_key(pooled)
-
-    def test_process_pool_persists_client_state(self, session_image_task, session_config):
-        """FedBIAD scores survive the round trip through worker processes."""
-        sim = FederatedSimulation(
-            session_image_task,
-            FedBIAD(),
-            session_config,
-            backend=ProcessPoolBackend(workers=2),
-        )
-        try:
-            for r in range(1, 3):
-                sim.run_round(r)
-            assert any("scores" in s for s in sim.client_states.values())
-        finally:
-            sim.close()
-
-    def test_wrapped_method_survives_task_stripping(
-        self, session_image_task, session_config
+    def test_cohort_runs_through_module_level_execute_client(
+        self, session_image_task, session_config, monkeypatch
     ):
-        """CombinedMethod nests a base method; both hold task references
-        that must be masked out of the job pickle and re-attached."""
-        from repro.compression.registry import make_sketched
+        """The round loop resolves ``engine.execute_client`` at call time,
+        so a wrapper installed on the module sees every selected client
+        in selection order."""
+        seen = []
+        original = engine.execute_client
 
-        serial = run_simulation(
-            session_image_task,
-            make_sketched("fedbiad+dgc"),
-            session_config,
-            backend=SerialBackend(),
-        )
-        with ProcessPoolBackend(workers=2) as backend:
-            pooled = run_simulation(
-                session_image_task,
-                make_sketched("fedbiad+dgc"),
-                session_config,
-                backend=backend,
-            )
-        assert _history_key(serial) == _history_key(pooled)
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen.append(result.client_id)
+            return result
 
-    def test_config_selects_backend(self, session_image_task, session_config):
-        cfg = session_config.with_overrides(backend="process", workers=2)
-        sim = FederatedSimulation(session_image_task, FedAvg(), cfg)
-        try:
-            assert isinstance(sim.backend, ProcessPoolBackend)
-            assert sim.backend.workers == 2
-        finally:
-            sim.close()
+        monkeypatch.setattr(engine, "execute_client", recording)
+        selected = []
+        select = FederatedSimulation._select_clients
 
-    def test_backend_close_idempotent(self):
-        backend = ProcessPoolBackend(workers=1)
-        backend.close()
-        backend.close()
+        def logged(self, *args, **kwargs):
+            ids = select(self, *args, **kwargs)
+            selected.extend(int(c) for c in ids)
+            return ids
 
-    def test_context_manager_closes_pool(self, session_image_task, session_config):
-        with ProcessPoolBackend(workers=1) as backend:
-            run_simulation(
-                session_image_task, FedAvg(), session_config, backend=backend
-            )
-        assert backend._pool is None
+        monkeypatch.setattr(FederatedSimulation, "_select_clients", logged)
+        FederatedSimulation(session_image_task, FedAvg(), session_config).run_round(1)
+        assert seen == selected and seen
+
+    def test_non_serial_backend_rejected(self):
+        """``"serial"`` is the only engine; the error points at sweep sharding."""
+        with pytest.raises(ValueError, match="--shards"):
+            FLConfig(backend="process")
+        with pytest.raises(ValueError, match="--shards"):
+            ExecutionContext(backend="process")
 
 
 class _Diverging(FedAvg):

@@ -249,21 +249,6 @@ class TestFleetSimulation:
         np.testing.assert_array_equal(h1.series("train_loss"), h2.series("train_loss"))
         assert h1.is_async
 
-    def test_backends_agree_with_payload_shipping(self, small_fleet_task, fleet_config):
-        from repro.fl.engine import ProcessPoolBackend, SerialBackend
-
-        assert small_fleet_task.ships_cohort_payloads
-        serial = run_simulation(
-            small_fleet_task, FedAvg(), fleet_config, backend=SerialBackend()
-        )
-        with ProcessPoolBackend(workers=2) as backend:
-            pooled = run_simulation(
-                small_fleet_task, FedAvg(), fleet_config, backend=backend
-            )
-        np.testing.assert_array_equal(
-            serial.series("train_loss"), pooled.series("train_loss")
-        )
-
 
 class _EmptyAvailability(SystemModel):
     """A misbehaving custom model returning nobody available."""
