@@ -21,7 +21,7 @@ magnitude, virtual compute base, deadline at 1.5x the fastest client):
 
 Both runs are fully deterministic (arrival order derives from virtual
 time), so the simulated time-to-accuracy comparison is exact and
-reproducible across hosts, backends and worker counts.
+reproducible across hosts and reruns.
 """
 
 from __future__ import annotations

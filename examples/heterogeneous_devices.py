@@ -14,9 +14,10 @@ times show the accuracy/wall-clock trade-off the deadline buys.
 
 The device layer is pluggable: pass any
 :class:`repro.fl.systems.SystemModel` (or a profile name via
-``FLConfig.system``) without touching the learning code.  Combine with
-``backend="process"`` to fan client updates out over worker processes —
-the History is bit-identical regardless of worker count.
+``FLConfig.system``) without touching the learning code.  Every run
+executes serially in-process and its History is bit-identical across
+reruns; to spread many runs over cores, run them as a sweep with
+``python -m repro.experiments.cli sweep ... --shards N``.
 """
 
 from __future__ import annotations
