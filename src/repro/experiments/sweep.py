@@ -12,8 +12,8 @@ through :func:`~repro.experiments.runner.run_experiment` and persists
 every finished cell to the shared on-disk store; the parent then
 gathers results *in grid order* by cell hash.  A shard worker that
 dies (killed, out of memory) fails the sweep with a ``RuntimeError``
-naming its unfinished cells instead of hanging; cells other shards
-finished stay in the store for the rerun.
+naming the broken shard's cells instead of hanging; every cell that
+finished stays in the store for the rerun.
 
 Because every cell is a pure function of its spec (RNG streams are
 keyed by ``(seed, round[, client])``; see :mod:`repro.fl.simulation`),
@@ -25,8 +25,6 @@ store is missing.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .context import ExecutionContext
@@ -222,6 +220,11 @@ class SweepScheduler:
         return SweepResult(cells=base, results=results, computed=computed, reused=reused)
 
     def _run_sharded(self, effective, to_run, store: RunStore, context) -> int:
+        # imported here: the executor machinery costs ~1 MB of RSS that
+        # inline sweeps and single runs never need
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # Round-robin keeps early grid cells spread across shards, so a
         # budget cut or kill leaves a prefix-dense store in every shard.
         shard_lists = [
