@@ -31,7 +31,6 @@ class ClientResult:
 
     client_id: int
     update: ClientUpdate
-    state: dict  # the client's persistent state after this round
     lttr_seconds: float  # measured local-training wall-clock (LTTR)
 
 
@@ -49,6 +48,8 @@ def execute_client(
 
     The RNG stream is derived from ``(seed, round, client)`` alone, so
     the result does not depend on the order the cohort runs in.
+    ``state`` is the client's persistent state; the method updates it
+    in place.
 
     A local update whose mean training loss is not finite raises
     ``FloatingPointError`` naming the round, the client and the method,
@@ -75,4 +76,4 @@ def execute_client(
             f"round {round_index}, client {client_id}: {method.name} local "
             f"update diverged (mean training loss {update.mean_loss})"
         )
-    return ClientResult(client_id=client_id, update=update, state=state, lttr_seconds=lttr)
+    return ClientResult(client_id=client_id, update=update, lttr_seconds=lttr)

@@ -164,24 +164,22 @@ class FederatedSimulation:
         return np.random.default_rng([self.config.seed, round_index, client_id])
 
     def _execute_cohort(self, round_index: int, selected: np.ndarray) -> list[ClientResult]:
-        """Run a cohort in selection order and persist client state.
+        """Run a cohort in selection order.
 
-        State is persisted for every executed client — in sync mode
+        Each client updates its entry of ``client_states`` in place, so
+        state persists for every executed client — in sync mode
         stragglers trained locally even if their upload later misses the
         deadline.  ``execute_client`` is looked up on the module at call
         time, so a wrapper installed there (a tracing span) sees every
         client.
         """
-        results = []
-        for cid in selected:
-            cid = int(cid)
-            res = engine.execute_client(
+        return [
+            engine.execute_client(
                 self.task, self.method, self.model, self.config,
-                self.global_params, round_index, cid, self.client_states[cid],
+                self.global_params, round_index, int(cid), self.client_states[int(cid)],
             )
-            self.client_states[cid] = res.state
-            results.append(res)
-        return results
+            for cid in selected
+        ]
 
     def _simulate_arrivals(
         self,
