@@ -7,10 +7,12 @@ Run with::
 Trains FedBIAD on the MNIST-like task twice — once on the ideal fleet
 (every device identical, server waits for everyone) and once on a
 straggler fleet (log-normal device speeds, scaled link bandwidths, and a
-round deadline at 1.5x the fastest client's finish time).  Clients that
-miss the deadline train locally but their uploads are dropped from
-aggregation; the per-round participation and the virtual-clock round
-times show the accuracy/wall-clock trade-off the deadline buys.
+round deadline at 1.5x the fastest client's finish time).  Local
+compute is simulated as a virtual 1 s base times each device's speed, so
+the straggler set is a pure function of the seed.  Clients that miss the
+deadline train locally but their uploads are dropped from aggregation;
+the per-round participation and the virtual-clock round times show the
+accuracy/wall-clock trade-off the deadline buys.
 
 The device layer is pluggable: pass any
 :class:`repro.fl.systems.SystemModel` (or a profile name via

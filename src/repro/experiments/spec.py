@@ -33,9 +33,10 @@ from .context import EXECUTION_ONLY_KEYS
 
 __all__ = ["ExperimentSpec", "SweepSpec", "SPEC_FORMAT_VERSION"]
 
-#: Bumped whenever the hash inputs or the stored payload layout change;
-#: part of every cell hash so stale stores miss instead of misloading.
-SPEC_FORMAT_VERSION = 1
+#: Bumped whenever the hash inputs or the stored payload layout change,
+#: or the numerics of a stored column change; part of every cell hash so
+#: stale stores miss instead of misloading.
+SPEC_FORMAT_VERSION = 2
 
 
 def _canonical(value):

@@ -1,7 +1,7 @@
 """Federated-learning simulation substrate."""
 
 from .aggregation import AGGREGATION_MODES, ClientPayload, aggregate
-from .async_aggregation import ASYNC_VIRTUAL_LTTR_SECONDS, AsyncFederatedSimulation
+from .async_aggregation import AsyncFederatedSimulation
 from .checkpoints import (
     dumps_nan_safe,
     history_from_payload,
@@ -52,7 +52,6 @@ __all__ = [
     "AGGREGATION_MODES",
     "ClientPayload",
     "aggregate",
-    "ASYNC_VIRTUAL_LTTR_SECONDS",
     "AsyncFederatedSimulation",
     "dumps_nan_safe",
     "history_from_payload",

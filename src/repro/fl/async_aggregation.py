@@ -33,21 +33,7 @@ lists ids or only counts them).  Wave
 — so with ``buffer_size >= cohort`` and ``max_concurrency == cohort``
 under a no-deadline profile, every flush contains exactly one wave with
 zero staleness and the async trajectory *reduces to the sync one*
-bit-for-bit (learning columns; clock columns use the virtual compute
-base below).
-
-Determinism
------------
-The hard requirement: at a fixed seed the async trajectory is
-bit-identical across reruns, hosts and sweep shard counts.  Arrival
-*order* decides buffer membership, so it must never depend on host
-timing jitter: async arrival simulation replaces each client's
-measured LTTR with the virtual constant
-:data:`ASYNC_VIRTUAL_LTTR_SECONDS` before the system model scales it.
-Every arrival time is then a pure function of ``(seed, wave, client)``
-and the trajectory — including ``sim_clock_seconds``, staleness columns
-and flush membership — is reproducible everywhere, under every built-in
-device profile.
+bit-for-bit, sim-clock columns included.
 
 The system model's round deadline is ignored in async mode: there is no
 round to be late for.  Slow devices are not dropped as stragglers —
@@ -66,14 +52,7 @@ from .client import ClientUpdate
 from .metrics import RoundRecord
 from .simulation import FederatedSimulation
 
-__all__ = ["AsyncFederatedSimulation", "ASYNC_VIRTUAL_LTTR_SECONDS"]
-
-#: Virtual local-compute base (seconds) substituted for measured LTTR in
-#: async arrival simulation.  System models scale it per device (e.g.
-#: ``HeterogeneousSystem`` multiplies by the client's speed factor), so
-#: relative heterogeneity is preserved while arrival order stays a pure
-#: function of the seed.
-ASYNC_VIRTUAL_LTTR_SECONDS = 1.0
+__all__ = ["AsyncFederatedSimulation"]
 
 
 @dataclass
@@ -122,17 +101,14 @@ class AsyncFederatedSimulation(FederatedSimulation):
         free = target - len(self._in_flight)
         if free <= 0:
             return
-        sys_rng = self._system_rng(wave)
-        available = self.system.available_clients(wave, sys_rng)
+        available = self.system.available_clients(wave, self._system_rng(wave))
         selected = self._select_clients(wave, available, cap=free, exclude=self._in_flight)
         if selected.size == 0:
             return
 
         launch_time = self.clock.now
         results = self._execute_cohort(wave, selected)
-        arrivals = self._simulate_arrivals(
-            wave, results, sys_rng, lttr_override=ASYNC_VIRTUAL_LTTR_SECONDS
-        )
+        arrivals = self._simulate_arrivals(wave, results)
         for slot, (res, arrival) in enumerate(zip(results, arrivals)):
             entry = _InFlight(wave=wave, slot=slot, result=res, arrival=arrival)
             self._in_flight[res.client_id] = entry
@@ -162,9 +138,8 @@ class AsyncFederatedSimulation(FederatedSimulation):
 
         # --- staleness-weighted mixing layered on the existing rules.
         # Aggregate in launch order (wave, slot), not arrival order:
-        # floating-point summation order must be a pure function of the
-        # seed, and launch order equals sync selection order, which is
-        # what makes buffer_size >= cohort reduce to the sync loop.
+        # launch order equals sync selection order, which is what makes
+        # buffer_size >= cohort reduce to the sync loop.
         buffer.sort(key=lambda e: (e.wave, e.slot))
         staleness = np.array(
             [(flush_index - 1) - (e.wave - 1) for e in buffer], dtype=np.int64
@@ -202,9 +177,6 @@ class AsyncFederatedSimulation(FederatedSimulation):
             n_stragglers=0,
             sim_round_seconds=self.clock.now - flush_start,
             sim_clock_seconds=self.clock.now,
-            # arrivals were simulated on the virtual compute base, so
-            # this column stays a pure function of the seed in async
-            # mode too (traced Fig. 7 rows read it)
             sim_compute_seconds_mean=float(
                 np.mean([e.arrival.compute_seconds for e in buffer])
             ),

@@ -35,23 +35,11 @@ the class directly; :func:`run_simulation` dispatches on the config.
 
 Every stochastic choice is drawn from an RNG stream derived from
 ``(seed, round[, client])`` — never from shared-generator call order —
-so a run's learning trajectory (losses, accuracies, selection,
-upload/download bits) is bit-identical across reruns and sweep shard
-counts.  Two caveats about the *timing* columns of sync runs:
-
-* fields derived from measured wall-clock (``lttr_seconds_mean``,
-  ``aggregation_seconds``, and sim-clock columns under any profile
-  that scales measured LTTR) naturally vary run to run;
-* a system model that combines a round deadline with measured-LTTR
-  compute scaling derives straggler *membership* from host wall-clock,
-  so even the aggregated cohort may then vary; use a virtual compute
-  base (``HeterogeneousSystem(lttr_seconds=...)``, as the built-in
-  ``straggler`` profile does) for fully deterministic scenarios,
-  sim-clock columns included.
-
-Async runs sidestep the second caveat entirely by replacing measured
-LTTR with a virtual compute base — see
-:mod:`repro.fl.async_aggregation`.
+and simulated compute runs on the system model's virtual LTTR base, so
+a run's trajectory (losses, accuracies, selection, upload/download bits,
+stragglers and every ``sim_*`` clock column) is bit-identical across
+reruns and sweep shard counts.  Only the host-measured
+``lttr_seconds_mean`` and ``aggregation_seconds`` vary run to run.
 """
 
 from __future__ import annotations
@@ -182,32 +170,18 @@ class FederatedSimulation:
         ]
 
     def _simulate_arrivals(
-        self,
-        round_index: int,
-        results: list[ClientResult],
-        sys_rng: np.random.Generator,
-        lttr_override: float | None = None,
+        self, round_index: int, results: list[ClientResult]
     ) -> list[ClientArrival]:
-        """Model each executed client's simulated round duration.
-
-        ``lttr_override`` replaces the *measured* local-training time
-        with a virtual constant before the system model scales it —
-        async mode uses this so arrival order derives from virtual
-        time only, never host timing jitter.
-        """
+        """Model each executed client's simulated round duration."""
         download_bits = self.method.download_bits(self.global_params)
         arrivals = []
         for res in results:
             network = self.system.network(round_index, res.client_id)
-            base_lttr = res.lttr_seconds if lttr_override is None else lttr_override
-            compute = self.system.compute_seconds(
-                round_index, res.client_id, base_lttr, sys_rng
-            )
             arrivals.append(
                 ClientArrival(
                     client_id=res.client_id,
                     download_seconds=network.download_seconds(download_bits),
-                    compute_seconds=compute,
+                    compute_seconds=self.system.compute_seconds(round_index, res.client_id),
                     upload_seconds=network.upload_seconds(res.update.upload_bits),
                 )
             )
@@ -288,8 +262,7 @@ class FederatedSimulation:
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one global barrier round and return its measurements."""
         round_start = self.clock.now
-        sys_rng = self._system_rng(round_index)
-        available = self.system.available_clients(round_index, sys_rng)
+        available = self.system.available_clients(round_index, self._system_rng(round_index))
         if available.size == 0:
             raise ValueError(
                 f"system model {self.system.name!r} returned no available "
@@ -300,7 +273,7 @@ class FederatedSimulation:
         results = self._execute_cohort(round_index, selected)
 
         # --- virtual clock: schedule uploads, apply the round deadline
-        arrivals = self._simulate_arrivals(round_index, results, sys_rng)
+        arrivals = self._simulate_arrivals(round_index, results)
         totals = np.array([a.total_seconds for a in arrivals], dtype=np.float64)
         for res, arrival in zip(results, arrivals):
             self.clock.schedule((res, arrival), at=round_start + arrival.total_seconds)
@@ -318,9 +291,9 @@ class FederatedSimulation:
             # never reduces over an empty sequence.
             on_time = self.clock.pop_until(self.clock.next_time())
         stragglers = self.clock.drop_pending()
-        # Aggregate in *selection* order, not arrival order: arrival
-        # times derive from measured wall-clock, and floating-point
-        # summation order must not depend on host timing jitter.
+        # Aggregate in *selection* order, not arrival order: the golden
+        # trajectories pin it, and the async buffer>=cohort reduction
+        # relies on launch order matching it.
         position = {res.client_id: i for i, res in enumerate(results)}
         included = sorted((res for res, _ in on_time), key=lambda r: position[r.client_id])
         wait = max((a.total_seconds for _, a in on_time), default=0.0)

@@ -17,10 +17,10 @@ touching the learning code:
   much per round).  It owns the one sampling call that picks
   Algorithm 1's cohort, so the server never branches on its shape.
 * :class:`SystemModel` — the one device model.  A device is a
-  ``(speed, bandwidth_divisor)`` trait pair: compute time is the LTTR
-  base (measured, or the virtual ``lttr_seconds``) times the speed, and
-  the link is ``base_network`` with both rates divided by the
-  bandwidth trait.  Subclasses only say where traits come from
+  ``(speed, bandwidth_divisor)`` trait pair: compute time is the
+  virtual LTTR base ``lttr_seconds`` times the speed, and the link is
+  ``base_network`` with both rates divided by the bandwidth trait.
+  Subclasses only say where traits come from
   (:meth:`SystemModel.traits`), how many devices are up each round
   (:meth:`SystemModel.availability_rate`) and, optionally, when a round
   closes (:meth:`SystemModel.round_deadline`).
@@ -29,14 +29,11 @@ Profiles are registered in :data:`DEVICE_PROFILES` and selected by name
 through ``FLConfig.system`` or ``experiments.cli run --device-profile``.
 
 All stochastic device behaviour draws from RNG streams derived from
-``(seed, round)`` — never from execution order — so a scenario is
-reproducible across reruns and sweep shard counts.  One caveat:
-a system that both scales *measured* LTTR (the default) and sets a
-round deadline makes straggler membership depend on host timing
-jitter, so the aggregated cohort can differ run to run.  Pass
-``HeterogeneousSystem(lttr_seconds=...)`` to pin local compute to a
-virtual constant and make such scenarios fully deterministic (the
-built-in ``straggler`` profile does this).
+``(seed, round)`` — never from execution order — and simulated compute
+never reads host wall-clock, so a scenario, sim-clock columns and
+straggler sets included, is reproducible across reruns, hosts and sweep
+shard counts.  The host-measured LTTR is only reported
+(``RoundRecord.lttr_seconds_mean``), never simulated.
 """
 
 from __future__ import annotations
@@ -315,11 +312,8 @@ class SystemModel:
         The link of a unit-bandwidth device; a device's link divides
         both rates by its bandwidth trait.
     lttr_seconds:
-        When set, local compute is ``lttr_seconds * speed`` — a fully
-        virtual, run-to-run deterministic quantity.  When ``None``, the
-        client's *measured* LTTR is scaled instead: realistic
-        magnitudes, but under a deadline the straggler set then
-        inherits host timing jitter.
+        Virtual local-training time of a unit-speed device; a device
+        computes for ``lttr_seconds * speed`` simulated seconds.
     """
 
     name = "ideal"
@@ -333,12 +327,12 @@ class SystemModel:
         self,
         availability: float = 1.0,
         base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float | None = None,
+        lttr_seconds: float = 1.0,
     ) -> None:
         if not 0.0 < availability <= 1.0:
             raise ValueError("availability must be in (0, 1]")
-        if lttr_seconds is not None and lttr_seconds <= 0:
-            raise ValueError("lttr_seconds must be positive")
+        if lttr_seconds is None or lttr_seconds <= 0:
+            raise ValueError(f"lttr_seconds must be positive, got {lttr_seconds}")
         self.availability = availability
         self.base_network = base_network
         self.lttr_seconds = lttr_seconds
@@ -391,12 +385,9 @@ class SystemModel:
             self._trait_cache[client_id] = cached
         return cached
 
-    def compute_seconds(
-        self, round_index: int, client_id: int, measured_lttr: float, rng: np.random.Generator
-    ) -> float:
+    def compute_seconds(self, round_index: int, client_id: int) -> float:
         """Simulated local-training time: the LTTR base times the speed."""
-        base = self.lttr_seconds if self.lttr_seconds is not None else measured_lttr
-        return base * self._cached_traits(client_id)[0]
+        return self.lttr_seconds * self._cached_traits(client_id)[0]
 
     def network(self, round_index: int, client_id: int) -> NetworkModel:
         """The client's link for this round."""
@@ -415,8 +406,8 @@ class HeterogeneousSystem(SystemModel):
     Per-client traits are drawn once in :meth:`bind` from
     ``default_rng([seed, 0x51D5])``:
 
-    * ``speed`` — multiplies the LTTR base (1.0 = as fast as the
-      simulating host; log-normal with ``sigma = log(speed_spread)/2``);
+    * ``speed`` — multiplies the LTTR base (1.0 = a unit-speed device;
+      log-normal with ``sigma = log(speed_spread)/2``);
     * ``bandwidth`` — divides both link rates of ``base_network``
       (log-normal with ``sigma = log(bandwidth_spread)/2``).
 
@@ -449,7 +440,7 @@ class HeterogeneousSystem(SystemModel):
         deadline_factor: float | None = None,
         deadline_seconds: float | None = None,
         base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float | None = None,
+        lttr_seconds: float = 1.0,
     ) -> None:
         super().__init__(availability, base_network, lttr_seconds)
         if deadline_factor is not None and deadline_factor < 1.0:
@@ -500,11 +491,6 @@ class FleetSystem(SystemModel):
     :class:`HeterogeneousSystem`'s, so this sampler is registered as the
     *new* ``"fleet"`` profile — existing profiles keep their historical
     draws bit-for-bit.
-
-    Local compute defaults to the virtual base ``lttr_seconds=1.0``
-    scaled by the client's speed trait, making trajectories — sim-clock
-    columns included — reproducible across hosts and reruns; pass
-    ``lttr_seconds=None`` to scale measured LTTR instead.
     """
 
     name = "fleet"
@@ -521,7 +507,7 @@ class FleetSystem(SystemModel):
         speed_spread: float = 4.0,
         bandwidth_spread: float = 2.0,
         base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float | None = 1.0,
+        lttr_seconds: float = 1.0,
     ) -> None:
         super().__init__(availability, base_network, lttr_seconds)
         self.speed_spread = speed_spread
@@ -545,17 +531,13 @@ DEVICE_PROFILES: dict[str, Callable[[], SystemModel]] = {
         availability=0.7, speed_spread=4.0, bandwidth_spread=2.0
     ),
     # wide speed spread + a deadline at 1.5x the fastest client: slow
-    # devices become stragglers and are dropped from aggregation.
-    # lttr_seconds pins compute to virtual time so the straggler set is
-    # identical across hosts and reruns.
+    # devices become stragglers and are dropped from aggregation
     "straggler": lambda: HeterogeneousSystem(
-        speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.5, lttr_seconds=1.0
+        speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.5
     ),
     # million-client regime: O(cohort) per-round cost, on-demand traits,
-    # binomial availability, virtual compute base (fully deterministic)
-    "fleet": lambda: FleetSystem(
-        availability=0.6, speed_spread=4.0, bandwidth_spread=2.0, lttr_seconds=1.0
-    ),
+    # binomial availability
+    "fleet": lambda: FleetSystem(availability=0.6, speed_spread=4.0, bandwidth_spread=2.0),
 }
 
 SYSTEM_NAMES = tuple(DEVICE_PROFILES)

@@ -180,8 +180,5 @@ def lttr_round_trip_error(
 
     fitted = result.heterogeneous_system(lttr_seconds=lttr_seconds)
     fitted.bind(_FitTask(int(ids.size)), FLConfig(seed=seed))
-    rng = np.random.default_rng(seed)
-    fitted_mean = float(
-        np.mean([fitted.compute_seconds(1, c, lttr_seconds, rng) for c in range(ids.size)])
-    )
+    fitted_mean = float(np.mean([fitted.compute_seconds(1, c) for c in range(ids.size)]))
     return abs(fitted_mean - trace_mean) / trace_mean

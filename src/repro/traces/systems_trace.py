@@ -15,16 +15,15 @@ up-count that is **one binomial draw at the period's rate**
 (round-dependent, so diurnal cycles survive at K = 1,000,000 with
 O(cohort) per-round cost), never a ``rng.random(K)`` sweep.
 
-Local compute defaults to the virtual base ``lttr_seconds=1.0`` scaled
-by each record's ``compute_speed``, making traced trajectories —
-sim-clock columns included — bit-identical across hosts, reruns and
-sweep shard counts; pass ``lttr_seconds=None`` to scale measured LTTR
-instead.
+Local compute is the virtual base (1 s) scaled by each record's
+``compute_speed`` and the link is the paper's 5G link divided by its
+``bandwidth_divisor``, so traced trajectories — sim-clock columns
+included — are bit-identical across hosts, reruns and sweep shard
+counts.
 """
 
 from __future__ import annotations
 
-from ..comm.network import TMOBILE_5G, NetworkModel
 from ..fl.systems import SystemModel
 from .schema import DeviceTrace
 
@@ -34,13 +33,8 @@ __all__ = ["TraceSystem"]
 class TraceSystem(SystemModel):
     """Replay a device trace through the system-model hooks."""
 
-    def __init__(
-        self,
-        trace: DeviceTrace,
-        base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float | None = 1.0,
-    ) -> None:
-        super().__init__(base_network=base_network, lttr_seconds=lttr_seconds)
+    def __init__(self, trace: DeviceTrace) -> None:
+        super().__init__()
         self.trace = trace
         self.name = f"trace:{trace.name}"
 

@@ -105,10 +105,13 @@ class TestRunStore:
         assert store.get(cell()) is not None
 
     def test_foreign_payload_is_a_miss(self, tmp_path, make_result):
+        # 1 is the format before simulated compute moved to the virtual
+        # base; its sim_* columns must never be served
         store = RunStore(tmp_path / "store")
-        store.put(cell(), make_result())
-        store.path_for(cell()).write_text('{"format": 999, "cell": "x"}')
-        assert store.get(cell()) is None
+        for fmt in (999, 1):
+            store.put(cell(), make_result())
+            store.path_for(cell()).write_text(f'{{"format": {fmt}, "cell": "x"}}')
+            assert store.get(cell()) is None
 
     def test_no_temp_litter_after_put(self, tmp_path, make_result):
         store = RunStore(tmp_path / "store")

@@ -13,10 +13,7 @@ import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.client import FedBIAD
-from repro.fl.async_aggregation import (
-    ASYNC_VIRTUAL_LTTR_SECONDS,
-    AsyncFederatedSimulation,
-)
+from repro.fl.async_aggregation import AsyncFederatedSimulation
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 
@@ -51,6 +48,14 @@ def _learning_key(history):
     return tuple(
         history.series(key).tobytes()
         for key in ("train_loss", "test_accuracy", "upload_bits_total", "n_selected")
+    )
+
+
+def _clock_key(history):
+    """The simulated-clock columns shared by sync and async runs."""
+    return tuple(
+        history.series(key).tobytes()
+        for key in ("sim_clock_seconds", "sim_round_seconds", "sim_compute_seconds_mean")
     )
 
 
@@ -95,11 +100,14 @@ class TestAsyncEquivalence:
     ):
         """buffer_size == cohort == max_concurrency under the ideal
         profile: every flush holds exactly one zero-staleness wave, so
-        the async learning trajectory equals the sync one bit-for-bit."""
+        the async trajectory equals the sync one bit-for-bit — the
+        simulated clock included, since both modes run local compute on
+        the same virtual base."""
         cfg = session_config.with_overrides(rounds=3)
         sync = run_simulation(session_image_task, FedAvg(), cfg)
         asyn = run_simulation(session_image_task, FedAvg(), cfg.with_overrides(mode="async"))
         assert _learning_key(sync) == _learning_key(asyn)
+        assert _clock_key(sync) == _clock_key(asyn)
         assert np.all(asyn.series("staleness_max") == 0)
 
     def test_buffer_above_cohort_also_reduces(self, session_image_task, session_config):
@@ -175,9 +183,6 @@ class TestAsyncSemantics:
         cfg = session_config.with_overrides(mode="async")
         history = run_simulation(session_image_task, FedAvg(), cfg)
         assert np.all(history.series("flush_index") > 0)
-
-    def test_virtual_compute_base_is_constant(self):
-        assert ASYNC_VIRTUAL_LTTR_SECONDS > 0
 
     def test_small_buffer_flushes_faster_than_sync_rounds(
         self, session_image_task, async_config

@@ -132,15 +132,13 @@ class TestFleetSystem:
         b = FleetSystem()
         a.bind(_Fleet(), FLConfig(seed=3))
         b.bind(_Fleet(), FLConfig(seed=3))
-        rng = np.random.default_rng(0)
         # on-demand draws agree across instances and access orders
-        assert a.compute_seconds(1, 999_999, 1.0, rng) == b.compute_seconds(
-            5, 999_999, 1.0, rng
-        )
+        assert a.compute_seconds(1, 999_999) == b.compute_seconds(5, 999_999)
+        assert a.compute_seconds(1, 999_999) == a.lttr_seconds * a.traits(999_999)[0]
         assert a.network(1, 7).uplink_mbps == b.network(2, 7).uplink_mbps
         c = FleetSystem()
         c.bind(_Fleet(), FLConfig(seed=4))
-        assert a.compute_seconds(1, 7, 1.0, rng) != c.compute_seconds(1, 7, 1.0, rng)
+        assert a.compute_seconds(1, 7) != c.compute_seconds(1, 7)
 
     def test_binomial_availability_deterministic_per_seed_round(self):
         system = FleetSystem(availability=0.5)
@@ -159,45 +157,32 @@ class TestFleetSystem:
             FleetSystem(availability=0.0)
         with pytest.raises(ValueError):
             FleetSystem(speed_spread=0.5)
-        with pytest.raises(ValueError):
-            FleetSystem(lttr_seconds=0.0)
+        for lttr in (0.0, None):
+            with pytest.raises(ValueError):
+                FleetSystem(lttr_seconds=lttr)
 
     def test_rebind_clears_trait_cache(self):
         """Rebinding the same instance under a new seed must not serve
         the previous seed's cached traits."""
         system = FleetSystem()
         system.bind(_Fleet(), FLConfig(seed=3))
-        rng = np.random.default_rng(0)
-        old = system.compute_seconds(1, 7, 1.0, rng)
+        old = system.compute_seconds(1, 7)
         system.bind(_Fleet(), FLConfig(seed=9))
         fresh = FleetSystem()
         fresh.bind(_Fleet(), FLConfig(seed=9))
-        assert system.compute_seconds(1, 7, 1.0, rng) == fresh.compute_seconds(
-            1, 7, 1.0, rng
-        )
-        assert system.compute_seconds(1, 7, 1.0, rng) != old
-
-    def test_measured_lttr_mode(self):
-        """lttr_seconds=None scales the measured local-training time."""
-        system = FleetSystem(lttr_seconds=None)
-        system.bind(_Fleet(), FLConfig(seed=0))
-        rng = np.random.default_rng(0)
-        one = system.compute_seconds(1, 42, 1.0, rng)
-        assert system.compute_seconds(1, 42, 2.0, rng) == pytest.approx(2 * one)
+        assert system.compute_seconds(1, 7) == fresh.compute_seconds(1, 7)
+        assert system.compute_seconds(1, 7) != old
 
     def test_trait_cache_stays_bounded(self):
         system = FleetSystem()
         system.bind(_Fleet(), FLConfig(seed=0))
-        rng = np.random.default_rng(0)
         for cid in range(5000):
-            system.compute_seconds(1, cid, 1.0, rng)
+            system.compute_seconds(1, cid)
         assert len(system._trait_cache) <= 4096
         # a cache eviction never changes the draw
         fresh = FleetSystem()
         fresh.bind(_Fleet(), FLConfig(seed=0))
-        assert system.compute_seconds(1, 123, 1.0, rng) == fresh.compute_seconds(
-            1, 123, 1.0, rng
-        )
+        assert system.compute_seconds(1, 123) == fresh.compute_seconds(1, 123)
 
 
 @pytest.fixture(scope="module")

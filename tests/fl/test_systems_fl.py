@@ -94,21 +94,22 @@ class TestSystemModels:
             with pytest.raises(ValueError, match="spread"):
                 _spread_sigma(bad)
         # a spread-1 profile binds and yields constant unit traits
-        system = HeterogeneousSystem(speed_spread=1.0, bandwidth_spread=1.0)
+        system = HeterogeneousSystem(
+            speed_spread=1.0, bandwidth_spread=1.0, lttr_seconds=0.25
+        )
         system.bind(_Task(), FLConfig(seed=0))
-        rng = np.random.default_rng(0)
         for c in range(_Task.n_clients):
-            assert system.compute_seconds(1, c, 0.25, rng) == pytest.approx(0.25)
+            assert system.compute_seconds(1, c) == pytest.approx(0.25)
             assert system.network(1, c).uplink_mbps == pytest.approx(14.0)
 
     def test_ideal_system_is_transparent(self):
-        system = IdealSystem()
+        system = IdealSystem(lttr_seconds=0.25)
         system.bind(_Task(), FLConfig())
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(
             system.available_clients(1, rng).ids, np.arange(8)
         )
-        assert system.compute_seconds(1, 3, 0.25, rng) == 0.25
+        assert system.compute_seconds(1, 3) == 0.25
         assert system.round_deadline(np.array([1.0, 2.0])) is None
 
     def test_traits_deterministic_given_seed(self):
@@ -117,14 +118,6 @@ class TestSystemModels:
         a.bind(_Task(), FLConfig(seed=7))
         b.bind(_Task(), FLConfig(seed=7))
         np.testing.assert_array_equal(a._speed, b._speed)
-
-    def test_speed_scales_measured_lttr(self):
-        system = HeterogeneousSystem(speed_spread=4.0)
-        system.bind(_Task(), FLConfig())
-        rng = np.random.default_rng(0)
-        assert system.compute_seconds(1, 2, 1.0, rng) == pytest.approx(
-            float(system._speed[2])
-        )
 
     def test_availability_fallback_never_empty(self):
         system = HeterogeneousSystem(availability=1e-9)
@@ -162,11 +155,7 @@ class TestSystemSimulation:
 
     def test_straggler_scenario_drops_clients(self, session_image_task, session_config):
         cfg = session_config.with_overrides(rounds=4, seed=1)
-        # lttr_seconds makes straggler membership virtual-time only, so
-        # this scenario is identical on any host
-        system = HeterogeneousSystem(
-            speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.2, lttr_seconds=1.0
-        )
+        system = HeterogeneousSystem(speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.2)
         history = run_simulation(session_image_task, FedAvg(), cfg, system=system)
         stragglers = history.series("n_stragglers")
         assert stragglers.sum() > 0
@@ -175,24 +164,35 @@ class TestSystemSimulation:
             history.series("n_selected") + stragglers == history.series("n_scheduled")
         )
 
+    @staticmethod
+    def _assert_rerun_identical(task, cfg):
+        h1 = run_simulation(task, FedAvg(), cfg)
+        h2 = run_simulation(task, FedAvg(), cfg)
+        # cohorts, learning and the clock are purely virtual (no
+        # host-measured terms), so all of them are exactly reproducible
+        for key in (
+            "n_selected", "n_stragglers", "train_loss",
+            "sim_clock_seconds", "sim_round_seconds", "sim_compute_seconds_mean",
+        ):
+            assert h1.series(key).tobytes() == h2.series(key).tobytes(), key
+
     def test_straggler_profile_deterministic_across_runs(
         self, session_image_task, session_config
     ):
         cfg = session_config.with_overrides(system="straggler", rounds=3)
-        h1 = run_simulation(session_image_task, FedAvg(), cfg)
-        h2 = run_simulation(session_image_task, FedAvg(), cfg)
-        np.testing.assert_array_equal(h1.series("n_selected"), h2.series("n_selected"))
-        np.testing.assert_array_equal(h1.series("n_stragglers"), h2.series("n_stragglers"))
-        np.testing.assert_array_equal(h1.series("train_loss"), h2.series("train_loss"))
-        # the clock is purely virtual (no host-measured terms), so it is
-        # exactly reproducible
-        np.testing.assert_array_equal(
-            h1.series("sim_clock_seconds"), h2.series("sim_clock_seconds")
-        )
+        self._assert_rerun_identical(session_image_task, cfg)
+
+    @pytest.mark.parametrize("profile", ["ideal", "heterogeneous", "flaky"])
+    def test_sync_clock_deterministic_across_runs(
+        self, session_image_task, session_config, profile
+    ):
+        cfg = session_config.with_overrides(system=profile, rounds=3)
+        self._assert_rerun_identical(session_image_task, cfg)
 
     def test_virtual_lttr_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HeterogeneousSystem(lttr_seconds=0.0)
+        for lttr in (0.0, None):
+            with pytest.raises(ValueError):
+                HeterogeneousSystem(lttr_seconds=lttr)
 
     def test_simulated_tta_reads_clock_column(self, session_image_task, session_config):
         history = run_simulation(session_image_task, FedAvg(), session_config)
@@ -212,9 +212,6 @@ class _OverTightDeadline(HeterogeneousSystem):
     """A deadline *below* every client's finish time — even the fastest
     client technically misses it, exercising the server's
     cannot-close-empty fallback."""
-
-    def __init__(self, **kwargs):
-        super().__init__(lttr_seconds=1.0, **kwargs)
 
     def round_deadline(self, arrival_seconds: np.ndarray) -> float:
         return 0.5 * float(arrival_seconds.min())

@@ -76,9 +76,8 @@ class TestFit:
         assert result.bandwidth_scale == pytest.approx(3.0)
         system = result.heterogeneous_system()
         system.bind(_Task(64), FLConfig(seed=0))
-        rng = np.random.default_rng(0)
         for c in (0, 63):
-            assert system.compute_seconds(1, c, 1.0, rng) == pytest.approx(2.0)
+            assert system.compute_seconds(1, c) == pytest.approx(2.0)
         assert lttr_round_trip_error(trace) < 1e-9
 
     def test_fitted_systems_carry_all_parameters(self):

@@ -40,20 +40,11 @@ class TestHooks:
             ClientRecord(1, "high", compute_speed=0.5, bandwidth_divisor=0.5),
         ]
         system = _bound(TabularTrace("t", records), 2)
-        rng = np.random.default_rng(0)
         # virtual base 1.0 scaled by the record's speed
-        assert system.compute_seconds(1, 0, 123.0, rng) == pytest.approx(3.0)
-        assert system.compute_seconds(1, 1, 123.0, rng) == pytest.approx(0.5)
+        assert system.compute_seconds(1, 0) == pytest.approx(3.0)
+        assert system.compute_seconds(1, 1) == pytest.approx(0.5)
         slow, fast = system.network(1, 0), system.network(1, 1)
         assert fast.uplink_mbps == pytest.approx(4 * slow.uplink_mbps)
-
-    def test_measured_lttr_mode(self):
-        records = [ClientRecord(0, "mid", 2.0, 1.0)]
-        system = TraceSystem(TabularTrace("t", records), lttr_seconds=None)
-        system.bind(_Task(1), FLConfig())
-        assert system.compute_seconds(1, 0, 0.25, None) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            TraceSystem(TabularTrace("t", records), lttr_seconds=0.0)
 
     def test_bind_requires_coverage(self):
         records = [ClientRecord(0, "mid", 1.0, 1.0)]
@@ -64,12 +55,11 @@ class TestHooks:
     def test_record_cache_stays_bounded(self):
         trace = make_synthetic_trace("t", seed=0)
         system = _bound(trace, 10_000)
-        rng = np.random.default_rng(0)
         for cid in range(5000):
-            system.compute_seconds(1, cid, 1.0, rng)
+            system.compute_seconds(1, cid)
         assert len(system._trait_cache) <= 4096
         # eviction never changes a draw
-        assert system.compute_seconds(1, 17, 1.0, rng) == pytest.approx(
+        assert system.compute_seconds(1, 17) == pytest.approx(
             trace.client_record(17).compute_speed
         )
 
