@@ -17,8 +17,16 @@ The matrix covers both availability shapes the selection core serves:
   trace at K=100,000), which sample cohort ids from the index space.
 
 A few cells widen the method and model coverage: the nested
-``fedbiad+dgc`` sketched method (a ``CombinedMethod`` wrapping FedBIAD)
-and the PTB LSTM under FedBIAD and under async FedAvg.
+``fedbiad+dgc`` sketched method (a ``CombinedMethod`` wrapping FedBIAD),
+plain ``dgc`` (the compressor over FedAvg), FedAvg with momentum and
+gradient clipping, a ragged fleet whose clients have different shard
+sizes (and so different effective batch sizes within one cohort), and
+the PTB LSTM under FedBIAD and under async FedAvg.
+
+``GOLDEN_PIN`` ties the whole digest table to ``SPEC_FORMAT_VERSION``:
+re-pinning a digest (a deliberate numerics change) moves the pin, and
+stored cells computed under the old numerics must stop being served, so
+the version moves in the same commit.
 
 Digests are floating-point results and so depend on the numerical
 stack; they were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
@@ -29,14 +37,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from repro.baselines.registry import make_method
+from repro.baselines.registry import METHOD_NAMES, make_method
 from repro.compression.registry import make_sketched
 from repro.data.registry import make_fleet_task, make_task
 from repro.experiments.configs import preset_for
+from repro.experiments.spec import SPEC_FORMAT_VERSION
 from repro.fl.async_aggregation import AsyncFederatedSimulation
 from repro.fl.simulation import FederatedSimulation
 
@@ -55,6 +65,8 @@ LEARNING_COLUMNS = (
 def _task(name: str):
     if name == "fleet-100k":
         return make_fleet_task(100_000, seed=1)
+    if name == "fleet-ragged":
+        return make_fleet_task(5_000, seed=1, size_spread=4.0)
     return make_task(name, "small", preset_for(name, "small").data_seed)
 
 
@@ -75,7 +87,12 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
     cells["fleet100k-fedavg-sync-trace:flash-diurnal"] = (
         "fleet-100k", "fedavg", dict(rounds=3, kappa=2e-4, system="trace:flash-diurnal")
     )
+    cells["fleetragged-fedavg-sync-fleet"] = ("fleet-ragged", "fedavg", dict(rounds=3))
     cells["mnist-fedbiad+dgc-sync-ideal"] = ("mnist", "fedbiad+dgc", dict(rounds=3))
+    cells["mnist-dgc-sync-ideal"] = ("mnist", "dgc", dict(rounds=3))
+    cells["mnist-fedavg-sync-ideal-momentum-clip"] = (
+        "mnist", "fedavg", dict(rounds=3, momentum=0.9, max_grad_norm=1.0)
+    )
     cells["ptb-fedavg-sync-ideal"] = ("ptb", "fedavg", dict(rounds=1))
     cells["ptb-fedbiad-sync-ideal"] = ("ptb", "fedbiad", dict(rounds=2))
     cells["ptb-fedavg-async-ideal"] = (
@@ -92,12 +109,15 @@ GOLDEN = {
     "fleet-fedavg-sync-fleet": "476d88e34359e8e6d36703508b3b3e2ed85ff19160f7724c886018846396245a",
     "fleet-fedavg-sync-trace:flash-diurnal": "66ef70d6b1ca03b917df23282f122bbfe7a72d51cafb07a789d2da3a6a433efc",
     "fleet100k-fedavg-sync-trace:flash-diurnal": "6efa9554b81fd8ce1c13f5fea303fd841fd90af91dfce7160703d7beb9dbab1e",
+    "fleetragged-fedavg-sync-fleet": "cd701d3d7a92eab2fe538be9e8d3a141fb4e6a71516d5d9e9c0a47c63cdd9d28",
+    "mnist-dgc-sync-ideal": "fffdca1b044433602d357ed97151714b2879863b6fec3976cd7739d269e38f1c",
     "mnist-fedavg-async-flaky": "00788a4ab352f727418eba745a02badec52805e5c1ceb1f0dbd9428468266fad",
     "mnist-fedavg-async-ideal": "bf1d1b3fc8ecfe908f65198de647a1e352a46754d1ec22d72c3b830e0900ac7c",
     "mnist-fedavg-async-straggler": "9be798038c39182b1b88f44b9b08e854abf56b0b5854035cd6b872f52ff41548",
     "mnist-fedavg-async-trace:flash-diurnal": "244a2ac957148d7950b74b6609eae73105a58f93d99fb25b674c3384ce2ffc91",
     "mnist-fedavg-sync-flaky": "3eebc7ae53ef1cf53977d6ec25f3c8820743f4ae10c4fe6ada752d055ce87a13",
     "mnist-fedavg-sync-ideal": "9d3a83f24614c32cd7b7e50f78f074c8fee09973480981c750a65719366f5a49",
+    "mnist-fedavg-sync-ideal-momentum-clip": "5227f15abd53152a83b084d7cfe2a0e56155a6b0b8f7740aef9e0543d84dc479",
     "mnist-fedavg-sync-straggler": "7fccb5e3a85d67352ba35a9df962b3b8e3152a92079a4c8b37c442575efbbfcc",
     "mnist-fedavg-sync-trace:flash-diurnal": "4b049772ddffc42b7fab10cd789413db5a86037f562cd3c365c0cf5dfd14964e",
     "mnist-fedbiad+dgc-sync-ideal": "71526a55ef6ca6982214b1c780a368614083aed5052d7e6393382bace2d3168e",
@@ -114,10 +134,14 @@ GOLDEN = {
     "ptb-fedbiad-sync-ideal": "091bdb86385341865d8b14db30cfd92cf82255e3cd071fe58898b23c590d1e3d",
 }
 
+#: ``(SPEC_FORMAT_VERSION, sha256 of the sorted GOLDEN items)``.  Moving
+#: any digest moves this pin; move the version with it.
+GOLDEN_PIN = (2, "dc54404a0ed4cfc271f805d5e5768e91e8f41e91eaaae4f52ba3f4a9957e6d3a")
+
 
 def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch) -> str:
     """sha256 over one run's learning columns and selected cohorts."""
-    preset_name = "fleet" if task_name == "fleet-100k" else task_name
+    preset_name = "fleet" if task_name.startswith("fleet-") else task_name
     config = preset_for(preset_name, "small").fl.with_overrides(seed=0, **overrides)
     selections: list[np.ndarray] = []
     select = FederatedSimulation._select_clients
@@ -129,7 +153,7 @@ def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch)
 
     monkeypatch.setattr(FederatedSimulation, "_select_clients", logged)
     sim_cls = AsyncFederatedSimulation if config.mode == "async" else FederatedSimulation
-    fed_method = make_sketched(method) if "+" in method else make_method(method)
+    fed_method = make_method(method) if method in METHOD_NAMES else make_sketched(method)
     history = sim_cls(_task(task_name), fed_method, config).run()
 
     h = hashlib.sha256()
@@ -148,3 +172,8 @@ def test_trajectory_matches_golden(cell, monkeypatch):
 
 def test_matrix_is_fully_pinned():
     assert sorted(GOLDEN) == sorted(CELLS)
+
+
+def test_golden_table_is_pinned_to_the_spec_format_version():
+    table = json.dumps(sorted(GOLDEN.items())).encode()
+    assert (SPEC_FORMAT_VERSION, hashlib.sha256(table).hexdigest()) == GOLDEN_PIN
