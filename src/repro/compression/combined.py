@@ -63,7 +63,16 @@ class SketchedMethod(FederatedMethod):
         return 0
 
     def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        update = self.base.client_update(ctx)
+        return self.cohort_update([ctx])[0]
+
+    def cohort_update(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
+        """Train through the base method's own cohort hook (so FedAvg
+        stacks), then compress each client with its own ``ctx.rng``,
+        which the base consumed only through that client's batcher."""
+        updates = self.base.cohort_update(ctxs)
+        return [self._compress(ctx, update) for ctx, update in zip(ctxs, updates)]
+
+    def _compress(self, ctx: ClientContext, update: ClientUpdate) -> ClientUpdate:
         allowed = self._allowed_masks(update)
         delta = update.payload.params - ctx.global_params
         state = ctx.state.setdefault("sketch", {})

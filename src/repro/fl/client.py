@@ -4,21 +4,35 @@ A *federated method* (FedBIAD or a baseline) plugs into the simulation
 through three hooks:
 
 * :meth:`FederatedMethod.setup` — called once with the shared model;
-* :meth:`FederatedMethod.client_update` — runs one client's round and
-  returns a :class:`ClientUpdate`;
+* :meth:`FederatedMethod.cohort_update` — runs a cohort's (or an async
+  wave's) local rounds and returns one :class:`ClientUpdate` per
+  client, in order.  The default calls
+  :meth:`FederatedMethod.client_update` once per client, so a method
+  implements whichever of the two suits it: FedBIAD and the masked
+  baselines train one client at a time, FedAvg trains stacks of
+  clients at once (:mod:`repro.baselines.fedavg`);
 * :meth:`FederatedMethod.aggregate` — combines updates into the next
   global parameters (defaults to the masked weighted mean of
   :mod:`repro.fl.aggregation`).
 
+A :class:`ClientContext` materializes its client's shard only when the
+method first asks for ``ctx.batcher`` (building a batcher draws nothing
+from the client's RNG), and :meth:`ClientContext.release` drops it once
+the client has trained, so a cohort holds the shards of the clients
+training right now, never all of them.
+
 The shared local-training loop (:func:`run_local_sgd`) implements the
 masked update rule of Eq. (7): gradients of dropped rows are zeroed, and
 dropped rows are pinned to zero after every step so momentum or weight
-decay cannot resurrect them.
+decay cannot resurrect them.  The same loop trains a stacked model
+(:meth:`repro.nn.module.Module.stacked`) from a batcher of stacked
+minibatches; each step's loss is then one value per client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,14 +56,25 @@ class ClientContext:
     round_index: int  # 1-based, as in Algorithm 1
     global_params: ParamSet
     model: Module
-    batcher: object  # ImageBatcher | SequenceBatcher
+    task: object  # FederatedTask
     config: FLConfig
     rng: np.random.Generator
     state: dict  # per-client persistent storage across rounds
 
+    @cached_property
+    def batcher(self):
+        """The client's minibatch sampler (ImageBatcher | SequenceBatcher),
+        built from its shard on first use."""
+        return self.task.batcher(self.client_id, self.config.batch_size, self.rng)
+
     @property
     def n_samples(self) -> int:
-        return self.batcher.n_samples
+        """|D_k|, in O(1) without materializing the shard."""
+        return self.task.client_size(self.client_id)
+
+    def release(self) -> None:
+        """Drop the batcher and with it the materialized shard."""
+        self.__dict__.pop("batcher", None)
 
 
 @dataclass
@@ -89,6 +114,19 @@ class FederatedMethod:
     def client_update(self, ctx: ClientContext) -> ClientUpdate:
         raise NotImplementedError
 
+    def cohort_update(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
+        """Run every client of ``ctxs``, returning their updates in order.
+
+        The default trains one client at a time through
+        :meth:`client_update`, releasing each shard once its client has
+        trained.
+        """
+        updates = []
+        for ctx in ctxs:
+            updates.append(self.client_update(ctx))
+            ctx.release()
+        return updates
+
     def aggregate(
         self,
         round_index: int,
@@ -103,7 +141,7 @@ class FederatedMethod:
         """Per-client downlink payload; the server broadcasts densely."""
         return dense_bits(global_params)
 
-    def make_optimizer(self, model: Module) -> SGD:
+    def make_optimizer(self, model: Module, stacked: bool = False) -> SGD:
         cfg = self.config
         return SGD(
             model.parameters(),
@@ -111,6 +149,7 @@ class FederatedMethod:
             momentum=cfg.momentum,
             weight_decay=cfg.weight_decay,
             max_grad_norm=cfg.max_grad_norm,
+            stacked=stacked,
         )
 
 
@@ -122,7 +161,7 @@ def run_local_sgd(
     rowspace: RowSpace | None = None,
     masks: dict[str, np.ndarray] | None = None,
     on_iteration: Callable[[int, float], None] | None = None,
-) -> list[float]:
+) -> list:
     """Run ``iterations`` masked SGD steps; returns per-step losses.
 
     Implements Eq. (7): ``U <- U - eta * (beta ∘ grad L)``.  When
@@ -130,21 +169,25 @@ def run_local_sgd(
     rows are zeroed before the step and the rows re-pinned to zero after
     it.  The ``on_iteration`` hook lets FedBIAD interleave its adaptive
     pattern logic (Algorithm 1 lines 18-26) without duplicating the loop.
+
+    A stacked model's loss holds one value per client; backward is
+    seeded with ones, and each step's entry is then the list of
+    per-client losses.
     """
     if masks is not None and rowspace is None:
         raise ValueError("masks require a rowspace")
-    losses: list[float] = []
+    losses: list = []
     for v in range(iterations):
         batch = batcher.next_batch()
         optimizer.zero_grad()
         loss = model.loss(batch)
-        loss.backward()
+        loss.backward(np.ones_like(loss.data))
         if masks is not None:
             rowspace.mask_model_gradients(model, masks)
         optimizer.step()
         if masks is not None:
             rowspace.zero_dropped_rows(model, masks)
-        value = loss.item()
+        value = loss.data.tolist()
         losses.append(value)
         if on_iteration is not None:
             on_iteration(v, value)

@@ -1,10 +1,13 @@
-"""One client's local round: the execution engine of the round loop.
+"""A cohort's local rounds: the execution engine of the round loop.
 
-The server orchestration (:mod:`repro.fl.simulation`) runs the selected
-cohort one client after another in-process, calling
-:func:`execute_client` for each in selection order.  Every client draws
-from its own seeded RNG stream (``default_rng([seed, round, client])``),
-so a client's update does not depend on which clients ran before it.
+The server orchestration (:mod:`repro.fl.simulation`) hands each sync
+cohort and each async wave to :func:`execute_client` in one call, which
+builds one :class:`~repro.fl.client.ClientContext` per client and runs
+them all through the method's
+:meth:`~repro.fl.client.FederatedMethod.cohort_update` hook.  Every
+client draws from its own seeded RNG stream
+(``default_rng([seed, round, client])``), so a client's update does not
+depend on which clients ran before it or trained beside it in a stack.
 
 Runs are parallelized one level up: a sweep spreads whole, independent
 runs across processes (``sweep --shards N``, see
@@ -31,7 +34,10 @@ class ClientResult:
 
     client_id: int
     update: ClientUpdate
-    lttr_seconds: float  # measured local-training wall-clock (LTTR)
+    #: measured local-training wall-clock (LTTR): the client's share of
+    #: its cohort_update call, i.e. that call's wall-clock / its clients.
+    #: Host-measured and reported only; never a learning column.
+    lttr_seconds: float
 
 
 def execute_client(
@@ -41,39 +47,48 @@ def execute_client(
     config: FLConfig,
     global_params: ParamSet,
     round_index: int,
-    client_id: int,
-    state: dict,
-) -> ClientResult:
-    """Run one client's local round.
+    client_ids,
+    states: list[dict],
+) -> list[ClientResult]:
+    """Run a cohort's (or async wave's) local rounds, in the order given.
 
-    The RNG stream is derived from ``(seed, round, client)`` alone, so
-    the result does not depend on the order the cohort runs in.
-    ``state`` is the client's persistent state; the method updates it
-    in place.
+    ``states[i]`` is client ``client_ids[i]``'s persistent state; the
+    method updates it in place.  Each client's RNG stream is derived
+    from ``(seed, round, client)`` alone, so a result does not depend on
+    the order the cohort runs in or on how the method groups it.
+
+    Keep the name and the module-level lookup: the benchmark's tracer
+    (``perfbench/tracing.py``) wraps ``repro.fl.engine.execute_client``
+    by name, and the round loop looks it up on the module at call time.
 
     A local update whose mean training loss is not finite raises
-    ``FloatingPointError`` naming the round, the client and the method,
-    instead of folding NaN into the global model.
+    ``FloatingPointError`` naming the round, the first such client in
+    the order given, and the method, instead of folding NaN into the
+    global model.
     """
-    client_id = int(client_id)
-    rng = np.random.default_rng([config.seed, round_index, client_id])
-    batcher = task.batcher(client_id, config.batch_size, rng)
-    ctx = ClientContext(
-        client_id=client_id,
-        round_index=round_index,
-        global_params=global_params,
-        model=model,
-        batcher=batcher,
-        config=config,
-        rng=rng,
-        state=state,
-    )
-    start = time.perf_counter()
-    update = method.client_update(ctx)
-    lttr = time.perf_counter() - start
-    if not np.isfinite(update.mean_loss):
-        raise FloatingPointError(
-            f"round {round_index}, client {client_id}: {method.name} local "
-            f"update diverged (mean training loss {update.mean_loss})"
+    ctxs = [
+        ClientContext(
+            client_id=int(cid),
+            round_index=round_index,
+            global_params=global_params,
+            model=model,
+            task=task,
+            config=config,
+            rng=np.random.default_rng([config.seed, round_index, int(cid)]),
+            state=state,
         )
-    return ClientResult(client_id=client_id, update=update, lttr_seconds=lttr)
+        for cid, state in zip(client_ids, states)
+    ]
+    start = time.perf_counter()
+    updates = method.cohort_update(ctxs)
+    lttr = (time.perf_counter() - start) / max(len(ctxs), 1)
+    for ctx, update in zip(ctxs, updates):
+        if not np.isfinite(update.mean_loss):
+            raise FloatingPointError(
+                f"round {round_index}, client {ctx.client_id}: {method.name} local "
+                f"update diverged (mean training loss {update.mean_loss})"
+            )
+    return [
+        ClientResult(client_id=ctx.client_id, update=update, lttr_seconds=lttr)
+        for ctx, update in zip(ctxs, updates)
+    ]

@@ -1,8 +1,9 @@
 """Federated server orchestration (sync barrier rounds + shared core).
 
 The server side of Algorithm 1 runs the selected cohort's local
-updates one client after another in-process through
-:func:`repro.fl.engine.execute_client`, and is layered over one
+updates in-process through one :func:`repro.fl.engine.execute_client`
+call per cohort (or async wave), which hands the whole cohort to the
+method's ``cohort_update`` hook, and is layered over one
 pluggable part: a :class:`~repro.fl.systems.SystemModel` decides how
 the *devices* behave (availability, compute speed, link bandwidth,
 round deadline) and a :class:`~repro.fl.systems.VirtualClock` turns
@@ -152,22 +153,20 @@ class FederatedSimulation:
         return np.random.default_rng([self.config.seed, round_index, client_id])
 
     def _execute_cohort(self, round_index: int, selected: np.ndarray) -> list[ClientResult]:
-        """Run a cohort in selection order.
+        """Run a cohort; results come back in selection order.
 
         Each client updates its entry of ``client_states`` in place, so
         state persists for every executed client — in sync mode
         stragglers trained locally even if their upload later misses the
-        deadline.  ``execute_client`` is looked up on the module at call
-        time, so a wrapper installed there (a tracing span) sees every
-        client.
+        deadline.  ``execute_client`` is called once for the whole
+        cohort and looked up on the module at call time, so a wrapper
+        installed there (a tracing span) sees every client.
         """
-        return [
-            engine.execute_client(
-                self.task, self.method, self.model, self.config,
-                self.global_params, round_index, int(cid), self.client_states[int(cid)],
-            )
-            for cid in selected
-        ]
+        ids = [int(cid) for cid in selected]
+        return engine.execute_client(
+            self.task, self.method, self.model, self.config, self.global_params,
+            round_index, ids, [self.client_states[cid] for cid in ids],
+        )
 
     def _simulate_arrivals(
         self, round_index: int, results: list[ClientResult]

@@ -78,7 +78,10 @@ def cross_entropy(
         Integer array of shape ``(...)`` matching the leading dimensions
         of ``logits``.
     reduction:
-        ``"mean"`` (default), ``"sum"``, or ``"none"``.
+        ``"mean"`` (default), ``"sum"``, ``"none"``, or ``"mean_last"``:
+        one mean per row of the last target axis, so a stack of ``c``
+        minibatches (``(c, batch)`` targets) gives ``c`` per-minibatch
+        means, each bit-equal to ``"mean"`` over that minibatch alone.
 
     The forward and backward passes are fused: the backward closure uses
     the classic ``softmax - onehot`` expression so that no intermediate
@@ -106,6 +109,8 @@ def cross_entropy(
         out_data = np.asarray(losses.sum())
     elif reduction == "mean":
         out_data = np.asarray(losses.mean())
+    elif reduction == "mean_last":
+        out_data = losses.mean(axis=-1)
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
 
@@ -119,6 +124,8 @@ def cross_entropy(
             flat_g *= float(grad) / max(flat_t.size, 1)
         elif reduction == "sum":
             flat_g *= float(grad)
+        elif reduction == "mean_last":
+            g *= (np.asarray(grad) / max(targets.shape[-1], 1))[..., None, None]
         else:
             flat_g *= np.asarray(grad).reshape(-1, 1)
         return [(logits, g)]

@@ -18,6 +18,11 @@ class Linear(Module):
     ``weight`` has shape ``(out_features, in_features)`` so that each row
     corresponds to one output unit — the row granularity that FedBIAD's
     dropping patterns operate on.
+
+    The same layer runs a stack of ``c`` clients (see
+    :meth:`~repro.nn.module.Module.stacked`): a ``(c, out, in)`` weight
+    and a ``(c, 1, out)`` bias map ``(c, batch, in)`` inputs client by
+    client, because the transpose is over the last two axes only.
     """
 
     def __init__(
@@ -47,7 +52,7 @@ class Linear(Module):
             self.bias = Parameter(initializers.zeros((out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
+        out = x @ self.weight.mT
         if self.has_bias:
             out = out + self.bias
         return out

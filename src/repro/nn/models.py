@@ -72,9 +72,17 @@ class MLPClassifier(Module):
         return self.net(x)
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        """Mean cross-entropy over one ``(images, labels)`` minibatch."""
+        """Mean cross-entropy over one ``(images, labels)`` minibatch.
+
+        A stacked model (:meth:`~repro.nn.module.Module.stacked`) takes a
+        stack of minibatches, ``(c, batch, in)`` images and ``(c, batch)``
+        labels, and returns the ``(c,)`` per-client means; seeding
+        ``backward`` with ones trains on their sum, which gives every
+        client exactly its own gradient.
+        """
         x, y = batch
-        return cross_entropy(self.forward(x), y)
+        reduction = "mean" if np.ndim(y) == 1 else "mean_last"
+        return cross_entropy(self.forward(x), y, reduction=reduction)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         with no_grad():

@@ -11,14 +11,21 @@ and exposes the two views the federated layer needs:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "RowSpec"]
+
+
+def _checked(name: str, value: np.ndarray, expected: tuple[int, ...]) -> np.ndarray:
+    if value.shape != expected:
+        raise ValueError(f"shape mismatch for {name}: expected {expected}, got {value.shape}")
+    return value
 
 
 class Parameter(Tensor):
@@ -150,12 +157,36 @@ class Module:
         server's and a client's view of the model is impossible.
         """
         for name, p in self.named_parameters():
-            value = state[name]
-            if value.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: expected {p.data.shape}, got {value.shape}"
-                )
-            p.data[...] = value
+            p.data[...] = _checked(name, state[name], p.data.shape)
+
+    @contextmanager
+    def stacked(self, state: Mapping[str, np.ndarray]) -> Iterator[None]:
+        """Hold a stack of ``c`` independent parameter sets for the block.
+
+        Every array of ``state`` must be ``(c,) + shape`` of its
+        parameter (:meth:`load_state_dict`'s check, per stacked copy).
+        Inside the block each parameter *is* its stack — a weight
+        ``(c, out, in)``, a bias a ``(c, 1, out)`` view that broadcasts
+        over the batch axis — so one forward/backward/step trains all
+        ``c`` in place, in ``state``'s own arrays.  On exit the
+        parameters get their own arrays back, gradients cleared.
+        """
+        params = list(self.named_parameters())
+        own = [p.data for _, p in params]
+        c = next(iter(state.values())).shape[0]
+        stacks = []
+        for name, p in params:
+            value = _checked(name, state[name], (c,) + p.data.shape)
+            stacks.append(value[:, None] if p.data.ndim == 1 else value)
+        try:
+            for (_, p), value in zip(params, stacks):
+                p.data = value
+                p.grad = None
+            yield
+        finally:
+            for (_, p), data in zip(params, own):
+                p.data = data
+                p.grad = None
 
     def row_specs(self) -> list[RowSpec]:
         """Describe every droppable weight matrix, in traversal order."""

@@ -4,6 +4,12 @@ The paper trains with SGD (image tasks) and SGD with clipped gradient
 norm (LSTM tasks, following Merity et al.).  The FedBIAD update rule of
 Eq. (7) masks gradients row-wise before the step; that masking lives in
 :mod:`repro.core.client` — the optimizer itself stays generic.
+
+``stacked=True`` steps parameters that hold a stack of independent
+clients along their leading axis (:meth:`repro.nn.module.Module.stacked`).
+Momentum, weight decay and the update are elementwise and so already
+per client; only clipping needs to know, because each client's gradient
+norm is its own.
 """
 
 from __future__ import annotations
@@ -15,21 +21,35 @@ from .module import Parameter
 __all__ = ["SGD", "clip_grad_norm"]
 
 
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
+def clip_grad_norm(
+    params: list[Parameter], max_norm: float, stacked: bool = False
+) -> float | np.ndarray:
     """Scale gradients in place so their global L2 norm is <= ``max_norm``.
 
     Returns the pre-clipping norm (useful for monitoring divergence).
+    With ``stacked`` the leading axis indexes clients: each client's
+    norm reduces over all its other axes, summed in parameter order, and
+    each client is clipped on its own; the ``(c,)`` norms are returned.
     """
+    grads = [p.grad for p in params if p.grad is not None]
+    if not stacked:
+        total = 0.0
+        for g in grads:
+            total += float(np.sum(g * g))
+        norm = float(np.sqrt(total))
+        if norm > max_norm and norm > 0.0:
+            scale = max_norm / norm
+            for g in grads:
+                g *= scale
+        return norm
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+    for g in grads:
+        total = total + np.sum(g * g, axis=tuple(range(1, g.ndim)))
+    norm = np.sqrt(total)
+    scale = np.ones_like(norm)
+    np.divide(max_norm, norm, out=scale, where=(norm > max_norm) & (norm > 0.0))
+    for g in grads:
+        g *= scale.reshape((-1,) + (1,) * (g.ndim - 1))
     return norm
 
 
@@ -51,6 +71,9 @@ class SGD:
     max_grad_norm:
         When set, gradients are clipped to this global norm before the
         step (the paper's LSTM recipe).
+    stacked:
+        Parameters hold a stack of clients along their leading axis;
+        gradients are clipped per client (see :func:`clip_grad_norm`).
     """
 
     def __init__(
@@ -60,6 +83,7 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
+        stacked: bool = False,
     ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
@@ -68,6 +92,7 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
+        self.stacked = stacked
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def zero_grad(self) -> None:
@@ -77,7 +102,7 @@ class SGD:
     def step(self) -> None:
         """Apply one SGD update to every parameter with a gradient."""
         if self.max_grad_norm is not None:
-            clip_grad_norm(self.params, self.max_grad_norm)
+            clip_grad_norm(self.params, self.max_grad_norm, self.stacked)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue

@@ -340,6 +340,16 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
+    @property
+    def mT(self) -> "Tensor":
+        """Transpose of the last two axes: a stack of matrices
+        ``(..., m, n)`` transposes matrix by matrix."""
+
+        def backward(grad: np.ndarray) -> list:
+            return [(self, np.swapaxes(grad, -1, -2))]
+
+        return self._node(np.swapaxes(self.data, -1, -2), (self,), backward)
+
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         inverse = None if axes is None else tuple(np.argsort(axes))
 

@@ -1,0 +1,155 @@
+"""Stacked FedAvg training against the per-client reference.
+
+FedAvg trains an MLP cohort in stacks of clients; every client's
+parameters and per-step losses must be bit-identical to training that
+client alone through ``run_local_sgd``, whatever the stack size and
+optimizer settings.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.baselines import fedavg
+from repro.baselines.fedavg import FedAvg
+from repro.data.registry import make_fleet_task
+from repro.fl.client import ClientContext, run_local_sgd
+from repro.fl.config import FLConfig
+from repro.fl.parameters import ParamSet
+from repro.nn.models import MLPClassifier, build_model
+from repro.nn.optim import SGD
+
+ROUND = 3
+N_CLIENTS = 7
+
+
+@pytest.fixture(scope="module")
+def ragged_task():
+    # |D_k| spans 8..128 around 32, so a batch size of 20 gives several
+    # effective batch sizes, and so several stacks, in one cohort
+    return make_fleet_task(40, samples_per_client=32, hidden=(16,), seed=3, size_spread=4.0)
+
+
+def _contexts(task, model, config, global_params):
+    return [
+        ClientContext(
+            client_id=cid,
+            round_index=ROUND,
+            global_params=global_params,
+            model=model,
+            task=task,
+            config=config,
+            rng=np.random.default_rng([config.seed, ROUND, cid]),
+            state={},
+        )
+        for cid in range(N_CLIENTS)
+    ]
+
+
+def _reference(task, model, config, global_params, cid, round_index=ROUND):
+    """One client trained alone, as the per-client engine did."""
+    rng = np.random.default_rng([config.seed, round_index, cid])
+    global_params.to_module(model)
+    optimizer = SGD(
+        model.parameters(),
+        lr=config.lr,
+        momentum=config.momentum,
+        weight_decay=config.weight_decay,
+        max_grad_norm=config.max_grad_norm,
+    )
+    losses = run_local_sgd(
+        model, optimizer, task.batcher(cid, config.batch_size, rng), config.local_iterations
+    )
+    return ParamSet.from_module(model), losses
+
+
+@pytest.mark.parametrize("max_grad_norm", [None, 0.5])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("stack", [1, 3, N_CLIENTS])
+def test_stacked_cohort_matches_per_client_training(
+    ragged_task, monkeypatch, stack, momentum, max_grad_norm
+):
+    config = FLConfig(
+        rounds=ROUND, kappa=0.5, local_iterations=6, batch_size=20, lr=0.3,
+        momentum=momentum, weight_decay=1e-3, max_grad_norm=max_grad_norm, seed=5,
+    )
+    model = build_model(ragged_task.model_spec, np.random.default_rng(0))
+    global_params = ParamSet.from_module(model)
+    method = FedAvg()
+    method.setup(model, ragged_task, config, np.random.default_rng(1))
+    monkeypatch.setattr(fedavg, "STACK_BYTES", stack * 8 * global_params.num_weights)
+    shapes = []
+    loss = MLPClassifier.loss
+
+    def recording(self, batch):
+        shapes.append(np.shape(batch[1]))
+        return loss(self, batch)
+
+    monkeypatch.setattr(MLPClassifier, "loss", recording)
+    updates = method.cohort_update(_contexts(ragged_task, model, config, global_params))
+    monkeypatch.setattr(MLPClassifier, "loss", loss)
+
+    batches = [min(20, ragged_task.client_size(cid)) for cid in range(N_CLIENTS)]
+    largest_group = max(batches.count(b) for b in batches)
+    assert len(set(batches)) > 1  # several effective batch sizes
+    assert max(shape[0] for shape in shapes) == min(stack, largest_group)
+    for cid, update in enumerate(updates):
+        params, losses = _reference(ragged_task, model, config, global_params, cid)
+        assert update.train_losses == losses
+        for name in params:
+            assert np.array_equal(update.payload.params[name], params[name]), (cid, name)
+        assert update.payload.weight == float(ragged_task.client_size(cid))
+
+
+def test_stacked_clipping_is_per_client():
+    """Only the client whose gradient exceeds the bound is scaled."""
+    from repro.nn.module import Parameter
+    from repro.nn.optim import clip_grad_norm
+
+    w = Parameter(np.zeros((2, 3, 2)))
+    b = Parameter(np.zeros((2, 1, 3)))
+    w.grad = np.stack([np.full((3, 2), 0.1), np.full((3, 2), 3.0)])
+    b.grad = np.stack([np.full((1, 3), 0.1), np.full((1, 3), 4.0)])
+    norms = clip_grad_norm([w, b], 1.0, stacked=True)
+    alone = [Parameter(np.zeros((3, 2))), Parameter(np.zeros(3))]
+    for i in range(2):
+        alone[0].grad = np.full((3, 2), [0.1, 3.0][i])
+        alone[1].grad = np.full(3, [0.1, 4.0][i])
+        assert norms[i] == clip_grad_norm(alone, 1.0)
+        assert np.array_equal(w.grad[i], alone[0].grad)
+        assert np.array_equal(b.grad[i, 0], alone[1].grad)
+    assert np.array_equal(w.grad[0], np.full((3, 2), 0.1))
+
+
+def test_stacked_load_checks_per_client_shapes(tiny_mlp):
+    state = {name: np.stack([p.data] * 3) for name, p in tiny_mlp.named_parameters()}
+    with tiny_mlp.stacked(state):
+        assert tiny_mlp.net.layer0.weight.data.shape == (3, 5, 6)
+        assert tiny_mlp.net.layer0.bias.data.shape == (3, 1, 5)
+    assert tiny_mlp.net.layer0.weight.data.shape == (5, 6)
+    state["net.layer0.bias"] = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="net.layer0.bias"):
+        with tiny_mlp.stacked(state):
+            pass
+
+
+def test_lstm_trains_one_client_at_a_time(tiny_text_task):
+    config = FLConfig(rounds=1, kappa=1.0, local_iterations=2, batch_size=4, lr=0.5, seed=0)
+    model = build_model(tiny_text_task.model_spec, np.random.default_rng(0))
+    global_params = ParamSet.from_module(model)
+    method = FedAvg()
+    method.setup(model, tiny_text_task, config, np.random.default_rng(1))
+    ctxs = [
+        ClientContext(
+            client_id=cid, round_index=1, global_params=global_params, model=model,
+            task=tiny_text_task, config=config,
+            rng=np.random.default_rng([0, 1, cid]), state={},
+        )
+        for cid in range(3)
+    ]
+    updates = method.cohort_update(ctxs)
+    for cid, update in enumerate(updates):
+        params, losses = _reference(tiny_text_task, model, config, global_params, cid, 1)
+        assert update.train_losses == losses
+        assert all(np.array_equal(update.payload.params[n], params[n]) for n in params)

@@ -52,7 +52,7 @@ def make_ctx(task, config, model, round_index=1, client_id=0, state=None):
         round_index=round_index,
         global_params=ParamSet.from_module(model),
         model=model,
-        batcher=task.batcher(client_id, config.batch_size, rng),
+        task=task,
         config=config,
         rng=rng,
         state=state if state is not None else {},

@@ -111,7 +111,7 @@ class TestFederatedMethodBase:
         ctx = ClientContext(
             client_id=0, round_index=1,
             global_params=ParamSet.from_module(model), model=model,
-            batcher=tiny_image_task.batcher(0, 4, rng),
+            task=tiny_image_task,
             config=fast_config, rng=rng, state={},
         )
         with pytest.raises(NotImplementedError):

@@ -1,18 +1,21 @@
-"""Tests for the execution engine (repro.fl.engine): one client's round,
-run serially in selection order by the simulation."""
+"""Tests for the execution engine (repro.fl.engine): a cohort's local
+rounds, run in one call per cohort, results in selection order."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.client import FedBIAD
+from repro.data.registry import ClientDataSource, FederatedTask
 from repro.experiments.context import ExecutionContext
 from repro.fl import engine
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
+from repro.nn.models import MLPClassifier
 
 
 class TestSerialEngine:
@@ -33,9 +36,9 @@ class TestSerialEngine:
         original = engine.execute_client
 
         def recording(*args, **kwargs):
-            result = original(*args, **kwargs)
-            seen.append(result.client_id)
-            return result
+            results = original(*args, **kwargs)
+            seen.extend(result.client_id for result in results)
+            return results
 
         monkeypatch.setattr(engine, "execute_client", recording)
         selected = []
@@ -59,16 +62,61 @@ class TestSerialEngine:
 
 
 class _Diverging(FedAvg):
-    """FedAvg whose local updates report a NaN training loss."""
+    """FedAvg whose local updates report a NaN training loss, injected
+    through the cohort hook the engine calls."""
 
     name = "diverging"
 
-    def client_update(self, ctx):
-        update = super().client_update(ctx)
-        return replace(update, train_losses=[*update.train_losses, float("nan")])
+    def cohort_update(self, ctxs):
+        return [
+            replace(update, train_losses=[*update.train_losses, float("nan")])
+            for update in super().cohort_update(ctxs)
+        ]
+
+
+class _NaNShardSource(ClientDataSource):
+    """Six 20-sample image clients; every image of client ``bad`` holds
+    a NaN."""
+
+    def __init__(self, bad: int) -> None:
+        self.bad = bad
+
+    def __len__(self) -> int:
+        return 6
+
+    def client_payload(self, client_id: int):
+        gen = np.random.default_rng(client_id)
+        x = gen.normal(size=(20, 12))
+        if client_id == self.bad:
+            x[:, 0] = np.nan
+        return x, gen.integers(0, 4, size=20)
 
 
 class TestDivergence:
     def test_nan_client_loss_fails_fast(self, tiny_image_task, fast_config):
         with pytest.raises(FloatingPointError, match=r"round 1, client \d+: diverging"):
             run_simulation(tiny_image_task, _Diverging(), fast_config)
+
+    def test_nan_shard_names_its_client_on_the_stacked_path(self, fast_config, monkeypatch):
+        """A NaN in one client's data diverges that client alone inside
+        a stack, and the error names it."""
+        gen = np.random.default_rng(99)
+        task = FederatedTask(
+            name="nan-shard",
+            kind="image",
+            model_spec={"kind": "mlp", "input_dim": 12, "hidden_dims": (8,), "n_classes": 4},
+            metric="top1",
+            client_data=_NaNShardSource(bad=4),
+            test_data=(gen.normal(size=(16, 12)), gen.integers(0, 4, size=16)),
+        )
+        stacks = []
+        loss = MLPClassifier.loss
+
+        def recording(self, batch):
+            stacks.append(np.shape(batch[1]))
+            return loss(self, batch)
+
+        monkeypatch.setattr(MLPClassifier, "loss", recording)
+        with pytest.raises(FloatingPointError, match=r"round 1, client 4: fedavg"):
+            run_simulation(task, FedAvg(), fast_config.with_overrides(kappa=1.0))
+        assert stacks[0] == (6, fast_config.batch_size)
