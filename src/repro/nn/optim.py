@@ -32,25 +32,15 @@ def clip_grad_norm(
     each client is clipped on its own; the ``(c,)`` norms are returned.
     """
     grads = [p.grad for p in params if p.grad is not None]
-    if not stacked:
-        total = 0.0
-        for g in grads:
-            total += float(np.sum(g * g))
-        norm = float(np.sqrt(total))
-        if norm > max_norm and norm > 0.0:
-            scale = max_norm / norm
-            for g in grads:
-                g *= scale
-        return norm
     total = 0.0
     for g in grads:
-        total = total + np.sum(g * g, axis=tuple(range(1, g.ndim)))
-    norm = np.sqrt(total)
+        total = total + np.sum(g * g, axis=tuple(range(1, g.ndim)) if stacked else None)
+    norm = np.sqrt(np.asarray(total))
     scale = np.ones_like(norm)
     np.divide(max_norm, norm, out=scale, where=(norm > max_norm) & (norm > 0.0))
     for g in grads:
-        g *= scale.reshape((-1,) + (1,) * (g.ndim - 1))
-    return norm
+        g *= scale.reshape(scale.shape + (1,) * (g.ndim - scale.ndim))
+    return norm if stacked else float(norm)
 
 
 class SGD:
