@@ -21,7 +21,11 @@ A few cells widen the method and model coverage: the nested
 plain ``dgc`` (the compressor over FedAvg), FedAvg with momentum and
 gradient clipping, a ragged fleet whose clients have different shard
 sizes (and so different effective batch sizes within one cohort), and
-the PTB LSTM under FedBIAD and under async FedAvg.
+the PTB LSTM under FedBIAD and under async FedAvg.  The masked baselines
+(FedDrop, AFD, FjORD, FedMP, HeteroFL) each have an mnist cell, FjORD a
+PTB cell (LSTM masks), and FedBIAD three more: fmnist at ``p=0.5``,
+stage two from round 2 (score-driven patterns), and momentum with
+gradient clipping under its row masks.
 
 ``GOLDEN_PIN`` ties the whole digest table to ``SPEC_FORMAT_VERSION``:
 re-pinning a digest (a deliberate numerics change) moves the pin, and
@@ -93,7 +97,17 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
     cells["mnist-fedavg-sync-ideal-momentum-clip"] = (
         "mnist", "fedavg", dict(rounds=3, momentum=0.9, max_grad_norm=1.0)
     )
+    for method in ("feddrop", "afd", "fjord", "fedmp", "heterofl"):
+        cells[f"mnist-{method}-sync-ideal"] = ("mnist", method, dict(rounds=3))
+    cells["fmnist-fedbiad-sync-ideal"] = ("fmnist", "fedbiad", dict(rounds=3))
+    cells["mnist-fedbiad-sync-ideal-stage2"] = (
+        "mnist", "fedbiad", dict(rounds=3, stage_boundary=1)
+    )
+    cells["mnist-fedbiad-sync-ideal-momentum-clip"] = (
+        "mnist", "fedbiad", dict(rounds=3, momentum=0.9, max_grad_norm=1.0)
+    )
     cells["ptb-fedavg-sync-ideal"] = ("ptb", "fedavg", dict(rounds=1))
+    cells["ptb-fjord-sync-ideal"] = ("ptb", "fjord", dict(rounds=1))
     cells["ptb-fedbiad-sync-ideal"] = ("ptb", "fedbiad", dict(rounds=2))
     cells["ptb-fedavg-async-ideal"] = (
         "ptb", "fedavg", dict(rounds=2, mode="async", buffer_size=1)
@@ -110,6 +124,8 @@ GOLDEN = {
     "fleet-fedavg-sync-trace:flash-diurnal": "66ef70d6b1ca03b917df23282f122bbfe7a72d51cafb07a789d2da3a6a433efc",
     "fleet100k-fedavg-sync-trace:flash-diurnal": "6efa9554b81fd8ce1c13f5fea303fd841fd90af91dfce7160703d7beb9dbab1e",
     "fleetragged-fedavg-sync-fleet": "cd701d3d7a92eab2fe538be9e8d3a141fb4e6a71516d5d9e9c0a47c63cdd9d28",
+    "fmnist-fedbiad-sync-ideal": "2dcc789ba91db3efe417f85f7cbc6e4900992a189b2430bb1507b4afff007e87",
+    "mnist-afd-sync-ideal": "b3db16c303b596459eb57abdd63c79fcca3b9161150150e424573e2a064fc1ca",
     "mnist-dgc-sync-ideal": "fffdca1b044433602d357ed97151714b2879863b6fec3976cd7739d269e38f1c",
     "mnist-fedavg-async-flaky": "00788a4ab352f727418eba745a02badec52805e5c1ceb1f0dbd9428468266fad",
     "mnist-fedavg-async-ideal": "bf1d1b3fc8ecfe908f65198de647a1e352a46754d1ec22d72c3b830e0900ac7c",
@@ -127,16 +143,23 @@ GOLDEN = {
     "mnist-fedbiad-async-trace:flash-diurnal": "c090d2fc7e9d9cfbf423847530b342541d5933e94c5c8c5773f5d43fb5d0dbf6",
     "mnist-fedbiad-sync-flaky": "e5df73ed413d97e4f57df416c87819da0611ffff0cb938710300e99b3a50930c",
     "mnist-fedbiad-sync-ideal": "61424d47a5600efa7e6e59acbb259a95f9ef4029cf87c295c752362937014f39",
+    "mnist-fedbiad-sync-ideal-momentum-clip": "86c97a447cd33ab9fb2e9a6c825df782614765b2ce7fd2499beb5428d896835e",
+    "mnist-fedbiad-sync-ideal-stage2": "7b47d0f209a0ae9f266cf1c2c96ba71865d084de134c21b91117b3cc153edea6",
     "mnist-fedbiad-sync-straggler": "a45c1b2e259b8e017af5915998b45105d6548714c9e25805e69e4ea8c0066546",
     "mnist-fedbiad-sync-trace:flash-diurnal": "26285d69ea845e9957b828ca6b3bf71e74bf6c97088d7c2af1807a3411c07fe0",
+    "mnist-feddrop-sync-ideal": "1f7b48fbac752227ea79c8ac11bb246286b7ff20eb36b383c74b9d83f42a4d75",
+    "mnist-fedmp-sync-ideal": "1fe31b5a1fe0c7ed1fd665326216a33bebfdb85f4e7f20c3a8180711d668f514",
+    "mnist-fjord-sync-ideal": "82addc28e336969d96da5c0668a4bb234f01905529ec080473f78d9f81b15d5c",
+    "mnist-heterofl-sync-ideal": "9ee647aea896c8c5fdf047448708f187fa0fb499834372b1d979c15c69a5115c",
     "ptb-fedavg-async-ideal": "393595c8a8064a6381e19c14509931f4c4599151ce48edd7c8b14c77203957b7",
     "ptb-fedavg-sync-ideal": "309bb362c39c515234fb10d8433f3abab312eda4658bacf18d574a055ebf56e4",
     "ptb-fedbiad-sync-ideal": "091bdb86385341865d8b14db30cfd92cf82255e3cd071fe58898b23c590d1e3d",
+    "ptb-fjord-sync-ideal": "ffb8579d4fec9aa838732e58c3185db715fd6a564a13a5f4a8fe9e93a2da3794",
 }
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted GOLDEN items)``.  Moving
 #: any digest moves this pin; move the version with it.
-GOLDEN_PIN = (2, "dc54404a0ed4cfc271f805d5e5768e91e8f41e91eaaae4f52ba3f4a9957e6d3a")
+GOLDEN_PIN = (2, "14c2d28a19af43d421982376f717dad94f0274ee37d9a00b8a0723bf6629e610")
 
 
 def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch) -> str:
