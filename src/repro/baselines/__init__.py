@@ -7,14 +7,11 @@ from .fedmp import FedMP, magnitude_masks
 from .fjord import Fjord, ordered_model_masks
 from .heterofl import HeteroFL
 from .masks import (
-    apply_element_masks,
     kept_entries,
     lstm_unit_masks,
-    mask_element_gradients,
     mlp_unit_masks,
     ordered_keep,
     random_keep,
-    run_masked_element_sgd,
 )
 from .registry import METHOD_NAMES, make_method, register_method
 
@@ -28,14 +25,11 @@ __all__ = [
     "model_hidden_widths",
     "magnitude_masks",
     "ordered_model_masks",
-    "apply_element_masks",
     "kept_entries",
     "lstm_unit_masks",
-    "mask_element_gradients",
     "mlp_unit_masks",
     "ordered_keep",
     "random_keep",
-    "run_masked_element_sgd",
     "METHOD_NAMES",
     "make_method",
     "register_method",

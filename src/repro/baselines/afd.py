@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalRun
 from ..fl.parameters import ParamSet
-from ..fl.sizing import FLOAT_BITS
 from ..nn.models import MLPClassifier, WordLSTM
 
 __all__ = ["AFD"]
@@ -89,48 +87,22 @@ class AFD(FederatedMethod):
             masks[name] = mask
         return masks
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
+    def local_start(self, ctx: ClientContext) -> LocalRun:
         masks = self.select_masks(ctx.rng)
-        rowspace = self.rowspace
-        p_rate = ctx.config.dropout_rate
-        scale = 1.0 / (1.0 - p_rate) if p_rate > 0 else 1.0
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None:
-                p.data[~mask, :] = 0.0
-                p.data[mask, :] *= scale
-        optimizer = self.make_optimizer(model)
-        losses = []
-        for _ in range(ctx.config.local_iterations):
-            batch = ctx.batcher.next_batch()
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            loss.backward()
-            rowspace.mask_model_gradients(model, masks)
-            optimizer.step()
-            rowspace.zero_dropped_rows(model, masks)
-            losses.append(loss.item())
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None:
-                p.data[mask, :] /= scale
-        params = ParamSet.from_module(model)
-        payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
-        kept = 0
-        for name, value in params.items():
-            mask = masks.get(name)
-            if mask is None:
-                kept += value.size
-            else:
-                kept += int(np.count_nonzero(mask)) * value.shape[1]
-        return ClientUpdate(
-            payload=payload,
-            upload_bits=FLOAT_BITS * kept,
-            train_losses=losses,
-            aux={"masks": masks},
-        )
+        p = ctx.config.dropout_rate
+        scale = 1.0 / (1.0 - p) if p > 0 else 1.0
+        return LocalRun(ctx=ctx, params=ctx.global_params, masks=masks, scale=scale,
+                        aux={"masks": masks})
+
+    def upload(self, run: LocalRun) -> ClientUpdate:
+        for name, mask in run.masks.items():
+            w = run.weights[name]
+            np.divide(w, run.scale, out=w, where=mask[:, None])
+        # server-chosen masks: the uplink carries kept rows only
+        return run.kept_update()
+
+    #: the one-client cohort; named here for the benchmark's tracer
+    client_update = FederatedMethod.client_update
 
     # ------------------------------------------------------------------
     def aggregate(self, round_index, prev_global, updates) -> ParamSet:

@@ -18,19 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
-from ..fl.sizing import FLOAT_BITS
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalRun
 from ..nn.models import MLPClassifier, WordLSTM
-from .masks import (
-    kept_entries,
-    lstm_unit_masks,
-    mlp_unit_masks,
-    random_keep,
-    run_masked_element_sgd,
-    scale_kept_entries,
-)
+from .masks import lstm_unit_masks, mlp_unit_masks, random_keep
 
 __all__ = ["FedDrop", "model_hidden_widths"]
 
@@ -67,19 +57,18 @@ class FedDrop(FederatedMethod):
             return lstm_unit_masks(model, hidden, embedding_row_mask=embed_mask)
         raise TypeError(f"FedDrop does not support model {type(model).__name__}")
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
-        masks = self.sample_masks(ctx)
-        optimizer = self.make_optimizer(model)
+    def local_start(self, ctx: ClientContext) -> LocalRun:
         p = ctx.config.dropout_rate
         scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-        losses = run_masked_element_sgd(
-            model, optimizer, ctx.batcher, ctx.config.local_iterations, masks, scale=scale
-        )
-        scale_kept_entries(model, masks, 1.0 / scale)
-        params = ParamSet.from_module(model)
-        payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
+        return LocalRun(ctx=ctx, params=ctx.global_params, masks=self.sample_masks(ctx), scale=scale)
+
+    def upload(self, run: LocalRun) -> ClientUpdate:
+        if run.scale != 1.0:
+            for name, mask in run.masks.items():
+                w = run.weights[name]
+                np.multiply(w, 1.0 / run.scale, out=w, where=mask)
         # server-chosen masks: the uplink carries kept values only
-        bits = FLOAT_BITS * kept_entries(masks, params)
-        return ClientUpdate(payload=payload, upload_bits=bits, train_losses=losses)
+        return run.kept_update()
+
+    #: the one-client cohort; named here for the benchmark's tracer
+    client_update = FederatedMethod.client_update

@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, run_local_sgd
+from ..fl.client import ClientUpdate, FederatedMethod, LocalRun
 from ..fl.parameters import ParamSet
+from ..fl.rows import kept_entries
 from ..fl.sizing import element_masked_bits
 
 __all__ = ["FedMP", "magnitude_masks"]
@@ -53,25 +54,22 @@ class FedMP(FederatedMethod):
     name = "fedmp"
     drops_recurrent = True  # magnitude pruning applies to any matrix
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
-        optimizer = self.make_optimizer(model)
-        losses = run_local_sgd(model, optimizer, ctx.batcher, ctx.config.local_iterations)
-        params = ParamSet.from_module(model)
-        prunable = {name for name, p in model.named_parameters() if p.droppable}
-        masks = magnitude_masks(params, ctx.config.dropout_rate, prunable)
+    def upload(self, run: LocalRun) -> ClientUpdate:
+        params = ParamSet(run.weights)
+        prunable = {name for name, p in run.ctx.model.named_parameters() if p.droppable}
+        masks = magnitude_masks(params, run.ctx.config.dropout_rate, prunable)
         pruned = ParamSet(
             {
                 name: (value * masks[name] if name in masks else value.copy())
                 for name, value in params.items()
             }
         )
-        kept = sum(int(np.count_nonzero(m)) for m in masks.values())
-        kept += sum(int(v.size) for name, v in params.items() if name not in masks)
-        payload = ClientPayload(params=pruned, weight=float(ctx.n_samples), masks=masks)
+        payload = ClientPayload(params=pruned, weight=float(run.ctx.n_samples), masks=masks)
         return ClientUpdate(
             payload=payload,
-            upload_bits=element_masked_bits(params, kept),
-            train_losses=losses,
+            upload_bits=element_masked_bits(params, kept_entries(masks, params)),
+            train_losses=run.losses,
         )
+
+    #: the one-client cohort; named here for the benchmark's tracer
+    client_update = FederatedMethod.client_update

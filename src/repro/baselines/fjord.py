@@ -21,19 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
-from ..fl.sizing import FLOAT_BITS
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalRun
 from ..nn.models import MLPClassifier, WordLSTM
 from .feddrop import model_hidden_widths
-from .masks import (
-    kept_entries,
-    lstm_unit_masks,
-    mlp_unit_masks,
-    ordered_keep,
-    run_masked_element_sgd,
-)
+from .masks import lstm_unit_masks, mlp_unit_masks, ordered_keep
 
 __all__ = ["Fjord", "ordered_model_masks"]
 
@@ -78,22 +69,14 @@ class Fjord(FederatedMethod):
         menu = self.width_menu(ctx.config.dropout_rate)
         return menu[(ctx.client_id + ctx.round_index) % len(menu)]
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
+    def local_start(self, ctx: ClientContext) -> LocalRun:
         width = self.client_width(ctx)
-        masks = ordered_model_masks(model, width)
-        optimizer = self.make_optimizer(model)
-        losses = run_masked_element_sgd(
-            model, optimizer, ctx.batcher, ctx.config.local_iterations, masks
-        )
-        params = ParamSet.from_module(model)
-        payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
+        masks = ordered_model_masks(ctx.model, width)
+        return LocalRun(ctx=ctx, params=ctx.global_params, masks=masks, aux={"width": width})
+
+    def upload(self, run: LocalRun) -> ClientUpdate:
         # the sub-model width determines the structure; no mask bits travel
-        bits = FLOAT_BITS * kept_entries(masks, params)
-        return ClientUpdate(
-            payload=payload,
-            upload_bits=bits,
-            train_losses=losses,
-            aux={"width": width},
-        )
+        return run.kept_update()
+
+    #: the one-client cohort; named here for the benchmark's tracer
+    client_update = FederatedMethod.client_update

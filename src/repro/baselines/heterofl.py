@@ -14,12 +14,8 @@ which lands the mean save ratio in the paper's 1.4-1.6x band.
 
 from __future__ import annotations
 
-from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
-from ..fl.sizing import FLOAT_BITS
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalRun
 from .fjord import ordered_model_masks
-from .masks import kept_entries, run_masked_element_sgd
 
 __all__ = ["HeteroFL"]
 
@@ -44,21 +40,10 @@ class HeteroFL(FederatedMethod):
         levels = self.resolved_levels()
         return levels[client_id % len(levels)]
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
+    def local_start(self, ctx: ClientContext) -> LocalRun:
         width = self.client_width(ctx.client_id)
-        masks = ordered_model_masks(model, width)
-        optimizer = self.make_optimizer(model)
-        losses = run_masked_element_sgd(
-            model, optimizer, ctx.batcher, ctx.config.local_iterations, masks
-        )
-        params = ParamSet.from_module(model)
-        payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
-        bits = FLOAT_BITS * kept_entries(masks, params)
-        return ClientUpdate(
-            payload=payload,
-            upload_bits=bits,
-            train_losses=losses,
-            aux={"width": width},
-        )
+        masks = ordered_model_masks(ctx.model, width)
+        return LocalRun(ctx=ctx, params=ctx.global_params, masks=masks, aux={"width": width})
+
+    def upload(self, run: LocalRun) -> ClientUpdate:
+        return run.kept_update()

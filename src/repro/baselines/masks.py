@@ -10,14 +10,16 @@ its own ``w_h``, column ``j`` of the next layer's ``w_x`` (or of the
 decoder), and nothing in the embedding.
 
 These helpers return *elementwise* boolean masks keyed by parameter
-name, the format accepted by :class:`repro.fl.aggregation.ClientPayload`
-and by :func:`repro.fl.sizing.element_masked_bits`-style accounting.
+name, in the one mask vocabulary of :mod:`repro.fl.rows`: the shared
+loop (:func:`repro.fl.client.run_local_sgd`) trains under them, and
+:class:`repro.fl.aggregation.ClientPayload` aggregates under them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..fl.rows import kept_entries
 from ..nn.models import MLPClassifier, WordLSTM
 
 __all__ = [
@@ -130,75 +132,3 @@ def lstm_unit_masks(
         dec_shape = model.decoder.weight.data.shape
         masks["decoder.weight"] = np.broadcast_to(top_unit[None, :], dec_shape).copy()
     return masks
-
-
-def apply_element_masks(model, masks: dict[str, np.ndarray]) -> None:
-    """Zero the dropped entries of the live model in place."""
-    for name, p in model.named_parameters():
-        mask = masks.get(name)
-        if mask is not None:
-            p.data[~mask] = 0.0
-
-
-def mask_element_gradients(model, masks: dict[str, np.ndarray]) -> None:
-    """Zero gradients of dropped entries in place."""
-    for name, p in model.named_parameters():
-        mask = masks.get(name)
-        if mask is not None and p.grad is not None:
-            p.grad *= mask
-
-
-def scale_kept_entries(model, masks: dict[str, np.ndarray], factor: float) -> None:
-    """Multiply the kept (masked-in) entries of the live model in place.
-
-    Used for inverted-dropout rescaling: train at ``1/(1-p)``, divide
-    back before upload.
-    """
-    if factor == 1.0:
-        return
-    for name, p in model.named_parameters():
-        mask = masks.get(name)
-        if mask is not None:
-            p.data[mask] *= factor
-
-
-def run_masked_element_sgd(
-    model,
-    optimizer,
-    batcher,
-    iterations: int,
-    masks: dict[str, np.ndarray],
-    scale: float = 1.0,
-) -> list[float]:
-    """Local SGD under elementwise masks (sub-model training).
-
-    The elementwise analogue of :func:`repro.fl.client.run_local_sgd`:
-    dropped entries stay pinned at zero through the whole round.  With
-    ``scale`` given, kept entries train at that multiple (inverted
-    dropout); callers divide back before uploading.
-    """
-    apply_element_masks(model, masks)
-    scale_kept_entries(model, masks, scale)
-    losses: list[float] = []
-    for _ in range(iterations):
-        batch = batcher.next_batch()
-        optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward()
-        mask_element_gradients(model, masks)
-        optimizer.step()
-        apply_element_masks(model, masks)
-        losses.append(loss.item())
-    return losses
-
-
-def kept_entries(masks: dict[str, np.ndarray], params) -> int:
-    """Number of transmitted weights under elementwise masks.
-
-    Parameters without a mask are transmitted in full.
-    """
-    total = 0
-    for name, value in params.items():
-        mask = masks.get(name)
-        total += int(value.size if mask is None else np.count_nonzero(mask))
-    return total

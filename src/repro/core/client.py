@@ -1,29 +1,37 @@
 """FedBIAD: the client update of Algorithm 1 and the method class.
 
-Round ``r`` on client ``k`` (ClientUpdate, Algorithm 1 lines 9-28):
+Round ``r`` on client ``k`` (ClientUpdate, Algorithm 1 lines 9-28), as
+the three per-client parts of the shared cohort loop
+(:class:`repro.fl.client.FederatedMethod`):
 
-1. Initialize the local model ``theta ~ N(U_{r-1}, s2 I)`` with the
-   closed-form posterior variance of Eq. (13).
-2. Choose a dropping pattern: random from ``Z_S^N`` in stage one
-   (``r <= R_b``), score-driven in stage two.
-3. Train ``V`` masked SGD iterations (Eq. 7).  Every ``tau`` iterations
-   in stage one, compute the loss gap of Eq. (8); if the trend worsened,
-   resample the pattern; update the weight score vector by Eq. (9).
-4. Upload only the kept rows plus the binary pattern (the payload is
-   round-tripped through :mod:`repro.core.wire` so the measured bits are
-   exactly what travels).
+1. :meth:`FedBIAD.local_start` initializes the local model ``theta ~
+   N(U_{r-1}, s2 I)`` with the closed-form posterior variance of Eq.
+   (13) and chooses a dropping pattern: random from ``Z_S^N`` in stage
+   one (``r <= R_b``), score-driven in stage two.
+2. The loop trains ``V`` masked SGD iterations (Eq. 7).  After each,
+   :meth:`FedBIAD.local_step` records the loss; every ``tau`` iterations
+   in stage one it computes the loss gap of Eq. (8), resamples the
+   pattern if the trend worsened (swapping the client's masks inside
+   its slice of the stack), and updates the weight score vector by Eq.
+   (9).
+3. :meth:`FedBIAD.upload` sends only the kept rows plus the binary
+   pattern (the payload is round-tripped through :mod:`repro.core.wire`
+   so the measured bits are exactly what travels).
 
-Aggregation is the masked weighted average (Eq. 10 with the per-row
-normalization discussed in DESIGN.md §1).
+The Bayesian init, the pattern draws and the wire round-trip go through
+this module's names ``sample_model_init``, ``pack_upload`` and
+``reconstruct_upload``.  Aggregation is the masked weighted average
+(Eq. 10 with the per-row normalization discussed in DESIGN.md §1).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalRun
 from .adaptive import LossTrendTracker
 from .scores import WeightScores
 from .spike_slab import (
@@ -123,99 +131,97 @@ class FedBIAD(FederatedMethod):
         p = self.config.dropout_rate
         return 1.0 / (1.0 - p) if (self.rescale and p > 0.0) else 1.0
 
-    def _apply_pattern_to_model(
-        self, u: ParamSet, model, masks: dict[str, np.ndarray]
-    ) -> None:
-        """Load ``beta ∘ U`` into the live model (scaled for training)."""
-        factor = self._scale_factor()
-        u.to_module(model)
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None:
-                p.data[~mask, :] = 0.0
-                if factor != 1.0:
-                    p.data[mask, :] *= factor
-
-    def _sync_kept_rows(self, u: ParamSet, model, masks: dict[str, np.ndarray]) -> None:
+    def _sync_kept_rows(self, run: "_PatternRun") -> None:
         """Fold trained values back into the variational parameters U.
 
-        Kept rows and dense parameters take the model's current values
+        Kept rows and dense parameters take the client's current values
         (un-scaled); dropped rows keep their U entries so a later
         pattern can revive them (Eq. 4: dropped rows still have
         variational parameters).
         """
-        factor = self._scale_factor()
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
+        u = run.params
+        for name, w in run.weights.items():
+            mask = run.masks.get(name)
             if mask is None:
-                u[name][...] = p.data
+                u[name][...] = w
             else:
-                u[name][mask] = p.data[mask] / factor
+                u[name][mask] = w[mask] / run.scale
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
+    # ------------------------------------------------------------------
+    def local_start(self, ctx: ClientContext) -> LocalRun:
+        """Line 9's Bayesian init and the round's first pattern; the loop
+        loads ``beta ∘ U`` (scaled for training) into the client's slot."""
         cfg = ctx.config
-        rowspace = self.rowspace
-        in_stage_one = (
-            not self.use_stage2
-            or not self.adaptive
-            or ctx.round_index <= cfg.resolved_stage_boundary
-        )
-
-        # --- line 9: Bayesian initialization -------------------------
         std = self.posterior_std(ctx.round_index)
         u = sample_model_init(ctx.global_params, std, ctx.rng)
-
-        scores: WeightScores = ctx.state.get("scores") or WeightScores(rowspace.total_rows)
+        scores: WeightScores = ctx.state.get("scores") or WeightScores(self.rowspace.total_rows)
         beta = self._initial_pattern(ctx, scores)
-        masks = rowspace.split(beta)
+        return _PatternRun(
+            ctx=ctx,
+            params=u,
+            masks=self.rowspace.split(beta),
+            scale=self._scale_factor(),
+            beta=beta,
+            scores=scores,
+            tracker=LossTrendTracker(cfg.tau),
+            std=std,
+            in_stage_one=(
+                not self.use_stage2
+                or not self.adaptive
+                or ctx.round_index <= cfg.resolved_stage_boundary
+            ),
+        )
 
-        model = ctx.model
-        self._apply_pattern_to_model(u, model, masks)
-        optimizer = self.make_optimizer(model)
-        tracker = LossTrendTracker(cfg.tau)
-        n_resamples = 0
+    def local_step(self, run: "_PatternRun", v: int, loss: float) -> dict | None:
+        """Lines 18-26: the loss-trend judgment every ``tau`` iterations."""
+        cfg = run.ctx.config
+        tracker = run.tracker
+        tracker.record(loss)
+        last_iteration = v == cfg.local_iterations - 1
+        if not (run.in_stage_one and tracker.is_judgment_point() and not last_iteration):
+            return None
+        delta = tracker.delta()
+        if self.adaptive and delta <= 0.0:
+            new_beta = run.beta
+        else:
+            new_beta = self.rowspace.sample_pattern(cfg.dropout_rate, run.ctx.rng)
+        run.scores.update(run.beta, delta, new_beta)
+        if new_beta is run.beta:
+            return None
+        run.n_resamples += 1
+        self._sync_kept_rows(run)
+        run.beta = new_beta
+        return self.rowspace.split(new_beta)
 
-        # --- lines 15-27: masked local iterations --------------------
-        for v in range(cfg.local_iterations):
-            batch = ctx.batcher.next_batch()
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            loss.backward()
-            rowspace.mask_model_gradients(model, masks)
-            optimizer.step()
-            rowspace.zero_dropped_rows(model, masks)
-            tracker.record(loss.item())
-
-            last_iteration = v == cfg.local_iterations - 1
-            if in_stage_one and tracker.is_judgment_point() and not last_iteration:
-                delta = tracker.delta()
-                if self.adaptive and delta <= 0.0:
-                    new_beta = beta
-                else:
-                    new_beta = rowspace.sample_pattern(cfg.dropout_rate, ctx.rng)
-                scores.update(beta, delta, new_beta)
-                if new_beta is not beta:
-                    n_resamples += 1
-                    self._sync_kept_rows(u, model, masks)
-                    beta = new_beta
-                    masks = rowspace.split(beta)
-                    self._apply_pattern_to_model(u, model, masks)
-
-        ctx.state["scores"] = scores
-
-        # --- line 28 + overview steps 3-4: wire round-trip -----------
-        self._sync_kept_rows(u, model, masks)
-        final_params = rowspace.apply_pattern(u, beta)
-        upload = pack_upload(final_params, rowspace, beta)
+    def upload(self, run: "_PatternRun") -> ClientUpdate:
+        """Line 28 and overview steps 3-4: the wire round-trip."""
+        rowspace = self.rowspace
+        run.ctx.state["scores"] = run.scores
+        self._sync_kept_rows(run)
+        final_params = rowspace.apply_pattern(run.params, run.beta)
+        upload = pack_upload(final_params, rowspace, run.beta)
         reconstructed = reconstruct_upload(upload, rowspace, final_params)
         payload = ClientPayload(
             params=reconstructed,
-            weight=float(ctx.n_samples),
-            masks=masks,
+            weight=float(run.ctx.n_samples),
+            masks=run.masks,
         )
         return ClientUpdate(
             payload=payload,
             upload_bits=upload.bits(final_params, rowspace),
-            train_losses=tracker.losses,
-            aux={"pattern": beta, "n_resamples": n_resamples, "posterior_std": std},
+            train_losses=run.tracker.losses,
+            aux={"pattern": run.beta, "n_resamples": run.n_resamples, "posterior_std": run.std},
         )
+
+
+@dataclass
+class _PatternRun(LocalRun):
+    """A FedBIAD client's round: ``params`` holds its variational
+    parameters U, ``beta`` the active pattern."""
+
+    beta: np.ndarray | None = None
+    scores: WeightScores | None = None
+    tracker: LossTrendTracker | None = None
+    std: float = 0.0
+    in_stage_one: bool = True
+    n_resamples: int = 0

@@ -1,51 +1,82 @@
-"""Client-side machinery: the method interface and local SGD loops.
+"""Client-side machinery: the method interface and the local SGD loop.
 
 A *federated method* (FedBIAD or a baseline) plugs into the simulation
-through three hooks:
+through three server-side hooks:
 
 * :meth:`FederatedMethod.setup` — called once with the shared model;
 * :meth:`FederatedMethod.cohort_update` — runs a cohort's (or an async
   wave's) local rounds and returns one :class:`ClientUpdate` per
-  client, in order.  The default calls
-  :meth:`FederatedMethod.client_update` once per client, so a method
-  implements whichever of the two suits it: FedBIAD and the masked
-  baselines train one client at a time, FedAvg trains stacks of
-  clients at once (:mod:`repro.baselines.fedavg`);
+  client, in order;
 * :meth:`FederatedMethod.aggregate` — combines updates into the next
   global parameters (defaults to the masked weighted mean of
   :mod:`repro.fl.aggregation`).
 
+``cohort_update`` is shared by every method.  On an
+:class:`~repro.nn.models.MLPClassifier` it trains the cohort in
+*stacks*: up to :data:`STACK_BYTES` of float64 parameters' worth of
+clients sharing one effective batch size ``min(batch_size, |D_k|)`` run
+through the model at once (:meth:`repro.nn.module.Module.stacked`), one
+``loss``/``backward``/``step`` per local iteration for the whole stack.
+Other models (LSTM, CNN) train one client at a time through the same
+loop.  A method supplies only its per-client parts, each drawing from
+the client's own ``ctx.rng``:
+
+* :meth:`FederatedMethod.local_start` — start parameters, masks and the
+  inverted-dropout scale (a :class:`LocalRun`);
+* :meth:`FederatedMethod.local_step` — an optional per-iteration hook
+  that may swap the client's masks (FedBIAD's Eq. (8) judgment);
+* :meth:`FederatedMethod.upload` — the client's :class:`ClientUpdate`.
+
+Every slice of a stack is computed by the same kernels as a lone
+client, so each client's update is bit-identical to training it alone.
+
 A :class:`ClientContext` materializes its client's shard only when the
 method first asks for ``ctx.batcher`` (building a batcher draws nothing
 from the client's RNG), and :meth:`ClientContext.release` drops it once
-the client has trained, so a cohort holds the shards of the clients
-training right now, never all of them.
+the client has trained, so a cohort holds the shards of one stack at a
+time, never all of them.
 
-The shared local-training loop (:func:`run_local_sgd`) implements the
-masked update rule of Eq. (7): gradients of dropped rows are zeroed, and
-dropped rows are pinned to zero after every step so momentum or weight
-decay cannot resurrect them.  The same loop trains a stacked model
-(:meth:`repro.nn.module.Module.stacked`) from a batcher of stacked
-minibatches; each step's loss is then one value per client.
+The local-training loop (:func:`run_local_sgd`) implements the masked
+update rule of Eq. (7): gradients are multiplied by the masks, and
+dropped entries are pinned to +0.0 after every step so momentum or
+weight decay cannot resurrect them.  Masks follow
+:func:`repro.fl.rows.broadcast_mask`: a row mask broadcasts along its
+rows, an element mask is used as is.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from ..nn.models import MLPClassifier
 from ..nn.module import Module
 from ..nn.optim import SGD
 from .aggregation import ClientPayload, aggregate
 from .config import FLConfig
 from .parameters import ParamSet
-from .rows import RowSpace
-from .sizing import dense_bits
+from .rows import RowSpace, broadcast_mask, kept_entries
+from .sizing import FLOAT_BITS, dense_bits
 
-__all__ = ["ClientContext", "ClientUpdate", "FederatedMethod", "run_local_sgd"]
+__all__ = [
+    "ClientContext",
+    "ClientUpdate",
+    "FederatedMethod",
+    "LocalRun",
+    "STACK_BYTES",
+    "run_local_sgd",
+]
+
+#: Byte budget of one stack's float64 parameters, which sets how many
+#: clients train together: 13 for the fleet MLP (19 KB per client), 1
+#: for the paper's MNIST MLP (814 KB).  Picked from a measured sweep of
+#: the fleet round over stack sizes (CHANGES.md): the round stops
+#: getting faster past about 16 clients while peak RSS keeps growing.
+STACK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -91,6 +122,85 @@ class ClientUpdate:
         return float(np.mean(self.train_losses)) if self.train_losses else float("nan")
 
 
+@dataclass
+class LocalRun:
+    """One client's local round, as a method's per-client hooks see it.
+
+    ``params`` is what the client's slot of the model is loaded from, at
+    the start and again whenever :meth:`FederatedMethod.local_step`
+    swaps the masks: dropped entries become +0.0 and kept ones are
+    multiplied by ``scale`` (inverted dropout; the upload divides it
+    back out).  ``masks`` maps parameter names to row or element masks
+    (:func:`~repro.fl.rows.broadcast_mask`); ``None`` trains unmasked.
+    """
+
+    ctx: ClientContext
+    params: ParamSet
+    masks: dict[str, np.ndarray] | None = None
+    scale: float = 1.0
+    #: reported in the update's ``aux``
+    aux: dict = field(default_factory=dict)
+    #: the client's live parameter arrays while it trains (views into
+    #: its slot of the stack), its trained parameters afterwards
+    weights: dict[str, np.ndarray] = field(default_factory=dict)
+    losses: list[float] = field(default_factory=list)
+
+    def load(self) -> None:
+        """Write ``params`` into the live weights under ``masks``."""
+        for name, w in self.weights.items():
+            w[...] = self.params[name]
+            if self.masks is not None and name in self.masks:
+                mask = broadcast_mask(self.masks[name], w.ndim)
+                np.copyto(w, 0.0, where=~mask)
+                if self.scale != 1.0:
+                    np.multiply(w, self.scale, out=w, where=mask)
+
+    def kept_update(self) -> ClientUpdate:
+        """Upload the trained kept entries (all of them when unmasked)
+        at 32 bits each and no mask bits: the server knows the masks."""
+        params = ParamSet(self.weights)
+        masks = self.masks or {}
+        return ClientUpdate(
+            payload=ClientPayload(params=params, weight=float(self.ctx.n_samples), masks=masks),
+            upload_bits=FLOAT_BITS * kept_entries(masks, params),
+            train_losses=self.losses,
+            aux=self.aux,
+        )
+
+
+class _StackedBatcher:
+    """One minibatch per client per step, each drawn by the client's own
+    batcher, stacked along a leading client axis."""
+
+    def __init__(self, batchers: list) -> None:
+        self.batchers = batchers
+
+    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        xs, ys = zip(*(b.next_batch() for b in self.batchers))
+        return np.stack(xs), np.stack(ys)
+
+
+def _stacks(ctxs: list[ClientContext]) -> list[list[int]]:
+    """Positions of the clients that train together, in order."""
+    if not ctxs or not isinstance(ctxs[0].model, MLPClassifier):
+        return [[i] for i in range(len(ctxs))]
+    size = max(1, STACK_BYTES // (8 * ctxs[0].global_params.num_weights))
+    by_batch: dict[int, list[int]] = {}
+    for i, ctx in enumerate(ctxs):
+        batch = min(ctx.config.batch_size, ctx.n_samples)
+        by_batch.setdefault(batch, []).append(i)
+    return [group[k : k + size] for group in by_batch.values() for k in range(0, len(group), size)]
+
+
+def _as_param(stack: np.ndarray, stacked: bool) -> np.ndarray:
+    """A ``(c,) + shape`` array as the model's parameter holds it: the
+    stack itself, with biases ``(c, 1, out)`` (:meth:`Module.stacked`),
+    or the lone client's array."""
+    if not stacked:
+        return stack[0]
+    return stack[:, None] if stack.ndim == 2 else stack
+
+
 class FederatedMethod:
     """Base class for FedBIAD and all baselines."""
 
@@ -111,21 +221,88 @@ class FederatedMethod:
         self.task = task
         self.config = config
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
+    # ------------------------------------------------------------------
+    # per-client parts
+    # ------------------------------------------------------------------
+    def local_start(self, ctx: ClientContext) -> LocalRun:
+        """Before training: the global model, unmasked."""
+        return LocalRun(ctx=ctx, params=ctx.global_params)
+
+    def local_step(self, run: LocalRun, v: int, loss: float) -> dict[str, np.ndarray] | None:
+        """After local iteration ``v`` (0-based) with training ``loss``.
+
+        Return new masks to train under from here on (``run.params`` is
+        then reloaded under them), or ``None`` to keep training.  The
+        loop calls this hook only for methods that override it.
+        """
+        return None
+
+    def upload(self, run: LocalRun) -> ClientUpdate:
+        """After training: the client's update (``run.weights`` holds its
+        trained parameters, ``run.losses`` its per-step losses)."""
         raise NotImplementedError
 
-    def cohort_update(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
-        """Run every client of ``ctxs``, returning their updates in order.
+    # ------------------------------------------------------------------
+    def client_update(self, ctx: ClientContext) -> ClientUpdate:
+        """One client's local round: the one-client cohort."""
+        return self.cohort_update([ctx])[0]
 
-        The default trains one client at a time through
-        :meth:`client_update`, releasing each shard once its client has
-        trained.
-        """
-        updates = []
-        for ctx in ctxs:
-            updates.append(self.client_update(ctx))
-            ctx.release()
+    def cohort_update(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
+        """Run every client of ``ctxs``, returning their updates in order."""
+        updates: list[ClientUpdate | None] = [None] * len(ctxs)
+        for stack in _stacks(ctxs):
+            for i, update in zip(stack, self._train([ctxs[i] for i in stack])):
+                updates[i] = update
         return updates
+
+    def _train(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
+        """Train one stack (or one lone client) through :func:`run_local_sgd`."""
+        model = ctxs[0].model
+        stacked = isinstance(model, MLPClassifier)
+        runs = [self.local_start(ctx) for ctx in ctxs]
+        named = list(model.named_parameters())
+        if stacked:
+            state = {name: np.empty((len(runs),) + p.data.shape) for name, p in named}
+        else:
+            state = {name: p.data[None] for name, p in named}
+        for i, run in enumerate(runs):
+            run.weights = {name: a[i] for name, a in state.items()}
+            run.load()
+        masks = None
+        if runs[0].masks is not None:
+            masks = {
+                name: _as_param(
+                    np.stack([broadcast_mask(run.masks[name], state[name].ndim - 1) for run in runs]),
+                    stacked,
+                )
+                for name in runs[0].masks
+            }
+
+        def on_iteration(v: int, losses) -> None:
+            for i, run in enumerate(runs):
+                new = self.local_step(run, v, losses[i] if stacked else losses)
+                if new is not None:
+                    run.masks = new
+                    for name, mask in masks.items():
+                        slot = mask[i] if stacked else mask
+                        slot[...] = broadcast_mask(new[name], state[name].ndim - 1)
+                    run.load()
+
+        hook = on_iteration if type(self).local_step is not FederatedMethod.local_step else None
+        batcher = _StackedBatcher([ctx.batcher for ctx in ctxs]) if stacked else ctxs[0].batcher
+        with model.stacked(state) if stacked else nullcontext():
+            steps = run_local_sgd(
+                model, self.make_optimizer(model, stacked), batcher,
+                ctxs[0].config.local_iterations, self.rowspace, masks, hook,
+            )
+        for i, run in enumerate(runs):
+            if stacked:
+                run.losses = [step[i] for step in steps]
+            else:  # the model's own arrays serve the next client
+                run.losses = steps
+                run.weights = {name: w.copy() for name, w in run.weights.items()}
+            run.ctx.release()
+        return [self.upload(run) for run in runs]
 
     def aggregate(
         self,
@@ -164,11 +341,15 @@ def run_local_sgd(
 ) -> list:
     """Run ``iterations`` masked SGD steps; returns per-step losses.
 
-    Implements Eq. (7): ``U <- U - eta * (beta ∘ grad L)``.  When
-    ``masks`` is given, ``rowspace`` must be too; gradients of dropped
-    rows are zeroed before the step and the rows re-pinned to zero after
-    it.  The ``on_iteration`` hook lets FedBIAD interleave its adaptive
-    pattern logic (Algorithm 1 lines 18-26) without duplicating the loop.
+    The only local-training loop: every method's clients, lone or
+    stacked, train here.  Implements Eq. (7): ``U <- U - eta * (beta ∘
+    grad L)``.  When ``masks`` is given (as the model's parameters hold
+    them, see :func:`~repro.fl.rows.broadcast_mask`), ``rowspace``
+    applies them: gradients are multiplied by the masks before the step
+    and dropped entries re-pinned to +0.0 after it.  The
+    ``on_iteration`` hook runs after each step with its loss; it may
+    rewrite ``masks`` in place (FedBIAD's pattern swap, Algorithm 1
+    lines 18-26).
 
     A stacked model's loss holds one value per client; backward is
     seeded with ones, and each step's entry is then the list of

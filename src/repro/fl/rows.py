@@ -15,8 +15,16 @@ It provides:
   ``ceil((1-p) * n_units)`` units per matrix — the per-matrix variant of
   the paper's global set, see DESIGN.md §4);
 * score-based pattern construction for FedBIAD's stage two;
-* masking utilities for parameters and gradients (masks are expanded to
-  full row masks before application).
+* the masking that :func:`repro.fl.client.run_local_sgd` applies for
+  every method.
+
+Masks have one vocabulary (:func:`broadcast_mask`): a mask is aligned
+with its parameter's leading axes and broadcasts over the axes it
+lacks.  A *row* mask ``(rows,)`` on a weight matrix keeps or drops whole
+rows (FedBIAD's patterns, AFD); an *element* mask has the parameter's
+own shape (FedDrop, FjORD, HeteroFL).  A stack of clients puts a client
+axis in front of either, ``(c, 1, out)`` for biases, matching
+:meth:`repro.nn.module.Module.stacked`.
 """
 
 from __future__ import annotations
@@ -28,7 +36,29 @@ import numpy as np
 from ..nn.module import Module, RowSpec
 from .parameters import ParamSet
 
-__all__ = ["RowBlock", "RowSpace"]
+__all__ = ["RowBlock", "RowSpace", "broadcast_mask", "kept_entries"]
+
+
+def broadcast_mask(mask: np.ndarray, ndim: int) -> np.ndarray:
+    """``mask`` with trailing axes added up to ``ndim``, so a row mask
+    broadcasts along its rows and an element mask is used as is."""
+    return mask.reshape(mask.shape + (1,) * (ndim - mask.ndim))
+
+
+def kept_entries(masks: dict[str, np.ndarray], params) -> int:
+    """Number of transmitted weights under row or element masks.
+
+    Parameters without a mask are transmitted in full.
+    """
+    total = 0
+    for name, value in params.items():
+        mask = masks.get(name)
+        if mask is None:
+            total += int(value.size)
+        else:
+            mask = broadcast_mask(np.asarray(mask, dtype=bool), value.ndim)
+            total += int(np.count_nonzero(np.broadcast_to(mask, value.shape)))
+    return total
 
 
 @dataclass(frozen=True)
@@ -210,15 +240,17 @@ class RowSpace:
         return ParamSet(out)
 
     def mask_model_gradients(self, model: Module, masks: dict[str, np.ndarray]) -> None:
-        """Zero gradients of dropped rows in place (Eq. 7's masking)."""
+        """Multiply gradients by their masks in place (Eq. 7's masking)."""
         for name, p in model.named_parameters():
             mask = masks.get(name)
             if mask is not None and p.grad is not None:
-                p.grad *= mask[:, None]
+                p.grad *= broadcast_mask(mask, p.grad.ndim)
 
     def zero_dropped_rows(self, model: Module, masks: dict[str, np.ndarray]) -> None:
-        """Pin dropped rows of the live model to zero (post-step guard)."""
+        """Pin the dropped entries of the live model to +0.0 (post-step
+        guard).  Written, never multiplied: ``x * False`` is -0.0 for
+        negative ``x``."""
         for name, p in model.named_parameters():
             mask = masks.get(name)
             if mask is not None:
-                p.data[~mask, :] = 0.0
+                np.copyto(p.data, 0.0, where=~broadcast_mask(mask, p.data.ndim))

@@ -1,9 +1,10 @@
-"""Stacked FedAvg training against the per-client reference.
+"""Stacked cohort training against the per-client reference.
 
-FedAvg trains an MLP cohort in stacks of clients; every client's
-parameters and per-step losses must be bit-identical to training that
-client alone through ``run_local_sgd``, whatever the stack size and
-optimizer settings.
+Every method trains an MLP cohort in stacks of clients.  FedAvg's
+parameters and per-step losses must be bit-identical to training each
+client alone through ``run_local_sgd``; every method's whole-cohort
+stacks must give each client the same bytes as stacks of one, whatever
+the optimizer settings, dropout rate and (for FedBIAD) stage.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import fedavg
 from repro.baselines.fedavg import FedAvg
+from repro.baselines.registry import make_method
+from repro.core.scores import WeightScores
 from repro.data.registry import make_fleet_task
+from repro.fl import client as fl_client
 from repro.fl.client import ClientContext, run_local_sgd
 from repro.fl.config import FLConfig
 from repro.fl.parameters import ParamSet
@@ -78,7 +81,7 @@ def test_stacked_cohort_matches_per_client_training(
     global_params = ParamSet.from_module(model)
     method = FedAvg()
     method.setup(model, ragged_task, config, np.random.default_rng(1))
-    monkeypatch.setattr(fedavg, "STACK_BYTES", stack * 8 * global_params.num_weights)
+    monkeypatch.setattr(fl_client, "STACK_BYTES", stack * 8 * global_params.num_weights)
     shapes = []
     loss = MLPClassifier.loss
 
@@ -96,9 +99,9 @@ def test_stacked_cohort_matches_per_client_training(
     assert max(shape[0] for shape in shapes) == min(stack, largest_group)
     for cid, update in enumerate(updates):
         params, losses = _reference(ragged_task, model, config, global_params, cid)
-        assert update.train_losses == losses
+        assert np.array(update.train_losses).tobytes() == np.array(losses).tobytes()
         for name in params:
-            assert np.array_equal(update.payload.params[name], params[name]), (cid, name)
+            assert update.payload.params[name].tobytes() == params[name].tobytes(), (cid, name)
         assert update.payload.weight == float(ragged_task.client_size(cid))
 
 
@@ -151,5 +154,92 @@ def test_lstm_trains_one_client_at_a_time(tiny_text_task):
     updates = method.cohort_update(ctxs)
     for cid, update in enumerate(updates):
         params, losses = _reference(tiny_text_task, model, config, global_params, cid, 1)
-        assert update.train_losses == losses
-        assert all(np.array_equal(update.payload.params[n], params[n]) for n in params)
+        assert np.array(update.train_losses).tobytes() == np.array(losses).tobytes()
+        assert all(update.payload.params[n].tobytes() == params[n].tobytes() for n in params)
+
+
+def _fingerprint(update, state) -> dict:
+    """Everything a client's round produced, as bytes where it is an array."""
+
+    def raw(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, dict):
+            return {key: raw(v) for key, v in value.items()}
+        return value
+
+    payload = update.payload
+    return {
+        "params": raw(dict(payload.params.items())),
+        "masks": raw(dict(payload.masks)),
+        "weight": payload.weight,
+        "upload_bits": update.upload_bits,
+        "train_losses": raw(np.array(update.train_losses)),
+        "aux": raw(update.aux),
+        "scores": raw(state["scores"].values) if "scores" in state else None,
+    }
+
+
+#: every method's cohort, FedBIAD in stage one (round 3 <= R_b) and in
+#: stage two (round 3 > R_b, from pre-filled score vectors)
+CASES = {
+    "fedavg": ("fedavg", {}),
+    "feddrop": ("feddrop", {}),
+    "afd": ("afd", {}),
+    "fjord": ("fjord", {}),
+    "fedmp": ("fedmp", {}),
+    "heterofl": ("heterofl", {}),
+    "fedbiad-stage1": ("fedbiad", {"stage_boundary": 10}),
+    "fedbiad-stage2": ("fedbiad", {"stage_boundary": 1}),
+}
+
+
+def _run_cohort(task, case, config, stack, monkeypatch):
+    """One method's whole cohort at stack size ``stack``; returns each
+    client's fingerprint and the largest stack that trained together."""
+    method_name, _ = CASES[case]
+    model = build_model(task.model_spec, np.random.default_rng(0))
+    global_params = ParamSet.from_module(model)
+    method = make_method(method_name)
+    method.setup(model, task, config, np.random.default_rng(1))
+    monkeypatch.setattr(fl_client, "STACK_BYTES", stack * 8 * global_params.num_weights)
+    ctxs = _contexts(task, model, config, global_params)
+    if case == "fedbiad-stage2":
+        for ctx in ctxs:
+            scores = WeightScores(method.rowspace.total_rows)
+            scores.values[:] = np.random.default_rng(ctx.client_id).integers(0, 4, scores.n_rows)
+            ctx.state["scores"] = scores
+    sizes = []
+    loss = MLPClassifier.loss
+
+    def recording(self, batch):
+        sizes.append(np.shape(batch[1])[0])
+        return loss(self, batch)
+
+    monkeypatch.setattr(MLPClassifier, "loss", recording)
+    updates = method.cohort_update(ctxs)
+    monkeypatch.setattr(MLPClassifier, "loss", loss)
+    return [_fingerprint(u, ctx.state) for u, ctx in zip(updates, ctxs)], max(sizes)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5])
+@pytest.mark.parametrize("max_grad_norm", [None, 0.5])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stacked_cohort_matches_stack_size_one(
+    ragged_task, monkeypatch, case, momentum, max_grad_norm, p
+):
+    """Every method's whole-cohort stacks give each client the bytes it
+    gets training alone: uploads, masks, bits, losses, aux and scores."""
+    config = FLConfig(
+        rounds=ROUND, kappa=0.5, local_iterations=8, batch_size=20, lr=0.3,
+        momentum=momentum, weight_decay=1e-3, max_grad_norm=max_grad_norm,
+        dropout_rate=p, tau=1, seed=5, **CASES[case][1],
+    )
+    stacked, widest = _run_cohort(ragged_task, case, config, N_CLIENTS, monkeypatch)
+    lone, single = _run_cohort(ragged_task, case, config, 1, monkeypatch)
+    assert widest > 1 and single == 1
+    for cid, (a, b) in enumerate(zip(stacked, lone)):
+        assert a == b, cid
+    if case == "fedbiad-stage1":
+        assert sum(f["aux"]["n_resamples"] for f in stacked) > 0  # swaps ran in the stack

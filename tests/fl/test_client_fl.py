@@ -1,16 +1,11 @@
-"""Tests for the client-side method interface and local SGD loops."""
+"""Tests for the client-side method interface and the local SGD loop."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines.masks import (
-    apply_element_masks,
-    mask_element_gradients,
-    run_masked_element_sgd,
-    scale_kept_entries,
-)
+from repro.baselines.feddrop import FedDrop
 from repro.fl.client import ClientContext, FederatedMethod, run_local_sgd
 from repro.fl.metrics import evaluate
 from repro.fl.parameters import ParamSet
@@ -61,29 +56,46 @@ class TestRunLocalSGD:
 
 
 class TestElementMaskedSGD:
+    """Element masks train through the same loop and RowSpace masking
+    as row masks."""
+
     def test_dropped_entries_stay_zero(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
+        space = RowSpace.from_module(model)
         masks = {
             "net.layer0.weight": rng.random((8, 12)) < 0.5,
         }
+        space.zero_dropped_rows(model, masks)
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9)
         batcher = tiny_image_task.batcher(0, 8, rng)
-        run_masked_element_sgd(model, optimizer, batcher, 5, masks)
+        run_local_sgd(model, optimizer, batcher, 5, rowspace=space, masks=masks)
         p = dict(model.named_parameters())["net.layer0.weight"]
-        assert np.all(p.data[~masks["net.layer0.weight"]] == 0.0)
+        dropped = p.data[~masks["net.layer0.weight"]]
+        assert np.all(dropped == 0.0) and not np.any(np.signbit(dropped))
 
-    def test_scaling_applied_and_removable(self, tiny_image_task, rng):
+    def test_scaling_applied_and_removable(self, tiny_image_task, fast_config, rng):
+        """A run's start load scales kept entries up; FedDrop's upload
+        scales them back to the global values, bit for bit."""
         model = build_model(tiny_image_task.model_spec, rng)
-        name = "net.layer0.weight"
-        original = dict(model.named_parameters())[name].data.copy()
-        masks = {name: np.ones((8, 12), dtype=bool)}
-        scale_kept_entries(model, masks, 2.0)
-        scaled = dict(model.named_parameters())[name].data
-        np.testing.assert_allclose(scaled, 2.0 * original)
-        scale_kept_entries(model, masks, 0.5)
-        np.testing.assert_allclose(
-            dict(model.named_parameters())[name].data, original
+        method = FedDrop()
+        method.setup(model, tiny_image_task, fast_config.with_overrides(dropout_rate=0.5), rng)
+        global_params = ParamSet.from_module(model)
+        ctx = ClientContext(
+            client_id=0, round_index=1, global_params=global_params, model=model,
+            task=tiny_image_task, config=method.config, rng=rng, state={},
         )
+        run = method.local_start(ctx)
+        assert run.scale == 2.0
+        run.weights = {name: p.data for name, p in model.named_parameters()}
+        run.load()
+        name = "net.layer0.weight"
+        mask = run.masks[name]
+        np.testing.assert_array_equal(run.weights[name][mask], 2.0 * global_params[name][mask])
+        assert np.all(run.weights[name][~mask] == 0.0)
+        update = method.upload(run)
+        for key, value in update.payload.params.items():
+            kept = run.masks.get(key, np.ones(value.shape, dtype=bool))
+            assert value[kept].tobytes() == global_params[key][kept].tobytes()
 
     def test_gradient_masking(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
@@ -91,16 +103,16 @@ class TestElementMaskedSGD:
         loss = model.loss(batcher.next_batch())
         loss.backward()
         mask = np.zeros((8, 12), dtype=bool)
-        mask_element_gradients(model, {"net.layer0.weight": mask})
+        RowSpace.from_module(model).mask_model_gradients(model, {"net.layer0.weight": mask})
         p = dict(model.named_parameters())["net.layer0.weight"]
         assert np.all(p.grad == 0.0)
 
     def test_apply_element_masks(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
         mask = np.zeros((8, 12), dtype=bool)
-        apply_element_masks(model, {"net.layer0.weight": mask})
+        RowSpace.from_module(model).zero_dropped_rows(model, {"net.layer0.weight": mask})
         p = dict(model.named_parameters())["net.layer0.weight"]
-        assert np.all(p.data == 0.0)
+        assert np.all(p.data == 0.0) and not np.any(np.signbit(p.data))
 
 
 class TestFederatedMethodBase:

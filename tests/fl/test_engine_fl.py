@@ -97,9 +97,12 @@ class TestDivergence:
         with pytest.raises(FloatingPointError, match=r"round 1, client \d+: diverging"):
             run_simulation(tiny_image_task, _Diverging(), fast_config)
 
-    def test_nan_shard_names_its_client_on_the_stacked_path(self, fast_config, monkeypatch):
-        """A NaN in one client's data diverges that client alone inside
-        a stack, and the error names it."""
+    @pytest.mark.parametrize("method", [FedAvg, FedBIAD], ids=["fedavg", "fedbiad"])
+    def test_nan_shard_names_its_client_on_the_stacked_path(
+        self, fast_config, monkeypatch, method
+    ):
+        """A NaN in the last client's data diverges that client alone
+        inside a stack, and the error names it."""
         gen = np.random.default_rng(99)
         task = FederatedTask(
             name="nan-shard",
@@ -109,14 +112,22 @@ class TestDivergence:
             client_data=_NaNShardSource(bad=4),
             test_data=(gen.normal(size=(16, 12)), gen.integers(0, 4, size=16)),
         )
-        stacks = []
+        stacks, cohorts = [], []
         loss = MLPClassifier.loss
+        execute = engine.execute_client
 
         def recording(self, batch):
             stacks.append(np.shape(batch[1]))
             return loss(self, batch)
 
+        def logged(*args):
+            cohorts.append([int(c) for c in args[6]])
+            return execute(*args)
+
         monkeypatch.setattr(MLPClassifier, "loss", recording)
-        with pytest.raises(FloatingPointError, match=r"round 1, client 4: fedavg"):
-            run_simulation(task, FedAvg(), fast_config.with_overrides(kappa=1.0))
+        monkeypatch.setattr(engine, "execute_client", logged)
+        name = method.name
+        with pytest.raises(FloatingPointError, match=rf"round 1, client 4: {name}"):
+            run_simulation(task, method(), fast_config.with_overrides(kappa=1.0))
         assert stacks[0] == (6, fast_config.batch_size)
+        assert cohorts[0][-1] == 4
