@@ -91,8 +91,9 @@ class AFD(FederatedMethod):
         masks = self.select_masks(ctx.rng)
         p = ctx.config.dropout_rate
         scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-        return LocalRun(ctx=ctx, params=ctx.global_params, masks=masks, scale=scale,
-                        aux={"masks": masks})
+        return LocalRun(
+            ctx=ctx, params=ctx.global_params, masks=masks, scale=scale, aux={"masks": masks}
+        )
 
     def upload(self, run: LocalRun) -> ClientUpdate:
         for name, mask in run.masks.items():

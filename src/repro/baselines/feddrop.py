@@ -60,10 +60,11 @@ class FedDrop(FederatedMethod):
     def local_start(self, ctx: ClientContext) -> LocalRun:
         p = ctx.config.dropout_rate
         scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-        return LocalRun(ctx=ctx, params=ctx.global_params, masks=self.sample_masks(ctx), scale=scale)
+        masks = self.sample_masks(ctx)
+        return LocalRun(ctx=ctx, params=ctx.global_params, masks=masks, scale=scale)
 
     def upload(self, run: LocalRun) -> ClientUpdate:
-        if run.scale != 1.0:
+        if run.scale != 1.0:  # times 1/scale, which rounds unlike AFD's division
             for name, mask in run.masks.items():
                 w = run.weights[name]
                 np.multiply(w, 1.0 / run.scale, out=w, where=mask)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.parameters import ParamSet
+from ..fl.rows import kept_entries
 
 __all__ = ["Compressor", "allowed_count", "masked_delta", "flatten_allowed"]
 
@@ -45,13 +46,7 @@ class Compressor:
 
 def allowed_count(delta: ParamSet, allowed: dict[str, np.ndarray] | None) -> int:
     """Number of entries eligible for transmission."""
-    if allowed is None:
-        return delta.num_weights
-    total = 0
-    for name, value in delta.items():
-        mask = allowed.get(name)
-        total += int(value.size if mask is None else np.count_nonzero(mask))
-    return total
+    return kept_entries(allowed or {}, delta)
 
 
 def flatten_allowed(delta: ParamSet, allowed: dict[str, np.ndarray] | None) -> np.ndarray:

@@ -115,22 +115,6 @@ class FedBIAD(FederatedMethod):
         m_r = round_index * self.config.local_iterations * self._min_client_size
         return float(np.sqrt(posterior_variance(self.structure, m_r, self.weight_bound)))
 
-    # ------------------------------------------------------------------
-    def _initial_pattern(self, ctx: ClientContext, scores: WeightScores) -> np.ndarray:
-        cfg = ctx.config
-        in_stage_two = (
-            self.use_stage2
-            and self.adaptive
-            and ctx.round_index > cfg.resolved_stage_boundary
-        )
-        if in_stage_two:
-            return self.rowspace.pattern_from_scores(scores.values, cfg.dropout_rate)
-        return self.rowspace.sample_pattern(cfg.dropout_rate, ctx.rng)
-
-    def _scale_factor(self) -> float:
-        p = self.config.dropout_rate
-        return 1.0 / (1.0 - p) if (self.rescale and p > 0.0) else 1.0
-
     def _sync_kept_rows(self, run: "_PatternRun") -> None:
         """Fold trained values back into the variational parameters U.
 
@@ -149,27 +133,33 @@ class FedBIAD(FederatedMethod):
 
     # ------------------------------------------------------------------
     def local_start(self, ctx: ClientContext) -> LocalRun:
-        """Line 9's Bayesian init and the round's first pattern; the loop
-        loads ``beta ∘ U`` (scaled for training) into the client's slot."""
+        """Line 9's Bayesian init and the round's first pattern (random
+        in stage one, score-driven in stage two); the loop loads ``beta
+        ∘ U``, scaled for training, into the client's slot."""
         cfg = ctx.config
+        p = cfg.dropout_rate
         std = self.posterior_std(ctx.round_index)
         u = sample_model_init(ctx.global_params, std, ctx.rng)
         scores: WeightScores = ctx.state.get("scores") or WeightScores(self.rowspace.total_rows)
-        beta = self._initial_pattern(ctx, scores)
+        in_stage_one = (
+            not self.use_stage2
+            or not self.adaptive
+            or ctx.round_index <= cfg.resolved_stage_boundary
+        )
+        if in_stage_one:
+            beta = self.rowspace.sample_pattern(p, ctx.rng)
+        else:
+            beta = self.rowspace.pattern_from_scores(scores.values, p)
         return _PatternRun(
             ctx=ctx,
             params=u,
             masks=self.rowspace.split(beta),
-            scale=self._scale_factor(),
+            scale=1.0 / (1.0 - p) if (self.rescale and p > 0.0) else 1.0,
             beta=beta,
             scores=scores,
             tracker=LossTrendTracker(cfg.tau),
             std=std,
-            in_stage_one=(
-                not self.use_stage2
-                or not self.adaptive
-                or ctx.round_index <= cfg.resolved_stage_boundary
-            ),
+            in_stage_one=in_stage_one,
         )
 
     def local_step(self, run: "_PatternRun", v: int, loss: float) -> dict | None:

@@ -256,11 +256,16 @@ class FederatedMethod:
         return updates
 
     def _train(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
-        """Train one stack (or one lone client) through :func:`run_local_sgd`."""
+        """Train one stack (or one lone client) through :func:`run_local_sgd`.
+
+        Parameters and masks live in ``(c,) + shape`` arrays; client
+        ``i`` owns slot ``i`` of each.  A lone client's slot is a view of
+        the model's own arrays, copied out once it has trained.
+        """
         model = ctxs[0].model
         stacked = isinstance(model, MLPClassifier)
         runs = [self.local_start(ctx) for ctx in ctxs]
-        named = list(model.named_parameters())
+        named = model.named_parameters()
         if stacked:
             state = {name: np.empty((len(runs),) + p.data.shape) for name, p in named}
         else:
@@ -268,24 +273,19 @@ class FederatedMethod:
         for i, run in enumerate(runs):
             run.weights = {name: a[i] for name, a in state.items()}
             run.load()
-        masks = None
-        if runs[0].masks is not None:
-            masks = {
-                name: _as_param(
-                    np.stack([broadcast_mask(run.masks[name], state[name].ndim - 1) for run in runs]),
-                    stacked,
-                )
-                for name in runs[0].masks
-            }
+        slots = {
+            name: np.stack([broadcast_mask(run.masks[name], state[name].ndim - 1) for run in runs])
+            for name in runs[0].masks or ()
+        }
+        masks = {name: _as_param(m, stacked) for name, m in slots.items()} if slots else None
 
         def on_iteration(v: int, losses) -> None:
             for i, run in enumerate(runs):
                 new = self.local_step(run, v, losses[i] if stacked else losses)
                 if new is not None:
                     run.masks = new
-                    for name, mask in masks.items():
-                        slot = mask[i] if stacked else mask
-                        slot[...] = broadcast_mask(new[name], state[name].ndim - 1)
+                    for name, m in slots.items():
+                        m[i] = broadcast_mask(new[name], m.ndim - 1)
                     run.load()
 
         hook = on_iteration if type(self).local_step is not FederatedMethod.local_step else None
