@@ -129,7 +129,7 @@ class LocalRun:
     ``params`` is what the client's slot of the model is loaded from, at
     the start and again whenever :meth:`FederatedMethod.local_step`
     swaps the masks: dropped entries become +0.0 and kept ones are
-    multiplied by ``scale`` (inverted dropout; the upload divides it
+    multiplied by ``scale`` (inverted dropout; the upload takes it
     back out).  ``masks`` maps parameter names to row or element masks
     (:func:`~repro.fl.rows.broadcast_mask`); ``None`` trains unmasked.
     """
