@@ -189,7 +189,9 @@ def _stacks(ctxs: list[ClientContext]) -> list[list[int]]:
     for i, ctx in enumerate(ctxs):
         batch = min(ctx.config.batch_size, ctx.n_samples)
         by_batch.setdefault(batch, []).append(i)
-    return [group[k : k + size] for group in by_batch.values() for k in range(0, len(group), size)]
+    return [
+        group[k : k + size] for group in by_batch.values() for k in range(0, len(group), size)
+    ]
 
 
 def _as_param(stack: np.ndarray, stacked: bool) -> np.ndarray:
