@@ -5,18 +5,20 @@ Run with::
     python examples/heterogeneous_devices.py
 
 Trains FedBIAD on the MNIST-like task twice — once on the ideal fleet
-(every device identical, server waits for everyone) and once on a
-straggler fleet (log-normal device speeds, scaled link bandwidths, and a
-round deadline at 1.5x the fastest client's finish time).  Local
-compute is simulated as a virtual 1 s base times each device's speed, so
-the straggler set is a pure function of the seed.  Clients that miss the
-deadline train locally but their uploads are dropped from aggregation;
-the per-round participation and the virtual-clock round times show the
-accuracy/wall-clock trade-off the deadline buys.
+(every device identical, server waits for everyone) and once on the
+built-in ``straggler`` profile: a fixed fleet replayed from a one-class
+device trace (log-normal device speeds and link bandwidths) with a
+round deadline at 1.5x the fastest client's finish time.  Local compute
+is simulated as a virtual 1 s base times each device's speed, so the
+straggler set is a pure function of the trace and the seed.  Clients
+that miss the deadline train locally but their uploads are dropped from
+aggregation; the per-round participation and the virtual-clock round
+times show the accuracy/wall-clock trade-off the deadline buys.
 
 The device layer is pluggable: pass any
-:class:`repro.fl.systems.SystemModel` (or a profile name via
-``FLConfig.system``) without touching the learning code.  Every run
+:class:`repro.fl.systems.SystemModel` — ``make_system(name)``, or a
+:class:`repro.traces.TraceSystem` over your own trace — or a profile
+name via ``FLConfig.system``, without touching the learning code.  Every run
 executes serially in-process and its History is bit-identical across
 reruns; to spread many runs over cores, run them as a sweep with
 ``python -m repro.experiments.cli sweep ... --shards N``.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from repro.core import FedBIAD
 from repro.data import make_task
-from repro.fl import FLConfig, HeterogeneousSystem, run_simulation
+from repro.fl import FLConfig, make_system, run_simulation
 
 
 def main() -> None:
@@ -47,12 +49,7 @@ def main() -> None:
     ideal = run_simulation(task, FedBIAD(), config)
 
     print("--- straggler fleet (deadline at 1.5x the fastest client) ---")
-    fleet = HeterogeneousSystem(
-        speed_spread=8.0,  # ~1 order of magnitude between slow/fast devices
-        bandwidth_spread=4.0,
-        deadline_factor=1.5,
-    )
-    straggled = run_simulation(task, FedBIAD(), config, system=fleet)
+    straggled = run_simulation(task, FedBIAD(), config, system=make_system("straggler"))
 
     print(f"\n{'round':>5} {'on-time':>8} {'stragglers':>10} {'t_round (sim)':>14}")
     for r in straggled.records:

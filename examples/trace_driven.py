@@ -9,10 +9,10 @@ Run with::
 The script (1) builds a FLASH-style synthetic device trace (Zipf device
 classes, diurnal availability), saves it to strict JSON and prints its
 class composition; (2) replays it through ``TraceSystem`` on a small
-federated run; (3) calibrates ``HeterogeneousSystem`` parameters back
-from the trace (method of moments) and reports the Fig. 7 round-trip:
-the fitted profile's mean LTTR against the trace's, which must agree
-within 10%.
+federated run; (3) fits a one-class log-normal trace — the shape of
+every built-in device profile — back to it (method of moments) and
+reports the Fig. 7 round-trip: the fitted trace's mean LTTR against the
+original's, which must agree within 10%.
 """
 
 from __future__ import annotations
@@ -79,14 +79,17 @@ def main(argv: list[str] | None = None) -> int:
               f"loss={r.train_loss:.4f} sim_lttr={r.sim_compute_seconds_mean:.2f}s "
               f"sim_clock={r.sim_clock_seconds:.1f}s")
 
-    # --- 3. calibrate profile parameters back from the trace ------------
+    # --- 3. fit a one-class trace back to it --------------------------
     result = fit(trace, n_clients=task.n_clients)
-    print(f"fitted profile: speed_spread={result.speed_spread:.2f} "
-          f"bandwidth_spread={result.bandwidth_spread:.2f} "
-          f"availability={result.availability:.2f} "
+    device = result.device
+    print(f"fitted class: speed median={device.speed_median:.2f} "
+          f"sigma={device.speed_sigma:.2f}, "
+          f"bandwidth median={device.bandwidth_median:.2f} "
+          f"sigma={device.bandwidth_sigma:.2f}, "
+          f"availability={result.availability:.2f}, "
           f"mean LTTR={result.expected_lttr():.2f}s")
     error = lttr_round_trip_error(trace, n_clients=task.n_clients)
-    print(f"Fig. 7 round-trip: fitted HeterogeneousSystem mean-LTTR error "
+    print(f"Fig. 7 round-trip: fitted trace mean-LTTR error "
           f"{100 * error:.1f}% (bound 10%)")
     return 0 if error < 0.10 else 1
 

@@ -21,14 +21,10 @@ from .parameters import ParamSet
 from .rows import RowBlock, RowSpace
 from .simulation import FederatedSimulation, run_simulation
 from .systems import (
-    DEVICE_PROFILES,
     LAZY_AVAILABILITY_THRESHOLD,
     SYSTEM_NAMES,
     Availability,
     ClientArrival,
-    FleetSystem,
-    HeterogeneousSystem,
-    IdealSystem,
     SystemModel,
     VirtualClock,
     make_system,
@@ -77,15 +73,11 @@ __all__ = [
     "FederatedSimulation",
     "run_simulation",
     "ClientResult",
-    "DEVICE_PROFILES",
     "SYSTEM_NAMES",
     "ClientArrival",
-    "HeterogeneousSystem",
-    "FleetSystem",
     "Availability",
     "LAZY_AVAILABILITY_THRESHOLD",
     "sample_index_cohort",
-    "IdealSystem",
     "SystemModel",
     "VirtualClock",
     "make_system",

@@ -83,10 +83,10 @@ class AsyncFederatedSimulation(FederatedSimulation):
         # client_id -> launch bookkeeping for everyone still training or
         # in transit; mirrors the events pending on the virtual clock
         self._in_flight: dict[int, _InFlight] = {}
-        #: normalized effective aggregation weights of each flush (the
-        #: staleness-scaled ``|D_k|`` over their sum) — observability
-        #: for tests and diagnostics.
-        self.flush_weights: list[np.ndarray] = []
+        #: normalized effective aggregation weights of the latest flush
+        #: (the staleness-scaled ``|D_k|`` over their sum) — observability
+        #: for tests and diagnostics; ``None`` before the first flush.
+        self.flush_weights: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _refill(self, wave: int) -> None:
@@ -151,7 +151,7 @@ class AsyncFederatedSimulation(FederatedSimulation):
             for u, f in zip(updates, factors)
         ]
         effective = np.array([u.payload.weight for u in scaled], dtype=np.float64)
-        self.flush_weights.append(effective / effective.sum())
+        self.flush_weights = effective / effective.sum()
 
         agg_start = time.perf_counter()
         self.global_params = self.method.aggregate(flush_index, self.global_params, scaled)
@@ -193,10 +193,8 @@ class AsyncFederatedSimulation(FederatedSimulation):
         # inside one snapshot
         state = super()._checkpoint_payload()
         state["in_flight"] = dict(self._in_flight)
-        state["flush_weights"] = list(self.flush_weights)
         return state
 
     def _adopt_state(self, state: dict) -> None:
         super()._adopt_state(state)
         self._in_flight = dict(state["in_flight"])
-        self.flush_weights = list(state["flush_weights"])

@@ -11,7 +11,6 @@ trajectory of an uninterrupted one — RNG streams are keyed by
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import pickle
@@ -128,31 +127,18 @@ def save_history(history: History, path: str | Path) -> None:
 def save_checkpoint(sim, path: str | Path) -> None:
     """Snapshot a live simulation (sync or async) mid-stream.
 
-    Serializes ``sim.checkpoint_state()`` — global parameters, client
-    states, the virtual clock (including any in-flight async uploads),
-    the run cursor and the history so far — in one pickle, preserving
-    object identity between the clock's pending events and the async
-    in-flight table.
+    Serializes global parameters, client states, the virtual clock
+    (including any in-flight async uploads), the run cursor and the
+    history so far in one pickle, preserving object identity between the
+    clock's pending events and the async in-flight table.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # pickling is itself a point-in-time snapshot, so serialize the live
     # payload directly — paying checkpoint_state()'s deepcopy here would
-    # copy every client state twice per save.  Subclasses that override
-    # the *public* checkpoint_state (the pre-_checkpoint_payload
-    # extension pattern) keep their override honored, at the cost of
-    # that method's own copy.
-    from .simulation import FederatedSimulation
-
-    if (
-        isinstance(sim, FederatedSimulation)
-        and type(sim).checkpoint_state is FederatedSimulation.checkpoint_state
-    ):
-        state = sim._checkpoint_payload()
-    else:
-        state = sim.checkpoint_state()
+    # copy every client state twice per save
     with path.open("wb") as fh:
-        pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(sim._checkpoint_payload(), fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def restore_checkpoint(sim, path: str | Path) -> None:
@@ -165,12 +151,7 @@ def restore_checkpoint(sim, path: str | Path) -> None:
     with Path(path).open("rb") as fh:
         state = pickle.load(fh)
     # the unpickled graph is exclusively ours — skip the defensive copy
-    # where the signature allows it (overrides predating copy_state
-    # keep working)
-    if "copy_state" in inspect.signature(sim.restore_state).parameters:
-        sim.restore_state(state, copy_state=False)
-    else:
-        sim.restore_state(state)
+    sim.restore_state(state, copy_state=False)
 
 
 def load_history(path: str | Path) -> History:

@@ -42,10 +42,11 @@ class FLConfig:
     * ``backend`` — how the cohort executes; ``"serial"`` is the only
       legal value (see :mod:`repro.fl.engine` and
       :func:`check_backend`);
-    * ``system`` — device-behaviour profile name (see
-      :data:`repro.fl.systems.DEVICE_PROFILES`), or a
-      ``"trace:<name-or-path>"`` device-trace spec replayed by
-      :class:`repro.traces.TraceSystem`;
+    * ``system`` — device-behaviour profile name
+      (:data:`repro.fl.systems.SYSTEM_NAMES`: ``"ideal"`` or one of the
+      one-class trace profiles of :data:`repro.traces.DEVICE_PROFILES`),
+      or a ``"trace:<name-or-path>"`` device-trace spec; every
+      non-ideal name is replayed by :class:`repro.traces.TraceSystem`;
     * ``mode`` — server aggregation discipline: ``"sync"`` closes every
       round at a barrier (Algorithm 1), ``"async"`` folds uploads in as
       they land on the virtual clock, FedBuff-style (see

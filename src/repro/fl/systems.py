@@ -16,17 +16,18 @@ touching the learning code:
   up-count (million-client fleets, where even an ``arange(K)`` is too
   much per round).  It owns the one sampling call that picks
   Algorithm 1's cohort, so the server never branches on its shape.
-* :class:`SystemModel` — the one device model.  A device is a
-  ``(speed, bandwidth_divisor)`` trait pair: compute time is the
-  virtual LTTR base ``lttr_seconds`` times the speed, and the link is
-  ``base_network`` with both rates divided by the bandwidth trait.
-  Subclasses only say where traits come from
-  (:meth:`SystemModel.traits`), how many devices are up each round
-  (:meth:`SystemModel.availability_rate`) and, optionally, when a round
-  closes (:meth:`SystemModel.round_deadline`).
+* :class:`SystemModel` — the device-model hooks, and itself the ideal
+  system.  A device is a ``(speed, bandwidth_divisor)`` trait pair:
+  compute time is the virtual one-second LTTR base times the speed,
+  and the link is the paper's 5G link with both rates divided by the
+  bandwidth trait.  :class:`repro.traces.TraceSystem` is the one
+  subclass: it reads traits and availability from a device trace.
 
-Profiles are registered in :data:`DEVICE_PROFILES` and selected by name
-through ``FLConfig.system`` or ``experiments.cli run --device-profile``.
+Every other profile name — ``heterogeneous``, ``flaky``, ``straggler``
+and ``fleet`` (:data:`repro.traces.DEVICE_PROFILES`), a registered trace
+or a trace file — is a :class:`~repro.traces.TraceSystem`;
+:func:`make_system` resolves the name for ``FLConfig.system`` and
+``experiments.cli run --device-profile``.
 
 All stochastic device behaviour draws from RNG streams derived from
 ``(seed, round)`` — never from execution order — and simulated compute
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,25 +52,17 @@ __all__ = [
     "Availability",
     "sample_index_cohort",
     "SystemModel",
-    "IdealSystem",
-    "HeterogeneousSystem",
-    "FleetSystem",
     "LAZY_AVAILABILITY_THRESHOLD",
-    "DEVICE_PROFILES",
     "SYSTEM_NAMES",
     "make_system",
 ]
 
 #: Fleet sizes at or above this threshold draw availability as an
-#: up-count (and select with :func:`sample_index_cohort`) unless the
-#: system model fixes the shape.  Far above every paper-scale fleet
-#: (K <= 1000), so existing trajectories are untouched; far below the
-#: million-client regime, so fleet runs never pay O(K) per round.
+#: up-count (and select with :func:`sample_index_cohort`); smaller
+#: fleets draw explicit ids.  Far above every paper-scale fleet
+#: (K <= 5000), far below the million-client regime, so fleet runs
+#: never pay O(K) per round.
 LAZY_AVAILABILITY_THRESHOLD = 100_000
-
-#: Per-client traits kept by a bound system model before the cache is
-#: emptied; bounds memory over long fleet runs.
-TRAIT_CACHE_SIZE = 4096
 
 
 class VirtualClock:
@@ -161,25 +153,16 @@ class Availability:
             raise ValueError("count must be in [0, n_clients]")
 
     @classmethod
-    def at_rate(
-        cls,
-        n_clients: int,
-        rate: float,
-        rng: np.random.Generator,
-        lazy: bool | None = None,
-    ) -> "Availability":
+    def at_rate(cls, n_clients: int, rate: float, rng: np.random.Generator) -> "Availability":
         """Each device up independently with probability ``rate``.
 
-        ``lazy`` picks the shape: an up-count drawn as one binomial
-        (O(1) per round), or ids from a Bernoulli sweep over the fleet.
-        ``None`` takes the count at or above
-        :data:`LAZY_AVAILABILITY_THRESHOLD` clients.  A server cannot run
-        an empty round, so a draw that leaves nobody up falls back to one
-        device.  ``rate >= 1`` draws nothing.
+        At or above :data:`LAZY_AVAILABILITY_THRESHOLD` clients the
+        result is an up-count drawn as one binomial (O(1) per round);
+        below it, ids from a Bernoulli sweep over the fleet.  A server
+        cannot run an empty round, so a draw that leaves nobody up falls
+        back to one device.  ``rate >= 1`` draws nothing.
         """
-        if lazy is None:
-            lazy = n_clients >= LAZY_AVAILABILITY_THRESHOLD
-        if lazy:
+        if n_clients >= LAZY_AVAILABILITY_THRESHOLD:
             count = n_clients if rate >= 1.0 else int(rng.binomial(n_clients, rate))
             return cls(n_clients, count=max(count, 1))
         if rate >= 1.0:
@@ -254,29 +237,6 @@ def sample_index_cohort(
     return np.array(out, dtype=np.int64)
 
 
-def _spread_sigma(spread: float) -> float:
-    """Log-normal sigma realizing a heterogeneity ``spread``.
-
-    ``spread=1.0`` is the degenerate edge: sigma 0, every trait exactly
-    1.0 (heterogeneity off) — a valid request, e.g. from a calibration
-    fit of a homogeneous trace.  Anything below 1 is rejected here
-    rather than silently producing a negative sigma (or ``-inf`` at 0),
-    which ``Generator.normal`` would only reject later and less clearly.
-    """
-    if spread < 1.0:
-        raise ValueError(f"spread must be >= 1 (1.0 disables the axis), got {spread}")
-    return np.log(spread) / 2.0
-
-
-def _scaled_network(base: NetworkModel, divisor: float) -> NetworkModel:
-    """``base`` with both link rates divided by a bandwidth trait."""
-    return NetworkModel(
-        downlink_mbps=base.downlink_mbps / divisor,
-        uplink_mbps=base.uplink_mbps / divisor,
-        latency_seconds=base.latency_seconds,
-    )
-
-
 @dataclass(frozen=True)
 class ClientArrival:
     """Simulated timing decomposition of one client's round."""
@@ -292,70 +252,37 @@ class ClientArrival:
 
 
 class SystemModel:
-    """The device model consumed by the simulation.
+    """The device model consumed by the simulation — the ideal system.
 
-    Every device is a ``(speed, bandwidth_divisor)`` trait pair from
-    :meth:`traits`; the base class is the ideal system (everyone
-    available, unit traits, the paper's 5G link, no deadline).
-    Subclasses supply a trait source, an :meth:`availability_rate` and
-    optionally a :meth:`round_deadline`; the hooks the simulation calls
+    Everyone is available, every device is the unit device (compute at
+    the one-second virtual LTTR base, the paper's 5G link) and no round
+    has a deadline.  :class:`repro.traces.TraceSystem` overrides the
+    three sources — :meth:`traits`, :meth:`availability_rate` and
+    :meth:`round_deadline`; the hooks the simulation calls
     (:meth:`available_clients`, :meth:`compute_seconds`,
     :meth:`network`) are defined here once.  :meth:`bind` is called once
-    per simulation with the task and config so models can derive
-    per-client traits deterministically from ``config.seed``.
-
-    Parameters
-    ----------
-    availability:
-        Per-round probability that a client is selectable.
-    base_network:
-        The link of a unit-bandwidth device; a device's link divides
-        both rates by its bandwidth trait.
-    lttr_seconds:
-        Virtual local-training time of a unit-speed device; a device
-        computes for ``lttr_seconds * speed`` simulated seconds.
+    per simulation with the task and config.
     """
 
     name = "ideal"
 
-    #: availability shape: ``True`` always draws an up-count, ``False``
-    #: always explicit ids, ``None`` decides by fleet size (see
-    #: :meth:`Availability.at_rate`)
-    lazy_availability: bool | None = None
-
-    def __init__(
-        self,
-        availability: float = 1.0,
-        base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float = 1.0,
-    ) -> None:
-        if not 0.0 < availability <= 1.0:
-            raise ValueError("availability must be in (0, 1]")
-        if lttr_seconds is None or lttr_seconds <= 0:
-            raise ValueError(f"lttr_seconds must be positive, got {lttr_seconds}")
-        self.availability = availability
-        self.base_network = base_network
-        self.lttr_seconds = lttr_seconds
+    def __init__(self) -> None:
         self.task = None
         self.config = None
-        self._trait_cache: dict[int, tuple[float, float]] = {}
 
     def bind(self, task, config) -> None:
         self.task = task
         self.config = config
-        # traits may be keyed by config.seed; a rebind (same instance,
-        # new config) must not serve the previous run's cache
-        self._trait_cache.clear()
 
     # -- what subclasses supply ------------------------------------------
     def traits(self, client_id: int) -> tuple[float, float]:
         """``(speed, bandwidth_divisor)`` of one device; 1.0 is the
-        unit device (compute at the LTTR base, link at ``base_network``)."""
+        unit device."""
         return 1.0, 1.0
 
     def availability_rate(self, round_index: int) -> float:
         """Probability that a client is selectable in this round."""
-        return self.availability
+        return 1.0
 
     def round_deadline(self, arrival_seconds: np.ndarray) -> float | None:
         """Cutoff (seconds after round start) past which clients are
@@ -370,198 +297,45 @@ class SystemModel:
     def available_clients(self, round_index: int, rng: np.random.Generator) -> Availability:
         """Clients selectable this round (never empty)."""
         return Availability.at_rate(
-            self.task.n_clients, self.availability_rate(round_index), rng,
-            lazy=self.lazy_availability,
+            self.task.n_clients, self.availability_rate(round_index), rng
         )
 
-    def _cached_traits(self, client_id: int) -> tuple[float, float]:
-        """:meth:`traits` through a bounded per-client cache."""
-        client_id = int(client_id)
-        cached = self._trait_cache.get(client_id)
-        if cached is None:
-            cached = self.traits(client_id)
-            if len(self._trait_cache) >= TRAIT_CACHE_SIZE:
-                self._trait_cache.clear()
-            self._trait_cache[client_id] = cached
-        return cached
-
     def compute_seconds(self, round_index: int, client_id: int) -> float:
-        """Simulated local-training time: the LTTR base times the speed."""
-        return self.lttr_seconds * self._cached_traits(client_id)[0]
+        """Simulated local-training time: the one-second virtual LTTR
+        base times the device's speed."""
+        return self.traits(client_id)[0]
 
     def network(self, round_index: int, client_id: int) -> NetworkModel:
-        """The client's link for this round."""
-        return _scaled_network(self.base_network, self._cached_traits(client_id)[1])
+        """The client's link: the 5G link with both rates divided by the
+        device's bandwidth trait."""
+        divisor = self.traits(client_id)[1]
+        return NetworkModel(
+            downlink_mbps=TMOBILE_5G.downlink_mbps / divisor,
+            uplink_mbps=TMOBILE_5G.uplink_mbps / divisor,
+            latency_seconds=TMOBILE_5G.latency_seconds,
+        )
 
 
-class IdealSystem(SystemModel):
-    """No system heterogeneity — the historical simulation behaviour."""
+# perfbench's tracer looks these names up on the module; ROADMAP item 5
+# deletes them together with the tracer's class list.
+HeterogeneousSystem = FleetSystem = SystemModel
 
-    name = "ideal"
-
-
-class HeterogeneousSystem(SystemModel):
-    """Log-normal device speeds, scaled bandwidth, Bernoulli availability.
-
-    Per-client traits are drawn once in :meth:`bind` from
-    ``default_rng([seed, 0x51D5])``:
-
-    * ``speed`` — multiplies the LTTR base (1.0 = a unit-speed device;
-      log-normal with ``sigma = log(speed_spread)/2``);
-    * ``bandwidth`` — divides both link rates of ``base_network``
-      (log-normal with ``sigma = log(bandwidth_spread)/2``).
-
-    Availability is always explicit ids, from a per-round Bernoulli
-    sweep at ``availability``.  ``availability``, ``base_network`` and
-    ``lttr_seconds`` are as in :class:`SystemModel`.
-
-    Parameters
-    ----------
-    speed_spread, bandwidth_spread:
-        Heterogeneity width; ``1.0`` disables that axis.
-    deadline_factor:
-        Round deadline as a multiple of the *fastest* scheduled
-        client's finish time; clients beyond it are stragglers.  A
-        relative deadline keeps scenarios host-speed independent and
-        guarantees at least one client always reports.
-    deadline_seconds:
-        Absolute deadline alternative (applied after, and capped by,
-        ``deadline_factor`` when both are set).
-    """
-
-    name = "heterogeneous"
-    lazy_availability = False
-
-    def __init__(
-        self,
-        availability: float = 1.0,
-        speed_spread: float = 4.0,
-        bandwidth_spread: float = 2.0,
-        deadline_factor: float | None = None,
-        deadline_seconds: float | None = None,
-        base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float = 1.0,
-    ) -> None:
-        super().__init__(availability, base_network, lttr_seconds)
-        if deadline_factor is not None and deadline_factor < 1.0:
-            raise ValueError("deadline_factor must be >= 1")
-        self.speed_spread = speed_spread
-        self.bandwidth_spread = bandwidth_spread
-        self._sigmas = (_spread_sigma(speed_spread), _spread_sigma(bandwidth_spread))
-        self.deadline_factor = deadline_factor
-        self.deadline_seconds = deadline_seconds
-        self._speed: np.ndarray | None = None
-        self._bandwidth: np.ndarray | None = None
-
-    def bind(self, task, config) -> None:
-        super().bind(task, config)
-        rng = np.random.default_rng([config.seed, 0x51D5])
-        n = task.n_clients
-        self._speed = np.exp(rng.normal(0.0, self._sigmas[0], size=n))
-        self._bandwidth = np.exp(rng.normal(0.0, self._sigmas[1], size=n))
-
-    def traits(self, client_id: int) -> tuple[float, float]:
-        return float(self._speed[client_id]), float(self._bandwidth[client_id])
-
-    def round_deadline(self, arrival_seconds: np.ndarray) -> float | None:
-        cutoff = None
-        if self.deadline_factor is not None and arrival_seconds.size:
-            cutoff = self.deadline_factor * float(arrival_seconds.min())
-        if self.deadline_seconds is not None:
-            cutoff = self.deadline_seconds if cutoff is None else min(cutoff, self.deadline_seconds)
-        return cutoff
-
-
-class FleetSystem(SystemModel):
-    """Fleet-scale heterogeneity: per-round cost O(cohort), not O(K).
-
-    :class:`HeterogeneousSystem` draws per-client trait *arrays* at bind
-    time — O(K) memory — which caps it at the paper's thousand-client
-    fleets.  This model binds in O(1):
-
-    * traits are drawn on demand from ``default_rng([seed, 0xF1EE7,
-      client_id])`` — a pure function of the key, so any client's speed
-      and bandwidth can be computed in any process without touching the
-      rest of the fleet;
-    * availability is always an up-count, one binomial draw per round
-      instead of a ``rng.random(K)`` Bernoulli sweep; selection then
-      samples cohort indices directly.
-
-    The trait and availability streams differ from
-    :class:`HeterogeneousSystem`'s, so this sampler is registered as the
-    *new* ``"fleet"`` profile — existing profiles keep their historical
-    draws bit-for-bit.
-    """
-
-    name = "fleet"
-    lazy_availability = True
-
-    #: per-client trait keying tag (cannot collide with the 3-element
-    #: ``[seed, round, client]`` client streams: the tag exceeds any
-    #: realistic round index)
-    _TRAIT_TAG = 0xF1EE7
-
-    def __init__(
-        self,
-        availability: float = 1.0,
-        speed_spread: float = 4.0,
-        bandwidth_spread: float = 2.0,
-        base_network: NetworkModel = TMOBILE_5G,
-        lttr_seconds: float = 1.0,
-    ) -> None:
-        super().__init__(availability, base_network, lttr_seconds)
-        self.speed_spread = speed_spread
-        self.bandwidth_spread = bandwidth_spread
-        self._sigmas = (_spread_sigma(speed_spread), _spread_sigma(bandwidth_spread))
-
-    def traits(self, client_id: int) -> tuple[float, float]:
-        rng = np.random.default_rng([self.config.seed, self._TRAIT_TAG, client_id])
-        speed = float(np.exp(rng.normal(0.0, self._sigmas[0])))
-        bw = float(np.exp(rng.normal(0.0, self._sigmas[1])))
-        return speed, bw
-
-
-#: Named device profiles selectable via ``FLConfig.system``.
-DEVICE_PROFILES: dict[str, Callable[[], SystemModel]] = {
-    "ideal": IdealSystem,
-    # mild heterogeneity, everyone waits for everyone
-    "heterogeneous": lambda: HeterogeneousSystem(speed_spread=4.0, bandwidth_spread=2.0),
-    # flaky fleet: a third of the fleet offline each round
-    "flaky": lambda: HeterogeneousSystem(
-        availability=0.7, speed_spread=4.0, bandwidth_spread=2.0
-    ),
-    # wide speed spread + a deadline at 1.5x the fastest client: slow
-    # devices become stragglers and are dropped from aggregation
-    "straggler": lambda: HeterogeneousSystem(
-        speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.5
-    ),
-    # million-client regime: O(cohort) per-round cost, on-demand traits,
-    # binomial availability
-    "fleet": lambda: FleetSystem(availability=0.6, speed_spread=4.0, bandwidth_spread=2.0),
-}
-
-SYSTEM_NAMES = tuple(DEVICE_PROFILES)
+#: Every built-in ``FLConfig.system`` profile: the ideal base model plus
+#: the one-class trace profiles of :data:`repro.traces.DEVICE_PROFILES`
+#: (named here because this module cannot import the trace subsystem at
+#: load time; a test keeps the two in step).
+SYSTEM_NAMES = ("ideal", "heterogeneous", "flaky", "straggler", "fleet")
 
 
 def make_system(name: str) -> SystemModel:
-    """Build a device profile from its registry name.
+    """Build a device model from a profile name or a trace spec.
 
-    ``"trace:<name-or-path>"`` specs (and bare ``*.json`` trace paths)
-    are delegated to the trace subsystem, which replays a recorded or
-    synthetic device trace instead of a parametric profile — see
-    :mod:`repro.traces`.
+    ``"ideal"`` is the base :class:`SystemModel`; every other profile,
+    ``"trace:<name-or-path>"`` spec and bare ``*.json`` trace path is
+    resolved by the trace subsystem (:func:`repro.traces.make_trace_system`).
     """
-    if name.startswith("trace:") or name.endswith(".json"):
-        from ..traces import make_trace_system
+    if name == "ideal":
+        return SystemModel()
+    from ..traces import make_trace_system
 
-        return make_trace_system(name)
-    try:
-        factory = DEVICE_PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown system profile {name!r}; choose from {SYSTEM_NAMES} "
-            f"or a 'trace:<name-or-path>' spec"
-        ) from None
-    model = factory()
-    model.name = name
-    return model
+    return make_trace_system(name)

@@ -3,9 +3,9 @@
 A :class:`~repro.traces.schema.DeviceTrace` is a first-class,
 replayable description of fleet system behaviour — per-client device
 class, compute speed and bandwidth, plus a per-period availability
-schedule — replacing the hand-rolled log-normal spreads of
-``HeterogeneousSystem``/``FleetSystem`` as the source of Fig. 7-style
-scenarios:
+schedule — and the only source of device traits: every built-in device
+profile (:data:`DEVICE_PROFILES`) is a one-class synthetic trace, and
+Fig. 7-style scenarios replay FLASH-style multi-class traces:
 
 * :mod:`repro.traces.schema` — versioned schema, strict-JSON save/load;
 * :mod:`repro.traces.generators` — deterministic synthetic traces
@@ -23,9 +23,11 @@ specs (see :func:`trace_system_spec`); registered names live in
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Callable
 
+from ..fl.systems import SYSTEM_NAMES
 from .calibration import TraceFit, fit, lttr_round_trip_error
 from .generators import (
     FLASH_DEVICE_CLASSES,
@@ -66,6 +68,7 @@ __all__ = [
     "TraceFit",
     "fit",
     "lttr_round_trip_error",
+    "DEVICE_PROFILES",
     "TRACE_SYSTEM_PREFIX",
     "TRACE_REGISTRY",
     "TRACE_NAMES",
@@ -76,8 +79,8 @@ __all__ = [
     "is_trace_spec",
 ]
 
-#: ``FLConfig.system`` values with this prefix route to the trace
-#: subsystem instead of :data:`repro.fl.systems.DEVICE_PROFILES`.
+#: ``FLConfig.system`` values with this prefix name a trace instead of
+#: a device profile.
 TRACE_SYSTEM_PREFIX = "trace:"
 
 #: Registered trace factories, selectable by name anywhere a trace spec
@@ -90,6 +93,58 @@ TRACE_REGISTRY: dict[str, Callable[[], DeviceTrace]] = {
     "flash-diurnal": lambda: make_synthetic_trace(
         name="flash-diurnal", availability=diurnal_availability()
     ),
+}
+
+
+def _spread_sigma(spread: float) -> float:
+    """Log-normal sigma realizing a heterogeneity ``spread``.
+
+    ``spread=1.0`` is the degenerate edge: sigma 0, every trait exactly
+    1.0 (heterogeneity off).  Anything below 1 is rejected here rather
+    than silently producing a negative sigma (or ``-inf`` at 0).
+    """
+    if spread < 1.0:
+        raise ValueError(f"spread must be >= 1 (1.0 disables the axis), got {spread}")
+    return math.log(spread) / 2.0
+
+
+def _profile(
+    name: str,
+    speed_spread: float,
+    bandwidth_spread: float,
+    rate: float = 1.0,
+    deadline_factor: float | None = None,
+) -> TraceSystem:
+    """A device profile: one median-1 log-normal device class, always up
+    with probability ``rate``, under a fixed trace seed (a fixed fleet,
+    like every registered trace)."""
+    device = DeviceClassSpec(
+        name,
+        speed_median=1.0,
+        speed_sigma=_spread_sigma(speed_spread),
+        bandwidth_median=1.0,
+        bandwidth_sigma=_spread_sigma(bandwidth_spread),
+    )
+    system = TraceSystem(
+        SyntheticTrace(name, classes=(device,), availability=(rate,)),
+        deadline_factor=deadline_factor,
+    )
+    system.name = name
+    return system
+
+
+#: The built-in device profiles, by ``FLConfig.system`` name (``"ideal"``
+#: is the plain :class:`~repro.fl.systems.SystemModel`).
+DEVICE_PROFILES: dict[str, Callable[[], TraceSystem]] = {
+    # mild heterogeneity, everyone waits for everyone
+    "heterogeneous": lambda: _profile("heterogeneous", 4.0, 2.0),
+    # flaky fleet: a third of the fleet offline each round
+    "flaky": lambda: _profile("flaky", 4.0, 2.0, rate=0.7),
+    # wide speed spread + a deadline at 1.5x the fastest client: slow
+    # devices become stragglers and are dropped from aggregation
+    "straggler": lambda: _profile("straggler", 8.0, 4.0, deadline_factor=1.5),
+    # million-client regime: on-demand traits, binomial availability
+    "fleet": lambda: _profile("fleet", 4.0, 2.0, rate=0.6),
 }
 
 
@@ -138,6 +193,15 @@ def make_trace(spec: str) -> DeviceTrace:
 
 
 def make_trace_system(spec: str) -> TraceSystem:
-    """Build the :class:`TraceSystem` behind a ``trace:...`` system spec
-    (the hook :func:`repro.fl.systems.make_system` delegates to)."""
+    """Build the :class:`TraceSystem` behind a device-profile name or a
+    trace spec (the hook :func:`repro.fl.systems.make_system` delegates
+    every non-ideal name to)."""
+    profile = DEVICE_PROFILES.get(spec)
+    if profile is not None:
+        return profile()
+    if not is_trace_spec(spec):
+        raise ValueError(
+            f"unknown system profile {spec!r}; choose from {SYSTEM_NAMES} "
+            f"or a 'trace:<name-or-path>' spec"
+        )
     return TraceSystem(make_trace(spec))

@@ -1,26 +1,22 @@
-"""Fit analytic device profiles to an observed trace (method of moments).
+"""Fit a one-class log-normal trace to an observed trace (method of moments).
 
-:class:`~repro.fl.systems.HeterogeneousSystem` and
-:class:`~repro.fl.systems.FleetSystem` model device heterogeneity as
-median-1 log-normal speed/bandwidth spreads around a base LTTR and a
-base network.  :func:`fit` recovers those parameters from any
-:class:`~repro.traces.schema.DeviceTrace` by matching moments over a
-deterministic client sample:
+Every built-in device profile is a one-class
+:class:`~repro.traces.generators.SyntheticTrace`: log-normal speed and
+bandwidth around class medians.  :func:`fit` recovers such a class from
+any :class:`~repro.traces.schema.DeviceTrace` by matching moments over
+a deterministic client sample:
 
-* ``sigma = std(log x)`` gives the log-normal width, so the profile
-  spread is ``exp(2 * sigma)`` (inverting ``_spread_sigma``);
-* the *scale* is chosen so the fitted log-normal's analytic **mean**
-  equals the sample mean exactly — ``scale = mean(x) / exp(sigma^2 / 2)``
-  — and folds into ``lttr_seconds`` (speed) or the base network
-  (bandwidth), since the profiles' own log-normals are median-1;
+* ``sigma = std(log x)`` gives the log-normal width;
+* the *median* is chosen so the fitted log-normal's analytic **mean**
+  equals the sample mean exactly — ``median = mean(x) / exp(sigma^2 / 2)``;
 * availability is the trace schedule's cycle average.
 
 A trace drawn from a *mixture* of class log-normals is not itself
 log-normal, so the fit is an approximation — but first moments match by
 construction, which is what the Fig. 7 LTTR round-trip checks:
-:func:`lttr_round_trip_error` compares the trace's mean LTTR against a
-fitted profile's and must stay within tolerance (10% in the tests and
-the CI trace-smoke job).
+:func:`lttr_round_trip_error` replays the fitted trace and compares its
+mean LTTR against the original's, which must stay within tolerance (10%
+in the tests and the CI trace-smoke job).
 """
 
 from __future__ import annotations
@@ -29,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..comm.network import TMOBILE_5G, NetworkModel
-from ..fl.config import FLConfig
-from ..fl.systems import FleetSystem, HeterogeneousSystem, _scaled_network
+from .generators import DeviceClassSpec, SyntheticTrace
 from .schema import DeviceTrace
 
 __all__ = ["TraceFit", "fit", "lttr_round_trip_error"]
@@ -48,69 +42,41 @@ def sample_client_ids(n_clients: int, sample_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceFit:
-    """Fitted profile parameters plus builders for both profile classes.
+    """The fitted device class and availability of a trace."""
 
-    ``speed_scale``/``bandwidth_scale`` carry the trait medians the
-    median-1 profiles cannot express: the speed scale multiplies the
-    profile's virtual LTTR base, the bandwidth scale divides the base
-    network's link rates.
-    """
-
-    speed_spread: float
-    speed_scale: float
-    bandwidth_spread: float
-    bandwidth_scale: float
+    device: DeviceClassSpec
     availability: float
     sample_size: int
 
-    def expected_lttr(self, lttr_seconds: float = 1.0) -> float:
-        """Analytic mean LTTR of the fitted profile (= the sample mean
-        of the trace it was fitted to, by construction)."""
-        sigma = np.log(self.speed_spread) / 2.0
-        return lttr_seconds * self.speed_scale * float(np.exp(sigma**2 / 2.0))
+    def expected_lttr(self) -> float:
+        """Analytic mean LTTR of the fitted class on the one-second
+        virtual base (= the sample mean of the trace it was fitted to,
+        by construction)."""
+        return self.device.speed_median * float(np.exp(self.device.speed_sigma**2 / 2.0))
 
-    def _network(self, base_network: NetworkModel) -> NetworkModel:
-        return _scaled_network(base_network, self.bandwidth_scale)
-
-    def heterogeneous_system(
-        self,
-        lttr_seconds: float = 1.0,
-        base_network: NetworkModel = TMOBILE_5G,
-        **kwargs,
-    ) -> HeterogeneousSystem:
-        """The fitted :class:`HeterogeneousSystem` (paper-scale fleets);
-        extra kwargs (e.g. ``deadline_factor``) pass through."""
-        return HeterogeneousSystem(
-            availability=self.availability,
-            speed_spread=self.speed_spread,
-            bandwidth_spread=self.bandwidth_spread,
-            lttr_seconds=lttr_seconds * self.speed_scale,
-            base_network=self._network(base_network),
-            **kwargs,
-        )
-
-    def fleet_system(
-        self,
-        lttr_seconds: float = 1.0,
-        base_network: NetworkModel = TMOBILE_5G,
-    ) -> FleetSystem:
-        """The fitted O(cohort) :class:`FleetSystem` (million-client
-        fleets)."""
-        return FleetSystem(
-            availability=self.availability,
-            speed_spread=self.speed_spread,
-            bandwidth_spread=self.bandwidth_spread,
-            lttr_seconds=lttr_seconds * self.speed_scale,
-            base_network=self._network(base_network),
+    def trace(self, name: str = "fitted", seed: int = 0) -> SyntheticTrace:
+        """The fitted one-class trace, drawn under trace seed ``seed``."""
+        return SyntheticTrace(
+            name, classes=(self.device,), seed=seed, availability=(self.availability,)
         )
 
 
 def _moment_fit(values: np.ndarray) -> tuple[float, float]:
-    """(spread, scale) of the mean-matching log-normal for ``values``."""
+    """(median, sigma) of the mean-matching log-normal for ``values``."""
     sigma = float(np.std(np.log(values)))
-    spread = float(np.exp(2.0 * sigma))
-    scale = float(values.mean() / np.exp(sigma**2 / 2.0))
-    return spread, scale
+    median = float(values.mean() / np.exp(sigma**2 / 2.0))
+    return median, sigma
+
+
+def _fleet_size(trace: DeviceTrace, n_clients: int | None) -> int:
+    size = trace.n_clients if trace.n_clients is not None else n_clients
+    if size is None:
+        raise ValueError("an unsized trace requires n_clients")
+    return size
+
+
+def _mean_speed(trace: DeviceTrace, ids) -> float:
+    return float(np.mean([trace.client_record(int(c)).compute_speed for c in ids]))
 
 
 def fit(
@@ -118,67 +84,52 @@ def fit(
     n_clients: int | None = None,
     sample_size: int = 2048,
 ) -> TraceFit:
-    """Method-of-moments fit of profile parameters to a trace.
+    """Method-of-moments fit of a one-class log-normal trace.
 
     ``n_clients`` is required for unsized synthetic traces (it bounds
     the client sample); sized traces use their own fleet size.  The
     sample is deterministic (evenly spaced ids), so fitting is
     reproducible and O(sample), never O(fleet).
     """
-    size = trace.n_clients if trace.n_clients is not None else n_clients
-    if size is None:
-        raise ValueError("fitting an unsized trace requires n_clients")
+    size = _fleet_size(trace, n_clients)
     trace.require_fleet(size)
     ids = sample_client_ids(size, sample_size)
     records = [trace.client_record(int(c)) for c in ids]
     speeds = np.array([r.compute_speed for r in records], dtype=np.float64)
     bandwidths = np.array([r.bandwidth_divisor for r in records], dtype=np.float64)
-    speed_spread, speed_scale = _moment_fit(speeds)
-    bandwidth_spread, bandwidth_scale = _moment_fit(bandwidths)
-    availability = min(max(trace.mean_availability(), 1e-6), 1.0)
+    speed_median, speed_sigma = _moment_fit(speeds)
+    bandwidth_median, bandwidth_sigma = _moment_fit(bandwidths)
     return TraceFit(
-        speed_spread=speed_spread,
-        speed_scale=speed_scale,
-        bandwidth_spread=bandwidth_spread,
-        bandwidth_scale=bandwidth_scale,
-        availability=availability,
+        device=DeviceClassSpec(
+            "fitted",
+            speed_median=speed_median,
+            speed_sigma=speed_sigma,
+            bandwidth_median=bandwidth_median,
+            bandwidth_sigma=bandwidth_sigma,
+        ),
+        availability=min(max(trace.mean_availability(), 1e-6), 1.0),
         sample_size=int(ids.size),
     )
-
-
-class _FitTask:
-    """Minimal task shim so a fitted profile can be bound for sampling."""
-
-    def __init__(self, n_clients: int) -> None:
-        self.n_clients = n_clients
 
 
 def lttr_round_trip_error(
     trace: DeviceTrace,
     n_clients: int | None = None,
     sample_size: int = 2048,
-    lttr_seconds: float = 1.0,
     seed: int = 0,
 ) -> float:
-    """Relative mean-LTTR error of the fitted profile vs the trace.
+    """Relative mean-LTTR error of the fitted trace vs the original.
 
-    Fits the trace, binds the fitted :class:`HeterogeneousSystem` to a
-    ``sample``-sized fleet, and compares the mean simulated local
-    compute of the fitted profile's own trait draws against the trace
-    sample's — the Fig. 7 LTTR validation loop.  The acceptance bound
-    (10% in tests and CI) covers both the mixture-vs-log-normal model
-    error and the fitted profile's finite-fleet sampling noise.
+    Fits the trace, replays the fitted one-class trace (under trace
+    seed ``seed``) over a ``sample``-sized fleet, and compares its mean
+    simulated local compute against the original trace sample's — the
+    Fig. 7 LTTR validation loop.  The acceptance bound (10% in tests and
+    CI) covers both the mixture-vs-log-normal model error and the
+    fitted trace's finite-fleet sampling noise.
     """
-    size = trace.n_clients if trace.n_clients is not None else n_clients
-    if size is None:
-        raise ValueError("an unsized trace requires n_clients")
+    size = _fleet_size(trace, n_clients)
     result = fit(trace, n_clients=size, sample_size=sample_size)
     ids = sample_client_ids(size, sample_size)
-    trace_mean = lttr_seconds * float(
-        np.mean([trace.client_record(int(c)).compute_speed for c in ids])
-    )
-
-    fitted = result.heterogeneous_system(lttr_seconds=lttr_seconds)
-    fitted.bind(_FitTask(int(ids.size)), FLConfig(seed=seed))
-    fitted_mean = float(np.mean([fitted.compute_seconds(1, c) for c in range(ids.size)]))
+    trace_mean = _mean_speed(trace, ids)
+    fitted_mean = _mean_speed(result.trace(seed=seed), range(ids.size))
     return abs(fitted_mean - trace_mean) / trace_mean

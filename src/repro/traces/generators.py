@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: Per-client trait stream tag (cannot collide with the simulation's
-#: ``[seed, round, client]`` streams or the fleet data/trait tags).
+#: ``[seed, round, client]`` streams or the fleet data tag).
 _TRACE_TAG = 0x7ACE
 
 

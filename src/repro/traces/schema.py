@@ -53,9 +53,11 @@ class ClientRecord:
       fast as the reference device; 2.0 = twice as slow);
     * ``bandwidth_divisor`` divides both link rates of the base
       :class:`~repro.comm.network.NetworkModel` (2.0 = half the
-      bandwidth) — the same convention as the ``HeterogeneousSystem``/
-      ``FleetSystem`` bandwidth traits, which keeps calibration a pure
-      moment fit.
+      bandwidth).
+
+    These are the ``(speed, bandwidth_divisor)`` traits of
+    :class:`~repro.fl.systems.SystemModel`, which
+    :class:`~repro.traces.TraceSystem` reads record by record.
     """
 
     client_id: int

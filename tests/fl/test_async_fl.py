@@ -122,11 +122,21 @@ class TestAsyncEquivalence:
 
 
 class TestStalenessWeighting:
+    @staticmethod
+    def _flush_weights(sim) -> list[np.ndarray]:
+        """Run every flush, reading the latest flush's weights after each."""
+        weights = []
+        for flush in range(1, sim.config.rounds + 1):
+            record = sim.run_round(flush)
+            sim.history.append(record)
+            assert sim.flush_weights.shape == (record.n_selected,)
+            weights.append(sim.flush_weights)
+        return weights
+
     def test_weights_sum_to_one_at_each_flush(self, session_image_task, async_config):
         sim = AsyncFederatedSimulation(session_image_task, FedBIAD(), async_config)
-        history = sim.run()
-        assert len(sim.flush_weights) == len(history) == async_config.rounds
-        for weights in sim.flush_weights:
+        assert sim.flush_weights is None
+        for weights in self._flush_weights(sim):
             assert weights.shape[0] >= 1
             assert np.all(weights > 0)
             assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -138,23 +148,17 @@ class TestStalenessWeighting:
 
     def test_staleness_discounts_effective_weight(self, session_image_task, async_config):
         """A stale update's normalized weight shrinks as beta grows."""
-        flat = AsyncFederatedSimulation(
-            session_image_task,
-            FedAvg(),
-            async_config.with_overrides(staleness_exponent=0.0, buffer_size=2),
+        flat, steep = (
+            self._flush_weights(AsyncFederatedSimulation(
+                session_image_task,
+                FedAvg(),
+                async_config.with_overrides(staleness_exponent=beta, buffer_size=2),
+            ))
+            for beta in (0.0, 4.0)
         )
-        flat.run()
-        steep = AsyncFederatedSimulation(
-            session_image_task,
-            FedAvg(),
-            async_config.with_overrides(staleness_exponent=4.0, buffer_size=2),
-        )
-        steep.run()
         # beta = 0 keeps data-size weighting; some flush must show the
         # steep run pushing weight away from its stalest member
-        assert any(
-            not np.allclose(a, b) for a, b in zip(flat.flush_weights, steep.flush_weights)
-        )
+        assert any(not np.allclose(a, b) for a, b in zip(flat, steep))
 
 
 class TestAsyncSemantics:

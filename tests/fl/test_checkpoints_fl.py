@@ -223,42 +223,6 @@ def test_restore_rejects_mode_mismatch(tmp_path, tiny_image_task, fast_config):
         async_sim.close()
 
 
-def test_legacy_subclass_overrides_still_honored(tmp_path, tiny_image_task, fast_config):
-    """A subclass written against the pre-deepcopy API — overriding the
-    public checkpoint_state/restore_state(state) pair — must still have
-    its overrides called (and its extra fields preserved) by
-    save_checkpoint/restore_checkpoint."""
-    from repro.baselines.fedavg import FedAvg
-    from repro.fl.simulation import FederatedSimulation
-
-    class LegacySim(FederatedSimulation):
-        extra = "unset"
-
-        def checkpoint_state(self):
-            state = super().checkpoint_state()
-            state["extra"] = "legacy-field"
-            return state
-
-        def restore_state(self, state):  # old single-argument signature
-            super().restore_state(state)
-            self.extra = state["extra"]
-
-    sim = LegacySim(tiny_image_task, FedAvg(), fast_config)
-    try:
-        sim.history.append(sim.run_round(1))
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(sim, path)
-    finally:
-        sim.close()
-    restored = LegacySim(tiny_image_task, FedAvg(), fast_config)
-    try:
-        restore_checkpoint(restored, path)
-        assert restored.extra == "legacy-field"
-        assert restored._next_round == 2
-    finally:
-        restored.close()
-
-
 def test_async_checkpoint_preserves_in_flight_uploads(tmp_path, tiny_image_task, fast_config):
     """In-flight uploads pending on the virtual clock survive the
     snapshot: the resumed run folds them instead of relaunching."""

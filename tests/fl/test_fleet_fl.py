@@ -18,14 +18,13 @@ from repro.data.registry import make_task
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 from repro.fl.systems import (
-    DEVICE_PROFILES,
     Availability,
-    FleetSystem,
     LAZY_AVAILABILITY_THRESHOLD,
     SystemModel,
     make_system,
     sample_index_cohort,
 )
+from repro.traces import DEVICE_PROFILES, TraceSystem
 
 
 class _Fleet:
@@ -113,74 +112,54 @@ class TestFleetAvailability:
         ).size == 0
 
 
-class TestFleetSystem:
+class TestFleetProfile:
     def test_registered_profile(self):
         system = make_system("fleet")
-        assert isinstance(system, FleetSystem)
+        assert isinstance(system, TraceSystem)
         assert "fleet" in DEVICE_PROFILES
 
     def test_bind_holds_no_fleet_sized_state(self):
-        system = FleetSystem()
+        system = make_system("fleet")
         system.bind(_Fleet(), FLConfig(seed=3))
         assert not any(
             hasattr(v, "__len__") and len(v) >= 10_000
             for v in vars(system).values()
         )
 
-    def test_traits_keyed_by_seed_and_client(self):
-        a = FleetSystem()
-        b = FleetSystem()
+    def test_traits_are_a_fixed_fleet(self):
+        """Traits are a pure function of the client id: they agree
+        across instances, access orders, config seeds and rebinds."""
+        a = make_system("fleet")
+        b = make_system("fleet")
         a.bind(_Fleet(), FLConfig(seed=3))
-        b.bind(_Fleet(), FLConfig(seed=3))
-        # on-demand draws agree across instances and access orders
+        b.bind(_Fleet(), FLConfig(seed=9))
         assert a.compute_seconds(1, 999_999) == b.compute_seconds(5, 999_999)
-        assert a.compute_seconds(1, 999_999) == a.lttr_seconds * a.traits(999_999)[0]
+        assert a.compute_seconds(1, 999_999) == a.traits(999_999)[0]
         assert a.network(1, 7).uplink_mbps == b.network(2, 7).uplink_mbps
-        c = FleetSystem()
-        c.bind(_Fleet(), FLConfig(seed=4))
-        assert a.compute_seconds(1, 7) != c.compute_seconds(1, 7)
+        assert a.compute_seconds(1, 7) != a.compute_seconds(1, 8)
+        old = a.compute_seconds(1, 7)
+        a.bind(_Fleet(), FLConfig(seed=9))
+        assert a.compute_seconds(1, 7) == old
 
     def test_binomial_availability_deterministic_per_seed_round(self):
-        system = FleetSystem(availability=0.5)
+        system = make_system("fleet")
         system.bind(_Fleet(), FLConfig(seed=0))
         draws = []
         for _ in range(2):
             rng = np.random.default_rng([0, 3, 0x5C1, 0])  # the (seed, round) system stream
             draws.append(system.available_clients(3, rng).size)
         assert draws[0] == draws[1]
-        assert 0 < draws[0] <= _Fleet.n_clients
-        # roughly half the fleet (binomial concentration)
-        assert abs(draws[0] - 500_000) < 5_000
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            FleetSystem(availability=0.0)
-        with pytest.raises(ValueError):
-            FleetSystem(speed_spread=0.5)
-        for lttr in (0.0, None):
-            with pytest.raises(ValueError):
-                FleetSystem(lttr_seconds=lttr)
-
-    def test_rebind_clears_trait_cache(self):
-        """Rebinding the same instance under a new seed must not serve
-        the previous seed's cached traits."""
-        system = FleetSystem()
-        system.bind(_Fleet(), FLConfig(seed=3))
-        old = system.compute_seconds(1, 7)
-        system.bind(_Fleet(), FLConfig(seed=9))
-        fresh = FleetSystem()
-        fresh.bind(_Fleet(), FLConfig(seed=9))
-        assert system.compute_seconds(1, 7) == fresh.compute_seconds(1, 7)
-        assert system.compute_seconds(1, 7) != old
+        # roughly 60% of the fleet (binomial concentration)
+        assert abs(draws[0] - 600_000) < 5_000
 
     def test_trait_cache_stays_bounded(self):
-        system = FleetSystem()
+        system = make_system("fleet")
         system.bind(_Fleet(), FLConfig(seed=0))
         for cid in range(5000):
             system.compute_seconds(1, cid)
         assert len(system._trait_cache) <= 4096
         # a cache eviction never changes the draw
-        fresh = FleetSystem()
+        fresh = make_system("fleet")
         fresh.bind(_Fleet(), FLConfig(seed=0))
         assert system.compute_seconds(1, 123) == fresh.compute_seconds(1, 123)
 

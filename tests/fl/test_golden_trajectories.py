@@ -10,11 +10,12 @@ re-pin the affected digests and say so in CHANGES.md.
 
 The matrix covers both availability shapes the selection core serves:
 
-* explicit id sets (every ``small`` preset, the array path), sync and
-  async — async with ``buffer_size=1`` so in-flight clients are
-  excluded from refills on that path;
-* bare up-counts (the ``fleet`` profile, and the ``flash-diurnal``
-  trace at K=100,000), which sample cohort ids from the index space.
+* explicit id sets (every ``small`` preset, the 5,000-client fleet
+  included, the array path), sync and async — async with
+  ``buffer_size=1`` so in-flight clients are excluded from refills on
+  that path;
+* bare up-counts (the ``flash-diurnal`` trace at K=100,000), which
+  sample cohort ids from the index space.
 
 A few cells widen the method and model coverage: the nested
 ``fedbiad+dgc`` sketched method (a ``CombinedMethod`` wrapping FedBIAD),
@@ -118,34 +119,34 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
 CELLS = _cells()
 
 GOLDEN = {
-    "fleet-fedavg-async-fleet": "61b7773a6e8aacac1f89c38c59f00d6f370e452a3bcdc0787ba00554e20acf8d",
+    "fleet-fedavg-async-fleet": "756e01b11ee55cf8dfe3da3f9673aeea0aaa288661d781d3686f00d1c1359509",
     "fleet-fedavg-async-trace:flash-diurnal": "8e7fa3d987cb3f2d9e11a8e1841083a26a21663284112ec71f58e668d32413cb",
-    "fleet-fedavg-sync-fleet": "476d88e34359e8e6d36703508b3b3e2ed85ff19160f7724c886018846396245a",
+    "fleet-fedavg-sync-fleet": "d5145e2f6272d9ff693468db1fd4eb5ac1cf15390b364e1cded702f1cefe6be5",
     "fleet-fedavg-sync-trace:flash-diurnal": "66ef70d6b1ca03b917df23282f122bbfe7a72d51cafb07a789d2da3a6a433efc",
     "fleet100k-fedavg-sync-trace:flash-diurnal": "6efa9554b81fd8ce1c13f5fea303fd841fd90af91dfce7160703d7beb9dbab1e",
-    "fleetragged-fedavg-sync-fleet": "cd701d3d7a92eab2fe538be9e8d3a141fb4e6a71516d5d9e9c0a47c63cdd9d28",
+    "fleetragged-fedavg-sync-fleet": "15faff81d9298af65bfb7353ef225d9c3a37d9d940170223df9d792291b647d8",
     "fmnist-fedbiad-sync-ideal": "2dcc789ba91db3efe417f85f7cbc6e4900992a189b2430bb1507b4afff007e87",
     "mnist-afd-sync-ideal": "b3db16c303b596459eb57abdd63c79fcca3b9161150150e424573e2a064fc1ca",
     "mnist-dgc-sync-ideal": "fffdca1b044433602d357ed97151714b2879863b6fec3976cd7739d269e38f1c",
-    "mnist-fedavg-async-flaky": "00788a4ab352f727418eba745a02badec52805e5c1ceb1f0dbd9428468266fad",
+    "mnist-fedavg-async-flaky": "86129253e3103d4733e164096216383ce5c251d9c87a3323901c686cdc673bd7",
     "mnist-fedavg-async-ideal": "bf1d1b3fc8ecfe908f65198de647a1e352a46754d1ec22d72c3b830e0900ac7c",
-    "mnist-fedavg-async-straggler": "9be798038c39182b1b88f44b9b08e854abf56b0b5854035cd6b872f52ff41548",
+    "mnist-fedavg-async-straggler": "4acd7a9b5dfd38ce97fb7abae16fec7beeead0812381459ba6df93ba3ec1a711",
     "mnist-fedavg-async-trace:flash-diurnal": "244a2ac957148d7950b74b6609eae73105a58f93d99fb25b674c3384ce2ffc91",
     "mnist-fedavg-sync-flaky": "3eebc7ae53ef1cf53977d6ec25f3c8820743f4ae10c4fe6ada752d055ce87a13",
     "mnist-fedavg-sync-ideal": "9d3a83f24614c32cd7b7e50f78f074c8fee09973480981c750a65719366f5a49",
     "mnist-fedavg-sync-ideal-momentum-clip": "5227f15abd53152a83b084d7cfe2a0e56155a6b0b8f7740aef9e0543d84dc479",
-    "mnist-fedavg-sync-straggler": "7fccb5e3a85d67352ba35a9df962b3b8e3152a92079a4c8b37c442575efbbfcc",
+    "mnist-fedavg-sync-straggler": "bba9cc442fa4b967bbdd775c5a429e6a1725bb9b47c7b9af95bd883130f586eb",
     "mnist-fedavg-sync-trace:flash-diurnal": "4b049772ddffc42b7fab10cd789413db5a86037f562cd3c365c0cf5dfd14964e",
     "mnist-fedbiad+dgc-sync-ideal": "71526a55ef6ca6982214b1c780a368614083aed5052d7e6393382bace2d3168e",
-    "mnist-fedbiad-async-flaky": "fd71e56e9a03a360169495bc90621789317c90f8310e4f820eb219e06d19949c",
+    "mnist-fedbiad-async-flaky": "069c13e7a6ca14c9875f147f0072c64f72267e731b56121db3d99bcd002da340",
     "mnist-fedbiad-async-ideal": "8a849333ed9427a430e1e7f4019255a1e3071d680b3249f089f31661f6a7cecf",
-    "mnist-fedbiad-async-straggler": "2f77d1e0c9bbbbaf2a280313056c1ce0ee0f89adeed550ce78ec3838c74564a3",
+    "mnist-fedbiad-async-straggler": "c2578ba54b2f03a871ae98f5a4fc1690fe4d84ce7933a76f0581992f653289cc",
     "mnist-fedbiad-async-trace:flash-diurnal": "c090d2fc7e9d9cfbf423847530b342541d5933e94c5c8c5773f5d43fb5d0dbf6",
     "mnist-fedbiad-sync-flaky": "e5df73ed413d97e4f57df416c87819da0611ffff0cb938710300e99b3a50930c",
     "mnist-fedbiad-sync-ideal": "61424d47a5600efa7e6e59acbb259a95f9ef4029cf87c295c752362937014f39",
     "mnist-fedbiad-sync-ideal-momentum-clip": "86c97a447cd33ab9fb2e9a6c825df782614765b2ce7fd2499beb5428d896835e",
     "mnist-fedbiad-sync-ideal-stage2": "7b47d0f209a0ae9f266cf1c2c96ba71865d084de134c21b91117b3cc153edea6",
-    "mnist-fedbiad-sync-straggler": "a45c1b2e259b8e017af5915998b45105d6548714c9e25805e69e4ea8c0066546",
+    "mnist-fedbiad-sync-straggler": "a8f0b0ab246fdfc0e9ce1e8a3418c6d34eb9acc3510c69d8472b7dd803ac401e",
     "mnist-fedbiad-sync-trace:flash-diurnal": "26285d69ea845e9957b828ca6b3bf71e74bf6c97088d7c2af1807a3411c07fe0",
     "mnist-feddrop-sync-ideal": "1f7b48fbac752227ea79c8ac11bb246286b7ff20eb36b383c74b9d83f42a4d75",
     "mnist-fedmp-sync-ideal": "1fe31b5a1fe0c7ed1fd665326216a33bebfdb85f4e7f20c3a8180711d668f514",
@@ -159,7 +160,7 @@ GOLDEN = {
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted GOLDEN items)``.  Moving
 #: any digest moves this pin; move the version with it.
-GOLDEN_PIN = (2, "14c2d28a19af43d421982376f717dad94f0274ee37d9a00b8a0723bf6629e610")
+GOLDEN_PIN = (3, "037df6859dcf7c6439f1f28cdc32b34322886f97e21a1513594d61eb2f2d3ea3")
 
 
 def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch) -> str:

@@ -6,18 +6,29 @@ import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvg
-from repro.comm.network import NetworkModel
+from repro.comm.network import TMOBILE_5G
 from repro.comm.timing import simulated_seconds, simulated_time_to_accuracy
 from repro.fl.config import FLConfig
 from repro.fl.simulation import run_simulation
 from repro.fl.systems import (
-    DEVICE_PROFILES,
-    HeterogeneousSystem,
-    IdealSystem,
+    LAZY_AVAILABILITY_THRESHOLD,
+    SYSTEM_NAMES,
+    SystemModel,
     VirtualClock,
-    _spread_sigma,
     make_system,
 )
+from repro.traces import (
+    DEVICE_PROFILES,
+    DeviceClassSpec,
+    TraceSystem,
+    _spread_sigma,
+    make_synthetic_trace,
+)
+
+
+def _one_class_trace(speed_sigma: float, bandwidth_sigma: float, rate: float = 1.0):
+    device = DeviceClassSpec("only", 1.0, speed_sigma, 1.0, bandwidth_sigma)
+    return make_synthetic_trace("one-class", classes=(device,), availability=(rate,))
 
 
 class TestVirtualClock:
@@ -63,12 +74,14 @@ class TestVirtualClock:
 class _Task:
     """Minimal stand-in exposing what SystemModel.bind reads."""
 
-    n_clients = 8
+    def __init__(self, n_clients: int = 8) -> None:
+        self.n_clients = n_clients
 
 
 class TestSystemModels:
     def test_registry_profiles(self):
-        for name in DEVICE_PROFILES:
+        assert SYSTEM_NAMES == ("ideal", *DEVICE_PROFILES)
+        for name in SYSTEM_NAMES:
             model = make_system(name)
             assert model.name == name
 
@@ -76,13 +89,25 @@ class TestSystemModels:
         with pytest.raises(ValueError):
             make_system("datacenter")
 
+    @pytest.mark.parametrize("name", sorted(DEVICE_PROFILES))
+    def test_profile_is_trace_system_with_threshold_availability(self, name):
+        """Every built-in profile replays a trace, and its availability
+        shape follows the fleet size alone: ids below the threshold, an
+        up-count at or above it."""
+        system = make_system(name)
+        assert isinstance(system, TraceSystem)
+        for n_clients, lazy in (
+            (LAZY_AVAILABILITY_THRESHOLD - 1, False),
+            (LAZY_AVAILABILITY_THRESHOLD, True),
+        ):
+            system.bind(_Task(n_clients), FLConfig())
+            avail = system.available_clients(1, np.random.default_rng(0))
+            assert (avail.ids is None) == lazy
+            assert (avail.count is None) != lazy
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            HeterogeneousSystem(availability=0.0)
-        with pytest.raises(ValueError):
-            HeterogeneousSystem(speed_spread=0.5)
-        with pytest.raises(ValueError):
-            HeterogeneousSystem(deadline_factor=0.5)
+            TraceSystem(_one_class_trace(0.5, 0.5), deadline_factor=0.5)
 
     def test_spread_sigma_degenerate_edge(self):
         """spread=1.0 is the valid degenerate log-normal (sigma 0,
@@ -93,55 +118,46 @@ class TestSystemModels:
         for bad in (0.0, 0.5, -1.0):
             with pytest.raises(ValueError, match="spread"):
                 _spread_sigma(bad)
-        # a spread-1 profile binds and yields constant unit traits
-        system = HeterogeneousSystem(
-            speed_spread=1.0, bandwidth_spread=1.0, lttr_seconds=0.25
-        )
+        # a spread-1 trace binds and yields constant unit traits
+        system = TraceSystem(_one_class_trace(_spread_sigma(1.0), _spread_sigma(1.0)))
         system.bind(_Task(), FLConfig(seed=0))
-        for c in range(_Task.n_clients):
-            assert system.compute_seconds(1, c) == pytest.approx(0.25)
+        for c in range(8):
+            assert system.compute_seconds(1, c) == 1.0
             assert system.network(1, c).uplink_mbps == pytest.approx(14.0)
 
     def test_ideal_system_is_transparent(self):
-        system = IdealSystem(lttr_seconds=0.25)
+        system = SystemModel()
         system.bind(_Task(), FLConfig())
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(
             system.available_clients(1, rng).ids, np.arange(8)
         )
-        assert system.compute_seconds(1, 3) == 0.25
+        assert system.compute_seconds(1, 3) == 1.0
+        assert system.network(1, 3) == TMOBILE_5G
         assert system.round_deadline(np.array([1.0, 2.0])) is None
 
-    def test_traits_deterministic_given_seed(self):
-        a = HeterogeneousSystem(speed_spread=4.0)
-        b = HeterogeneousSystem(speed_spread=4.0)
-        a.bind(_Task(), FLConfig(seed=7))
-        b.bind(_Task(), FLConfig(seed=7))
-        np.testing.assert_array_equal(a._speed, b._speed)
-
     def test_availability_fallback_never_empty(self):
-        system = HeterogeneousSystem(availability=1e-9)
+        system = TraceSystem(_one_class_trace(0.5, 0.5, rate=1e-9))
         system.bind(_Task(), FLConfig())
         available = system.available_clients(1, np.random.default_rng(0))
         assert available.size >= 1
 
     def test_bandwidth_divides_link_rates(self):
-        base = NetworkModel(downlink_mbps=100.0, uplink_mbps=10.0)
-        system = HeterogeneousSystem(bandwidth_spread=4.0, base_network=base)
+        system = make_system("heterogeneous")
         system.bind(_Task(), FLConfig())
         for cid in range(8):
             net = system.network(1, cid)
-            assert net.downlink_mbps / net.uplink_mbps == pytest.approx(10.0)
+            assert net.downlink_mbps / net.uplink_mbps == pytest.approx(
+                TMOBILE_5G.downlink_mbps / TMOBILE_5G.uplink_mbps
+            )
+            assert net.uplink_mbps == TMOBILE_5G.uplink_mbps / system.traits(cid)[1]
 
     def test_relative_deadline_anchors_on_fastest(self):
-        system = HeterogeneousSystem(deadline_factor=2.0)
+        system = TraceSystem(_one_class_trace(0.5, 0.5), deadline_factor=2.0)
         system.bind(_Task(), FLConfig())
         assert system.round_deadline(np.array([3.0, 1.0, 9.0])) == pytest.approx(2.0)
-
-    def test_absolute_deadline_caps_relative(self):
-        system = HeterogeneousSystem(deadline_factor=2.0, deadline_seconds=1.5)
-        system.bind(_Task(), FLConfig())
-        assert system.round_deadline(np.array([1.0, 5.0])) == pytest.approx(1.5)
+        assert make_system("straggler").deadline_factor == 1.5
+        assert make_system("heterogeneous").round_deadline(np.array([1.0])) is None
 
 
 class TestSystemSimulation:
@@ -154,9 +170,8 @@ class TestSystemSimulation:
         assert np.all(history.series("n_scheduled") == history.series("n_selected"))
 
     def test_straggler_scenario_drops_clients(self, session_image_task, session_config):
-        cfg = session_config.with_overrides(rounds=4, seed=1)
-        system = HeterogeneousSystem(speed_spread=8.0, bandwidth_spread=4.0, deadline_factor=1.2)
-        history = run_simulation(session_image_task, FedAvg(), cfg, system=system)
+        cfg = session_config.with_overrides(rounds=4, seed=1, system="straggler")
+        history = run_simulation(session_image_task, FedAvg(), cfg)
         stragglers = history.series("n_stragglers")
         assert stragglers.sum() > 0
         assert np.all(history.series("n_selected") >= 1)
@@ -189,11 +204,6 @@ class TestSystemSimulation:
         cfg = session_config.with_overrides(system=profile, rounds=3)
         self._assert_rerun_identical(session_image_task, cfg)
 
-    def test_virtual_lttr_must_be_positive(self):
-        for lttr in (0.0, None):
-            with pytest.raises(ValueError):
-                HeterogeneousSystem(lttr_seconds=lttr)
-
     def test_simulated_tta_reads_clock_column(self, session_image_task, session_config):
         history = run_simulation(session_image_task, FedAvg(), session_config)
         assert simulated_seconds(history) > 0
@@ -208,7 +218,7 @@ class TestSystemSimulation:
         assert np.all(history.series("n_selected") >= 1)
 
 
-class _OverTightDeadline(HeterogeneousSystem):
+class _OverTightDeadline(TraceSystem):
     """A deadline *below* every client's finish time — even the fastest
     client technically misses it, exercising the server's
     cannot-close-empty fallback."""
@@ -223,7 +233,7 @@ class TestOverTightDeadlineFallback:
 
     def test_fallback_takes_fastest_client(self, session_image_task, session_config):
         cfg = session_config.with_overrides(rounds=3)
-        system = _OverTightDeadline(speed_spread=8.0, bandwidth_spread=4.0)
+        system = _OverTightDeadline(make_system("straggler").trace)
         history = run_simulation(session_image_task, FedAvg(), cfg, system=system)
         # every round closes on exactly the fastest client; the rest
         # are stragglers
@@ -240,8 +250,8 @@ class TestOverTightDeadlineFallback:
         """With identical devices every upload lands at the same instant:
         the fallback must include the whole tie, not crash on it."""
         cfg = session_config.with_overrides(rounds=2)
-        # spreads of 1.0 disable heterogeneity -> all arrivals tie
-        system = _OverTightDeadline(speed_spread=1.0, bandwidth_spread=1.0)
+        # zero sigmas disable heterogeneity -> all arrivals tie
+        system = _OverTightDeadline(_one_class_trace(0.0, 0.0))
         history = run_simulation(session_image_task, FedAvg(), cfg, system=system)
         np.testing.assert_array_equal(
             history.series("n_selected"), history.series("n_scheduled")
@@ -255,7 +265,7 @@ class TestOverTightDeadlineFallback:
         first, second = (
             run_simulation(
                 session_image_task, FedAvg(), cfg,
-                system=_OverTightDeadline(speed_spread=8.0),
+                system=_OverTightDeadline(make_system("straggler").trace),
             )
             for _ in range(2)
         )

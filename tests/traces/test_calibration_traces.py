@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.network import TMOBILE_5G
 from repro.fl.config import FLConfig
-from repro.fl.systems import FleetSystem, HeterogeneousSystem
 from repro.traces import (
     ClientRecord,
+    SyntheticTrace,
     TabularTrace,
+    TraceSystem,
     fit,
     lttr_round_trip_error,
     make_synthetic_trace,
@@ -26,7 +28,7 @@ class _Task:
 
 class TestFit:
     def test_round_trips_registered_zipf_trace(self):
-        """The acceptance bound: a fitted HeterogeneousSystem reproduces
+        """The acceptance bound: the fitted one-class trace reproduces
         the generated Zipf trace's mean LTTR within 10%."""
         trace = make_trace("flash")
         assert lttr_round_trip_error(trace, n_clients=5000) < 0.10
@@ -66,36 +68,37 @@ class TestFit:
             lttr_round_trip_error(trace)
 
     def test_degenerate_homogeneous_trace(self):
-        """A spread-free trace fits to spread 1.0 — the degenerate
-        log-normal the profiles must accept (sigma 0)."""
+        """A spread-free trace fits to sigma 0 — the degenerate
+        log-normal a device class must accept."""
         records = [ClientRecord(c, "only", 2.0, 3.0) for c in range(64)]
         trace = TabularTrace("flat", records)
         result = fit(trace)
-        assert result.speed_spread == pytest.approx(1.0)
-        assert result.speed_scale == pytest.approx(2.0)
-        assert result.bandwidth_scale == pytest.approx(3.0)
-        system = result.heterogeneous_system()
+        assert result.device.speed_sigma == pytest.approx(0.0)
+        assert result.device.speed_median == pytest.approx(2.0)
+        assert result.device.bandwidth_median == pytest.approx(3.0)
+        system = TraceSystem(result.trace())
         system.bind(_Task(64), FLConfig(seed=0))
         for c in (0, 63):
             assert system.compute_seconds(1, c) == pytest.approx(2.0)
         assert lttr_round_trip_error(trace) < 1e-9
 
-    def test_fitted_systems_carry_all_parameters(self):
+    def test_fitted_trace_carries_all_parameters(self):
         trace = make_synthetic_trace("t", seed=1, availability=(0.5,))
         result = fit(trace, n_clients=2048)
-        het = result.heterogeneous_system(lttr_seconds=2.0, deadline_factor=1.5)
-        assert isinstance(het, HeterogeneousSystem)
-        assert het.availability == pytest.approx(result.availability)
-        assert het.speed_spread == pytest.approx(result.speed_spread)
-        assert het.lttr_seconds == pytest.approx(2.0 * result.speed_scale)
-        assert het.deadline_factor == 1.5
-        # the bandwidth scale folds into the base network
-        assert het.base_network.uplink_mbps == pytest.approx(
-            14.0 / result.bandwidth_scale
+        fitted = result.trace(seed=3)
+        assert isinstance(fitted, SyntheticTrace)
+        assert fitted.classes == (result.device,)
+        assert fitted.availability == (result.availability,)
+        assert fitted.seed == 3
+        system = TraceSystem(fitted, deadline_factor=1.5)
+        system.bind(_Task(2048), FLConfig())
+        assert system.availability_rate(1) == pytest.approx(0.5)
+        assert system.deadline_factor == 1.5
+        record = fitted.client_record(5)
+        assert system.compute_seconds(1, 5) == record.compute_speed
+        assert system.network(1, 5).uplink_mbps == pytest.approx(
+            TMOBILE_5G.uplink_mbps / record.bandwidth_divisor
         )
-        fleet = result.fleet_system()
-        assert isinstance(fleet, FleetSystem)
-        assert fleet.speed_spread == pytest.approx(result.speed_spread)
 
     def test_materialized_trace_fits_identically(self, tmp_path):
         """fit(synthetic) == fit(materialize(synthetic)): the tabular
