@@ -115,9 +115,9 @@ def _profile(
     rate: float = 1.0,
     deadline_factor: float | None = None,
 ) -> TraceSystem:
-    """A device profile: one median-1 log-normal device class, always up
-    with probability ``rate``, under a fixed trace seed (a fixed fleet,
-    like every registered trace)."""
+    """A device profile: one median-1 log-normal device class, each
+    device up with probability ``rate`` every round, under a fixed trace
+    seed (a fixed fleet, like every registered trace)."""
     device = DeviceClassSpec(
         name,
         speed_median=1.0,
