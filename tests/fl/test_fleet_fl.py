@@ -24,7 +24,7 @@ from repro.fl.systems import (
     make_system,
     sample_index_cohort,
 )
-from repro.traces import DEVICE_PROFILES, TraceSystem
+from repro.traces import DEVICE_PROFILES, TraceSystem, _profile
 
 
 class _Fleet:
@@ -151,6 +151,20 @@ class TestFleetProfile:
         assert draws[0] == draws[1]
         # roughly 60% of the fleet (binomial concentration)
         assert abs(draws[0] - 600_000) < 5_000
+
+    def test_invalid_parameters_rejected(self):
+        """The profile builder rejects what the fleet profile's old
+        constructor did: spreads below 1, up-rates outside [0, 1] and
+        deadlines tighter than the fastest client."""
+        with pytest.raises(ValueError, match="spread"):
+            _profile("bad", 0.5, 2.0)
+        with pytest.raises(ValueError, match="spread"):
+            _profile("bad", 4.0, 0.0)
+        for rate in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="availability"):
+                _profile("bad", 4.0, 2.0, rate=rate)
+        with pytest.raises(ValueError, match="deadline_factor"):
+            _profile("bad", 4.0, 2.0, deadline_factor=0.5)
 
     def test_trait_cache_stays_bounded(self):
         system = make_system("fleet")

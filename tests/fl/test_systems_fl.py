@@ -105,6 +105,30 @@ class TestSystemModels:
             assert (avail.ids is None) == lazy
             assert (avail.count is None) != lazy
 
+    @pytest.mark.parametrize(
+        "name, speed_spread, bandwidth_spread, rate, deadline_factor",
+        [
+            ("heterogeneous", 4.0, 2.0, 1.0, None),
+            ("flaky", 4.0, 2.0, 0.7, None),
+            ("straggler", 8.0, 4.0, 1.0, 1.5),
+            ("fleet", 4.0, 2.0, 0.6, None),
+        ],
+    )
+    def test_profile_keeps_its_parameters(
+        self, name, speed_spread, bandwidth_spread, rate, deadline_factor
+    ):
+        """Each profile is one median-1 log-normal class with its
+        spreads, up-rate and deadline, under the fixed trace seed 0."""
+        system = make_system(name)
+        trace = system.trace
+        assert trace.seed == 0
+        assert trace.availability == (rate,)
+        assert system.deadline_factor == deadline_factor
+        (device,) = trace.classes
+        assert device.speed_median == device.bandwidth_median == 1.0
+        assert device.speed_sigma == _spread_sigma(speed_spread)
+        assert device.bandwidth_sigma == _spread_sigma(bandwidth_spread)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             TraceSystem(_one_class_trace(0.5, 0.5), deadline_factor=0.5)
