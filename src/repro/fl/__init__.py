@@ -21,6 +21,7 @@ from .parameters import ParamSet
 from .rows import RowBlock, RowSpace
 from .simulation import FederatedSimulation, run_simulation
 from .systems import (
+    DEVICE_PROFILES,
     LAZY_AVAILABILITY_THRESHOLD,
     SYSTEM_NAMES,
     Availability,
@@ -73,6 +74,7 @@ __all__ = [
     "FederatedSimulation",
     "run_simulation",
     "ClientResult",
+    "DEVICE_PROFILES",
     "SYSTEM_NAMES",
     "ClientArrival",
     "Availability",

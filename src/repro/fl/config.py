@@ -44,7 +44,7 @@ class FLConfig:
       :func:`check_backend`);
     * ``system`` — device-behaviour profile name
       (:data:`repro.fl.systems.SYSTEM_NAMES`: ``"ideal"`` or one of the
-      one-class trace profiles of :data:`repro.traces.DEVICE_PROFILES`),
+      one-class trace profiles of :data:`repro.fl.systems.DEVICE_PROFILES`),
       or a ``"trace:<name-or-path>"`` device-trace spec; every
       non-ideal name is replayed by :class:`repro.traces.TraceSystem`;
     * ``mode`` — server aggregation discipline: ``"sync"`` closes every

@@ -24,7 +24,7 @@ touching the learning code:
   subclass: it reads traits and availability from a device trace.
 
 Every other profile name — ``heterogeneous``, ``flaky``, ``straggler``
-and ``fleet`` (:data:`repro.traces.DEVICE_PROFILES`), a registered trace
+and ``fleet`` (:data:`DEVICE_PROFILES`), a registered trace
 or a trace file — is a :class:`~repro.traces.TraceSystem`;
 :func:`make_system` resolves the name for ``FLConfig.system`` and
 ``experiments.cli run --device-profile``.
@@ -53,6 +53,7 @@ __all__ = [
     "sample_index_cohort",
     "SystemModel",
     "LAZY_AVAILABILITY_THRESHOLD",
+    "DEVICE_PROFILES",
     "SYSTEM_NAMES",
     "make_system",
 ]
@@ -320,22 +321,43 @@ class SystemModel:
 # deletes them together with the tracer's class list.
 HeterogeneousSystem = FleetSystem = SystemModel
 
+#: The built-in device profiles, by ``FLConfig.system`` name: each is a
+#: one-class trace (:func:`repro.traces.profile_system`) with parameters
+#: ``(speed_spread, bandwidth_spread, availability rate, deadline_factor)``.
+DEVICE_PROFILES: dict[str, tuple[float, float, float, float | None]] = {
+    # mild heterogeneity, everyone waits for everyone
+    "heterogeneous": (4.0, 2.0, 1.0, None),
+    # flaky fleet: a third of the fleet offline each round
+    "flaky": (4.0, 2.0, 0.7, None),
+    # wide speed spread + a deadline at 1.5x the fastest client: slow
+    # devices become stragglers and are dropped from aggregation
+    "straggler": (8.0, 4.0, 1.0, 1.5),
+    # million-client regime: on-demand traits, binomial availability
+    "fleet": (4.0, 2.0, 0.6, None),
+}
+
 #: Every built-in ``FLConfig.system`` profile: the ideal base model plus
-#: the one-class trace profiles of :data:`repro.traces.DEVICE_PROFILES`
-#: (named here because this module cannot import the trace subsystem at
-#: load time; a test keeps the two in step).
-SYSTEM_NAMES = ("ideal", "heterogeneous", "flaky", "straggler", "fleet")
+#: the trace profiles.
+SYSTEM_NAMES = ("ideal", *DEVICE_PROFILES)
 
 
 def make_system(name: str) -> SystemModel:
     """Build a device model from a profile name or a trace spec.
 
-    ``"ideal"`` is the base :class:`SystemModel`; every other profile,
-    ``"trace:<name-or-path>"`` spec and bare ``*.json`` trace path is
-    resolved by the trace subsystem (:func:`repro.traces.make_trace_system`).
+    ``"ideal"`` is the base :class:`SystemModel`.  Every other profile is
+    a one-class trace, and ``"trace:<name-or-path>"`` specs (and bare
+    ``*.json`` trace paths) replay a recorded or synthetic device trace;
+    both are built by the trace subsystem — see :mod:`repro.traces`.
     """
     if name == "ideal":
         return SystemModel()
-    from ..traces import make_trace_system
+    from ..traces import is_trace_spec, make_trace_system, profile_system
 
-    return make_trace_system(name)
+    if name in DEVICE_PROFILES:
+        return profile_system(name, *DEVICE_PROFILES[name])
+    if is_trace_spec(name):
+        return make_trace_system(name)
+    raise ValueError(
+        f"unknown system profile {name!r}; choose from {SYSTEM_NAMES} "
+        f"or a 'trace:<name-or-path>' spec"
+    )

@@ -4,8 +4,9 @@ A :class:`~repro.traces.schema.DeviceTrace` is a first-class,
 replayable description of fleet system behaviour — per-client device
 class, compute speed and bandwidth, plus a per-period availability
 schedule — and the only source of device traits: every built-in device
-profile (:data:`DEVICE_PROFILES`) is a one-class synthetic trace, and
-Fig. 7-style scenarios replay FLASH-style multi-class traces:
+profile (:data:`repro.fl.systems.DEVICE_PROFILES`) is a one-class
+synthetic trace (:func:`profile_system`), and Fig. 7-style scenarios
+replay FLASH-style multi-class traces:
 
 * :mod:`repro.traces.schema` — versioned schema, strict-JSON save/load;
 * :mod:`repro.traces.generators` — deterministic synthetic traces
@@ -27,7 +28,6 @@ import math
 from pathlib import Path
 from typing import Callable
 
-from ..fl.systems import SYSTEM_NAMES
 from .calibration import TraceFit, fit, lttr_round_trip_error
 from .generators import (
     FLASH_DEVICE_CLASSES,
@@ -68,7 +68,7 @@ __all__ = [
     "TraceFit",
     "fit",
     "lttr_round_trip_error",
-    "DEVICE_PROFILES",
+    "profile_system",
     "TRACE_SYSTEM_PREFIX",
     "TRACE_REGISTRY",
     "TRACE_NAMES",
@@ -79,8 +79,8 @@ __all__ = [
     "is_trace_spec",
 ]
 
-#: ``FLConfig.system`` values with this prefix name a trace instead of
-#: a device profile.
+#: ``FLConfig.system`` values with this prefix route to the trace
+#: subsystem instead of :data:`repro.fl.systems.DEVICE_PROFILES`.
 TRACE_SYSTEM_PREFIX = "trace:"
 
 #: Registered trace factories, selectable by name anywhere a trace spec
@@ -108,7 +108,7 @@ def _spread_sigma(spread: float) -> float:
     return math.log(spread) / 2.0
 
 
-def _profile(
+def profile_system(
     name: str,
     speed_spread: float,
     bandwidth_spread: float,
@@ -131,21 +131,6 @@ def _profile(
     )
     system.name = name
     return system
-
-
-#: The built-in device profiles, by ``FLConfig.system`` name (``"ideal"``
-#: is the plain :class:`~repro.fl.systems.SystemModel`).
-DEVICE_PROFILES: dict[str, Callable[[], TraceSystem]] = {
-    # mild heterogeneity, everyone waits for everyone
-    "heterogeneous": lambda: _profile("heterogeneous", 4.0, 2.0),
-    # flaky fleet: a third of the fleet offline each round
-    "flaky": lambda: _profile("flaky", 4.0, 2.0, rate=0.7),
-    # wide speed spread + a deadline at 1.5x the fastest client: slow
-    # devices become stragglers and are dropped from aggregation
-    "straggler": lambda: _profile("straggler", 8.0, 4.0, deadline_factor=1.5),
-    # million-client regime: on-demand traits, binomial availability
-    "fleet": lambda: _profile("fleet", 4.0, 2.0, rate=0.6),
-}
 
 
 def register_trace(name: str, factory: Callable[[], DeviceTrace]) -> None:
@@ -193,15 +178,6 @@ def make_trace(spec: str) -> DeviceTrace:
 
 
 def make_trace_system(spec: str) -> TraceSystem:
-    """Build the :class:`TraceSystem` behind a device-profile name or a
-    trace spec (the hook :func:`repro.fl.systems.make_system` delegates
-    every non-ideal name to)."""
-    profile = DEVICE_PROFILES.get(spec)
-    if profile is not None:
-        return profile()
-    if not is_trace_spec(spec):
-        raise ValueError(
-            f"unknown system profile {spec!r}; choose from {SYSTEM_NAMES} "
-            f"or a 'trace:<name-or-path>' spec"
-        )
+    """Build the :class:`TraceSystem` behind a ``trace:...`` system spec
+    (the hook :func:`repro.fl.systems.make_system` delegates to)."""
     return TraceSystem(make_trace(spec))

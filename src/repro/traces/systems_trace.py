@@ -8,7 +8,7 @@ bounded per-client cache, and the per-round availability rate follows
 the trace's period schedule (day/night cycles).  It is the only source
 of device traits: the built-in ``heterogeneous``, ``flaky``,
 ``straggler`` and ``fleet`` profiles are one-class synthetic traces
-replayed here (:data:`repro.traces.DEVICE_PROFILES`).
+replayed here (:data:`repro.fl.systems.DEVICE_PROFILES`).
 
 Availability takes the shape the fleet size calls for
 (:meth:`~repro.fl.systems.Availability.at_rate`): explicit ids from a

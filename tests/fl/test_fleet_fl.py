@@ -18,13 +18,14 @@ from repro.data.registry import make_task
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 from repro.fl.systems import (
+    DEVICE_PROFILES,
     Availability,
     LAZY_AVAILABILITY_THRESHOLD,
     SystemModel,
     make_system,
     sample_index_cohort,
 )
-from repro.traces import DEVICE_PROFILES, TraceSystem, _profile
+from repro.traces import TraceSystem, profile_system
 
 
 class _Fleet:
@@ -157,14 +158,14 @@ class TestFleetProfile:
         constructor did: spreads below 1, up-rates outside [0, 1] and
         deadlines tighter than the fastest client."""
         with pytest.raises(ValueError, match="spread"):
-            _profile("bad", 0.5, 2.0)
+            profile_system("bad", 0.5, 2.0)
         with pytest.raises(ValueError, match="spread"):
-            _profile("bad", 4.0, 0.0)
+            profile_system("bad", 4.0, 0.0)
         for rate in (-0.1, 1.5):
             with pytest.raises(ValueError, match="availability"):
-                _profile("bad", 4.0, 2.0, rate=rate)
+                profile_system("bad", 4.0, 2.0, rate=rate)
         with pytest.raises(ValueError, match="deadline_factor"):
-            _profile("bad", 4.0, 2.0, deadline_factor=0.5)
+            profile_system("bad", 4.0, 2.0, deadline_factor=0.5)
 
     def test_trait_cache_stays_bounded(self):
         system = make_system("fleet")

@@ -11,6 +11,7 @@ from repro.comm.timing import simulated_seconds, simulated_time_to_accuracy
 from repro.fl.config import FLConfig
 from repro.fl.simulation import run_simulation
 from repro.fl.systems import (
+    DEVICE_PROFILES,
     LAZY_AVAILABILITY_THRESHOLD,
     SYSTEM_NAMES,
     SystemModel,
@@ -18,7 +19,6 @@ from repro.fl.systems import (
     make_system,
 )
 from repro.traces import (
-    DEVICE_PROFILES,
     DeviceClassSpec,
     TraceSystem,
     _spread_sigma,
@@ -80,7 +80,6 @@ class _Task:
 
 class TestSystemModels:
     def test_registry_profiles(self):
-        assert SYSTEM_NAMES == ("ideal", *DEVICE_PROFILES)
         for name in SYSTEM_NAMES:
             model = make_system(name)
             assert model.name == name

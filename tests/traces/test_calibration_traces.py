@@ -85,11 +85,10 @@ class TestFit:
     def test_fitted_trace_carries_all_parameters(self):
         trace = make_synthetic_trace("t", seed=1, availability=(0.5,))
         result = fit(trace, n_clients=2048)
-        fitted = result.trace(seed=3)
+        fitted = result.trace()
         assert isinstance(fitted, SyntheticTrace)
         assert fitted.classes == (result.device,)
         assert fitted.availability == (result.availability,)
-        assert fitted.seed == 3
         system = TraceSystem(fitted, deadline_factor=1.5)
         system.bind(_Task(2048), FLConfig())
         assert system.availability_rate(1) == pytest.approx(0.5)
