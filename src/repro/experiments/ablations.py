@@ -11,8 +11,9 @@ decision the paper makes implicitly; the ablation bench quantifies it:
 * ``bayesian_init`` — sampling from N(U, s2 I) vs copying U;
 * ``rescale`` — inverted-dropout rescaling of kept rows.
 
-Declarative form: :func:`ablations_spec` (one cell per variant) +
-:func:`ablation_rows` (same arguments rebuild the cells for lookup).
+Declarative form: :func:`ablations_spec` (one cell per variant, in
+:data:`ABLATIONS` order) + :func:`ablation_rows` (labels the finished
+cells in that order).
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ ABLATIONS = (
 )
 
 
-def _cell(dataset, scale, seed, base_overrides, variant_overrides, method_kwargs):
-    return ExperimentSpec.make(
-        dataset,
-        "fedbiad",
-        scale=scale,
-        seed=seed,
-        overrides={**(base_overrides or {}), **variant_overrides},
-        method_kwargs=method_kwargs,
-    )
-
-
 def ablations_spec(
     dataset: str = "fmnist",
     scale: str | None = None,
@@ -65,24 +55,23 @@ def ablations_spec(
     return SweepSpec.from_cells(
         "ablations",
         (
-            _cell(dataset, scale, seed, overrides, variant_overrides, method_kwargs)
+            ExperimentSpec.make(
+                dataset, "fedbiad", scale=scale, seed=seed,
+                overrides={**(overrides or {}), **variant_overrides},
+                method_kwargs=method_kwargs,
+            )
             for _, variant_overrides, method_kwargs in ABLATIONS
         ),
     )
 
 
-def ablation_rows(
-    results: SweepResult,
-    dataset: str = "fmnist",
-    scale: str | None = None,
-    seed: int = 0,
-    overrides: dict | None = None,
-) -> list[AblationRow]:
-    """Rebuild the labelled ablation rows from a finished sweep
-    (arguments must match the :func:`ablations_spec` call)."""
+def ablation_rows(results: SweepResult) -> list[AblationRow]:
+    """The labelled ablation rows of a finished :func:`ablations_spec`
+    sweep, one per cell."""
     rows = []
-    for label, variant_overrides, method_kwargs in ABLATIONS:
-        result = results[_cell(dataset, scale, seed, overrides, variant_overrides, method_kwargs)]
+    for (label, _, _), (cell, result) in zip(ABLATIONS, results, strict=True):
+        if result is None:
+            raise LookupError(f"sweep incomplete: no result for cell {cell.label()}")
         rows.append(
             AblationRow(
                 name=label,

@@ -32,7 +32,10 @@ content-addressed cells, shards them across ``--shards`` worker
 processes, and persists every finished cell to ``--store``; re-running
 the same sweep recomputes only the cells the store is missing
 (``--no-resume`` forces a full recompute), so a killed Table-I
-regeneration picks up where it left off.  ``--max-cells`` bounds one
+regeneration picks up where it left off.  A bare artifact command
+(``table1``, ``fig7``, ...) is the same sweep with no default store:
+its cells live in the in-process memo (``store=memory`` in the summary
+line) unless ``--store`` names a directory.  ``--max-cells`` bounds one
 invocation's work (smoke tests, budgeted runs).  ``--shards`` is the
 CLI's only parallelism: every run executes serially in-process, and a
 sweep spreads whole runs across processes.
@@ -42,7 +45,7 @@ model (``ideal``, ``heterogeneous``, ``flaky``, ``straggler``), and
 ``--mode sync|async`` (with ``--buffer-size N``) to choose between
 barrier rounds and FedBuff-style buffered async aggregation.  The flags
 become an explicit :class:`~repro.experiments.context.ExecutionContext`
-threaded through the runner and scheduler; see :mod:`repro.fl.systems`
+that the scheduler folds into every cell; see :mod:`repro.fl.systems`
 and :mod:`repro.fl.async_aggregation`.
 """
 
@@ -171,28 +174,41 @@ def _method_list(raw: str | None) -> tuple[str, ...] | None:
     return chosen
 
 
+def _add_sweep_flags(p: argparse.ArgumentParser, store: str | None) -> None:
+    p.add_argument("--datasets", default=None,
+                   help="comma-separated subset (grid artifacts) or single "
+                        "dataset (fig8/ablations)")
+    p.add_argument("--methods", default=None,
+                   help="comma-separated method specs overriding the "
+                        "artifact's line-up")
+    p.add_argument("--seeds", default=None,
+                   help="comma-separated seeds (default 0; multi-seed is a "
+                        "table1/table2 feature — figures are single-seed)")
+    p.add_argument("--scale", default=None, choices=("small", "paper"))
+    p.add_argument("--shards", type=_positive_int, default=1,
+                   help="worker processes the pending cells are split across "
+                        "(needs --store)")
+    p.add_argument("--store", default=store,
+                   help="on-disk run store directory (cells persist here; "
+                        "without one they live in the in-process memo)")
+    p.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
+                   help="reuse cells the store already holds "
+                        "(--no-resume recomputes everything)")
+    p.add_argument("--rounds", type=_positive_int, default=None,
+                   help="override every cell's round count (smoke sweeps)")
+    p.add_argument("--max-cells", type=_nonnegative_int, default=None,
+                   help="compute at most N cells this invocation, leaving "
+                        "the rest pending")
+    _add_execution_flags(p)
+    _add_trace_flag(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.cli",
         description="Regenerate FedBIAD paper tables and figures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("table1", "table2", "fig6", "fig7"):
-        p = sub.add_parser(name)
-        p.add_argument("--datasets", default=None, help="comma-separated subset")
-        p.add_argument("--scale", default=None, choices=("small", "paper"))
-        _add_execution_flags(p)
-        if name == "fig7":
-            _add_trace_flag(p)
-    for name in ("fig2", "fig8"):
-        p = sub.add_parser(name)
-        p.add_argument("--scale", default=None, choices=("small", "paper"))
-        _add_execution_flags(p)
-    p = sub.add_parser("ablations")
-    p.add_argument("--datasets", default="fmnist")
-    p.add_argument("--scale", default=None, choices=("small", "paper"))
-    _add_execution_flags(p)
 
     # `run` also accepts the fleet task (million-client scenario);
     # artifact sweeps stay pinned to the paper's five datasets
@@ -206,35 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_flags(p)
     _add_trace_flag(p)
 
+    # every artifact is a sweep: `sweep <artifact>` persists its cells
+    # to --store, the bare `<artifact>` command keeps them in the
+    # in-process memo unless given a --store
+    for name in ARTIFACT_NAMES:
+        p = sub.add_parser(
+            name, help=f"regenerate {name} (a sweep; cells stay in memory without --store)"
+        )
+        _add_sweep_flags(p, store=None)
+        p.set_defaults(artifact=name)
     p = sub.add_parser(
         "sweep",
         help="run an artifact's grid as a sharded, resumable sweep",
     )
     p.add_argument("artifact", choices=ARTIFACT_NAMES)
-    p.add_argument("--datasets", default=None,
-                   help="comma-separated subset (grid artifacts) or single "
-                        "dataset (fig8/ablations)")
-    p.add_argument("--methods", default=None,
-                   help="comma-separated method specs overriding the "
-                        "artifact's line-up")
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated seeds (default 0; multi-seed is a "
-                        "table1/table2 feature — figures are single-seed)")
-    p.add_argument("--scale", default=None, choices=("small", "paper"))
-    p.add_argument("--shards", type=_positive_int, default=1,
-                   help="worker processes the pending cells are split across")
-    p.add_argument("--store", default=".repro_store",
-                   help="on-disk run store directory (cells persist here)")
-    p.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
-                   help="reuse cells the store already holds "
-                        "(--no-resume recomputes everything)")
-    p.add_argument("--rounds", type=_positive_int, default=None,
-                   help="override every cell's round count (smoke sweeps)")
-    p.add_argument("--max-cells", type=_nonnegative_int, default=None,
-                   help="compute at most N cells this invocation, leaving "
-                        "the rest pending")
-    _add_execution_flags(p)
-    _add_trace_flag(p)
+    _add_sweep_flags(p, store=".repro_store")
     return parser
 
 
@@ -296,30 +298,24 @@ def _build_sweep(args):
         return grid(spec_fn, fig7_rows, format_fig7,
                     ("mnist", "fmnist", "wikitext2", "reddit"), per_seed=True)
     if args.artifact == "fig8":
-        dataset = _single_dataset(args, default="reddit")
-        kwargs = {"dataset": dataset, "scale": scale, "seed": seed,
-                  "overrides": overrides}
-        if methods:
-            kwargs["methods"] = methods
-        spec = fig8_spec(**kwargs)
-        return spec, (lambda results: format_fig8(fig8_rows(results, **kwargs)))
+        spec_fn = partial(fig8_spec, dataset=_single_dataset(args, default="reddit"))
+        return grid(spec_fn, fig8_rows, format_fig8, None, per_seed=True)
     if methods:
         raise SystemExit("ablations sweeps are fixed to fedbiad variants; "
                          "--methods does not apply")
     dataset = _single_dataset(args, default="fmnist")
     spec = ablations_spec(dataset=dataset, scale=scale, seed=seed, overrides=overrides)
-    return spec, (
-        lambda results: format_ablations(
-            ablation_rows(results, dataset=dataset, scale=scale, seed=seed,
-                          overrides=overrides),
-            dataset,
-        )
-    )
+    return spec, (lambda results: format_ablations(ablation_rows(results), dataset))
 
 
 def _cmd_sweep(args, context: ExecutionContext) -> int:
     spec, render = _build_sweep(args)
-    store = RunStore(args.store)
+    if args.shards > 1 and args.store is None:
+        raise SystemExit(
+            f"--shards {args.shards} needs a persistent store the shard "
+            f"processes can share: pass --store DIR"
+        )
+    store = RunStore(args.store) if args.store is not None else None
     results = run_sweep(
         spec,
         store=store,
@@ -332,7 +328,7 @@ def _cmd_sweep(args, context: ExecutionContext) -> int:
     print(
         f"sweep {spec.name}: cells={len(results)} computed={results.computed} "
         f"reused={results.reused} pending={results.pending} "
-        f"shards={args.shards} store={args.store}"
+        f"shards={args.shards} store={args.store or 'memory'}"
     )
     if results.complete:
         print(render(results))
@@ -352,70 +348,40 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     context = context_from_args(args)
 
-    if args.command == "sweep":
+    if args.command != "run":
         return _cmd_sweep(args, context)
-    if args.command == "table1":
-        spec = table1_spec(datasets=_dataset_list(args.datasets, TASK_NAMES),
-                           scale=args.scale)
-        print(format_table1(table1_rows(run_sweep(spec, context=context))))
-    elif args.command == "table2":
-        spec = table2_spec(datasets=_dataset_list(args.datasets, TASK_NAMES),
-                           scale=args.scale)
-        print(format_table2(table2_rows(run_sweep(spec, context=context))))
-    elif args.command == "fig2":
-        print(format_fig2(fig2_result(run_sweep(fig2_spec(scale=args.scale),
-                                                context=context))))
-    elif args.command == "fig6":
-        datasets = _dataset_list(args.datasets, ("mnist", "wikitext2"))
-        spec = fig6_spec(datasets=datasets, scale=args.scale)
-        print(format_fig6(fig6_panels(run_sweep(spec, context=context))))
-    elif args.command == "fig7":
-        _check_trace_conflict(args)
-        datasets = _dataset_list(args.datasets, ("mnist", "fmnist", "wikitext2", "reddit"))
-        spec = fig7_spec(datasets=datasets, scale=args.scale, trace=args.trace)
-        print(format_fig7(fig7_rows(run_sweep(spec, context=context))))
-    elif args.command == "fig8":
-        spec = fig8_spec(scale=args.scale)
-        print(format_fig8(fig8_rows(run_sweep(spec, context=context), scale=args.scale)))
-    elif args.command == "ablations":
-        dataset = _dataset_list(args.datasets, ("fmnist",))[0]
-        spec = ablations_spec(dataset=dataset, scale=args.scale)
-        rows = ablation_rows(run_sweep(spec, context=context),
-                             dataset=dataset, scale=args.scale)
-        print(format_ablations(rows, dataset))
-    elif args.command == "run":
-        _check_trace_conflict(args)
-        overrides = {}
-        if args.rounds is not None:
-            overrides["rounds"] = args.rounds
-        if args.dropout_rate is not None:
-            overrides["dropout_rate"] = args.dropout_rate
-        if args.trace is not None:
-            trace = resolve_fig7_trace(args.trace, args.scale)
-            overrides["system"] = trace_system_spec(trace)
-        result = run_experiment(
-            args.task, args.method, scale=args.scale, seed=args.seed,
-            config_overrides=overrides or None, context=context,
+    _check_trace_conflict(args)
+    overrides = {}
+    if args.rounds is not None:
+        overrides["rounds"] = args.rounds
+    if args.dropout_rate is not None:
+        overrides["dropout_rate"] = args.dropout_rate
+    if args.trace is not None:
+        trace = resolve_fig7_trace(args.trace, args.scale)
+        overrides["system"] = trace_system_spec(trace)
+    result = run_experiment(
+        args.task, args.method, scale=args.scale, seed=args.seed,
+        config_overrides=overrides or None, context=context,
+    )
+    line = (
+        f"{args.method} on {args.task}: best acc {result.best_accuracy:.4f}, "
+        f"upload {result.upload_bits / 8 / 1024:.1f}KB/round "
+        f"(save {result.save_ratio:.2f}x), LTTR {result.lttr * 1e3:.1f}ms"
+    )
+    line += (
+        f", sim clock {result.sim_seconds:.3g}s"
+        f", participation {100 * result.participation:.0f}%"
+    )
+    if context.mode == "async":
+        line += f", mean staleness {result.history.mean_staleness():.2f}"
+    print(line)
+    system = overrides.get("system", context.system)
+    if system not in (None, "ideal"):
+        per_round = ", ".join(
+            f"r{r.round_index}:{r.n_selected}/{r.n_scheduled}"
+            for r in result.history.records
         )
-        line = (
-            f"{args.method} on {args.task}: best acc {result.best_accuracy:.4f}, "
-            f"upload {result.upload_bits / 8 / 1024:.1f}KB/round "
-            f"(save {result.save_ratio:.2f}x), LTTR {result.lttr * 1e3:.1f}ms"
-        )
-        line += (
-            f", sim clock {result.sim_seconds:.3g}s"
-            f", participation {100 * result.participation:.0f}%"
-        )
-        if context.mode == "async":
-            line += f", mean staleness {result.history.mean_staleness():.2f}"
-        print(line)
-        system = overrides.get("system", context.system)
-        if system not in (None, "ideal"):
-            per_round = ", ".join(
-                f"r{r.round_index}:{r.n_selected}/{r.n_scheduled}"
-                for r in result.history.records
-            )
-            print(f"  per-round participation [{system}]: {per_round}")
+        print(f"  per-round participation [{system}]: {per_round}")
     return 0
 
 

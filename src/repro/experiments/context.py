@@ -3,10 +3,11 @@
 :class:`ExecutionContext` carries the *how* of a run — device profile,
 server discipline — separately from the *what* (task, method, seed,
 hyper-parameters).  There is no process-global default: the CLI builds
-one context from its flags and threads it explicitly through
-:func:`~repro.experiments.runner.run_experiment` and the sweep
-scheduler, so two concurrent sweeps can run under different device
-profiles in one process without stepping on each other.
+one context from its flags and hands it to the sweep scheduler (or
+:func:`~repro.experiments.runner.run_experiment`), which folds it into
+each cell once, before hashing — so two concurrent sweeps can run under
+different device profiles in one process without stepping on each
+other.
 
 The split matters for caching: ``system``/``mode``/``buffer_size``
 change the simulated trajectory and are therefore part of the
@@ -32,9 +33,8 @@ EXECUTION_ONLY_KEYS = frozenset({"backend"})
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    """Execution choices for one or more runs; ``None`` defers to
-    :class:`~repro.fl.config.FLConfig` defaults (or to per-run
-    ``config_overrides``, which take precedence over the context).
+    """Execution choices for one or more runs; ``None`` defers to the
+    cell (and then to :class:`~repro.fl.config.FLConfig` defaults).
 
     * ``backend`` — ``"serial"``, the only engine (:mod:`repro.fl.engine`);
     * ``system`` — device profile name (:mod:`repro.fl.systems`);
@@ -51,15 +51,12 @@ class ExecutionContext:
         if self.backend is not None:
             check_backend(self.backend)
 
-    def overrides(self) -> dict[str, object]:
-        """The context as ``FLConfig`` override kwargs (set fields only)."""
+    def structural_overrides(self) -> dict[str, object]:
+        """The set fields that change the simulated trajectory (and hence
+        the cell hash) as ``FLConfig`` override kwargs: everything except
+        :data:`EXECUTION_ONLY_KEYS`."""
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if getattr(self, f.name) is not None
+            if f.name not in EXECUTION_ONLY_KEYS and getattr(self, f.name) is not None
         }
-
-    def structural_overrides(self) -> dict[str, object]:
-        """Overrides that change the simulated trajectory (and hence the
-        cell hash): everything except :data:`EXECUTION_ONLY_KEYS`."""
-        return {k: v for k, v in self.overrides().items() if k not in EXECUTION_ONLY_KEYS}

@@ -6,8 +6,7 @@ rates 0.3-0.6.
 
 Declarative form: :func:`fig8_spec` builds explicit cells (FedAvg's
 rows all share one cell — content addressing deduplicates it across
-rates) and :func:`fig8_rows` rebuilds the same cells to look results
-up, so both must be called with the same arguments.
+rates) and :func:`fig8_rows` reads the rows off the finished cells.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..comm.network import TMOBILE_5G, NetworkModel
-from .configs import TTA_TARGETS, active_scale
+from .configs import TTA_TARGETS
 from .reporting import format_table
 from .spec import ExperimentSpec, SweepSpec
 from .sweep import SweepResult
@@ -23,8 +22,10 @@ from .sweep import SweepResult
 __all__ = ["Fig8Row", "fig8_spec", "fig8_rows", "format_fig8"]
 
 FIG8_METHODS = ("fedavg", "feddrop", "afd", "fedbiad")
+#: panel (a)'s accuracy rates and panel (b)'s TTA rates
 FIG8A_RATES = (0.1, 0.3, 0.5, 0.7)
 FIG8B_RATES = (0.3, 0.4, 0.5, 0.6)
+FIG8_RATES = tuple(sorted(set(FIG8A_RATES) | set(FIG8B_RATES)))
 
 
 @dataclass
@@ -35,61 +36,50 @@ class Fig8Row:
     tta_seconds: float | None
 
 
-def _cells(dataset, methods, rates, scale, seed, overrides):
-    for rate in rates:
-        for method in methods:
-            cell_overrides = dict(overrides or {})
-            if method != "fedavg":
-                cell_overrides["dropout_rate"] = rate
-            yield ExperimentSpec.make(
-                dataset, method, scale=scale, seed=seed, overrides=cell_overrides
-            )
-
-
 def fig8_spec(
     dataset: str = "reddit",
     methods: tuple[str, ...] = FIG8_METHODS,
-    accuracy_rates: tuple[float, ...] = FIG8A_RATES,
-    tta_rates: tuple[float, ...] = FIG8B_RATES,
     scale: str | None = None,
     seed: int = 0,
     overrides: dict | None = None,
 ) -> SweepSpec:
-    """Fig. 8's sweep: each method at every dropout rate of both panels."""
-    rates = sorted(set(accuracy_rates) | set(tta_rates))
-    return SweepSpec.from_cells(
-        "fig8", _cells(dataset, methods, rates, scale, seed, overrides)
-    )
+    """Fig. 8's sweep: each method at every dropout rate of both panels
+    (FedAvg ignores the rate, so it runs once)."""
+    cells = []
+    for rate in FIG8_RATES:
+        for method in methods:
+            cell_overrides = dict(overrides or {})
+            if method != "fedavg":
+                cell_overrides["dropout_rate"] = rate
+            cells.append(
+                ExperimentSpec.make(dataset, method, scale=scale, seed=seed, overrides=cell_overrides)
+            )
+    return SweepSpec.from_cells("fig8", cells)
 
 
-def fig8_rows(
-    results: SweepResult,
-    dataset: str = "reddit",
-    methods: tuple[str, ...] = FIG8_METHODS,
-    accuracy_rates: tuple[float, ...] = FIG8A_RATES,
-    tta_rates: tuple[float, ...] = FIG8B_RATES,
-    scale: str | None = None,
-    seed: int = 0,
-    network: NetworkModel = TMOBILE_5G,
-    overrides: dict | None = None,
-) -> list[Fig8Row]:
-    """Rebuild the (rate, method) rows from a finished Fig. 8 sweep
-    (arguments must match the :func:`fig8_spec` call that produced it)."""
-    scale_name = scale or active_scale()
-    target = TTA_TARGETS[scale_name][dataset]
-    rates = sorted(set(accuracy_rates) | set(tta_rates))
+def fig8_rows(results: SweepResult, network: NetworkModel = TMOBILE_5G) -> list[Fig8Row]:
+    """One row per (dropout rate, method) of a finished Fig. 8 sweep,
+    FedAvg's one cell filling every rate; TTA only at
+    :data:`FIG8B_RATES`, against the cell's scale and task target."""
+    by_key, methods = {}, []
+    for cell, result in results:
+        if result is None:
+            raise LookupError(f"sweep incomplete: no result for cell {cell.label()}")
+        if cell.method not in methods:
+            methods.append(cell.method)
+        rate = None if cell.method == "fedavg" else cell.overrides_dict()["dropout_rate"]
+        by_key[cell.method, rate] = cell, result
     rows = []
-    for rate in rates:
-        for cell, method in zip(
-            _cells(dataset, methods, (rate,), scale, seed, overrides), methods
-        ):
-            result = results[cell]
+    for rate in FIG8_RATES:
+        for method in methods:
+            cell, result = by_key[method, None if method == "fedavg" else rate]
+            target = TTA_TARGETS[cell.scale][cell.task]
             rows.append(
                 Fig8Row(
                     dropout_rate=rate,
                     method=method,
                     accuracy=result.best_accuracy,
-                    tta_seconds=result.tta(target, network) if rate in tta_rates else None,
+                    tta_seconds=result.tta(target, network) if rate in FIG8B_RATES else None,
                 )
             )
     return rows

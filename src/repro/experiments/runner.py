@@ -1,20 +1,24 @@
 """Experiment runner: one cell in, one :class:`RunResult` out.
 
+:func:`run_cell` is the only code that turns an
+:class:`~repro.experiments.spec.ExperimentSpec` into a result; the sweep
+scheduler (:mod:`repro.experiments.sweep`) runs every cell through it.
+
 Several tables and figures reuse the same (task, method, config) runs —
 Table I, Fig. 6 and Fig. 7 all consume the FedAvg/MNIST history, for
 example — so :func:`run_experiment` memoizes through a run store keyed
-by the structural cell hash of :class:`~repro.experiments.spec.ExperimentSpec`.
-The default store is an in-process :class:`~repro.experiments.store.MemoryRunStore`;
-pass a persistent :class:`~repro.experiments.store.RunStore` (as the
-sweep scheduler does) to share results across processes and sessions.
+by the structural cell hash.  The default store is an in-process
+:class:`~repro.experiments.store.MemoryRunStore`; pass a persistent
+:class:`~repro.experiments.store.RunStore` to share results across
+processes and sessions.
 
-Execution choices (system/mode/buffer_size) arrive as an explicit
-:class:`~repro.experiments.context.ExecutionContext`.  Every run
-executes serially in-process; a sweep parallelizes whole runs across
-shard processes (:mod:`repro.experiments.sweep`).
+Every run executes serially in-process; a sweep parallelizes whole runs
+across shard processes.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from ..comm.timing import lttr_seconds
 from ..compression.registry import make_sketched
 from ..data.registry import make_task
 from ..fl.client import FederatedMethod
-from ..fl.config import FLConfig
 from ..fl.parameters import ParamSet
 from ..fl.simulation import run_simulation
 from ..fl.sizing import dense_bits
@@ -37,12 +40,18 @@ from .store import MemoryRunStore, RunStore
 __all__ = [
     "RunResult",
     "resolve_method",
+    "run_cell",
     "run_experiment",
     "clear_cache",
     "dense_upload_bits",
 ]
 
-_TASK_CACHE: dict[tuple, object] = {}
+#: Tasks kept by :func:`cached_task`, least recently used first.  Two,
+#: because fig7-traced-sweep builds mnist and fmnist during set-up and
+#: then runs their cells; an unbounded cache would hold all five tasks
+#: of a paper-scale inline sweep.
+TASK_CACHE_SIZE = 2
+_TASK_CACHE: OrderedDict[tuple, object] = OrderedDict()
 
 #: The in-process memo every :func:`run_experiment` call without an
 #: explicit ``store`` shares (the old module-global ``_CACHE``).
@@ -67,8 +76,12 @@ def resolve_method(spec: str, preset: ExperimentPreset | None = None, **kwargs) 
 
 def cached_task(task_name: str, scale: str, seed: int):
     key = (task_name, scale, seed)
-    if key not in _TASK_CACHE:
+    if key in _TASK_CACHE:
+        _TASK_CACHE.move_to_end(key)
+    else:
         _TASK_CACHE[key] = make_task(task_name, scale, seed)
+        if len(_TASK_CACHE) > TASK_CACHE_SIZE:
+            _TASK_CACHE.popitem(last=False)
     return _TASK_CACHE[key]
 
 
@@ -78,47 +91,16 @@ def dense_upload_bits(task) -> int:
     return dense_bits(ParamSet.from_module(model))
 
 
-def run_experiment(
-    task_name: str,
-    method_spec: str,
-    scale: str | None = None,
-    seed: int = 0,
-    config_overrides: dict | None = None,
-    method_kwargs: dict | None = None,
-    use_cache: bool = True,
-    context: ExecutionContext | None = None,
-    store: MemoryRunStore | RunStore | None = None,
-) -> RunResult:
-    """Run (or fetch from ``store``) one federated simulation.
-
-    Precedence for execution/config choices, lowest to highest: the
-    preset's ``FLConfig``, ``context``, then ``config_overrides``.
-
-    The cache key is the *structural* cell hash: ``backend`` never
-    misses the cache (``"serial"`` is its only value), while anything
-    that changes the simulated trajectory (seed, scale, any other
-    override, ``method_kwargs``) does.
-    """
-    preset = preset_for(task_name, scale)
-    overrides = (context or ExecutionContext()).overrides()
-    overrides.update(config_overrides or {})
-    fl: FLConfig = preset.fl.with_overrides(seed=seed, **overrides)
-    spec = ExperimentSpec.make(
-        task_name, method_spec, scale=preset.scale, seed=seed,
-        overrides=overrides, method_kwargs=method_kwargs,
-    )
-    store = store if store is not None else _DEFAULT_STORE
-    if use_cache:
-        cached = store.get(spec)
-        if cached is not None:
-            return cached
-
-    task = cached_task(task_name, preset.scale, preset.data_seed)
-    method = resolve_method(method_spec, preset, **(method_kwargs or {}))
-    history = run_simulation(task, method, fl)
-    result = RunResult(
-        task_name=task_name,
-        method_spec=method_spec,
+def run_cell(spec: ExperimentSpec) -> RunResult:
+    """Simulate one cell and summarize its history."""
+    preset = preset_for(spec.task, spec.scale)
+    config = preset.fl.with_overrides(seed=spec.seed, **spec.overrides_dict())
+    task = cached_task(spec.task, preset.scale, preset.data_seed)
+    method = resolve_method(spec.method, preset, **spec.method_kwargs_dict())
+    history = run_simulation(task, method, config)
+    return RunResult(
+        task_name=spec.task,
+        method_spec=spec.method,
         history=history,
         final_accuracy=history.final_accuracy,
         best_accuracy=history.best_accuracy,
@@ -128,7 +110,33 @@ def run_experiment(
         sim_seconds=history.total_sim_seconds,
         participation=float(history.participation().mean()) if len(history) else 1.0,
     )
-    if use_cache:
+
+
+def run_experiment(
+    task_name: str,
+    method_spec: str,
+    scale: str | None = None,
+    seed: int = 0,
+    config_overrides: dict | None = None,
+    method_kwargs: dict | None = None,
+    context: ExecutionContext | None = None,
+    store: MemoryRunStore | RunStore | None = None,
+) -> RunResult:
+    """Fetch one cell from ``store``, or run it with :func:`run_cell`
+    and store it.
+
+    ``context`` fills in the execution fields ``config_overrides``
+    leaves unset, before the cell is hashed, exactly as a sweep does;
+    ``backend`` never reaches the hash (``"serial"`` is its only value).
+    """
+    spec = ExperimentSpec.make(
+        task_name, method_spec, scale=scale, seed=seed,
+        overrides=config_overrides, method_kwargs=method_kwargs,
+    ).merged((context or ExecutionContext()).structural_overrides())
+    store = store if store is not None else _DEFAULT_STORE
+    result = store.get(spec)
+    if result is None:
+        result = run_cell(spec)
         store.put(spec, result)
     return result
 

@@ -7,10 +7,11 @@ skips cells the :class:`~repro.experiments.store.RunStore` already
 holds, and executes the remainder — inline for ``shards=1``, or split
 round-robin across shard worker processes.  Sharding is the one layer
 of parallelism in the stack: cells are independent runs, so shards
-exchange nothing per round.  Each worker runs its cells serially
-through :func:`~repro.experiments.runner.run_experiment` and persists
-every finished cell to the shared on-disk store; the parent then
-gathers results *in grid order* by cell hash.  A shard worker that
+exchange nothing per round.  Every cell runs through
+:func:`~repro.experiments.runner.run_cell` and is persisted to the
+store as soon as it finishes (a shard worker writes to the shared
+on-disk store); the parent then gathers results *in grid order* by
+cell hash.  A shard worker that
 dies (killed, out of memory) fails the sweep with a ``RuntimeError``
 naming the broken shard's cells instead of hanging; every cell that
 finished stays in the store for the rerun.
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .context import ExecutionContext
 from .results import RunResult
+from .runner import _DEFAULT_STORE, run_cell
 from .spec import ExperimentSpec, SweepSpec
 from .store import MemoryRunStore, RunStore
 
@@ -78,41 +80,18 @@ class SweepResult:
         return len(self.cells)
 
 
-def _execute_cell(spec, context, store, reuse: bool) -> RunResult:
-    """Run one (context-merged) cell through the runner against ``store``."""
-    from .runner import run_experiment
-
-    if reuse:
-        return run_experiment(
-            spec.task, spec.method, scale=spec.scale, seed=spec.seed,
-            config_overrides=spec.overrides_dict(),
-            method_kwargs=spec.method_kwargs_dict(),
-            context=context, store=store,
-        )
-    result = run_experiment(
-        spec.task, spec.method, scale=spec.scale, seed=spec.seed,
-        config_overrides=spec.overrides_dict(),
-        method_kwargs=spec.method_kwargs_dict(),
-        context=context, use_cache=False,
-    )
+def _execute_cell(spec: ExperimentSpec, store) -> RunResult:
+    """Run one (context-merged) cell and persist it to ``store``."""
+    result = run_cell(spec)
     store.put(spec, result)
     return result
 
 
-def _shard_worker(cells, store_root, context, reuse) -> int:  # pragma: no cover - subprocess
-    """Run one shard's cells serially against the shared disk store.
-
-    Returns the number of cells computed (a concurrent shard may have
-    landed a deduplicated cell first; the cheap re-check skips it).
-    """
+def _shard_worker(cells, store_root) -> None:  # pragma: no cover - subprocess
+    """Run one shard's cells serially against the shared disk store."""
     store = RunStore(store_root)
-    computed = 0
     for spec in cells:
-        if reuse and store.get(spec) is not None:
-            continue
-        _execute_cell(spec, context, store, reuse)
-        computed += 1
-    return computed
+        _execute_cell(spec, store)
 
 
 class SweepScheduler:
@@ -127,11 +106,10 @@ class SweepScheduler:
         :class:`MemoryRunStore`; sharded sweeps (``shards > 1``) need a
         persistent :class:`RunStore` the worker processes can share.
     context:
-        Sweep-wide execution defaults; structural fields (``system``,
-        ``mode``, ``buffer_size``) are merged into every cell *before*
-        hashing, so a ``--mode async`` sweep addresses different store
-        cells than a sync one.  ``None`` uses the runner's default
-        context.
+        Sweep-wide execution defaults; its structural fields
+        (``system``, ``mode``, ``buffer_size``) fill in every cell once,
+        *before* hashing, so a ``--mode async`` sweep addresses
+        different store cells than a sync one.
     shards:
         Worker processes the pending cells are split across (round-
         robin, preserving per-shard grid order).  ``1`` runs inline.
@@ -171,16 +149,11 @@ class SweepScheduler:
         self.max_cells = max_cells
         self.reuse = reuse
 
-    def _resolved(self):
-        from .runner import _DEFAULT_STORE
-
-        store = self.store if self.store is not None else _DEFAULT_STORE
-        return store, self.context or ExecutionContext()
-
     def run(self, progress: bool = False) -> SweepResult:
-        store, context = self._resolved()
+        store = self.store if self.store is not None else _DEFAULT_STORE
+        defaults = (self.context or ExecutionContext()).structural_overrides()
         base = self.sweep.cells
-        effective = [cell.merged(context.structural_overrides()) for cell in base]
+        effective = [cell.merged(defaults) for cell in base]
 
         # loaded: index -> result, filled by the planning pass and by
         # inline execution so no cell is parsed from disk twice.  With
@@ -203,23 +176,21 @@ class SweepScheduler:
                 f"{reused} cached, running {len(to_run)} on {self.shards} shard(s)"
             )
         if self.shards <= 1 or len(to_run) <= 1:
-            computed = 0
-            for i in to_run:
+            for n, i in enumerate(to_run, 1):
                 if progress:
-                    print(f"  [{computed + 1}/{len(to_run)}] {effective[i].label()}")
-                loaded[i] = _execute_cell(effective[i], context, store, self.reuse)
-                computed += 1
+                    print(f"  [{n}/{len(to_run)}] {effective[i].label()}")
+                loaded[i] = _execute_cell(effective[i], store)
         else:
-            computed = self._run_sharded(effective, to_run, store, context)
+            self._run_sharded(effective, to_run, store)
             for i in to_run:  # shard workers persisted to the shared store
                 result = store.get(effective[i])
                 if result is not None:
                     loaded[i] = result
 
         results = {base[i].cell_hash(): result for i, result in loaded.items()}
-        return SweepResult(cells=base, results=results, computed=computed, reused=reused)
+        return SweepResult(cells=base, results=results, computed=len(to_run), reused=reused)
 
-    def _run_sharded(self, effective, to_run, store: RunStore, context) -> int:
+    def _run_sharded(self, effective, to_run, store: RunStore) -> None:
         # imported here: the executor machinery costs ~1 MB of RSS that
         # inline sweeps and single runs never need
         from concurrent.futures import ProcessPoolExecutor
@@ -234,18 +205,18 @@ class SweepScheduler:
         # Prefer fork (cheap page-sharing of the loaded tasks on Linux).
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        computed, unfinished = 0, []
+        unfinished = []
         # Unlike Pool.starmap, which replaces a dead worker and waits
         # forever for its result, the executor breaks every pending
         # future when a worker process dies.
         with ProcessPoolExecutor(max_workers=len(shard_lists), mp_context=ctx) as pool:
             futures = [
-                pool.submit(_shard_worker, tuple(cells), str(store.root), context, self.reuse)
+                pool.submit(_shard_worker, tuple(cells), str(store.root))
                 for cells in shard_lists
             ]
             for cells, future in zip(shard_lists, futures):
                 try:
-                    computed += future.result()
+                    future.result()
                 except BrokenProcessPool:
                     unfinished += [cell.label() for cell in cells]
         if unfinished:
@@ -255,7 +226,6 @@ class SweepScheduler:
                 f"{'; '.join(unfinished)}.  Finished cells are in the store "
                 f"at {store.root}; rerun the sweep to resume from the store"
             )
-        return computed
 
 
 def run_sweep(

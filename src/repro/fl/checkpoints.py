@@ -145,8 +145,9 @@ def restore_checkpoint(sim, path: str | Path) -> None:
     """Restore a :func:`save_checkpoint` snapshot into a fresh simulation.
 
     ``sim`` must be constructed with the same task, method, config and
-    mode as the checkpointed run; ``sim.run()`` then continues from the
-    snapshot and reproduces the uninterrupted trajectory exactly.
+    mode as the checkpointed run (a mismatch raises ``ValueError``
+    naming the field); ``sim.run()`` then continues from the snapshot
+    and reproduces the uninterrupted trajectory exactly.
     """
     with Path(path).open("rb") as fh:
         state = pickle.load(fh)

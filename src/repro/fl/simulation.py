@@ -48,6 +48,7 @@ from __future__ import annotations
 import copy
 import time
 from collections import defaultdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -60,7 +61,11 @@ from .metrics import History, RoundRecord, evaluate
 from .parameters import ParamSet
 from .systems import Availability, ClientArrival, SystemModel, VirtualClock, make_system
 
-__all__ = ["FederatedSimulation", "run_simulation"]
+__all__ = ["FederatedSimulation", "run_simulation", "CHECKPOINT_FORMAT"]
+
+#: Layout version of :meth:`FederatedSimulation.checkpoint_state`
+#: snapshots; a snapshot of any other version is refused on restore.
+CHECKPOINT_FORMAT = 1
 
 
 class FederatedSimulation:
@@ -200,12 +205,24 @@ class FederatedSimulation:
     # ------------------------------------------------------------------
     # checkpoint / resume
     # ------------------------------------------------------------------
+    def _fingerprint(self) -> dict:
+        """What a snapshot must match to restore into this simulation,
+        in the order :meth:`restore_state` checks it."""
+        return {
+            "mode": self.mode,
+            "task": self.task.name,
+            "n_clients": self.task.n_clients,
+            "method": self.method.name,
+            **{f"config.{f.name}": getattr(self.config, f.name) for f in fields(self.config)},
+        }
+
     def _checkpoint_payload(self) -> dict:
         """Live references to everything a snapshot must capture;
         subclasses extend it (async adds its in-flight table, which
         shares objects with the clock's pending events)."""
         return {
-            "mode": self.mode,
+            "format": CHECKPOINT_FORMAT,
+            "fingerprint": self._fingerprint(),
             "next_round": self._next_round,
             "global_params": self.global_params,
             "client_states": dict(self.client_states),
@@ -239,20 +256,30 @@ class FederatedSimulation:
         self.history = state["history"]
 
     def restore_state(self, state: dict, *, copy_state: bool = True) -> None:
-        """Adopt a :meth:`checkpoint_state` snapshot (mode must match).
+        """Adopt a :meth:`checkpoint_state` snapshot.
 
-        With ``copy_state`` (the default) the snapshot is deep-copied on
+        The snapshot must have this module's :data:`CHECKPOINT_FORMAT`
+        and come from a run of the same mode, task (name and client
+        count), method name and full ``FLConfig``; otherwise a
+        ``ValueError`` names the first field that differs.  With ``copy_state`` (the default) the snapshot is deep-copied on
         the way in, so the same in-memory snapshot can seed several
         restores and is never mutated by the runs it seeds.  Callers
         adopting a freshly-deserialized object graph nobody else holds
         (:func:`~repro.fl.checkpoints.restore_checkpoint`) pass
         ``copy_state=False`` to skip the redundant copy.
         """
-        if state.get("mode") != self.mode:
+        if state.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(
-                f"checkpoint was written by a {state.get('mode')!r} simulation, "
-                f"cannot restore into {self.mode!r}"
+                f"checkpoint format {state.get('format')!r} is not "
+                f"{CHECKPOINT_FORMAT}; it was written by another version"
             )
+        theirs = state["fingerprint"]
+        for key, ours in self._fingerprint().items():
+            if theirs.get(key) != ours:
+                raise ValueError(
+                    f"checkpoint does not match this simulation: checkpoint "
+                    f"{key}={theirs.get(key)!r}, simulation {key}={ours!r}"
+                )
         self._adopt_state(copy.deepcopy(state) if copy_state else state)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import sweep
+from repro.experiments import ExecutionContext, clear_cache, sweep
 from repro.experiments.cli import ARTIFACT_NAMES, build_parser, context_from_args, main
 
 #: overrides that keep a CLI-driven simulation at smoke-test size
@@ -59,7 +59,7 @@ class TestContextFromArgs:
 
     def test_empty_flags_make_empty_context(self):
         args = build_parser().parse_args(["run", "mnist", "fedavg"])
-        assert context_from_args(args).overrides() == {}
+        assert context_from_args(args) == ExecutionContext()
 
 
 class TestMain:
@@ -175,6 +175,14 @@ class TestSweepCommand:
             main(["sweep", artifact, "--datasets", "mnist,fmnist",
                   "--store", str(tmp_path / "s")])
 
+    def test_bare_single_dataset_artifact_rejects_dataset_list(self):
+        with pytest.raises(SystemExit, match="one dataset"):
+            main(["ablations", "--datasets", "fmnist,mnist"])
+
+    def test_bare_command_shards_need_a_store(self):
+        with pytest.raises(SystemExit, match="needs a persistent store"):
+            main(["table1", "--shards", "2"])
+
     def test_sweep_no_resume_incomplete_message_warns_about_flag(self, tmp_path, capsys):
         args = ["sweep", "table1", "--datasets", "mnist",
                 "--methods", "fedavg,fedbiad", "--seeds", "0", "--rounds", "2",
@@ -202,12 +210,15 @@ class TestSweepAllArtifacts:
 
     @pytest.fixture(autouse=True)
     def stub_executor(self, monkeypatch, make_result):
-        def fake_execute_cell(spec, context, store, reuse):
+        def fake_execute_cell(spec, store):
             result = make_result(task=spec.task, method=spec.method)
             store.put(spec, result)
             return result
 
         monkeypatch.setattr(sweep, "_execute_cell", fake_execute_cell)
+        clear_cache()
+        yield
+        clear_cache()
 
     @pytest.mark.parametrize("artifact", ARTIFACT_NAMES)
     def test_sweep_runs_and_renders(self, artifact, tmp_path, capsys):
@@ -215,3 +226,14 @@ class TestSweepAllArtifacts:
         out = capsys.readouterr().out
         assert f"sweep {artifact}:" in out
         assert "pending=0" in out
+
+    @pytest.mark.parametrize("artifact", ARTIFACT_NAMES)
+    def test_bare_command_is_an_in_memory_sweep(self, artifact, tmp_path, capsys):
+        assert main([artifact]) == 0
+        bare = capsys.readouterr().out
+        assert f"sweep {artifact}:" in bare
+        store = str(tmp_path / "store")
+        assert main(["sweep", artifact, "--store", store]) == 0
+        swept = capsys.readouterr().out
+        # the artifact rendered after the summary line is the same
+        assert bare.split(" store=memory\n")[1] == swept.split(f" store={store}\n")[1]

@@ -9,6 +9,7 @@ from repro.experiments import (
     TABLE1_METHODS,
     TABLE2_METHODS,
     ExecutionContext,
+    MemoryRunStore,
     active_scale,
     format_series,
     format_table,
@@ -17,8 +18,11 @@ from repro.experiments import (
     preset_for,
     resolve_method,
     run_experiment,
+    run_sweep,
     sparkline,
+    table1_spec,
 )
+from repro.experiments import runner
 from repro.experiments.configs import TTA_TARGETS
 
 
@@ -112,6 +116,51 @@ class TestRunner:
         assert r.tta(0.0) == pytest.approx(r.history.records[0].sim_clock_seconds)
         assert r.tta(0.0) == r.sim_tta(0.0)
         assert r.tta(2.0) is None
+
+    def test_run_experiment_and_sweep_share_one_cell(self):
+        """A single run and a sweep fold the context into the cell the
+        same way, so the sweep is served the run's stored result."""
+        overrides = {"rounds": 2, "local_iterations": 3, "eval_every": 1}
+        context = ExecutionContext(system="straggler")
+        store = MemoryRunStore()
+        single = run_experiment(
+            "mnist", "fedavg", config_overrides=overrides, context=context, store=store,
+        )
+        spec = table1_spec(datasets=("mnist",), methods=("fedavg",), overrides=overrides)
+        swept = run_sweep(spec, store=store, context=context)
+        assert (swept.reused, swept.computed) == (1, 0)
+        assert swept[spec.cells[0]] is single
+
+
+class TestTaskCache:
+    @pytest.fixture(autouse=True)
+    def fake_tasks(self, monkeypatch):
+        """Count builds; each build is a distinct object."""
+        self.built = []
+
+        def make_task(name, scale, seed):
+            self.built.append(name)
+            return object()
+
+        monkeypatch.setattr(runner, "make_task", make_task)
+        runner.clear_cache()
+        yield
+        runner.clear_cache()
+
+    def test_repeated_key_returns_same_task(self):
+        first = runner.cached_task("mnist", "small", 0)
+        assert runner.cached_task("mnist", "small", 0) is first
+        assert self.built == ["mnist"]
+
+    def test_third_key_evicts_least_recently_used(self):
+        mnist = runner.cached_task("mnist", "small", 0)
+        runner.cached_task("fmnist", "small", 0)
+        assert runner.cached_task("mnist", "small", 0) is mnist  # now most recent
+        runner.cached_task("ptb", "small", 0)  # evicts fmnist
+        assert runner.cached_task("mnist", "small", 0) is mnist
+        runner.cached_task("fmnist", "small", 0)
+        assert self.built == ["mnist", "fmnist", "ptb", "fmnist"]
+        assert len(runner._TASK_CACHE) == runner.TASK_CACHE_SIZE == 2
 
 
 class TestReporting:

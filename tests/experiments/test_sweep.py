@@ -20,12 +20,18 @@ from repro.experiments import (
     MemoryRunStore,
     RunStore,
     SweepScheduler,
+    ablation_rows,
+    ablations_spec,
     clear_cache,
+    fig8_rows,
+    fig8_spec,
     run_sweep,
     table1_rows,
     table1_spec,
 )
 from repro.experiments import sweep
+from repro.experiments.ablations import ABLATIONS
+from repro.experiments.fig8 import FIG8_RATES, FIG8B_RATES
 
 #: smoke-scale overrides: every cell finishes in well under a second
 FAST = {"rounds": 2, "local_iterations": 3, "eval_every": 1}
@@ -60,6 +66,13 @@ class TestSerialEquivalence:
 
 
 class TestResume:
+    def test_cold_sweep_reads_each_cell_once(self, tmp_path):
+        """Planning is the only store read of a cell that then runs."""
+        store = RunStore(tmp_path / "store")
+        cold = run_sweep(tiny_spec(), store=store)
+        assert cold.computed == len(tiny_spec()) == 4
+        assert store.misses == 4 and store.hits == 0
+
     def test_interrupted_sweep_resumes_only_incomplete_cells(self, tmp_path):
         store = RunStore(tmp_path / "store")
         first = run_sweep(tiny_spec(), store=store, max_cells=3)
@@ -134,10 +147,10 @@ class TestDeadShard:
         store = RunStore(tmp_path / "store")
         execute = sweep._execute_cell
 
-        def dying(cell, *args):
+        def dying(cell, store):
             if cell.method == "fedavg":
                 os._exit(3)  # the shard worker process dies mid-sweep
-            return execute(cell, *args)
+            return execute(cell, store)
 
         def hung(signum, frame):
             raise TimeoutError("sharded sweep hung after a shard worker died")
@@ -233,7 +246,7 @@ class TestTable1Satellites:
 
     @pytest.fixture(autouse=True)
     def stub_executor(self, monkeypatch, make_result):
-        def fake_execute_cell(spec, context, store, reuse):
+        def fake_execute_cell(spec, store):
             result = make_result(
                 task=spec.task, method=spec.method, accs=(0.4, 0.5 + 0.1 * spec.seed)
             )
@@ -263,3 +276,41 @@ class TestTable1Satellites:
     def test_single_seed_std_is_zero(self):
         rows = self._rows(seeds=(0,))
         assert rows[0].accuracy_std == 0.0
+
+
+class TestFoldsReadTheirCells:
+    """fig8_rows and ablation_rows take nothing but the finished sweep,
+    whatever arguments built it (cell execution stubbed)."""
+
+    @pytest.fixture(autouse=True)
+    def stub_executor(self, monkeypatch, make_result):
+        def fake_execute_cell(spec, store):
+            rate = spec.overrides_dict().get("dropout_rate", 0.0)
+            result = make_result(task=spec.task, method=spec.method, accs=(0.2, 1.0 - rate / 2))
+            store.put(spec, result)
+            return result
+
+        monkeypatch.setattr(sweep, "_execute_cell", fake_execute_cell)
+
+    def test_fig8_rows_of_a_non_default_sweep(self):
+        spec = fig8_spec(dataset="ptb", methods=("fedavg", "fedbiad"), seed=2)
+        rows = fig8_rows(run_sweep(spec, store=MemoryRunStore()))
+        assert [(r.dropout_rate, r.method) for r in rows] == [
+            (rate, method) for rate in FIG8_RATES for method in ("fedavg", "fedbiad")
+        ]
+        for row in rows:
+            rate = 0.0 if row.method == "fedavg" else row.dropout_rate
+            assert row.accuracy == pytest.approx(1.0 - rate / 2)  # above ptb's target
+            assert (row.tta_seconds is not None) == (row.dropout_rate in FIG8B_RATES)
+
+    def test_ablation_rows_of_a_non_default_sweep(self):
+        spec = ablations_spec(dataset="mnist", seed=1, overrides={"rounds": 2})
+        rows = ablation_rows(run_sweep(spec, store=MemoryRunStore()))
+        assert [r.name for r in rows] == [label for label, _, _ in ABLATIONS]
+        assert all(r.accuracy == pytest.approx(1.0) for r in rows)
+
+    def test_folds_raise_on_incomplete_sweep(self):
+        for spec, rows in ((fig8_spec(), fig8_rows), (ablations_spec(), ablation_rows)):
+            partial = run_sweep(spec, store=MemoryRunStore(), max_cells=1)
+            with pytest.raises(LookupError):
+                rows(partial)

@@ -217,10 +217,75 @@ def test_restore_rejects_mode_mismatch(tmp_path, tiny_image_task, fast_config):
         tiny_image_task, FedAvg(), fast_config.with_overrides(mode="async")
     )
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checkpoint mode='sync', simulation mode='async'"):
             restore_checkpoint(async_sim, path)
     finally:
         async_sim.close()
+
+
+def _sync_checkpoint(tmp_path, task, method, config):
+    from repro.fl.simulation import FederatedSimulation
+
+    sim = FederatedSimulation(task, method, config)
+    sim.history.append(sim.run_round(1))
+    path = tmp_path / "sync.ckpt"
+    save_checkpoint(sim, path)
+    return path
+
+
+def test_restore_names_mismatched_config_field(tmp_path, tiny_image_task, fast_config):
+    from repro.baselines.fedavg import FedAvg
+    from repro.fl.simulation import FederatedSimulation
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config.with_overrides(lr=0.1))
+    sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config.with_overrides(lr=0.3))
+    with pytest.raises(ValueError, match=r"checkpoint config\.lr=0\.1, simulation config\.lr=0\.3"):
+        restore_checkpoint(sim, path)
+
+
+def test_restore_names_mismatched_method(tmp_path, tiny_image_task, fast_config):
+    from repro.baselines.fedavg import FedAvg
+    from repro.core.client import FedBIAD
+    from repro.fl.simulation import FederatedSimulation
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
+    sim = FederatedSimulation(tiny_image_task, FedBIAD(), fast_config)
+    with pytest.raises(ValueError, match="checkpoint method='fedavg', simulation method='fedbiad'"):
+        restore_checkpoint(sim, path)
+
+
+@pytest.mark.parametrize("other, message", [
+    ("six-client", "checkpoint n_clients=4, simulation n_clients=6"),
+    ("text", "checkpoint task='tiny-image', simulation task='tiny-text'"),
+])
+def test_restore_names_mismatched_task(
+    tmp_path, tiny_image_task, tiny_text_task, fast_config, other, message
+):
+    from repro.baselines.fedavg import FedAvg
+    from repro.fl.simulation import FederatedSimulation
+
+    from tests.conftest import make_tiny_image_task
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
+    task = make_tiny_image_task(n_clients=6) if other == "six-client" else tiny_text_task
+    sim = FederatedSimulation(task, FedAvg(), fast_config)
+    with pytest.raises(ValueError, match=message):
+        restore_checkpoint(sim, path)
+
+
+def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config):
+    import pickle
+
+    from repro.baselines.fedavg import FedAvg
+    from repro.fl.simulation import FederatedSimulation
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
+    state = pickle.loads(path.read_bytes())
+    del state["format"]  # a snapshot written before the header existed
+    path.write_bytes(pickle.dumps(state))
+    sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
+    with pytest.raises(ValueError, match="checkpoint format None"):
+        restore_checkpoint(sim, path)
 
 
 def test_async_checkpoint_preserves_in_flight_uploads(tmp_path, tiny_image_task, fast_config):
