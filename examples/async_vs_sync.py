@@ -20,13 +20,14 @@ magnitude, virtual compute base, deadline at 1.5x the fastest client):
   is dropped — slow devices land late and merely count for less.
 
 Both runs are fully deterministic (arrival order derives from virtual
-time), so the simulated time-to-accuracy comparison is exact and
-reproducible across hosts and reruns.
+time), so the time-to-accuracy comparison
+(:meth:`repro.fl.metrics.History.time_to_accuracy`, the virtual clock at
+the first round reaching the target) is exact and reproducible across
+hosts and reruns.
 """
 
 from __future__ import annotations
 
-from repro.comm.timing import simulated_time_to_accuracy
 from repro.core import FedBIAD
 from repro.data import make_task
 from repro.fl import FLConfig, run_simulation
@@ -69,8 +70,8 @@ def main() -> None:
         )
     print(f"  ... ({len(async_history)} flushes total)")
 
-    sync_tta = simulated_time_to_accuracy(sync_history, TARGET_ACCURACY)
-    async_tta = simulated_time_to_accuracy(async_history, TARGET_ACCURACY)
+    sync_tta = sync_history.time_to_accuracy(TARGET_ACCURACY)
+    async_tta = async_history.time_to_accuracy(TARGET_ACCURACY)
     print()
     print(
         f"sync  : best acc {sync_history.best_accuracy:.3f}, "

@@ -19,7 +19,7 @@ Subpackages
 ``repro.core``         FedBIAD (the paper's contribution)
 ``repro.baselines``    FedAvg, FedDrop, AFD, FedMP, FjORD, HeteroFL
 ``repro.compression``  DGC, SignSGD, FedPAQ, STC and their composition
-``repro.comm``         5G link model, LTTR/TTA accounting
+``repro.comm``         5G link model (the virtual clock's base link)
 ``repro.traces``       trace-driven device & availability subsystem
 ``repro.theory``       Theorem 1's generalization bounds
 ``repro.experiments``  harness regenerating every table and figure

@@ -13,7 +13,7 @@ from .masks import (
     ordered_keep,
     random_keep,
 )
-from .registry import METHOD_NAMES, make_method, register_method
+from .registry import METHOD_NAMES, make_method
 
 __all__ = [
     "AFD",
@@ -32,5 +32,4 @@ __all__ = [
     "random_keep",
     "METHOD_NAMES",
     "make_method",
-    "register_method",
 ]

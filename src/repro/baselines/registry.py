@@ -13,7 +13,7 @@ from .fedmp import FedMP
 from .fjord import Fjord
 from .heterofl import HeteroFL
 
-__all__ = ["METHOD_NAMES", "make_method", "register_method"]
+__all__ = ["METHOD_NAMES", "make_method"]
 
 _FACTORIES: dict[str, Callable[..., FederatedMethod]] = {
     "fedavg": FedAvg,
@@ -26,11 +26,6 @@ _FACTORIES: dict[str, Callable[..., FederatedMethod]] = {
 }
 
 METHOD_NAMES = tuple(_FACTORIES)
-
-
-def register_method(name: str, factory: Callable[..., FederatedMethod]) -> None:
-    """Register a custom method (used by the compression wrappers)."""
-    _FACTORIES[name] = factory
 
 
 def make_method(name: str, **kwargs) -> FederatedMethod:

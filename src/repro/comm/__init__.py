@@ -1,22 +1,7 @@
-"""Communication cost and training-time models."""
+"""The paper's 5G link model: the base link every system model scales
+per client on the virtual clock (time-to-accuracy is read off that
+clock, :meth:`repro.fl.metrics.History.time_to_accuracy`)."""
 
 from .network import TMOBILE_5G, NetworkModel
-from .timing import (
-    RoundTiming,
-    lttr_seconds,
-    round_timings,
-    simulated_seconds,
-    simulated_time_to_accuracy,
-    time_to_accuracy,
-)
 
-__all__ = [
-    "TMOBILE_5G",
-    "NetworkModel",
-    "RoundTiming",
-    "lttr_seconds",
-    "round_timings",
-    "simulated_seconds",
-    "simulated_time_to_accuracy",
-    "time_to_accuracy",
-]
+__all__ = ["TMOBILE_5G", "NetworkModel"]

@@ -39,5 +39,5 @@ class NetworkModel:
         return self.downlink_mbps / self.uplink_mbps
 
 
-#: The link used throughout the paper's Fig. 7/8 timing results.
+#: The paper's link: the base every system model scales per client.
 TMOBILE_5G = NetworkModel(downlink_mbps=110.6, uplink_mbps=14.0)

@@ -256,7 +256,7 @@ def _build_sweep(args):
     """The chosen artifact's sweep plus its results->text renderer."""
     if args.trace is not None and args.artifact != "fig7":
         raise SystemExit(
-            f"--trace is a fig7 feature (the traced LTTR/TTA variant); "
+            f"--trace is a fig7 feature (the traced LTTR variant); "
             f"{args.artifact} sweeps do not accept it"
         )
     overrides = {"rounds": args.rounds} if args.rounds is not None else None
@@ -298,8 +298,9 @@ def _build_sweep(args):
         return grid(spec_fn, fig7_rows, format_fig7,
                     ("mnist", "fmnist", "wikitext2", "reddit"), per_seed=True)
     if args.artifact == "fig8":
-        spec_fn = partial(fig8_spec, dataset=_single_dataset(args, default="reddit"))
-        return grid(spec_fn, fig8_rows, format_fig8, None, per_seed=True)
+        dataset = _single_dataset(args, default="reddit")
+        return grid(partial(fig8_spec, dataset=dataset), fig8_rows,
+                    partial(format_fig8, dataset=dataset), None, per_seed=True)
     if methods:
         raise SystemExit("ablations sweeps are fixed to fedbiad variants; "
                          "--methods does not apply")

@@ -1,11 +1,14 @@
 """Fig. 7: LTTR (local compute per round) and Time-To-Accuracy.
 
-LTTR is the measured wall-clock of one client's local update in our
-simulator (the paper measured a MacBook Pro; we measure the simulating
-host — absolute values differ, relative ordering is the target: FedBIAD
-slightly above the other dropout methods because of its pattern/score
-bookkeeping, yet lowest TTA thanks to fewer bits and fewer rounds to
-target).
+TTA is read off the virtual clock
+(:meth:`~repro.fl.metrics.History.time_to_accuracy`): download, compute
+and upload under the cell's system model, so it is identical across
+reruns and sweep shard counts.  LTTR on an untraced cell is the measured
+wall-clock of one client's local update in our simulator (the paper
+measured a MacBook Pro; we measure the simulating host — absolute values
+differ, relative ordering is the target: FedBIAD slightly above the
+other dropout methods because of its pattern/score bookkeeping, yet
+lowest TTA thanks to fewer bits and fewer rounds to target).
 
 Declarative form: :func:`fig7_spec` + :func:`fig7_rows` (targets come
 from each cell's recorded scale).
@@ -13,19 +16,15 @@ from each cell's recorded scale).
 Traced variant: ``fig7_spec(trace=...)`` pins every cell to a device
 trace (``FLConfig.system = "trace:<name-or-path>"``; ``trace="preset"``
 resolves the scale's :data:`~repro.experiments.configs.FIG7_TRACED`
-entry).  :func:`fig7_rows` detects traced cells and reads their LTTR
-and TTA off the **virtual clock** — the trace's device-scaled compute
-(``sim_compute_seconds_mean``) and the simulated time base — instead of
-host wall-clock and the post-hoc barrier composition, so Table-style
-LTTR/TTA rows regenerate under trace-calibrated device distributions.
+entry).  :func:`fig7_rows` reports a traced cell's LTTR as the trace's
+device-scaled compute (``sim_compute_seconds_mean``) instead of host
+wall-clock, so the whole traced row is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..comm.network import TMOBILE_5G, NetworkModel
-from ..comm.timing import sim_lttr_seconds
 from ..traces import is_trace_spec, trace_system_spec
 from .configs import TTA_TARGETS, resolve_fig7_trace
 from .reporting import format_table
@@ -75,14 +74,14 @@ def fig7_spec(
     )
 
 
-def fig7_rows(results: SweepResult, network: NetworkModel = TMOBILE_5G) -> list[Fig7Row]:
+def fig7_rows(results: SweepResult) -> list[Fig7Row]:
     """One row per finished cell, with the TTA target read from the
     cell's scale (the spec records the resolved scale, so rows survive
     ``REPRO_SCALE`` changing after the sweep ran).
 
-    Cells running under a device trace report on the virtual time
-    base: LTTR is the trace-scaled simulated compute, TTA the simulated
-    clock at the target round.
+    TTA is the virtual clock at the target round; LTTR is the
+    trace-scaled simulated compute on traced cells and the measured
+    LTTR elsewhere.
     """
     rows = []
     for cell, result in results:
@@ -91,18 +90,15 @@ def fig7_rows(results: SweepResult, network: NetworkModel = TMOBILE_5G) -> list[
         target = TTA_TARGETS[cell.scale][cell.task]
         system = cell.overrides_dict().get("system", "ideal")
         if is_trace_spec(system):
-            sim_lttr = sim_lttr_seconds(result.history)
-            lttr = sim_lttr if sim_lttr > 0.0 else result.lttr
-            tta = result.sim_tta(target, network)
+            lttr = float(result.history.series("sim_compute_seconds_mean").mean())
         else:
             lttr = result.lttr
-            tta = result.tta(target, network)
         rows.append(
             Fig7Row(
                 dataset=cell.task,
                 method=cell.method,
                 lttr_seconds=lttr,
-                tta_seconds=tta,
+                tta_seconds=result.tta(target),
                 target_accuracy=target,
                 system=system,
             )

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..comm.network import TMOBILE_5G
-from ..comm.timing import preferred_time_to_accuracy, time_to_accuracy
+import numpy as np
+
 from ..fl.metrics import History
 
 __all__ = ["RunResult"]
@@ -19,38 +19,50 @@ __all__ = ["RunResult"]
 
 @dataclass
 class RunResult:
-    """One simulation run plus its derived Table/Figure quantities."""
+    """One simulation run: its history and the task's dense upload size.
+
+    Every Table/Figure quantity is a view over :attr:`history`.
+    """
 
     task_name: str
     method_spec: str
     history: History
-    final_accuracy: float
-    best_accuracy: float
-    upload_bits: float  # mean per-client per-round
     dense_bits: int
-    lttr: float
-    sim_seconds: float = 0.0  # virtual-clock duration of the whole run
-    participation: float = 1.0  # mean fraction of scheduled clients on time
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.history.final_accuracy
+
+    @property
+    def best_accuracy(self) -> float:
+        return self.history.best_accuracy
+
+    @property
+    def upload_bits(self) -> float:
+        """Mean per-client upload per round."""
+        return self.history.mean_upload_bits()
+
+    @property
+    def lttr(self) -> float:
+        """Mean host-measured local training time per round (Fig. 7a/7b)."""
+        return float(np.mean(self.history.series("lttr_seconds_mean")))
+
+    @property
+    def sim_seconds(self) -> float:
+        """Virtual-clock duration of the whole run."""
+        return self.history.total_sim_seconds
+
+    @property
+    def participation(self) -> float:
+        """Mean fraction of scheduled clients that reported on time."""
+        return float(self.history.participation().mean()) if len(self.history) else 1.0
 
     @property
     def save_ratio(self) -> float:
         """Table I's 'Save Ratio': dense upload / method upload."""
         return self.dense_bits / self.upload_bits
 
-    def tta(self, target: float, network=TMOBILE_5G) -> float | None:
-        """Time-to-accuracy on the basis valid for this run's mode.
-
-        Sync histories use the paper's post-hoc barrier composition
-        (Fig. 7 methodology); async histories *must* read the virtual
-        clock — the barrier model does not describe buffer flushes —
-        so Fig. 7/8-style regeneration stays correct under
-        ``--mode async`` with no caller changes.
-        """
-        if self.history.is_async:
-            return preferred_time_to_accuracy(self.history, target, network)
-        return time_to_accuracy(self.history, target, network)
-
-    def sim_tta(self, target: float, network=TMOBILE_5G) -> float | None:
-        """TTA on the preferred basis (virtual clock when available) —
-        the one valid for both sync and async histories."""
-        return preferred_time_to_accuracy(self.history, target, network)
+    def tta(self, target: float) -> float | None:
+        """Time-to-accuracy on the virtual clock
+        (:meth:`~repro.fl.metrics.History.time_to_accuracy`)."""
+        return self.history.time_to_accuracy(target)

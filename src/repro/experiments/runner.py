@@ -23,7 +23,6 @@ from collections import OrderedDict
 import numpy as np
 
 from ..baselines.registry import METHOD_NAMES, make_method
-from ..comm.timing import lttr_seconds
 from ..compression.registry import make_sketched
 from ..data.registry import make_task
 from ..fl.client import FederatedMethod
@@ -92,7 +91,7 @@ def dense_upload_bits(task) -> int:
 
 
 def run_cell(spec: ExperimentSpec) -> RunResult:
-    """Simulate one cell and summarize its history."""
+    """Simulate one cell."""
     preset = preset_for(spec.task, spec.scale)
     config = preset.fl.with_overrides(seed=spec.seed, **spec.overrides_dict())
     task = cached_task(spec.task, preset.scale, preset.data_seed)
@@ -102,13 +101,7 @@ def run_cell(spec: ExperimentSpec) -> RunResult:
         task_name=spec.task,
         method_spec=spec.method,
         history=history,
-        final_accuracy=history.final_accuracy,
-        best_accuracy=history.best_accuracy,
-        upload_bits=history.mean_upload_bits(),
         dense_bits=dense_upload_bits(task),
-        lttr=lttr_seconds(history),
-        sim_seconds=history.total_sim_seconds,
-        participation=float(history.participation().mean()) if len(history) else 1.0,
     )
 
 

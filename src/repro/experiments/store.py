@@ -42,37 +42,18 @@ def result_to_payload(result: RunResult) -> dict:
     return {
         "task_name": result.task_name,
         "method_spec": result.method_spec,
-        "final_accuracy": result.final_accuracy,
-        "best_accuracy": result.best_accuracy,
-        "upload_bits": result.upload_bits,
         "dense_bits": result.dense_bits,
-        "lttr": result.lttr,
-        "sim_seconds": result.sim_seconds,
-        "participation": result.participation,
         "history": history_to_payload(result.history),
     }
 
 
 def result_from_payload(payload: dict) -> RunResult:
-    """Rebuild a :class:`RunResult` from :func:`result_to_payload` output
-    (restoring the NaNs that JSON encoded as null, so a cached result is
-    value-identical to a freshly computed one)."""
-
-    def metric(key: str) -> float:
-        value = payload[key]
-        return float("nan") if value is None else value
-
+    """Rebuild a :class:`RunResult` from :func:`result_to_payload` output."""
     return RunResult(
         task_name=payload["task_name"],
         method_spec=payload["method_spec"],
         history=history_from_payload(payload["history"]),
-        final_accuracy=metric("final_accuracy"),
-        best_accuracy=metric("best_accuracy"),
-        upload_bits=metric("upload_bits"),
         dense_bits=payload["dense_bits"],
-        lttr=metric("lttr"),
-        sim_seconds=metric("sim_seconds"),
-        participation=metric("participation"),
     )
 
 

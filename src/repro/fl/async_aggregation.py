@@ -43,7 +43,6 @@ staleness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,9 +152,7 @@ class AsyncFederatedSimulation(FederatedSimulation):
         effective = np.array([u.payload.weight for u in scaled], dtype=np.float64)
         self.flush_weights = effective / effective.sum()
 
-        agg_start = time.perf_counter()
         self.global_params = self.method.aggregate(flush_index, self.global_params, scaled)
-        agg_seconds = time.perf_counter() - agg_start
 
         train_loss = self._weighted_train_loss(scaled, effective)
         test_loss, test_acc = self._evaluate_if_due(flush_index)
@@ -172,7 +169,6 @@ class AsyncFederatedSimulation(FederatedSimulation):
             download_bits_per_client=self.method.download_bits(self.global_params),
             n_selected=len(buffer),
             lttr_seconds_mean=float(np.mean([e.result.lttr_seconds for e in buffer])),
-            aggregation_seconds=agg_seconds,
             n_scheduled=len(buffer),
             n_stragglers=0,
             sim_round_seconds=self.clock.now - flush_start,

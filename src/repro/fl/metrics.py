@@ -87,7 +87,6 @@ class RoundRecord:
     download_bits_per_client: int
     n_selected: int
     lttr_seconds_mean: float
-    aggregation_seconds: float
     n_scheduled: int = 0
     n_stragglers: int = 0
     sim_round_seconds: float = 0.0
@@ -141,12 +140,6 @@ class History:
         """Virtual-clock time of the whole run (last round's clock)."""
         return float(self.records[-1].sim_clock_seconds) if self.records else 0.0
 
-    @property
-    def is_async(self) -> bool:
-        """Whether this history came from buffered async aggregation
-        (its records are buffer flushes, numbered by ``flush_index``)."""
-        return any(r.flush_index > 0 for r in self.records)
-
     def participation(self) -> np.ndarray:
         """Per-round fraction of scheduled clients that made the deadline."""
         return np.array([r.participation_rate for r in self.records])
@@ -162,11 +155,24 @@ class History:
             return 0.0
         return float(self.series("staleness_mean").mean())
 
+    def _first_reaching(self, target: float) -> RoundRecord | None:
+        """First record whose test accuracy reaches ``target`` (rounds
+        without evaluation are NaN and never do)."""
+        hits = np.flatnonzero(self.series("test_accuracy") >= target)
+        return self.records[hits[0]] if hits.size else None
+
     def rounds_to_accuracy(self, target: float) -> int | None:
         """First round index reaching ``target`` test accuracy, else None."""
-        acc = self.series("test_accuracy")
-        hits = np.flatnonzero(acc >= target)
-        return int(self.records[hits[0]].round_index) if hits.size else None
+        hit = self._first_reaching(target)
+        return None if hit is None else int(hit.round_index)
+
+    def time_to_accuracy(self, target: float) -> float | None:
+        """Time-To-Accuracy (Fig. 7c/d, Fig. 8b): the virtual clock
+        (``sim_clock_seconds``) at the first round reaching ``target``
+        test accuracy, else None.  The clock covers download, compute and
+        upload under the run's system model, in sync and async mode."""
+        hit = self._first_reaching(target)
+        return None if hit is None else float(hit.sim_clock_seconds)
 
     def moving_average(self, key: str, window: int = 3) -> np.ndarray:
         """Smoothed series (the paper smooths Fig. 6b curves)."""

@@ -40,13 +40,12 @@ and simulated compute runs on the system model's virtual LTTR base, so
 a run's trajectory (losses, accuracies, selection, upload/download bits,
 stragglers and every ``sim_*`` clock column) is bit-identical across
 reruns and sweep shard counts.  Only the host-measured
-``lttr_seconds_mean`` and ``aggregation_seconds`` vary run to run.
+``lttr_seconds_mean`` varies run to run.
 """
 
 from __future__ import annotations
 
 import copy
-import time
 from collections import defaultdict
 from dataclasses import fields
 
@@ -65,7 +64,7 @@ __all__ = ["FederatedSimulation", "run_simulation", "CHECKPOINT_FORMAT"]
 
 #: Layout version of :meth:`FederatedSimulation.checkpoint_state`
 #: snapshots; a snapshot of any other version is refused on restore.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 class FederatedSimulation:
@@ -327,14 +326,10 @@ class FederatedSimulation:
             wait = max(wait, deadline)
         updates = [res.update for res in included]
 
-        agg_start = time.perf_counter()
         self.global_params = self.method.aggregate(round_index, self.global_params, updates)
-        agg_seconds = time.perf_counter() - agg_start
         # the virtual clock stays purely virtual (download + compute +
-        # upload): folding in the host-measured agg_seconds would make
-        # sim columns nondeterministic.  Aggregation cost is recorded
-        # separately; comm.timing.round_timings adds it for the paper's
-        # TTA composition.
+        # upload): host-measured time would make sim columns, and so
+        # every TTA, nondeterministic
         self.clock.advance_to(round_start + wait)
 
         weights = np.array([u.payload.weight for u in updates], dtype=np.float64)
@@ -353,7 +348,6 @@ class FederatedSimulation:
             download_bits_per_client=self.method.download_bits(self.global_params),
             n_selected=len(updates),
             lttr_seconds_mean=float(np.mean([res.lttr_seconds for res in included])),
-            aggregation_seconds=agg_seconds,
             n_scheduled=len(results),
             n_stragglers=len(stragglers),
             sim_round_seconds=self.clock.now - round_start,

@@ -1,18 +1,10 @@
-"""Tests for the network model and LTTR/TTA accounting."""
+"""Tests for the network model."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.comm.network import TMOBILE_5G, NetworkModel
-from repro.comm.timing import (
-    lttr_seconds,
-    preferred_time_to_accuracy,
-    round_timings,
-    time_to_accuracy,
-)
-from repro.fl.metrics import History, RoundRecord
 
 
 class TestNetworkModel:
@@ -34,69 +26,3 @@ class TestNetworkModel:
         with pytest.raises(ValueError):
             NetworkModel(0.0, 10.0)
 
-
-def history_with(accs, upload_bits=1_000_000, lttr=0.5):
-    h = History("m", "t")
-    for i, acc in enumerate(accs, start=1):
-        h.append(
-            RoundRecord(
-                round_index=i,
-                train_loss=1.0,
-                test_loss=1.0,
-                test_accuracy=acc,
-                upload_bits_mean=upload_bits,
-                upload_bits_total=upload_bits * 3,
-                download_bits_per_client=upload_bits,
-                n_selected=3,
-                lttr_seconds_mean=lttr,
-                aggregation_seconds=0.01,
-            )
-        )
-    return h
-
-
-class TestTiming:
-    def test_round_timings_composition(self):
-        net = NetworkModel(downlink_mbps=8.0, uplink_mbps=8.0)
-        h = history_with([0.5], upload_bits=8e6, lttr=2.0)
-        t = round_timings(h, net)[0]
-        assert t.upload_seconds == pytest.approx(1.0)
-        assert t.download_seconds == pytest.approx(1.0)
-        assert t.total_seconds == pytest.approx(2.0 + 1.0 + 1.0 + 0.01)
-
-    def test_lttr_mean(self):
-        h = history_with([0.1, 0.2], lttr=0.25)
-        assert lttr_seconds(h) == pytest.approx(0.25)
-
-    def test_tta_reaches_target(self):
-        net = NetworkModel(10.0, 10.0)
-        h = history_with([0.2, 0.5, 0.9], upload_bits=0, lttr=1.0)
-        tta = time_to_accuracy(h, 0.5, net)
-        assert tta == pytest.approx(2 * (1.0 + 0.01))
-
-    def test_tta_never_reached(self):
-        h = history_with([0.1, 0.2])
-        assert time_to_accuracy(h, 0.99) is None
-
-    def test_tta_skips_nan_rounds(self):
-        h = history_with([float("nan"), 0.9])
-        assert time_to_accuracy(h, 0.5) is not None
-
-    def test_smaller_upload_less_tta(self):
-        slow = history_with([0.9], upload_bits=100e6, lttr=0.0)
-        fast = history_with([0.9], upload_bits=10e6, lttr=0.0)
-        assert time_to_accuracy(fast, 0.5) < time_to_accuracy(slow, 0.5)
-
-    def test_preferred_tta_uses_sim_clock_when_present(self):
-        h = history_with([0.4, 0.9])
-        for record, clock in zip(h.records, (3.0, 7.0)):
-            record.sim_clock_seconds = clock
-        assert preferred_time_to_accuracy(h, 0.5) == pytest.approx(7.0)
-        # unreachable target: None, never the post-hoc fallback
-        assert preferred_time_to_accuracy(h, 0.99) is None
-
-    def test_preferred_tta_falls_back_without_sim_clock(self):
-        h = history_with([0.9])  # legacy history: no virtual-clock data
-        assert preferred_time_to_accuracy(h, 0.5) == pytest.approx(
-            time_to_accuracy(h, 0.5)
-        )

@@ -33,20 +33,11 @@ def make_result():
                     download_bits_per_client=dense_bits,
                     n_selected=10,
                     lttr_seconds_mean=0.01,
-                    aggregation_seconds=0.001,
+                    n_scheduled=10,
+                    sim_round_seconds=1.0,
+                    sim_clock_seconds=float(i + 1),
                 )
             )
-        return RunResult(
-            task_name=task,
-            method_spec=method,
-            history=history,
-            final_accuracy=accs[-1],
-            best_accuracy=max(accs),
-            upload_bits=upload_bits,
-            dense_bits=dense_bits,
-            lttr=0.01,
-            sim_seconds=1.0,
-            participation=1.0,
-        )
+        return RunResult(task_name=task, method_spec=method, history=history, dense_bits=dense_bits)
 
     return factory

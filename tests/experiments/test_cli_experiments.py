@@ -175,6 +175,13 @@ class TestSweepCommand:
             main(["sweep", artifact, "--datasets", "mnist,fmnist",
                   "--store", str(tmp_path / "s")])
 
+    def test_fig8_title_names_the_swept_dataset(self, capsys):
+        args = ["fig8", "--datasets", "mnist", "--methods", "fedavg", "--rounds", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "Fig. 8: accuracy and TTA versus dropout rate (mnist)" in out
+        assert "Reddit" not in out
+
     def test_bare_single_dataset_artifact_rejects_dataset_list(self):
         with pytest.raises(SystemExit, match="one dataset"):
             main(["ablations", "--datasets", "fmnist,mnist"])

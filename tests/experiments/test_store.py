@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -59,17 +60,23 @@ class TestRunStore:
         assert store.hits == 1 and store.misses == 0
         assert len(store) == 1
 
-    def test_nan_top_level_metrics_roundtrip(self, tmp_path, make_result):
-        """NaN metrics must come back as nan, not JSON's null/None —
-        a cached result has to be value-identical to a fresh one."""
+    def test_derived_properties_roundtrip(self, tmp_path, make_result):
+        """Only the four fields are stored; every quantity derived from
+        the history comes back value-identical, NaN final accuracy
+        included (JSON's null must return as nan, not None)."""
         store = RunStore(tmp_path / "store")
-        result = make_result()
-        result.final_accuracy = float("nan")
-        result.lttr = float("nan")
+        result = make_result(accs=(0.4, 0.7, float("nan")))
         store.put(cell(), result)
+        stored = json.loads(store.path_for(cell()).read_text())["result"]
+        assert set(stored) == {"task_name", "method_spec", "history", "dense_bits"}
         loaded = store.get(cell())
-        assert math.isnan(loaded.final_accuracy)
-        assert math.isnan(loaded.lttr)
+        assert math.isnan(result.final_accuracy) and math.isnan(loaded.final_accuracy)
+        for name in (
+            "best_accuracy", "upload_bits", "lttr", "sim_seconds", "participation", "save_ratio",
+        ):
+            assert getattr(loaded, name) == getattr(result, name), name
+        assert loaded.tta(0.5) == result.tta(0.5) == 2.0
+        assert loaded.tta(0.9) is None
 
     def test_hit_on_identical_cell_across_instances(self, tmp_path, make_result):
         RunStore(tmp_path / "store").put(cell(), make_result())
@@ -106,9 +113,10 @@ class TestRunStore:
 
     def test_foreign_payload_is_a_miss(self, tmp_path, make_result):
         # 1 is the format before simulated compute moved to the virtual
-        # base; its sim_* columns must never be served
+        # base; its sim_* columns must never be served.  3 stored the
+        # derived metrics and a host-measured aggregation time per round.
         store = RunStore(tmp_path / "store")
-        for fmt in (999, 1):
+        for fmt in (999, 1, 3):
             store.put(cell(), make_result())
             store.path_for(cell()).write_text(f'{{"format": {fmt}, "cell": "x"}}')
             assert store.get(cell()) is None

@@ -65,6 +65,20 @@ class TestSerialEquivalence:
         assert table1_rows(results) == serial_rows
 
 
+class TestFig8TTAIsDeterministic:
+    def test_regenerated_fig8_ttas_are_identical(self):
+        """Fig. 8's TTA is read off the virtual clock, so regenerating
+        the sweep from scratch reproduces every TTA exactly."""
+        spec = fig8_spec(dataset="mnist", methods=("fedavg", "fedbiad"), overrides={"rounds": 20})
+        clear_cache()
+        first = [row.tta_seconds for row in fig8_rows(run_sweep(spec))]
+        clear_cache()
+        second = [row.tta_seconds for row in fig8_rows(run_sweep(spec))]
+        clear_cache()
+        assert first == second
+        assert any(tta is not None for tta in first)
+
+
 class TestResume:
     def test_cold_sweep_reads_each_cell_once(self, tmp_path):
         """Planning is the only store read of a cell that then runs."""

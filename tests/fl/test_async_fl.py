@@ -21,8 +21,7 @@ from repro.fl.simulation import FederatedSimulation, run_simulation
 def _async_history_key(history):
     """Every trajectory-deterministic column, virtual clock included.
 
-    Only host-measured wall-clock (``lttr_seconds_mean``,
-    ``aggregation_seconds``) is excluded.
+    Only the host-measured ``lttr_seconds_mean`` is excluded.
     """
     return tuple(
         history.series(key).tobytes()

@@ -38,7 +38,7 @@ def test_history_roundtrip(tmp_path):
             round_index=1, train_loss=1.5, test_loss=float("nan"),
             test_accuracy=float("nan"), upload_bits_mean=100.0,
             upload_bits_total=300, download_bits_per_client=400,
-            n_selected=3, lttr_seconds_mean=0.01, aggregation_seconds=0.001,
+            n_selected=3, lttr_seconds_mean=0.01,
         )
     )
     history.append(
@@ -46,7 +46,7 @@ def test_history_roundtrip(tmp_path):
             round_index=2, train_loss=1.0, test_loss=0.9, test_accuracy=0.8,
             upload_bits_mean=100.0, upload_bits_total=300,
             download_bits_per_client=400, n_selected=3,
-            lttr_seconds_mean=0.01, aggregation_seconds=0.001,
+            lttr_seconds_mean=0.01,
         )
     )
     path = tmp_path / "history.json"
@@ -105,7 +105,6 @@ class TestFieldAgnosticRestore:
                 test_accuracy=float("nan"), upload_bits_mean=10.0,
                 upload_bits_total=20, download_bits_per_client=30,
                 n_selected=2, lttr_seconds_mean=float("nan"),
-                aggregation_seconds=float("nan"),
                 sim_round_seconds=float("nan"),
                 sim_clock_seconds=float("nan"),
                 flush_index=1, staleness_mean=float("nan"), staleness_max=2,
@@ -116,7 +115,7 @@ class TestFieldAgnosticRestore:
         rec = loaded.records[0]
         for field in (
             "test_loss", "test_accuracy", "lttr_seconds_mean",
-            "aggregation_seconds", "sim_round_seconds", "sim_clock_seconds",
+            "sim_round_seconds", "sim_clock_seconds",
             "staleness_mean",
         ):
             value = getattr(rec, field)
@@ -273,7 +272,10 @@ def test_restore_names_mismatched_task(
         restore_checkpoint(sim, path)
 
 
-def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config):
+# None: a snapshot written before the header existed; 1: one whose
+# round records still carried a host-measured aggregation time
+@pytest.mark.parametrize("fmt", [None, 1])
+def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config, fmt):
     import pickle
 
     from repro.baselines.fedavg import FedAvg
@@ -281,10 +283,13 @@ def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config):
 
     path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
     state = pickle.loads(path.read_bytes())
-    del state["format"]  # a snapshot written before the header existed
+    if fmt is None:
+        del state["format"]
+    else:
+        state["format"] = fmt
     path.write_bytes(pickle.dumps(state))
     sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
-    with pytest.raises(ValueError, match="checkpoint format None"):
+    with pytest.raises(ValueError, match=f"checkpoint format {fmt} is not 2"):
         restore_checkpoint(sim, path)
 
 

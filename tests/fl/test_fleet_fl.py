@@ -226,7 +226,7 @@ class TestFleetSimulation:
         h1 = run_simulation(small_fleet_task, FedAvg(), cfg)
         h2 = run_simulation(small_fleet_task, FedAvg(), cfg)
         np.testing.assert_array_equal(h1.series("train_loss"), h2.series("train_loss"))
-        assert h1.is_async
+        assert h1.series("flush_index").all()
 
 
 class _EmptyAvailability(SystemModel):

@@ -97,7 +97,8 @@ def record(i, acc, loss=1.0):
         download_bits_per_client=2000,
         n_selected=3,
         lttr_seconds_mean=0.01,
-        aggregation_seconds=0.001,
+        sim_round_seconds=2.5,
+        sim_clock_seconds=2.5 * i,
     )
 
 
@@ -123,6 +124,27 @@ class TestHistory:
             h.append(record(i, acc))
         assert h.rounds_to_accuracy(0.5) == 2
         assert h.rounds_to_accuracy(0.95) is None
+
+    def test_time_to_accuracy_reads_first_hit_clock(self):
+        h = History("m", "t")
+        for i, acc in enumerate([0.1, 0.5, 0.9], start=1):
+            h.append(record(i, acc))
+        assert h.time_to_accuracy(0.5) == 5.0
+        assert h.time_to_accuracy(0.05) == 2.5
+        assert isinstance(h.time_to_accuracy(0.5), float)
+
+    def test_time_to_accuracy_skips_unevaluated_rounds(self):
+        h = History("m", "t")
+        for i, acc in enumerate([float("nan"), float("nan"), 0.6], start=1):
+            h.append(record(i, acc))
+        assert h.time_to_accuracy(0.0) == 7.5
+
+    def test_time_to_accuracy_unreachable(self):
+        h = History("m", "t")
+        for i, acc in enumerate([0.1, float("nan"), 0.4], start=1):
+            h.append(record(i, acc))
+        assert h.time_to_accuracy(0.95) is None
+        assert History("m", "t").time_to_accuracy(0.0) is None
 
     def test_mean_upload(self):
         h = History("m", "t")

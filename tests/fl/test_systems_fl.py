@@ -7,7 +7,6 @@ import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.comm.network import TMOBILE_5G
-from repro.comm.timing import simulated_seconds, simulated_time_to_accuracy
 from repro.fl.config import FLConfig
 from repro.fl.simulation import run_simulation
 from repro.fl.systems import (
@@ -229,10 +228,10 @@ class TestSystemSimulation:
 
     def test_simulated_tta_reads_clock_column(self, session_image_task, session_config):
         history = run_simulation(session_image_task, FedAvg(), session_config)
-        assert simulated_seconds(history) > 0
+        assert history.total_sim_seconds > 0
         # an unreachable target yields None; a trivial one the first eval round
-        assert simulated_time_to_accuracy(history, 2.0) is None
-        trivial = simulated_time_to_accuracy(history, -1.0)
+        assert history.time_to_accuracy(2.0) is None
+        trivial = history.time_to_accuracy(-1.0)
         assert trivial == pytest.approx(history.records[0].sim_clock_seconds)
 
     def test_flaky_profile_still_selects_cohort(self, session_image_task, session_config):

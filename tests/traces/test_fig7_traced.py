@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.comm.timing import sim_lttr_seconds
 from repro.experiments import FIG7_TRACED, fig7_rows, fig7_spec, format_fig7
 from repro.experiments.cli import build_parser, main
 from repro.experiments.runner import clear_cache
@@ -62,15 +60,13 @@ class TestRows:
         assert row.system == "trace:flash"
         result = results[spec.cells[0]]
         # LTTR is the trace-scaled simulated compute, not host wall-clock
-        assert row.lttr_seconds == pytest.approx(sim_lttr_seconds(result.history))
-        assert sim_lttr_seconds(result.history) > 0
         sim = result.history.series("sim_compute_seconds_mean")
-        assert row.lttr_seconds == pytest.approx(float(sim.mean()))
+        assert row.lttr_seconds == float(sim.mean()) > 0
         # traced rows are a pure function of the seed: regenerating the
         # sweep reproduces them bit-for-bit
         clear_cache()
         _, again = _tiny_traced_sweep()
-        assert fig7_rows(again)[0].lttr_seconds == row.lttr_seconds
+        assert fig7_rows(again)[0] == row
 
     def test_format_gains_system_column_only_when_traced(self):
         _, results = _tiny_traced_sweep()

@@ -176,7 +176,7 @@ class TestSimulationIntegration:
         )
         h1 = run_simulation(tiny_image_task, FedAvg(), cfg)
         h2 = run_simulation(tiny_image_task, FedAvg(), cfg)
-        assert h1.is_async
+        assert h1.series("flush_index").all()
         assert (h1.series("sim_compute_seconds_mean") > 0).all()
         np.testing.assert_array_equal(
             h1.series("sim_compute_seconds_mean"),
