@@ -11,6 +11,8 @@ from .partition import (
     contiguous_client_chunk,
     contiguous_client_span,
     fleet_shard_rng,
+    partition_dirichlet,
+    partition_iid,
     partition_label_shards,
     partition_stream_contiguous,
 )
@@ -36,6 +38,7 @@ from .text import (
     make_user_corpora,
     perturb_topic,
 )
+from .vocab import Vocabulary
 
 __all__ = [
     "ImageBatcher",
@@ -48,6 +51,8 @@ __all__ = [
     "contiguous_client_chunk",
     "contiguous_client_span",
     "fleet_shard_rng",
+    "partition_dirichlet",
+    "partition_iid",
     "partition_label_shards",
     "partition_stream_contiguous",
     "TASK_NAMES",
@@ -68,4 +73,5 @@ __all__ = [
     "make_text_corpus",
     "make_user_corpora",
     "perturb_topic",
+    "Vocabulary",
 ]

@@ -6,7 +6,8 @@ Implements the partitioning schemes used in the paper's evaluation:
   sort by label, carve into shards, deal a few shards per client);
 * contiguous token-stream chunks for PTB/WikiText-2 ("randomly sample
   data without overlap and allocate");
-* natural per-user partitioning for Reddit.
+* natural per-user partitioning for Reddit;
+* IID random and Dirichlet label-skew splits as extra knobs.
 
 Every function returns a list of disjoint index arrays covering all
 samples exactly once — properties pinned by hypothesis tests.
@@ -17,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "partition_iid",
     "partition_label_shards",
+    "partition_dirichlet",
     "partition_stream_contiguous",
     "contiguous_client_span",
     "contiguous_client_chunk",
@@ -30,6 +33,17 @@ def _validate(n_samples: int, n_clients: int) -> None:
         raise ValueError("n_clients must be positive")
     if n_samples < n_clients:
         raise ValueError(f"cannot split {n_samples} samples across {n_clients} clients")
+
+
+def partition_iid(
+    n_samples: int,
+    n_clients: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """Random equal split (remainder spread over the first clients)."""
+    _validate(n_samples, n_clients)
+    order = rng.permutation(n_samples)
+    return [np.sort(chunk) for chunk in np.array_split(order, n_clients)]
 
 
 def partition_label_shards(
@@ -63,6 +77,61 @@ def partition_label_shards(
     return out
 
 
+def partition_dirichlet(
+    labels: np.ndarray,
+    n_clients: int,
+    alpha: float = 0.5,
+    rng: np.random.Generator | None = None,
+    min_per_client: int = 1,
+) -> list[np.ndarray]:
+    """Dirichlet label-skew split (Hsu et al. convention).
+
+    For every class, sample client proportions from ``Dir(alpha)`` and
+    deal the class's samples accordingly.  Small ``alpha`` gives severe
+    skew.  Clients left under ``min_per_client`` samples steal from the
+    largest client to keep every client trainable.
+    """
+    labels = np.asarray(labels)
+    _validate(labels.shape[0], n_clients)
+    if min_per_client < 0:
+        raise ValueError("min_per_client must be >= 0")
+    if labels.shape[0] < n_clients * min_per_client:
+        raise ValueError(
+            f"cannot guarantee min_per_client={min_per_client}: "
+            f"{labels.shape[0]} samples across {n_clients} clients "
+            f"leaves fewer than {n_clients * min_per_client} to deal"
+        )
+    rng = rng if rng is not None else np.random.default_rng(0)
+    buckets: list[list[int]] = [[] for _ in range(n_clients)]
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        proportions = rng.dirichlet(np.full(n_clients, alpha))
+        cuts = (np.cumsum(proportions)[:-1] * idx.size).astype(int)
+        for client, chunk in enumerate(np.split(idx, cuts)):
+            buckets[client].extend(chunk.tolist())
+    # rebalance empty/starved clients.  The starved client is excluded
+    # from the donor argmax (taking from itself would loop forever), and
+    # a donor must sit strictly above min_per_client or the steal would
+    # just starve it in turn.  Feasibility is guaranteed by the total
+    # check above: while any bucket is short, some *other* bucket holds
+    # more than min_per_client — the guard below is defensive only.
+    for c in range(n_clients):
+        while len(buckets[c]) < min_per_client:
+            donor_sizes = [
+                len(b) if i != c else -1 for i, b in enumerate(buckets)
+            ]
+            donor = int(np.argmax(donor_sizes))
+            if donor_sizes[donor] <= min_per_client:
+                raise ValueError(
+                    f"dirichlet rebalance infeasible: no donor above "
+                    f"min_per_client={min_per_client} while client {c} "
+                    f"holds {len(buckets[c])} samples"
+                )
+            buckets[c].append(buckets[donor].pop())
+    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+
+
 def partition_stream_contiguous(
     stream_len: int,
     n_clients: int,
@@ -87,8 +156,8 @@ def partition_stream_contiguous(
 # functions below answer "what is client c's shard?" in O(1) (plus the
 # size of that one shard), as pure functions of the partition geometry
 # and seed — the lazy data sources in :mod:`repro.data.registry` are
-# built on them.  The label-shard split stays list-returning:
-# its cost is bounded by the *dataset* size, not the fleet size.
+# built on them.  Label-shard and Dirichlet splits stay list-returning:
+# their cost is bounded by the *dataset* size, not the fleet size.
 
 
 def contiguous_client_span(

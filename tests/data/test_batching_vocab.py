@@ -1,4 +1,4 @@
-"""Tests for batching utilities."""
+"""Tests for batching and vocabulary utilities."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.data.batching import (
     eval_image_batches,
     eval_sequence_batches,
 )
+from repro.data.vocab import Vocabulary
 
 
 class TestImageBatcher:
@@ -86,3 +87,33 @@ class TestEvalIterators:
         stream = np.arange(50)
         for x, y in eval_sequence_batches(stream, seq_len=5):
             np.testing.assert_array_equal(y, x + 1)
+
+
+class TestVocabulary:
+    def test_build_from_tokens(self):
+        v = Vocabulary(["a", "b", "a", "c", "a", "b"])
+        assert len(v) == 4  # unk + 3
+        assert v.most_common(1)[0] == ("a", 3)
+
+    def test_encode_decode_roundtrip(self):
+        v = Vocabulary(["x", "y", "z"])
+        ids = v.encode(["x", "z"])
+        assert v.decode(ids) == ["x", "z"]
+
+    def test_unknown_maps_to_unk(self):
+        v = Vocabulary(["x"])
+        assert v.encode(["nope"])[0] == v.unk_id
+
+    def test_max_size_truncates(self):
+        v = Vocabulary(["a", "b", "c", "a", "b", "a"], max_size=3)
+        assert len(v) == 3
+        assert "c" not in v
+
+    def test_synthetic(self):
+        v = Vocabulary.synthetic(10)
+        assert len(v) == 10
+        assert v.decode([1]) == ["w0000"]
+
+    def test_contains(self):
+        v = Vocabulary(["tok"])
+        assert "tok" in v and "other" not in v

@@ -11,6 +11,8 @@ from repro.data.partition import (
     contiguous_client_chunk,
     contiguous_client_span,
     fleet_shard_rng,
+    partition_dirichlet,
+    partition_iid,
     partition_label_shards,
     partition_stream_contiguous,
 )
@@ -21,6 +23,34 @@ def assert_disjoint_cover(parts, n_samples):
     joined = np.concatenate(parts)
     assert joined.shape[0] == n_samples
     assert np.array_equal(np.sort(joined), np.arange(n_samples))
+
+
+class TestIID:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_samples=st.integers(10, 500),
+        n_clients=st.integers(1, 10),
+        seed=st.integers(0, 100),
+    )
+    def test_disjoint_cover(self, n_samples, n_clients, seed):
+        if n_samples < n_clients:
+            n_samples = n_clients
+        parts = partition_iid(n_samples, n_clients, np.random.default_rng(seed))
+        assert_disjoint_cover(parts, n_samples)
+        assert len(parts) == n_clients
+
+    def test_sizes_balanced(self):
+        parts = partition_iid(103, 10, np.random.default_rng(0))
+        sizes = [len(p) for p in parts]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError):
+            partition_iid(3, 5, np.random.default_rng(0))
+
+    def test_invalid_clients(self):
+        with pytest.raises(ValueError):
+            partition_iid(10, 0, np.random.default_rng(0))
 
 
 class TestLabelShards:
@@ -43,6 +73,59 @@ class TestLabelShards:
     def test_not_enough_samples_for_shards(self):
         with pytest.raises(ValueError):
             partition_label_shards(np.zeros(5, dtype=int), 4, 2, np.random.default_rng(0))
+
+
+class TestDirichlet:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 50), alpha=st.floats(0.05, 10.0))
+    def test_disjoint_cover(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 5, size=300)
+        parts = partition_dirichlet(labels, 6, alpha=alpha, rng=rng)
+        assert_disjoint_cover(parts, 300)
+
+    def test_min_per_client(self):
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 5, size=200)
+        parts = partition_dirichlet(labels, 10, alpha=0.05, rng=rng, min_per_client=3)
+        assert all(len(p) >= 3 for p in parts)
+
+    def test_small_alpha_more_skewed(self):
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(10), 100)
+
+        def skew(alpha):
+            parts = partition_dirichlet(labels, 10, alpha=alpha, rng=np.random.default_rng(1))
+            fractions = []
+            for p in parts:
+                counts = np.bincount(labels[p], minlength=10)
+                fractions.append(counts.max() / max(counts.sum(), 1))
+            return np.mean(fractions)
+
+        assert skew(0.05) > skew(100.0)
+
+    def test_donor_excludes_starved_client(self):
+        """Regression: the rebalance donor argmax must exclude the
+        starved client — self-stealing looped forever on uniformly tiny
+        fleets with min_per_client > 1."""
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 3, size=24)
+        parts = partition_dirichlet(labels, 8, alpha=0.05, rng=rng, min_per_client=3)
+        assert_disjoint_cover(parts, 24)
+        assert all(len(p) >= 3 for p in parts)
+
+    def test_infeasible_min_per_client_raises(self):
+        """Too few samples to guarantee the floor fails loudly instead
+        of hanging in the rebalance loop."""
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, size=10)
+        with pytest.raises(ValueError, match="min_per_client"):
+            partition_dirichlet(labels, 5, alpha=0.5, rng=rng, min_per_client=3)
+
+    def test_negative_min_per_client_rejected(self):
+        with pytest.raises(ValueError):
+            partition_dirichlet(np.zeros(10, dtype=int), 2, rng=np.random.default_rng(0),
+                                min_per_client=-1)
 
 
 class TestStreamContiguous:

@@ -60,7 +60,7 @@ class TestRunStore:
         assert store.hits == 1 and store.misses == 0
         assert len(store) == 1
 
-    def test_derived_properties_roundtrip(self, tmp_path, make_result):
+    def test_nan_top_level_metrics_roundtrip(self, tmp_path, make_result):
         """Only the four fields are stored; every quantity derived from
         the history comes back value-identical, NaN final accuracy
         included (JSON's null must return as nan, not None)."""

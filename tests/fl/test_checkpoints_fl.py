@@ -272,24 +272,37 @@ def test_restore_names_mismatched_task(
         restore_checkpoint(sim, path)
 
 
-# None: a snapshot written before the header existed; 1: one whose
-# round records still carried a host-measured aggregation time
-@pytest.mark.parametrize("fmt", [None, 1])
-def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config, fmt):
+def _rewrite_format(path, fmt):
     import pickle
 
-    from repro.baselines.fedavg import FedAvg
-    from repro.fl.simulation import FederatedSimulation
-
-    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
     state = pickle.loads(path.read_bytes())
     if fmt is None:
         del state["format"]
     else:
         state["format"] = fmt
     path.write_bytes(pickle.dumps(state))
+
+
+def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config):
+    from repro.baselines.fedavg import FedAvg
+    from repro.fl.simulation import FederatedSimulation
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
+    _rewrite_format(path, None)  # a snapshot written before the header existed
     sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
-    with pytest.raises(ValueError, match=f"checkpoint format {fmt} is not 2"):
+    with pytest.raises(ValueError, match="checkpoint format None is not 2"):
+        restore_checkpoint(sim, path)
+
+
+def test_restore_rejects_previous_format(tmp_path, tiny_image_task, fast_config):
+    from repro.baselines.fedavg import FedAvg
+    from repro.fl.simulation import FederatedSimulation
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
+    # format 1 round records still carried a host-measured aggregation time
+    _rewrite_format(path, 1)
+    sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
+    with pytest.raises(ValueError, match="checkpoint format 1 is not 2"):
         restore_checkpoint(sim, path)
 
 
