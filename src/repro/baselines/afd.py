@@ -32,7 +32,6 @@ class AFD(FederatedMethod):
     """Server-side score-map dropout on non-recurrent matrices."""
 
     name = "afd"
-    drops_recurrent = False
 
     def __init__(self, epsilon: float = 0.2, decay: float = 0.9) -> None:
         super().__init__()

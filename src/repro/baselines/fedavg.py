@@ -19,7 +19,6 @@ class FedAvg(FederatedMethod):
     """Dense federated averaging."""
 
     name = "fedavg"
-    drops_recurrent = False
 
     def upload(self, run: LocalRun) -> ClientUpdate:
         return run.kept_update()

@@ -39,7 +39,6 @@ class FedDrop(FederatedMethod):
     """Random unit dropout, non-recurrent structure only."""
 
     name = "feddrop"
-    drops_recurrent = False
 
     def sample_masks(self, ctx: ClientContext) -> dict[str, np.ndarray]:
         """Server-side random mask choice for one client round."""

@@ -52,7 +52,6 @@ class FedMP(FederatedMethod):
     """Unstructured magnitude pruning of the trained local model."""
 
     name = "fedmp"
-    drops_recurrent = True  # magnitude pruning applies to any matrix
 
     def upload(self, run: LocalRun) -> ClientUpdate:
         params = ParamSet(run.weights)

@@ -51,7 +51,6 @@ class Fjord(FederatedMethod):
     """Ordered (prefix) dropout with a fixed or per-client width."""
 
     name = "fjord"
-    drops_recurrent = True  # prefix shrinking does include w_h
 
     def __init__(self, widths: list[float] | None = None) -> None:
         super().__init__()

@@ -24,7 +24,6 @@ class HeteroFL(FederatedMethod):
     """Per-client static width levels with region-wise aggregation."""
 
     name = "heterofl"
-    drops_recurrent = True
 
     def __init__(self, levels: tuple[float, ...] | None = None) -> None:
         super().__init__()

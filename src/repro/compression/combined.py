@@ -37,7 +37,6 @@ class SketchedMethod(FederatedMethod):
         self.name = (
             compressor.name if base.name == "fedavg" else f"{base.name}+{compressor.name}"
         )
-        self.drops_recurrent = base.drops_recurrent
 
     # ------------------------------------------------------------------
     def setup(self, model, task, config, rng) -> None:
@@ -61,9 +60,6 @@ class SketchedMethod(FederatedMethod):
         if "pattern" in update.aux and self.rowspace is not None:
             return self.rowspace.total_rows
         return 0
-
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        return self.cohort_update([ctx])[0]
 
     def cohort_update(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
         """Train through the base method's own cohort hook (so FedAvg

@@ -71,7 +71,6 @@ class FedBIAD(FederatedMethod):
     """
 
     name = "fedbiad"
-    drops_recurrent = True
 
     def __init__(
         self,
@@ -95,16 +94,9 @@ class FedBIAD(FederatedMethod):
         super().setup(model, task, config, rng)
         unsparse = self.rowspace.unsparse_number(config.dropout_rate)
         self.structure = structure_from_spec(task.model_spec, unsparse)
-        # min_k |D_k| without forcing a fleet walk: FederatedTask (and
-        # any lazy source behind it) can answer in O(1); plain stand-in
-        # tasks fall back to the historical scan.
-        min_size = getattr(task, "min_client_size", None)
-        if callable(min_size):
-            self._min_client_size = int(min_size())
-        else:
-            self._min_client_size = min(
-                task.client_size(c) for c in range(task.n_clients)
-            )
+        # min_k |D_k| without forcing a fleet walk: the task's source
+        # answers in O(1)
+        self._min_client_size = task.min_client_size()
 
     def posterior_std(self, round_index: int) -> float:
         """``sqrt(s2)`` for round ``r`` (Eq. 13 with ``m_r`` of Thm. 1)."""

@@ -35,7 +35,7 @@ list wraps it in :class:`EagerClientData` once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -266,7 +266,6 @@ class FederatedTask:
     test_data: object
     seq_len: int = 0
     default_dropout_rate: float = 0.5
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.client_data, ClientDataSource):

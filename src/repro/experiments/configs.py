@@ -15,7 +15,7 @@ Two scales mirror the dataset registry:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..fl.config import FLConfig
 
@@ -61,7 +61,6 @@ class ExperimentPreset:
     #: Fig. 7 time-to-accuracy target for this dataset.
     tta_target: float
     data_seed: int = 1
-    extra: dict = field(default_factory=dict)
 
 
 def active_scale() -> str:

@@ -11,15 +11,15 @@ through three server-side hooks:
   global parameters (defaults to the masked weighted mean of
   :mod:`repro.fl.aggregation`).
 
-``cohort_update`` is shared by every method.  On an
-:class:`~repro.nn.models.MLPClassifier` it trains the cohort in
-*stacks*: up to :data:`STACK_BYTES` of float64 parameters' worth of
-clients sharing one effective batch size ``min(batch_size, |D_k|)`` run
-through the model at once (:meth:`repro.nn.module.Module.stacked`), one
-``loss``/``backward``/``step`` per local iteration for the whole stack.
-Other models (LSTM, CNN) train one client at a time through the same
-loop.  A method supplies only its per-client parts, each drawing from
-the client's own ``ctx.rng``:
+``cohort_update`` is shared by every method and every model (MLP, LSTM,
+CNN).  It trains the cohort in *stacks*: up to :data:`STACK_BYTES` of
+float64 parameters' worth of clients sharing one effective batch size
+``min(batch_size, |D_k|)`` run through the model at once
+(:meth:`repro.nn.module.Module.stacked`), one ``loss``/``backward``/
+``step`` per local iteration for the whole stack.  A model larger than
+the budget trains in stacks of one, on the same path.  A method supplies
+only its per-client parts, each drawing from the client's own
+``ctx.rng``:
 
 * :meth:`FederatedMethod.local_start` — start parameters, masks and the
   inverted-dropout scale (a :class:`LocalRun`);
@@ -46,14 +46,12 @@ rows, an element mask is used as is.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from ..nn.models import MLPClassifier
 from ..nn.module import Module
 from ..nn.optim import SGD
 from .aggregation import ClientPayload, aggregate
@@ -73,9 +71,10 @@ __all__ = [
 
 #: Byte budget of one stack's float64 parameters, which sets how many
 #: clients train together: 13 for the fleet MLP (19 KB per client), 1
-#: for the paper's MNIST MLP (814 KB).  Picked from a measured sweep of
-#: the fleet round over stack sizes (CHANGES.md): the round stops
-#: getting faster past about 16 clients while peak RSS keeps growing.
+#: for the paper's MNIST MLP (814 KB) and the ``ptb/small`` LSTM (416
+#: KB).  Picked from a measured sweep of the fleet round over stack
+#: sizes (CHANGES.md): the round stops getting faster past about 16
+#: clients while peak RSS keeps growing.
 STACK_BYTES = 256 * 1024
 
 
@@ -95,8 +94,13 @@ class ClientContext:
     @cached_property
     def batcher(self):
         """The client's minibatch sampler (ImageBatcher | SequenceBatcher),
-        built from its shard on first use."""
-        return self.task.batcher(self.client_id, self.config.batch_size, self.rng)
+        built from its shard on first use.  An unusable shard (empty, or
+        a token stream too short for one window) raises ``ValueError``
+        naming the round and the client."""
+        try:
+            return self.task.batcher(self.client_id, self.config.batch_size, self.rng)
+        except ValueError as exc:
+            raise ValueError(f"round {self.round_index}, client {self.client_id}: {exc}") from exc
 
     @property
     def n_samples(self) -> int:
@@ -182,8 +186,8 @@ class _StackedBatcher:
 
 def _stacks(ctxs: list[ClientContext]) -> list[list[int]]:
     """Positions of the clients that train together, in order."""
-    if not ctxs or not isinstance(ctxs[0].model, MLPClassifier):
-        return [[i] for i in range(len(ctxs))]
+    if not ctxs:
+        return []
     size = max(1, STACK_BYTES // (8 * ctxs[0].global_params.num_weights))
     by_batch: dict[int, list[int]] = {}
     for i, ctx in enumerate(ctxs):
@@ -194,12 +198,9 @@ def _stacks(ctxs: list[ClientContext]) -> list[list[int]]:
     ]
 
 
-def _as_param(stack: np.ndarray, stacked: bool) -> np.ndarray:
-    """A ``(c,) + shape`` array as the model's parameter holds it: the
-    stack itself, with biases ``(c, 1, out)`` (:meth:`Module.stacked`),
-    or the lone client's array."""
-    if not stacked:
-        return stack[0]
+def _as_param(stack: np.ndarray) -> np.ndarray:
+    """A ``(c,) + shape`` array as the stacked parameter holds it: the
+    stack itself, with biases ``(c, 1, out)`` (:meth:`Module.stacked`)."""
     return stack[:, None] if stack.ndim == 2 else stack
 
 
@@ -207,9 +208,6 @@ class FederatedMethod:
     """Base class for FedBIAD and all baselines."""
 
     name = "base"
-    #: whether this method's client masks depend on the recurrent /
-    #: embedding matrices being droppable (FedDrop/AFD cannot drop them)
-    drops_recurrent = True
 
     def __init__(self) -> None:
         self.rowspace: RowSpace | None = None
@@ -258,20 +256,17 @@ class FederatedMethod:
         return updates
 
     def _train(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
-        """Train one stack (or one lone client) through :func:`run_local_sgd`.
+        """Train one stack through :func:`run_local_sgd`.
 
         Parameters and masks live in ``(c,) + shape`` arrays; client
-        ``i`` owns slot ``i`` of each.  A lone client's slot is a view of
-        the model's own arrays, copied out once it has trained.
+        ``i`` owns slot ``i`` of each, and its ``run.weights`` are views
+        of its slots.
         """
         model = ctxs[0].model
-        stacked = isinstance(model, MLPClassifier)
         runs = [self.local_start(ctx) for ctx in ctxs]
-        named = model.named_parameters()
-        if stacked:
-            state = {name: np.empty((len(runs),) + p.data.shape) for name, p in named}
-        else:
-            state = {name: p.data[None] for name, p in named}
+        state = {
+            name: np.empty((len(runs),) + p.data.shape) for name, p in model.named_parameters()
+        }
         for i, run in enumerate(runs):
             run.weights = {name: a[i] for name, a in state.items()}
             run.load()
@@ -279,11 +274,11 @@ class FederatedMethod:
             name: np.stack([broadcast_mask(run.masks[name], state[name].ndim - 1) for run in runs])
             for name in runs[0].masks or ()
         }
-        masks = {name: _as_param(m, stacked) for name, m in slots.items()} if slots else None
+        masks = {name: _as_param(m) for name, m in slots.items()} if slots else None
 
         def on_iteration(v: int, losses) -> None:
             for i, run in enumerate(runs):
-                new = self.local_step(run, v, losses[i] if stacked else losses)
+                new = self.local_step(run, v, losses[i])
                 if new is not None:
                     run.masks = new
                     for name, m in slots.items():
@@ -291,18 +286,14 @@ class FederatedMethod:
                     run.load()
 
         hook = on_iteration if type(self).local_step is not FederatedMethod.local_step else None
-        batcher = _StackedBatcher([ctx.batcher for ctx in ctxs]) if stacked else ctxs[0].batcher
-        with model.stacked(state) if stacked else nullcontext():
+        batcher = _StackedBatcher([ctx.batcher for ctx in ctxs])
+        with model.stacked(state):
             steps = run_local_sgd(
-                model, self.make_optimizer(model, stacked), batcher,
+                model, self.make_optimizer(model), batcher,
                 ctxs[0].config.local_iterations, self.rowspace, masks, hook,
             )
         for i, run in enumerate(runs):
-            if stacked:
-                run.losses = [step[i] for step in steps]
-            else:  # the model's own arrays serve the next client
-                run.losses = steps
-                run.weights = {name: w.copy() for name, w in run.weights.items()}
+            run.losses = [step[i] for step in steps]
             run.ctx.release()
         return [self.upload(run) for run in runs]
 
@@ -320,7 +311,7 @@ class FederatedMethod:
         """Per-client downlink payload; the server broadcasts densely."""
         return dense_bits(global_params)
 
-    def make_optimizer(self, model: Module, stacked: bool = False) -> SGD:
+    def make_optimizer(self, model: Module) -> SGD:
         cfg = self.config
         return SGD(
             model.parameters(),
@@ -328,7 +319,6 @@ class FederatedMethod:
             momentum=cfg.momentum,
             weight_decay=cfg.weight_decay,
             max_grad_norm=cfg.max_grad_norm,
-            stacked=stacked,
         )
 
 
@@ -343,9 +333,9 @@ def run_local_sgd(
 ) -> list:
     """Run ``iterations`` masked SGD steps; returns per-step losses.
 
-    The only local-training loop: every method's clients, lone or
-    stacked, train here.  Implements Eq. (7): ``U <- U - eta * (beta ∘
-    grad L)``.  When ``masks`` is given (as the model's parameters hold
+    The only local-training loop: every method's clients train here, in
+    stacks (:meth:`FederatedMethod.cohort_update`).  Implements Eq. (7):
+    ``U <- U - eta * (beta ∘ grad L)``.  When ``masks`` is given (as the model's parameters hold
     them, see :func:`~repro.fl.rows.broadcast_mask`), ``rowspace``
     applies them: gradients are multiplied by the masks before the step
     and dropped entries re-pinned to +0.0 after it.  The
@@ -355,7 +345,7 @@ def run_local_sgd(
 
     A stacked model's loss holds one value per client; backward is
     seeded with ones, and each step's entry is then the list of
-    per-client losses.
+    per-client losses (a float for an unstacked model).
     """
     if masks is not None and rowspace is None:
         raise ValueError("masks require a rowspace")

@@ -153,9 +153,6 @@ class FederatedSimulation:
             c = min(c, cap)
         return available.sample(rng, c, exclude)
 
-    def _client_rng(self, round_index: int, client_id: int) -> np.random.Generator:
-        return np.random.default_rng([self.config.seed, round_index, client_id])
-
     def _execute_cohort(self, round_index: int, selected: np.ndarray) -> list[ClientResult]:
         """Run a cohort; results come back in selection order.
 

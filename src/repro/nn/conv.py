@@ -9,7 +9,14 @@ machinery (patterns, masking, upload packing) then applies unchanged.
 
 The forward pass uses im2col + one matmul, the standard vectorized
 formulation (per the HPC guides: one big BLAS call instead of Python
-loops over pixels).
+loops over pixels).  A stack of ``c`` clients
+(:meth:`repro.nn.module.Module.stacked`) multiplies each client's
+``(c, B, P, K)`` patches by its own filters, ``(c, 1, K, F)`` for ``P``
+output pixels, ``K`` weights per filter and ``F`` filters.  Each image
+keeps its own ``(P, K)`` patch matrix, so gradients sum over images in
+the order the unstacked layer always used; folding a client's images
+into one ``(B*P, K)`` matrix would reorder that sum and move CNN
+trajectories in their last bits.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class Conv2d(Module):
 
     ``weight`` has shape ``(out_channels, in_channels * kh * kw)`` —
     one row per filter, matching the paper's filter-wise dropping
-    pattern granularity.
+    pattern granularity.  Inputs are ``(..., batch, channels, H, W)``,
+    with the weight's leading (client) axes in front.
     """
 
     def __init__(
@@ -82,13 +90,16 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor | np.ndarray) -> Tensor:
         x = as_tensor(x)
+        *batch, channels, height, width = x.shape
+        images = x.reshape(-1, channels, height, width)
         patches, out_h, out_w = im2col(
-            x.numpy(), self.kernel_size, self.kernel_size, self.stride
+            images.numpy(), self.kernel_size, self.kernel_size, self.stride
         )
-        patches_t = self._patch_tensor(x, patches)
-        out = patches_t @ self.weight.T + self.bias  # (B, P, out_channels)
-        batch = x.shape[0]
-        return out.transpose((0, 2, 1)).reshape(batch, self.out_channels, out_h, out_w)
+        cols = self._patch_tensor(images, patches).reshape(*batch, out_h * out_w, -1)
+        lead, f = self.weight.shape[:-2], self.out_channels
+        filters = self.weight.mT.reshape(lead + (1, patches.shape[-1], f))
+        out = cols @ filters + self.bias.reshape(lead + (1, 1, f))  # (..., B, P, F)
+        return out.mT.reshape(*batch, f, out_h, out_w)
 
     def _patch_tensor(self, x: Tensor, patches: np.ndarray) -> Tensor:
         """Wrap patches with a backward that folds gradients to the input."""
@@ -146,12 +157,11 @@ class CNNClassifier(Module):
         self.head = Linear(hidden, n_classes, rng, init="xavier", droppable=False)
 
     def forward(self, x: np.ndarray | Tensor) -> Tensor:
+        """Logits of ``(..., batch, side * side)`` images."""
         x = as_tensor(x)
-        batch = x.shape[0]
-        images = x.reshape(batch, 1, self.side, self.side)
-        h = relu(self.conv1(images))
-        h = relu(self.conv2(h))
-        h = h.reshape(batch, self.flat_dim)
+        batch = x.shape[:-1]
+        h = relu(self.conv1(x.reshape(*batch, 1, self.side, self.side)))
+        h = relu(self.conv2(h)).reshape(*batch, self.flat_dim)
         return self.head(relu(self.fc(h)))
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:

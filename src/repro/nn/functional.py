@@ -78,10 +78,11 @@ def cross_entropy(
         Integer array of shape ``(...)`` matching the leading dimensions
         of ``logits``.
     reduction:
-        ``"mean"`` (default), ``"sum"``, ``"none"``, or ``"mean_last"``:
-        one mean per row of the last target axis, so a stack of ``c``
-        minibatches (``(c, batch)`` targets) gives ``c`` per-minibatch
-        means, each bit-equal to ``"mean"`` over that minibatch alone.
+        ``"mean"`` (default), ``"sum"`` or ``"none"``.  ``"mean"`` and
+        ``"sum"`` reduce over the last target axis: a scalar for one
+        ``(batch,)`` minibatch, ``(c,)`` for a stack of ``c``
+        (``(c, batch)`` targets), each entry bit-equal to reducing that
+        minibatch alone.
 
     The forward and backward passes are fused: the backward closure uses
     the classic ``softmax - onehot`` expression so that no intermediate
@@ -106,10 +107,8 @@ def cross_entropy(
     if reduction == "none":
         out_data = losses
     elif reduction == "sum":
-        out_data = np.asarray(losses.sum())
+        out_data = losses.sum(axis=-1)
     elif reduction == "mean":
-        out_data = np.asarray(losses.mean())
-    elif reduction == "mean_last":
         out_data = losses.mean(axis=-1)
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -120,14 +119,12 @@ def cross_entropy(
         g = probs.copy()
         flat_g = g.reshape(-1, n_classes)
         flat_g[np.arange(flat_t.size), flat_t] -= 1.0
-        if reduction == "mean":
-            flat_g *= float(grad) / max(flat_t.size, 1)
-        elif reduction == "sum":
-            flat_g *= float(grad)
-        elif reduction == "mean_last":
-            g *= (np.asarray(grad) / max(targets.shape[-1], 1))[..., None, None]
+        grad = np.asarray(grad)
+        if reduction == "none":
+            flat_g *= grad.reshape(-1, 1)
         else:
-            flat_g *= np.asarray(grad).reshape(-1, 1)
+            scale = grad / max(targets.shape[-1], 1) if reduction == "mean" else grad
+            g *= scale[..., None, None]
         return [(logits, g)]
 
     return Tensor._node(out_data, (logits,), backward)
@@ -166,17 +163,24 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of ``weight`` by integer ``indices``.
+    """Gather rows of ``(..., V, D)`` tables by integer ``indices``.
 
-    Gradient is scattered back with ``np.add.at`` so repeated indices
-    accumulate correctly.
+    A ``(V, D)`` table takes any index shape; a stack of ``c`` tables
+    (:meth:`~repro.nn.module.Module.stacked`) takes ``(c, ...)`` indices,
+    client ``i``'s into table ``i``.  Both gather through one flat index
+    into the ``(-1, D)`` view, and the gradient is scattered back with
+    ``np.add.at`` so repeated indices accumulate correctly.
     """
     weight = as_tensor(weight)
+    *lead, vocab, dim = weight.data.shape
     indices = np.asarray(indices, dtype=np.intp)
+    starts = np.arange(0, weight.data.size // dim, vocab)  # each table's first row
+    flat = (indices + starts.reshape(tuple(lead) + (1,) * (indices.ndim - len(lead)))).reshape(-1)
 
     def backward(grad: np.ndarray) -> list:
-        full = np.zeros_like(weight.data)
-        np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.data.shape[1]))
+        full = np.zeros(weight.data.shape)
+        np.add.at(full.reshape(-1, dim), flat, grad.reshape(-1, dim))
         return [(weight, full)]
 
-    return Tensor._node(weight.data[indices], (weight,), backward)
+    out = weight.data.reshape(-1, dim)[flat].reshape(indices.shape + (dim,))
+    return Tensor._node(out, (weight,), backward)

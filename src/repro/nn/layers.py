@@ -1,4 +1,9 @@
-"""Core layers: Linear, Embedding, and a Sequential container."""
+"""Core layers: Linear, Embedding, and a Sequential container.
+
+Every layer with parameters runs a stack of ``c`` clients as well as one
+(:meth:`~repro.nn.module.Module.stacked`): its parameters then carry a
+leading client axis, and so do its inputs and outputs.
+"""
 
 from __future__ import annotations
 
@@ -19,10 +24,9 @@ class Linear(Module):
     corresponds to one output unit — the row granularity that FedBIAD's
     dropping patterns operate on.
 
-    The same layer runs a stack of ``c`` clients (see
-    :meth:`~repro.nn.module.Module.stacked`): a ``(c, out, in)`` weight
-    and a ``(c, 1, out)`` bias map ``(c, batch, in)`` inputs client by
-    client, because the transpose is over the last two axes only.
+    Stacked, a ``(c, out, in)`` weight and a ``(c, 1, out)`` bias map
+    ``(c, batch, in)`` inputs client by client, because the transpose is
+    over the last two axes only.
     """
 
     def __init__(
@@ -63,7 +67,8 @@ class Embedding(Module):
 
     Rows are word vectors; under FedBIAD they are droppable like any
     other weight rows (the adaptive pattern quickly learns to keep the
-    rows of frequent tokens).
+    rows of frequent tokens).  Stacked, a ``(c, V, D)`` table maps
+    ``(c, ...)`` indices client by client (:func:`embedding_lookup`).
     """
 
     def __init__(

@@ -8,7 +8,11 @@
 
 Both expose a uniform interface consumed by the federated layer:
 
-* ``loss(batch) -> Tensor`` — scalar training loss for one minibatch;
+* ``loss(batch) -> Tensor`` — the training loss of one minibatch, a
+  scalar; under :meth:`~repro.nn.module.Module.stacked` a stack of ``c``
+  minibatches gives the ``(c,)`` per-client losses, and seeding
+  ``backward`` with ones trains on their sum, which gives every client
+  exactly its own gradient;
 * ``predict_logits(inputs) -> np.ndarray`` — evaluation-time logits;
 * ``state_dict`` / ``load_state_dict`` / ``row_specs`` from
   :class:`repro.nn.module.Module`.
@@ -72,17 +76,11 @@ class MLPClassifier(Module):
         return self.net(x)
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        """Mean cross-entropy over one ``(images, labels)`` minibatch.
-
-        A stacked model (:meth:`~repro.nn.module.Module.stacked`) takes a
-        stack of minibatches, ``(c, batch, in)`` images and ``(c, batch)``
-        labels, and returns the ``(c,)`` per-client means; seeding
-        ``backward`` with ones trains on their sum, which gives every
-        client exactly its own gradient.
-        """
+        """Mean cross-entropy over one ``(images, labels)`` minibatch, or
+        the ``(c,)`` per-client means of ``(c, batch, in)`` images and
+        ``(c, batch)`` labels."""
         x, y = batch
-        reduction = "mean" if np.ndim(y) == 1 else "mean_last"
-        return cross_entropy(self.forward(x), y, reduction=reduction)
+        return cross_entropy(self.forward(x), y)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         with no_grad():
@@ -132,37 +130,34 @@ class WordLSTM(Module):
 
     def _decode(self, h: Tensor) -> Tensor:
         if self.tie_weights:
-            return h @ self.embedding.weight.T + self.decoder_bias
+            return h @ self.embedding.weight.mT + self.decoder_bias
         return self.decoder(h)
 
     def _hidden_sequence(self, token_ids: np.ndarray) -> list[Tensor]:
-        """Embed a ``(batch, time)`` index array and run the LSTM."""
+        """Embed a ``(..., batch, time)`` index array and run the LSTM."""
         token_ids = np.asarray(token_ids, dtype=np.intp)
-        embedded = self.embedding(token_ids)  # (batch, time, embed)
-        steps = [embedded[:, t, :] for t in range(token_ids.shape[1])]
-        return self.lstm(steps)
+        embedded = self.embedding(token_ids)  # (..., batch, time, embed)
+        return self.lstm([embedded[..., t, :] for t in range(token_ids.shape[-1])])
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
         """Mean next-word cross-entropy over a ``(inputs, targets)`` batch.
 
-        Both arrays have shape ``(batch, time)``; ``targets`` is the
-        inputs shifted by one position (standard LM training).
+        Both arrays have shape ``(batch, time)``, or ``(c, batch, time)``
+        for a stack, which gives the ``(c,)`` per-client means; ``targets``
+        is the inputs shifted by one position (standard LM training).
         """
         x, y = batch
-        hiddens = self._hidden_sequence(x)
         total = None
-        for t, h in enumerate(hiddens):
-            logits_t = self._decode(h)
-            step_loss = cross_entropy(logits_t, y[:, t], reduction="sum")
+        for t, h in enumerate(self._hidden_sequence(x)):
+            step_loss = cross_entropy(self._decode(h), y[..., t], reduction="sum")
             total = step_loss if total is None else total + step_loss
-        count = x.shape[0] * x.shape[1]
-        return total * (1.0 / count)
+        return total * (1.0 / (x.shape[-2] * x.shape[-1]))
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Evaluation logits with shape ``(batch, time, vocab)``."""
         with no_grad():
             hiddens = self._hidden_sequence(x)
-            return np.stack([self._decode(h).numpy() for h in hiddens], axis=1)
+            return np.stack([self._decode(h).numpy() for h in hiddens], axis=-2)
 
 
 def build_model(spec: dict, rng: np.random.Generator) -> Module:

@@ -168,8 +168,11 @@ class Module:
         Inside the block each parameter *is* its stack — a weight
         ``(c, out, in)``, a bias a ``(c, 1, out)`` view that broadcasts
         over the batch axis — so one forward/backward/step trains all
-        ``c`` in place, in ``state``'s own arrays.  On exit the
-        parameters get their own arrays back, gradients cleared.
+        ``c`` in place, in ``state``'s own arrays.  Every layer
+        (``Linear``, ``Embedding``, ``LSTMCell``, ``Conv2d``) and model
+        takes inputs with the same leading client axis, and local
+        training always runs here, a lone client as a stack of one.  On
+        exit the parameters get their own arrays back, gradients cleared.
         """
         params = list(self.named_parameters())
         own = [p.data for _, p in params]

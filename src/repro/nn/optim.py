@@ -3,13 +3,13 @@
 The paper trains with SGD (image tasks) and SGD with clipped gradient
 norm (LSTM tasks, following Merity et al.).  The FedBIAD update rule of
 Eq. (7) masks gradients row-wise before the step; that masking lives in
-:mod:`repro.core.client` — the optimizer itself stays generic.
+:mod:`repro.fl.rows` — the optimizer itself stays generic.
 
-``stacked=True`` steps parameters that hold a stack of independent
-clients along their leading axis (:meth:`repro.nn.module.Module.stacked`).
-Momentum, weight decay and the update are elementwise and so already
-per client; only clipping needs to know, because each client's gradient
-norm is its own.
+Local training always steps a stack of independent clients along the
+parameters' leading axis (:meth:`repro.nn.module.Module.stacked`), one
+client being a stack of one.  Momentum, weight decay and the update are
+elementwise and so already per client; clipping reduces each client's
+gradient norm over its own entries only.
 """
 
 from __future__ import annotations
@@ -21,26 +21,24 @@ from .module import Parameter
 __all__ = ["SGD", "clip_grad_norm"]
 
 
-def clip_grad_norm(
-    params: list[Parameter], max_norm: float, stacked: bool = False
-) -> float | np.ndarray:
-    """Scale gradients in place so their global L2 norm is <= ``max_norm``.
+def clip_grad_norm(params: list[Parameter], max_norm: float) -> np.ndarray:
+    """Scale gradients in place so each client's L2 norm is <= ``max_norm``.
 
-    Returns the pre-clipping norm (useful for monitoring divergence).
-    With ``stacked`` the leading axis indexes clients: each client's
-    norm reduces over all its other axes, summed in parameter order, and
-    each client is clipped on its own; the ``(c,)`` norms are returned.
+    The leading axis indexes clients: each client's norm reduces over
+    all its other axes, summed in parameter order, and each client is
+    clipped on its own.  Returns the ``(c,)`` pre-clipping norms (useful
+    for monitoring divergence).
     """
     grads = [p.grad for p in params if p.grad is not None]
     total = 0.0
     for g in grads:
-        total = total + np.sum(g * g, axis=tuple(range(1, g.ndim)) if stacked else None)
+        total = total + np.sum(g * g, axis=tuple(range(1, g.ndim)))
     norm = np.sqrt(np.asarray(total))
     scale = np.ones_like(norm)
     np.divide(max_norm, norm, out=scale, where=(norm > max_norm) & (norm > 0.0))
     for g in grads:
         g *= scale.reshape(scale.shape + (1,) * (g.ndim - scale.ndim))
-    return norm if stacked else float(norm)
+    return norm
 
 
 class SGD:
@@ -59,11 +57,9 @@ class SGD:
         ``KL(pi_tilde || pi)`` term of Eq. (2), which the paper notes is
         approximately L2 regularization.
     max_grad_norm:
-        When set, gradients are clipped to this global norm before the
-        step (the paper's LSTM recipe).
-    stacked:
-        Parameters hold a stack of clients along their leading axis;
-        gradients are clipped per client (see :func:`clip_grad_norm`).
+        When set, each client's gradients are clipped to this norm
+        before the step (the paper's LSTM recipe; see
+        :func:`clip_grad_norm`).
     """
 
     def __init__(
@@ -73,7 +69,6 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
-        stacked: bool = False,
     ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
@@ -82,7 +77,6 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
-        self.stacked = stacked
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def zero_grad(self) -> None:
@@ -92,7 +86,7 @@ class SGD:
     def step(self) -> None:
         """Apply one SGD update to every parameter with a gradient."""
         if self.max_grad_norm is not None:
-            clip_grad_norm(self.params, self.max_grad_norm, self.stacked)
+            clip_grad_norm(self.params, self.max_grad_norm)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue

@@ -6,6 +6,12 @@ what FedDrop/AFD cannot do and FedBIAD can (Section I and IV-C), so the
 row layout here matters: both ``w_x`` (input-hidden) and ``w_h``
 (hidden-hidden) store the four gates stacked along rows, matching the
 row-wise dropping illustration of Fig. 4.
+
+Like every layer, both run a stack of ``c`` clients
+(:meth:`repro.nn.module.Module.stacked`): with ``(c, 4h, in)`` weights
+and a ``(c, 1, 4h)`` bias, ``(c, batch, in)`` inputs map client by
+client, because gates are sliced along the last axis and transposes are
+over the last two.
 """
 
 from __future__ import annotations
@@ -62,17 +68,19 @@ class LSTMCell(Module):
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """Advance one timestep; returns the new ``(h, c)`` state."""
         hs = self.hidden_size
-        gates = x @ self.w_x.T + h @ self.w_h.T + self.bias
-        i = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g = gates[:, 2 * hs : 3 * hs].tanh()
-        o = gates[:, 3 * hs : 4 * hs].sigmoid()
+        gates = x @ self.w_x.mT + h @ self.w_h.mT + self.bias
+        i = gates[..., 0 * hs : 1 * hs].sigmoid()
+        f = gates[..., 1 * hs : 2 * hs].sigmoid()
+        g = gates[..., 2 * hs : 3 * hs].tanh()
+        o = gates[..., 3 * hs : 4 * hs].sigmoid()
         c_new = f * c + i * g
         h_new = o * c_new.tanh()
         return h_new, c_new
 
-    def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch_size, self.hidden_size), dtype=np.float64)
+    def initial_state(self, batch_shape: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        """Zero ``(h, c)`` of shape ``batch_shape + (hidden_size,)``:
+        ``(batch,)`` alone, ``(c, batch)`` for a stack."""
+        zeros = np.zeros(tuple(batch_shape) + (self.hidden_size,), dtype=np.float64)
         return Tensor(zeros), Tensor(zeros.copy())
 
 
@@ -107,17 +115,17 @@ class LSTM(Module):
         Parameters
         ----------
         inputs:
-            List of ``T`` tensors with shape ``(batch, input_size)``.
+            List of ``T`` tensors with shape ``(..., batch, input_size)``.
 
         Returns
         -------
-        list of ``T`` tensors with shape ``(batch, hidden_size)`` — the
-        top layer's hidden state at every timestep.
+        list of ``T`` tensors with shape ``(..., batch, hidden_size)`` —
+        the top layer's hidden state at every timestep.
         """
         if not inputs:
             return []
-        batch = inputs[0].shape[0]
-        states = [cell.initial_state(batch) for cell in self.cells]
+        batch_shape = inputs[0].shape[:-1]
+        states = [cell.initial_state(batch_shape) for cell in self.cells]
         outputs: list[Tensor] = []
         for x in inputs:
             carry = x

@@ -129,7 +129,6 @@ class SyntheticTrace(DeviceTrace):
     """
 
     kind = "synthetic"
-    lazy = True
 
     def __init__(
         self,

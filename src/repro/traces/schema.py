@@ -88,7 +88,7 @@ def _validate_availability(availability, rounds_per_period: int) -> tuple[float,
 class DeviceTrace:
     """Interface shared by tabular and synthetic traces.
 
-    Subclasses provide ``name``, ``kind``, ``lazy``, ``availability``
+    Subclasses provide ``name``, ``kind``, ``availability``
     (per-period rates) and ``rounds_per_period`` attributes, plus
     :meth:`client_record` and :meth:`to_payload`.  ``n_clients`` may be
     ``None`` for synthetic traces, meaning "sized by whatever task the
@@ -99,7 +99,6 @@ class DeviceTrace:
 
     name: str = "trace"
     kind: str = "abstract"
-    lazy: bool = False
     availability: tuple[float, ...] = (1.0,)
     rounds_per_period: int = 1
 
@@ -150,7 +149,6 @@ class TabularTrace(DeviceTrace):
     """
 
     kind = "tabular"
-    lazy = False
 
     def __init__(
         self,

@@ -1,13 +1,16 @@
 """Stacked cohort training against the per-client reference.
 
-Every method trains an MLP cohort in stacks of clients.  FedAvg's
-parameters and per-step losses must be bit-identical to training each
-client alone through ``run_local_sgd``; every method's whole-cohort
-stacks must give each client the same bytes as stacks of one, whatever
-the optimizer settings, dropout rate and (for FedBIAD) stage.
+Every method trains its cohort in stacks of clients, MLP and LSTM alike.
+FedAvg's parameters and per-step losses must be bit-identical to
+training each client alone, on the unstacked model, through
+``run_local_sgd``; every method's whole-cohort stacks must give each
+client the same bytes as stacks of one, whatever the optimizer settings,
+dropout rate and (for FedBIAD) stage.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from repro.fl import client as fl_client
 from repro.fl.client import ClientContext, run_local_sgd
 from repro.fl.config import FLConfig
 from repro.fl.parameters import ParamSet
-from repro.nn.models import MLPClassifier, build_model
-from repro.nn.optim import SGD
+from repro.nn.models import build_model
+from repro.nn.module import Parameter
+from repro.nn.optim import SGD, clip_grad_norm
+from tests.conftest import make_tiny_text_task
 
 ROUND = 3
 N_CLIENTS = 7
@@ -32,6 +37,52 @@ def ragged_task():
     # |D_k| spans 8..128 around 32, so a batch size of 20 gives several
     # effective batch sizes, and so several stacks, in one cohort
     return make_fleet_task(40, samples_per_client=32, hidden=(16,), seed=3, size_spread=4.0)
+
+
+@pytest.fixture(scope="module")
+def text_task():
+    # every stream has 300 tokens, so the whole cohort is one stack
+    return make_tiny_text_task(N_CLIENTS)
+
+
+def _clip_alone(grads: list[np.ndarray], max_norm: float) -> float:
+    """The textbook clip of one client: scale all its gradients by one
+    global norm, written here independently of ``clip_grad_norm``."""
+    norm = np.sqrt(sum(np.sum(g * g) for g in grads))
+    if norm > max_norm:
+        for g in grads:
+            g *= max_norm / norm
+    return norm
+
+
+class _GlobalClipSGD(SGD):
+    """SGD on one unstacked client, clipped by :func:`_clip_alone`."""
+
+    def __init__(self, params, max_grad_norm, **kwargs) -> None:
+        super().__init__(params, **kwargs)
+        self.bound = max_grad_norm
+
+    def step(self) -> None:
+        if self.bound is not None:
+            _clip_alone([p.grad for p in self.params if p.grad is not None], self.bound)
+        super().step()
+
+
+@contextmanager
+def _recording_stacks(model, monkeypatch):
+    """Record how many clients each ``model.loss`` call trains: the
+    leading axis of a stacked batch's targets."""
+    cls = type(model)
+    loss = cls.loss
+    sizes = []
+
+    def recording(self, batch):
+        sizes.append(np.shape(batch[1])[0])
+        return loss(self, batch)
+
+    monkeypatch.setattr(cls, "loss", recording)
+    yield sizes
+    monkeypatch.setattr(cls, "loss", loss)
 
 
 def _contexts(task, model, config, global_params):
@@ -51,10 +102,10 @@ def _contexts(task, model, config, global_params):
 
 
 def _reference(task, model, config, global_params, cid, round_index=ROUND):
-    """One client trained alone, as the per-client engine did."""
+    """One client trained alone on the unstacked model."""
     rng = np.random.default_rng([config.seed, round_index, cid])
     global_params.to_module(model)
-    optimizer = SGD(
+    optimizer = _GlobalClipSGD(
         model.parameters(),
         lr=config.lr,
         momentum=config.momentum,
@@ -82,21 +133,13 @@ def test_stacked_cohort_matches_per_client_training(
     method = FedAvg()
     method.setup(model, ragged_task, config, np.random.default_rng(1))
     monkeypatch.setattr(fl_client, "STACK_BYTES", stack * 8 * global_params.num_weights)
-    shapes = []
-    loss = MLPClassifier.loss
-
-    def recording(self, batch):
-        shapes.append(np.shape(batch[1]))
-        return loss(self, batch)
-
-    monkeypatch.setattr(MLPClassifier, "loss", recording)
-    updates = method.cohort_update(_contexts(ragged_task, model, config, global_params))
-    monkeypatch.setattr(MLPClassifier, "loss", loss)
+    with _recording_stacks(model, monkeypatch) as sizes:
+        updates = method.cohort_update(_contexts(ragged_task, model, config, global_params))
 
     batches = [min(20, ragged_task.client_size(cid)) for cid in range(N_CLIENTS)]
     largest_group = max(batches.count(b) for b in batches)
     assert len(set(batches)) > 1  # several effective batch sizes
-    assert max(shape[0] for shape in shapes) == min(stack, largest_group)
+    assert max(sizes) == min(stack, largest_group)
     for cid, update in enumerate(updates):
         params, losses = _reference(ragged_task, model, config, global_params, cid)
         assert np.array(update.train_losses).tobytes() == np.array(losses).tobytes()
@@ -107,21 +150,17 @@ def test_stacked_cohort_matches_per_client_training(
 
 def test_stacked_clipping_is_per_client():
     """Only the client whose gradient exceeds the bound is scaled."""
-    from repro.nn.module import Parameter
-    from repro.nn.optim import clip_grad_norm
-
     w = Parameter(np.zeros((2, 3, 2)))
     b = Parameter(np.zeros((2, 1, 3)))
     w.grad = np.stack([np.full((3, 2), 0.1), np.full((3, 2), 3.0)])
     b.grad = np.stack([np.full((1, 3), 0.1), np.full((1, 3), 4.0)])
-    norms = clip_grad_norm([w, b], 1.0, stacked=True)
-    alone = [Parameter(np.zeros((3, 2))), Parameter(np.zeros(3))]
+    norms = clip_grad_norm([w, b], 1.0)
+    assert norms.shape == (2,)
     for i in range(2):
-        alone[0].grad = np.full((3, 2), [0.1, 3.0][i])
-        alone[1].grad = np.full(3, [0.1, 4.0][i])
-        assert norms[i] == clip_grad_norm(alone, 1.0)
-        assert np.array_equal(w.grad[i], alone[0].grad)
-        assert np.array_equal(b.grad[i, 0], alone[1].grad)
+        alone = [np.full((3, 2), [0.1, 3.0][i]), np.full(3, [0.1, 4.0][i])]
+        assert norms[i] == _clip_alone(alone, 1.0)
+        assert np.array_equal(w.grad[i], alone[0])
+        assert np.array_equal(b.grad[i, 0], alone[1])
     assert np.array_equal(w.grad[0], np.full((3, 2), 0.1))
 
 
@@ -137,8 +176,13 @@ def test_stacked_load_checks_per_client_shapes(tiny_mlp):
             pass
 
 
-def test_lstm_trains_one_client_at_a_time(tiny_text_task):
-    config = FLConfig(rounds=1, kappa=1.0, local_iterations=2, batch_size=4, lr=0.5, seed=0)
+def test_lstm_trains_one_client_at_a_time(tiny_text_task, monkeypatch):
+    """Each LSTM client's update is the one it gets training alone, with
+    all three clients in one stack."""
+    config = FLConfig(
+        rounds=1, kappa=1.0, local_iterations=2, batch_size=4, lr=0.5, seed=0,
+        max_grad_norm=0.5,
+    )
     model = build_model(tiny_text_task.model_spec, np.random.default_rng(0))
     global_params = ParamSet.from_module(model)
     method = FedAvg()
@@ -151,7 +195,9 @@ def test_lstm_trains_one_client_at_a_time(tiny_text_task):
         )
         for cid in range(3)
     ]
-    updates = method.cohort_update(ctxs)
+    with _recording_stacks(model, monkeypatch) as sizes:
+        updates = method.cohort_update(ctxs)
+    assert sizes == [3] * config.local_iterations
     for cid, update in enumerate(updates):
         params, losses = _reference(tiny_text_task, model, config, global_params, cid, 1)
         assert np.array(update.train_losses).tobytes() == np.array(losses).tobytes()
@@ -192,12 +238,17 @@ CASES = {
     "fedbiad-stage1": ("fedbiad", {"stage_boundary": 10}),
     "fedbiad-stage2": ("fedbiad", {"stage_boundary": 1}),
 }
+#: the LSTM cohorts: the tiny text task under the Fig. 2 line-up
+TEXT_CASES = {
+    f"text-{case}": CASES[case] for case in ("fedavg", "feddrop", "afd", "fjord", "fedbiad-stage1")
+}
+ALL_CASES = {**CASES, **TEXT_CASES}
 
 
 def _run_cohort(task, case, config, stack, monkeypatch):
     """One method's whole cohort at stack size ``stack``; returns each
     client's fingerprint and the largest stack that trained together."""
-    method_name, _ = CASES[case]
+    method_name, _ = ALL_CASES[case]
     model = build_model(task.model_spec, np.random.default_rng(0))
     global_params = ParamSet.from_module(model)
     method = make_method(method_name)
@@ -209,37 +260,30 @@ def _run_cohort(task, case, config, stack, monkeypatch):
             scores = WeightScores(method.rowspace.total_rows)
             scores.values[:] = np.random.default_rng(ctx.client_id).integers(0, 4, scores.n_rows)
             ctx.state["scores"] = scores
-    sizes = []
-    loss = MLPClassifier.loss
-
-    def recording(self, batch):
-        sizes.append(np.shape(batch[1])[0])
-        return loss(self, batch)
-
-    monkeypatch.setattr(MLPClassifier, "loss", recording)
-    updates = method.cohort_update(ctxs)
-    monkeypatch.setattr(MLPClassifier, "loss", loss)
+    with _recording_stacks(model, monkeypatch) as sizes:
+        updates = method.cohort_update(ctxs)
     return [_fingerprint(u, ctx.state) for u, ctx in zip(updates, ctxs)], max(sizes)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5])
 @pytest.mark.parametrize("max_grad_norm", [None, 0.5])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(TEXT_CASES))
 def test_stacked_cohort_matches_stack_size_one(
-    ragged_task, monkeypatch, case, momentum, max_grad_norm, p
+    ragged_task, text_task, monkeypatch, case, momentum, max_grad_norm, p
 ):
     """Every method's whole-cohort stacks give each client the bytes it
     gets training alone: uploads, masks, bits, losses, aux and scores."""
+    task = text_task if case in TEXT_CASES else ragged_task
     config = FLConfig(
         rounds=ROUND, kappa=0.5, local_iterations=8, batch_size=20, lr=0.3,
         momentum=momentum, weight_decay=1e-3, max_grad_norm=max_grad_norm,
-        dropout_rate=p, tau=1, seed=5, **CASES[case][1],
+        dropout_rate=p, tau=1, seed=5, **ALL_CASES[case][1],
     )
-    stacked, widest = _run_cohort(ragged_task, case, config, N_CLIENTS, monkeypatch)
-    lone, single = _run_cohort(ragged_task, case, config, 1, monkeypatch)
+    stacked, widest = _run_cohort(task, case, config, N_CLIENTS, monkeypatch)
+    lone, single = _run_cohort(task, case, config, 1, monkeypatch)
     assert widest > 1 and single == 1
     for cid, (a, b) in enumerate(zip(stacked, lone)):
         assert a == b, cid
-    if case == "fedbiad-stage1":
+    if case.endswith("fedbiad-stage1"):
         assert sum(f["aux"]["n_resamples"] for f in stacked) > 0  # swaps ran in the stack

@@ -131,3 +131,22 @@ class TestDivergence:
             run_simulation(task, method(), fast_config.with_overrides(kappa=1.0))
         assert stacks[0] == (6, fast_config.batch_size)
         assert cohorts[0][-1] == 4
+
+
+class TestUnusableShard:
+    """A shard no batcher can draw from fails with the round and client."""
+
+    def test_empty_image_shard(self, tiny_image_task, fast_config):
+        shards = [tiny_image_task.client_payload(c) for c in range(4)]
+        x, y = shards[2]
+        shards[2] = (x[:0], y[:0])
+        task = replace(tiny_image_task, client_data=shards)
+        with pytest.raises(ValueError, match=r"round 1, client 2: empty client shard"):
+            run_simulation(task, FedAvg(), fast_config.with_overrides(kappa=1.0))
+
+    def test_short_text_stream(self, tiny_text_task, fast_config):
+        streams = [tiny_text_task.client_payload(c) for c in range(3)]
+        streams[1] = streams[1][:5]
+        task = replace(tiny_text_task, client_data=streams)
+        with pytest.raises(ValueError, match=r"round 1, client 1: stream of 5 tokens too short"):
+            run_simulation(task, FedAvg(), fast_config.with_overrides(kappa=1.0))

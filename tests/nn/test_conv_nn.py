@@ -65,6 +65,35 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
         check_gradients(lambda: (conv(x) ** 2).sum(), [x], rtol=1e-3)
 
+    def test_stack_matches_per_client(self, rng):
+        """Forward and backward of a stack of 3 clients give each client
+        the bytes it gets alone: outputs and every gradient."""
+        conv = Conv2d(2, 3, 2, rng)
+        state = {
+            "weight": rng.normal(size=(3,) + conv.weight.shape),
+            "bias": rng.normal(size=(3,) + conv.bias.shape),
+        }
+        x = rng.normal(size=(3, 4, 2, 5, 5))
+        seed = rng.normal(size=(3, 4, 3, 4, 4))
+        alone = []
+        for i in range(3):
+            conv.load_state_dict({name: a[i] for name, a in state.items()})
+            xi = Tensor(x[i], requires_grad=True)
+            out = conv(xi)
+            out.backward(seed[i])
+            alone.append((out.data, conv.weight.grad, conv.bias.grad, xi.grad))
+            conv.zero_grad()
+        xs = Tensor(x, requires_grad=True)
+        with conv.stacked(state):
+            out = conv(xs)
+            out.backward(seed)
+            grads = conv.weight.grad, conv.bias.grad
+        for i, (o, gw, gb, gx) in enumerate(alone):
+            assert out.data[i].tobytes() == o.tobytes()
+            assert grads[0][i].tobytes() == gw.tobytes()
+            assert grads[1][i, 0].tobytes() == gb.tobytes()
+            assert xs.grad[i].tobytes() == gx.tobytes()
+
     def test_filters_are_pattern_rows(self, rng):
         conv = Conv2d(3, 6, 3, rng)
         assert conv.weight.droppable

@@ -90,8 +90,21 @@ class TestCrossEntropy:
         logits = leaf(rng.normal(size=(2, 3, 4)))
         targets = rng.integers(0, 4, size=(2, 3))
         check_gradients(
-            lambda: cross_entropy(logits, targets, reduction="sum"), [logits]
+            lambda: cross_entropy(logits, targets, reduction="sum").sum(), [logits]
         )
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_reduces_last_target_axis(self, rng, reduction):
+        """A stack of minibatches gives one value per minibatch, each
+        bit-equal to reducing that minibatch alone."""
+        logits = rng.normal(size=(3, 5, 4))
+        targets = rng.integers(0, 4, size=(3, 5))
+        out = cross_entropy(leaf(logits), targets, reduction=reduction)
+        assert out.shape == (3,)
+        for i in range(3):
+            alone = cross_entropy(leaf(logits[i]), targets[i], reduction=reduction)
+            assert alone.shape == ()
+            assert out.data[i] == alone.data
 
     def test_perfect_prediction_low_loss(self):
         logits = leaf([[100.0, 0.0], [0.0, 100.0]])

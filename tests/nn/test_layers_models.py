@@ -105,9 +105,11 @@ class TestModuleBasics:
 class TestLSTM:
     def test_cell_step_shapes(self, rng):
         cell = LSTMCell(4, 6, rng)
-        h, c = cell.initial_state(3)
+        h, c = cell.initial_state((3,))
         h2, c2 = cell.step(Tensor(rng.normal(size=(3, 4))), h, c)
         assert h2.shape == (3, 6) and c2.shape == (3, 6)
+        h, c = cell.initial_state((2, 3))
+        assert h.shape == (2, 3, 6) and c.shape == (2, 3, 6)
 
     def test_forget_bias_ones(self, rng):
         cell = LSTMCell(4, 6, rng)
@@ -131,7 +133,7 @@ class TestLSTM:
         x = rng.normal(size=(2, 3))
 
         def loss():
-            h, c = cell.initial_state(2)
+            h, c = cell.initial_state((2,))
             h, c = cell.step(Tensor(x), h, c)
             h, c = cell.step(Tensor(x), h, c)
             return (h ** 2).sum() + (c ** 2).sum()
@@ -187,18 +189,23 @@ class TestWordLSTM:
         assert tiny_lstm.predict_logits(x).shape == (3, 5, 9)
 
     def test_training_reduces_loss(self, tiny_lstm, rng):
+        """Clipped SGD trains the model as a stack of one client, the
+        way local training always runs it."""
         from repro.nn.optim import SGD
 
-        x = rng.integers(0, 9, size=(4, 6))
-        y = np.roll(x, -1, axis=1)
-        opt = SGD(tiny_lstm.parameters(), lr=1.0, max_grad_norm=1.0)
-        first = tiny_lstm.loss((x, y)).item()
-        for _ in range(50):
-            opt.zero_grad()
-            tiny_lstm_loss = tiny_lstm.loss((x, y))
-            tiny_lstm_loss.backward()
-            opt.step()
-        assert tiny_lstm.loss((x, y)).item() < first
+        x = rng.integers(0, 9, size=(1, 4, 6))
+        y = np.roll(x, -1, axis=-1)
+        state = {name: p.data[None].copy() for name, p in tiny_lstm.named_parameters()}
+        with tiny_lstm.stacked(state):
+            opt = SGD(tiny_lstm.parameters(), lr=1.0, max_grad_norm=1.0)
+            first = tiny_lstm.loss((x, y)).data[0]
+            for _ in range(50):
+                opt.zero_grad()
+                tiny_lstm_loss = tiny_lstm.loss((x, y))
+                tiny_lstm_loss.backward()
+                opt.step()
+        tiny_lstm.load_state_dict({name: a[0] for name, a in state.items()})
+        assert tiny_lstm.loss((x[0], y[0])).item() < first
 
 
 class TestBuildModel:
