@@ -28,10 +28,17 @@ PTB cell (LSTM masks), and FedBIAD three more: fmnist at ``p=0.5``,
 stage two from round 2 (score-driven patterns), and momentum with
 gradient clipping under its row masks.
 
+The same run also hashes its virtual-clock columns (scheduled and
+straggling counts, simulated round/clock/compute seconds, flush index
+and staleness) into a second digest, ``CLOCK_GOLDEN``: every
+time-to-accuracy reads these columns, so a change to the server loop
+that keeps the learning trajectory but moves the clock fails here too.
+
 ``GOLDEN_PIN`` ties the whole digest table to ``SPEC_FORMAT_VERSION``:
 re-pinning a digest (a deliberate numerics change) moves the pin, and
 stored cells computed under the old numerics must stop being served, so
-the version moves in the same commit.
+the version moves in the same commit.  ``CLOCK_PIN`` does the same for
+``CLOCK_GOLDEN``.
 
 Digests are floating-point results and so depend on the numerical
 stack; they were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
@@ -63,6 +70,17 @@ LEARNING_COLUMNS = (
     "upload_bits_total",
     "download_bits_per_client",
     "n_selected",
+)
+
+CLOCK_COLUMNS = (
+    "n_scheduled",
+    "n_stragglers",
+    "sim_round_seconds",
+    "sim_clock_seconds",
+    "sim_compute_seconds_mean",
+    "flush_index",
+    "staleness_mean",
+    "staleness_max",
 )
 
 
@@ -162,9 +180,57 @@ GOLDEN = {
 #: any digest moves this pin; move the version with it.
 GOLDEN_PIN = (4, "037df6859dcf7c6439f1f28cdc32b34322886f97e21a1513594d61eb2f2d3ea3")
 
+#: Per-cell sha256 over :data:`CLOCK_COLUMNS`, hashed from the same run
+#: as the learning digest.
+CLOCK_GOLDEN = {
+    "fleet-fedavg-async-fleet": "d2fbc793fd66a57eb96df955b88f9cdb26dae42582c75d803a3de3b8972dcfc7",
+    "fleet-fedavg-async-trace:flash-diurnal": "faa454b28db75e341a2bb96814736624e09f98c810c1173e24425e686b17bb98",
+    "fleet-fedavg-sync-fleet": "7b41c9bba78b388a3cf3b1377af1c6d2c24b7be2b52a82976caf9546228dfb9c",
+    "fleet-fedavg-sync-trace:flash-diurnal": "f5a52b7327af25366854e1bab9bc4aea6cc39ccac908eb4ff2aed0380c350422",
+    "fleet100k-fedavg-sync-trace:flash-diurnal": "61d9ece1effb5b36647fd68b17c2fdb071dacc55957b8bedf1c63a7a59e99da0",
+    "fleetragged-fedavg-sync-fleet": "7b41c9bba78b388a3cf3b1377af1c6d2c24b7be2b52a82976caf9546228dfb9c",
+    "fmnist-fedbiad-sync-ideal": "1abb1566c7b7c672cc19f5967189e9182df0dbebaa533ddcf32307f17857ddc8",
+    "mnist-afd-sync-ideal": "c30609030a63192b7102a3978dab25752fb85c92853246a8a9d6a4955ea47bfd",
+    "mnist-dgc-sync-ideal": "1fa6f76f63026714ebcba5169c0f4d0fefe4e13d1cf838026e9c6e8e63686786",
+    "mnist-fedavg-async-flaky": "e27fa34a9f42a73eb0ca56d67a8b5c2899e5c978325de2f8b44d5d8eb651d445",
+    "mnist-fedavg-async-ideal": "72211606388346e088e8558276d9b66e3d3342d31c950a792cc08354d6d2babf",
+    "mnist-fedavg-async-straggler": "7da0e863536da9d06f850b532e7fcc36b3c011fec7c6da41bcdb4b0c8f81da32",
+    "mnist-fedavg-async-trace:flash-diurnal": "f521c4872921feb347b47ba71df2abe449851e4996155fa8eeef5619de712599",
+    "mnist-fedavg-sync-flaky": "be0c87cbc1787f482f0367ca7d69756ed91b3590fe5ca111c1735af9ccc03f49",
+    "mnist-fedavg-sync-ideal": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
+    "mnist-fedavg-sync-ideal-momentum-clip": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
+    "mnist-fedavg-sync-straggler": "bc08a60426b2374b76ec4a0f71015fb4c129e966972ce112b382b0401e09f510",
+    "mnist-fedavg-sync-trace:flash-diurnal": "35dc922e7697b94b58a0bd4411f561f261b3d81b0ba74e8ab95ac5bf4d745b9b",
+    "mnist-fedbiad+dgc-sync-ideal": "b6f5747cd4e4d9bb580b7c61eb8e6d32db5e1ee21a20c4565aa84520acd3d7c8",
+    "mnist-fedbiad-async-flaky": "41fd8cdff02bcbc5d6caf5b46cbcdcdb0f3758e1f4aee25452875d3dbab5c2a4",
+    "mnist-fedbiad-async-ideal": "d60a0cb8d2168bdb188fbea57b6445ee47f1502a3ce6d7a006d371bf9067d944",
+    "mnist-fedbiad-async-straggler": "cbc49cd459bead07ad6faba02f6f88d00d7fc75bd6dd8a94c4e8e17749e5dbc3",
+    "mnist-fedbiad-async-trace:flash-diurnal": "31d73ba7659300ce14e196c5575659f781de3b1bcae9a61d2f7fa23c597d01de",
+    "mnist-fedbiad-sync-flaky": "68e3a7932843313abc66f0f7646e2d9fca382106c5bd6ba1a4a8372d9a8ace62",
+    "mnist-fedbiad-sync-ideal": "b2594fae829030ba82f6df46039cd66641eb5163a720beb5de40d31e83a84a9c",
+    "mnist-fedbiad-sync-ideal-momentum-clip": "b2594fae829030ba82f6df46039cd66641eb5163a720beb5de40d31e83a84a9c",
+    "mnist-fedbiad-sync-ideal-stage2": "b2594fae829030ba82f6df46039cd66641eb5163a720beb5de40d31e83a84a9c",
+    "mnist-fedbiad-sync-straggler": "6dbe8c837d1010b3e45d16fe9223d4aea3a26ff0d934dc50be07e8b7e9f2b0e9",
+    "mnist-fedbiad-sync-trace:flash-diurnal": "0102c3e0445272a63acc19db0d527a7eab01a48ae49b47b690909c30b7d4df58",
+    "mnist-feddrop-sync-ideal": "f846783911e364ca3d41df00a91cced76cb45f9967904e603ce7018a89bd488f",
+    "mnist-fedmp-sync-ideal": "d6619576fd15a22de4b228ada9ba8da9d2c85c9588a5e3366c2eddef6c078e63",
+    "mnist-fjord-sync-ideal": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
+    "mnist-heterofl-sync-ideal": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
+    "ptb-fedavg-async-ideal": "5877526894607ac3fb7442929b1685b542fea4c8805f3b21f56aef5b62bbfcde",
+    "ptb-fedavg-sync-ideal": "d912502449f7a74cb71b5d7c6f75fb120cb3b05c1c0520fa566b548403b56418",
+    "ptb-fedbiad-sync-ideal": "f0b9ef7b6b90a7a22bc8e9113f39784109716710dd6a791d30a1f3787388227e",
+    "ptb-fjord-sync-ideal": "d912502449f7a74cb71b5d7c6f75fb120cb3b05c1c0520fa566b548403b56418",
+}
 
-def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch) -> str:
-    """sha256 over one run's learning columns and selected cohorts."""
+#: ``(SPEC_FORMAT_VERSION, sha256 of the sorted CLOCK_GOLDEN items)``.
+CLOCK_PIN = (4, "a5141e2dd5538db5964bc93ad04743e4889a456e2e157503dfeaf33b41072516")
+
+
+def trajectory_digests(
+    task_name: str, method: str, overrides: dict, monkeypatch
+) -> tuple[str, str]:
+    """sha256 over one run's learning columns and selected cohorts, and
+    sha256 over the same run's clock columns."""
     preset_name = "fleet" if task_name.startswith("fleet-") else task_name
     config = preset_for(preset_name, "small").fl.with_overrides(seed=0, **overrides)
     selections: list[np.ndarray] = []
@@ -180,24 +246,36 @@ def trajectory_digest(task_name: str, method: str, overrides: dict, monkeypatch)
     fed_method = make_method(method) if method in METHOD_NAMES else make_sketched(method)
     history = sim_cls(_task(task_name), fed_method, config).run()
 
-    h = hashlib.sha256()
-    for column in LEARNING_COLUMNS:
-        h.update(np.asarray(history.series(column), dtype=np.float64).tobytes())
+    def columns_digest(columns):
+        h = hashlib.sha256()
+        for column in columns:
+            h.update(np.asarray(history.series(column), dtype=np.float64).tobytes())
+        return h
+
+    learning = columns_digest(LEARNING_COLUMNS)
     for ids in selections:
-        h.update(ids.tobytes())
-    return h.hexdigest()
+        learning.update(ids.tobytes())
+    return learning.hexdigest(), columns_digest(CLOCK_COLUMNS).hexdigest()
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_trajectory_matches_golden(cell, monkeypatch):
     task_name, method, overrides = CELLS[cell]
-    assert trajectory_digest(task_name, method, overrides, monkeypatch) == GOLDEN[cell]
+    learning, clock = trajectory_digests(task_name, method, overrides, monkeypatch)
+    assert learning == GOLDEN[cell]
+    assert clock == CLOCK_GOLDEN[cell]
 
 
 def test_matrix_is_fully_pinned():
     assert sorted(GOLDEN) == sorted(CELLS)
+    assert sorted(CLOCK_GOLDEN) == sorted(CELLS)
 
 
 def test_golden_table_is_pinned_to_the_spec_format_version():
     table = json.dumps(sorted(GOLDEN.items())).encode()
     assert (SPEC_FORMAT_VERSION, hashlib.sha256(table).hexdigest()) == GOLDEN_PIN
+
+
+def test_clock_table_is_pinned_to_the_spec_format_version():
+    table = json.dumps(sorted(CLOCK_GOLDEN.items())).encode()
+    assert (SPEC_FORMAT_VERSION, hashlib.sha256(table).hexdigest()) == CLOCK_PIN
