@@ -12,9 +12,10 @@ magnitude, virtual compute base, deadline at 1.5x the fastest client):
   and drops late clients, so most of the fleet's work is discarded
   (participation ~28% here) and simulated time per round is bounded by
   the deadline;
-* **async** — FedBuff-style buffered aggregation
-  (:class:`repro.fl.async_aggregation.AsyncFederatedSimulation`): up to
-  ``max_concurrency`` clients train concurrently, the server folds the
+* **async** — FedBuff-style buffered aggregation, the same round loop
+  (:meth:`repro.fl.simulation.FederatedSimulation.run_round`) without
+  the deadline: up to ``max_concurrency`` clients train concurrently,
+  the server folds the
   buffer into the global model every ``buffer_size`` arrivals with
   staleness-weighted mixing (``1 / (1 + staleness)**beta``), and nobody
   is dropped — slow devices land late and merely count for less.

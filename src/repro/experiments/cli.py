@@ -46,7 +46,7 @@ model (``ideal``, ``heterogeneous``, ``flaky``, ``straggler``), and
 barrier rounds and FedBuff-style buffered async aggregation.  The flags
 become an explicit :class:`~repro.experiments.context.ExecutionContext`
 that the scheduler folds into every cell; see :mod:`repro.fl.systems`
-and :mod:`repro.fl.async_aggregation`.
+and :mod:`repro.fl.simulation`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Federated-learning simulation substrate."""
 
 from .aggregation import AGGREGATION_MODES, ClientPayload, aggregate
-from .async_aggregation import AsyncFederatedSimulation
 from .checkpoints import (
     dumps_nan_safe,
     history_from_payload,
@@ -49,7 +48,6 @@ __all__ = [
     "AGGREGATION_MODES",
     "ClientPayload",
     "aggregate",
-    "AsyncFederatedSimulation",
     "dumps_nan_safe",
     "history_from_payload",
     "history_to_payload",

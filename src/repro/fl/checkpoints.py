@@ -128,9 +128,8 @@ def save_checkpoint(sim, path: str | Path) -> None:
     """Snapshot a live simulation (sync or async) mid-stream.
 
     Serializes global parameters, client states, the virtual clock
-    (including any in-flight async uploads), the run cursor and the
-    history so far in one pickle, preserving object identity between the
-    clock's pending events and the async in-flight table.
+    (whose pending events are the uploads still in flight), the run
+    cursor and the history so far in one pickle.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -147,10 +146,15 @@ def restore_checkpoint(sim, path: str | Path) -> None:
     ``sim`` must be constructed with the same task, method, config and
     mode as the checkpointed run (a mismatch raises ``ValueError``
     naming the field); ``sim.run()`` then continues from the snapshot
-    and reproduces the uninterrupted trajectory exactly.
+    and reproduces the uninterrupted trajectory exactly.  A file that
+    does not unpickle — empty, truncated, or naming a class this
+    version no longer has — raises ``ValueError`` naming the path.
     """
     with Path(path).open("rb") as fh:
-        state = pickle.load(fh)
+        try:
+            state = pickle.load(fh)
+        except Exception as exc:
+            raise ValueError(f"cannot read checkpoint {str(path)!r}: {exc!r}") from exc
     # the unpickled graph is exclusively ours — skip the defensive copy
     sim.restore_state(state, copy_state=False)
 

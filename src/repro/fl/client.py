@@ -343,9 +343,9 @@ def run_local_sgd(
     rewrite ``masks`` in place (FedBIAD's pattern swap, Algorithm 1
     lines 18-26).
 
-    A stacked model's loss holds one value per client; backward is
-    seeded with ones, and each step's entry is then the list of
-    per-client losses (a float for an unstacked model).
+    Every model trains as a stack of clients, so its loss holds one
+    value per client: backward is seeded with ones, and each step's
+    entry is the list of per-client losses.
     """
     if masks is not None and rowspace is None:
         raise ValueError("masks require a rowspace")

@@ -49,8 +49,8 @@ class FLConfig:
       non-ideal name is replayed by :class:`repro.traces.TraceSystem`;
     * ``mode`` — server aggregation discipline: ``"sync"`` closes every
       round at a barrier (Algorithm 1), ``"async"`` folds uploads in as
-      they land on the virtual clock, FedBuff-style (see
-      :mod:`repro.fl.async_aggregation`);
+      they land on the virtual clock, FedBuff-style; both run the one
+      round loop of :mod:`repro.fl.simulation`;
     * ``buffer_size`` — async only: uploads buffered per flush;
       ``0`` resolves to the cohort size ``clients_per_round``;
     * ``staleness_exponent`` — async only: ``beta`` in the staleness

@@ -71,11 +71,14 @@ class RoundRecord:
     deadline.  ``sim_round_seconds``/``sim_clock_seconds`` are virtual
     clock readings (see :mod:`repro.fl.systems`), not host wall-clock.
 
-    Async (FedBuff-style) runs write one record per *buffer flush*
-    rather than per barrier round: ``flush_index`` numbers the flush
-    (0 on sync records), ``staleness_mean``/``staleness_max`` describe
-    how many flushes old the buffered updates' base models were, and
-    ``sim_clock_seconds`` is the virtual clock at the flush.
+    Sync and async runs come out of the same round loop
+    (:meth:`repro.fl.simulation.FederatedSimulation.run_round`).  In
+    async (FedBuff-style) mode a round is one *buffer flush*:
+    ``flush_index`` numbers the flush (0 on sync records),
+    ``staleness_mean``/``staleness_max`` describe how many flushes old
+    the buffered updates' base models were (always 0 in sync mode),
+    ``sim_clock_seconds`` is the virtual clock at the flush, and
+    nobody is a straggler.
     """
 
     round_index: int

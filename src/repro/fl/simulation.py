@@ -1,38 +1,68 @@
-"""Federated server orchestration (sync barrier rounds + shared core).
+"""Federated server orchestration: one round loop for sync and async.
 
 The server side of Algorithm 1 runs the selected cohort's local
 updates in-process through one :func:`repro.fl.engine.execute_client`
-call per cohort (or async wave), which hands the whole cohort to the
-method's ``cohort_update`` hook, and is layered over one
-pluggable part: a :class:`~repro.fl.systems.SystemModel` decides how
-the *devices* behave (availability, compute speed, link bandwidth,
-round deadline) and a :class:`~repro.fl.systems.VirtualClock` turns
-that into simulated wall-clock per round — see :mod:`repro.fl.systems`.
-Independent runs are parallelized by sweep sharding
-(:mod:`repro.experiments.sweep`), never inside a run.
+call per launch wave, which hands the whole wave to the method's
+``cohort_update`` hook, and is layered over one pluggable part: a
+:class:`~repro.fl.systems.SystemModel` decides how the *devices* behave
+(availability, compute speed, link bandwidth, round deadline) and a
+:class:`~repro.fl.systems.VirtualClock` turns that into simulated
+wall-clock per round — see :mod:`repro.fl.systems`.  Independent runs
+are parallelized by sweep sharding (:mod:`repro.experiments.sweep`),
+never inside a run.
 
 Availability reaches the server as one
 :class:`~repro.fl.systems.Availability` value, whether it lists the up
 clients or only counts them (million-client fleets), and
-:meth:`FederatedSimulation._select_clients` draws every sync cohort and
-every async refill through its single ``sample`` call.
+:meth:`FederatedSimulation._select_clients` draws every wave through its
+single ``sample`` call.
 
-Two server disciplines share this module's orchestration core
-(selection streams, client execution, arrival simulation, evaluation,
-checkpoint state):
+One round loop
+--------------
+:meth:`FederatedSimulation.run_round` is the only round loop.  Each
+round (an async *flush*) launches a wave up to the concurrency target,
+pops uploads off the virtual clock in arrival order until the buffer
+fills or the round closes, folds the buffer into the global model and
+writes one :class:`~repro.fl.metrics.RoundRecord`.  ``FLConfig.mode``
+sets the two knobs:
 
-* :class:`FederatedSimulation` (here) closes every round at a
-  synchronous barrier: select ``c = max(floor(kappa * K), 1)`` clients,
-  execute them, schedule each upload on the virtual clock, drop clients
-  that miss the system model's deadline (stragglers), aggregate the
-  on-time updates, evaluate.
-* :class:`~repro.fl.async_aggregation.AsyncFederatedSimulation`
-  (FedBuff-style) keeps a pool of clients training concurrently and
-  folds uploads into the global model every ``buffer_size`` arrivals,
-  weighting stale updates down — no barrier at all.
+* ``"sync"`` (Algorithm 1's barrier): buffer = concurrency = the
+  cohort ``c = max(floor(kappa * K), 1)``, plus the deadline rule — the
+  round closes at ``start + deadline`` (the system model's
+  ``round_deadline``), or at the first upload if the deadline is
+  over-tight, since a server cannot close a round with zero reports.
+  Uploads still pending then are dropped as stragglers and the clock
+  moves to the close.
+* ``"async"`` (FedBuff-style): up to ``max_concurrency`` clients train
+  at once and every ``buffer_size`` arrivals are folded in.  There is
+  no deadline: slow devices are never dropped, their updates land
+  eventually and are merely down-weighted by staleness.
 
-Pick one via ``FLConfig.mode`` (``"sync"``/``"async"``) or construct
-the class directly; :func:`run_simulation` dispatches on the config.
+Launch discipline
+-----------------
+Wave ``w`` starts when round ``w - 1`` closes (wave 1 at time zero) and
+refills the concurrency target from the then-available fleet, minus the
+clients still in flight (the clock's pending uploads; a device cannot
+train two updates at once).  Wave ``w`` draws from the ``(seed, w)``
+selection stream and the ``(seed, w, client)`` client streams whatever
+the mode, so with ``buffer_size >= cohort`` and ``max_concurrency ==
+cohort`` under a no-deadline profile every async flush holds exactly
+one wave with zero staleness and reproduces the sync trajectory
+bit-for-bit, clock columns included.
+
+Staleness-weighted mixing
+-------------------------
+The buffer is folded in launch order ``(wave, slot)``, not arrival
+order; in sync mode that is selection order, which the golden
+trajectories pin.  An update that trained on a global model ``s``
+rounds old is weighted down by ``alpha / (1 + s)**beta`` (``beta =
+FLConfig.staleness_exponent``; a uniform ``alpha`` cancels under the
+weight normalization inside :func:`~repro.fl.aggregation.aggregate`, so
+it is fixed at 1).  The factor scales each payload's data weight
+``|D_k|`` and the buffer is then aggregated with the existing
+per-row/paper-literal rules — rows dropped by every buffered client
+keep the previous global value.  Sync buffers are never stale, so their
+factors are exactly 1.
 
 Every stochastic choice is drawn from an RNG stream derived from
 ``(seed, round[, client])`` — never from shared-generator call order —
@@ -46,13 +76,14 @@ reruns and sweep shard counts.  Only the host-measured
 from __future__ import annotations
 
 import copy
+import math
 from collections import defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from ..nn.models import build_model
-from .client import ClientUpdate, FederatedMethod
+from .client import FederatedMethod
 from .config import FLConfig
 from . import engine
 from .engine import ClientResult
@@ -64,29 +95,21 @@ __all__ = ["FederatedSimulation", "run_simulation", "CHECKPOINT_FORMAT"]
 
 #: Layout version of :meth:`FederatedSimulation.checkpoint_state`
 #: snapshots; a snapshot of any other version is refused on restore.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class FederatedSimulation:
-    """One (task, method, config) federated training run — sync barrier.
-
-    Also serves as the orchestration core shared with
-    :class:`~repro.fl.async_aggregation.AsyncFederatedSimulation`:
-    construction, per-``(seed, round[, client])`` RNG streams, cohort
-    execution, arrival simulation on the virtual clock, evaluation
-    cadence, and checkpoint state all live here.
+    """One (task, method, config) federated training run, sync or async.
 
     Parameters
     ----------
     task, method, config:
         The federated task, the method under test, and its
-        hyper-parameters.
+        hyper-parameters; ``config.mode`` picks the server discipline.
     system:
         Device-behaviour model; defaults to
         ``make_system(config.system)``.
     """
-
-    mode = "sync"
 
     def __init__(
         self,
@@ -109,6 +132,15 @@ class FederatedSimulation:
         self.clock = VirtualClock()
         self.history = History(method=method.name, task=task.name)
         self._next_round = 1
+        #: normalized effective aggregation weights of the latest round
+        #: (the staleness-scaled ``|D_k|`` over their sum) — observability
+        #: for tests and diagnostics; ``None`` before the first round.
+        self.flush_weights: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        """The server discipline, ``"sync"`` or ``"async"``."""
+        return self.config.mode
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -116,7 +148,7 @@ class FederatedSimulation:
         release.  Kept so callers may close every run uniformly."""
 
     # ------------------------------------------------------------------
-    # shared orchestration core
+    # launching a wave
     # ------------------------------------------------------------------
     def _system_rng(self, round_index: int) -> np.random.Generator:
         """Per-round stream for stochastic device behaviour.
@@ -139,13 +171,9 @@ class FederatedSimulation:
         The draw comes from a stream keyed by ``(seed, round)`` — not
         from a shared generator — so selection is independent of how
         many times any other RNG was consumed before this round.
-
-        ``cap`` further limits the sample size and ``exclude`` removes
-        ids from consideration (async refills pass their free
-        concurrency slots and their in-flight clients).  Sync and async
-        *must* share this helper: the async buffer>=cohort reduction to
-        the sync trajectory rests on both drawing identically from the
-        same ``(seed, round)`` stream.
+        ``cap`` further limits the sample size (the wave's free
+        concurrency slots) and ``exclude`` removes ids from
+        consideration (the clients still in flight).
         """
         rng = np.random.default_rng([self.config.seed, round_index])
         c = self.config.clients_per_round(self.task.n_clients)
@@ -187,9 +215,42 @@ class FederatedSimulation:
             )
         return arrivals
 
-    def _weighted_train_loss(self, updates: list[ClientUpdate], weights: np.ndarray) -> float:
-        losses = np.array([u.mean_loss for u in updates], dtype=np.float64)
-        return float((weights * losses).sum() / weights.sum())
+    def _targets(self) -> tuple[int, int]:
+        """``(concurrency, buffer size)``: both the cohort in sync mode."""
+        n = self.task.n_clients
+        if self.mode == "sync":
+            cohort = self.config.clients_per_round(n)
+            return cohort, cohort
+        return self.config.resolved_max_concurrency(n), self.config.resolved_buffer_size(n)
+
+    def _launch(self, wave: int, concurrency: int) -> np.ndarray:
+        """Launch wave ``wave`` up to ``concurrency`` clients in flight.
+
+        Every launched upload is scheduled on the clock as a ``(wave,
+        slot, result, arrival)`` event at its simulated arrival time.
+        Returns the launched clients' simulated durations in selection
+        order (empty when no slot is free or nobody is left to launch).
+        """
+        in_flight = {res.client_id for _, _, res, _ in self.clock.pending()}
+        free = concurrency - len(in_flight)
+        if free <= 0:
+            return np.empty(0)
+        available = self.system.available_clients(wave, self._system_rng(wave))
+        if available.size == 0:
+            raise ValueError(
+                f"system model {self.system.name!r} returned no available "
+                f"clients in round {wave}; a server cannot run an "
+                f"empty round (availability hooks must never return empty)"
+            )
+        selected = self._select_clients(wave, available, cap=free, exclude=in_flight)
+        if selected.size == 0:
+            return np.empty(0)
+        launch_time = self.clock.now
+        results = self._execute_cohort(wave, selected)
+        arrivals = self._simulate_arrivals(wave, results)
+        for slot, (res, arrival) in enumerate(zip(results, arrivals)):
+            self.clock.schedule((wave, slot, res, arrival), at=launch_time + arrival.total_seconds)
+        return np.array([a.total_seconds for a in arrivals], dtype=np.float64)
 
     def _evaluate_if_due(self, round_index: int) -> tuple[float, float]:
         """Global test loss/accuracy on eval rounds, NaN otherwise."""
@@ -213,9 +274,8 @@ class FederatedSimulation:
         }
 
     def _checkpoint_payload(self) -> dict:
-        """Live references to everything a snapshot must capture;
-        subclasses extend it (async adds its in-flight table, which
-        shares objects with the clock's pending events)."""
+        """Live references to everything a snapshot must capture; the
+        clock carries the uploads still in flight."""
         return {
             "format": CHECKPOINT_FORMAT,
             "fingerprint": self._fingerprint(),
@@ -236,20 +296,9 @@ class FederatedSimulation:
         The snapshot is a *deep copy*: an in-memory snapshot taken at
         round N stays frozen at round N however far the live run
         continues (live references would be silently mutated by
-        subsequent rounds and replay corrupted state on restore).  One
-        ``deepcopy`` over the whole payload preserves shared identity
-        between the clock's pending events and the async in-flight
-        table.
+        subsequent rounds and replay corrupted state on restore).
         """
         return copy.deepcopy(self._checkpoint_payload())
-
-    def _adopt_state(self, state: dict) -> None:
-        """Install an already-copied snapshot; subclasses extend."""
-        self._next_round = state["next_round"]
-        self.global_params = state["global_params"]
-        self.client_states = defaultdict(dict, state["client_states"])
-        self.clock = state["clock"]
-        self.history = state["history"]
 
     def restore_state(self, state: dict, *, copy_state: bool = True) -> None:
         """Adopt a :meth:`checkpoint_state` snapshot.
@@ -276,63 +325,64 @@ class FederatedSimulation:
                     f"checkpoint does not match this simulation: checkpoint "
                     f"{key}={theirs.get(key)!r}, simulation {key}={ours!r}"
                 )
-        self._adopt_state(copy.deepcopy(state) if copy_state else state)
+        if copy_state:
+            state = copy.deepcopy(state)
+        self._next_round = state["next_round"]
+        self.global_params = state["global_params"]
+        self.client_states = defaultdict(dict, state["client_states"])
+        self.clock = state["clock"]
+        self.history = state["history"]
 
     # ------------------------------------------------------------------
-    # the sync barrier round
+    # the round loop
     # ------------------------------------------------------------------
     def run_round(self, round_index: int) -> RoundRecord:
-        """Execute one global barrier round and return its measurements."""
-        round_start = self.clock.now
-        available = self.system.available_clients(round_index, self._system_rng(round_index))
-        if available.size == 0:
-            raise ValueError(
-                f"system model {self.system.name!r} returned no available "
-                f"clients in round {round_index}; a server cannot run an "
-                f"empty round (availability hooks must never return empty)"
-            )
-        selected = self._select_clients(round_index, available)
-        results = self._execute_cohort(round_index, selected)
+        """Launch a wave, fold the next buffer of uploads into the
+        global model, and return the round's measurements."""
+        start = self.clock.now
+        concurrency, buffer_size = self._targets()
+        durations = self._launch(round_index, concurrency)
+        close = math.inf
+        if self.mode == "sync":
+            deadline = self.system.round_deadline(durations)
+            if deadline is not None:
+                close = start + deadline
 
-        # --- virtual clock: schedule uploads, apply the round deadline
-        arrivals = self._simulate_arrivals(round_index, results)
-        totals = np.array([a.total_seconds for a in arrivals], dtype=np.float64)
-        for res, arrival in zip(results, arrivals):
-            self.clock.schedule((res, arrival), at=round_start + arrival.total_seconds)
-        deadline = self.system.round_deadline(totals)
-        if deadline is None:
-            on_time = self.clock.pop_until(round_start + float(totals.max()))
-        else:
-            on_time = self.clock.pop_until(round_start + deadline)
-        if not on_time and len(self.clock):
-            # a server cannot close a round with zero reports: an
-            # over-tight (or even negative) deadline falls back to the
-            # earliest scheduled upload — including every client tied
-            # at exactly that instant.  pop_until at the peeked event
-            # time is non-empty by construction, so the wait below
-            # never reduces over an empty sequence.
-            on_time = self.clock.pop_until(self.clock.next_time())
-        stragglers = self.clock.drop_pending()
-        # Aggregate in *selection* order, not arrival order: the golden
-        # trajectories pin it, and the async buffer>=cohort reduction
-        # relies on launch order matching it.
-        position = {res.client_id: i for i, res in enumerate(results)}
-        included = sorted((res for res, _ in on_time), key=lambda r: position[r.client_id])
-        wait = max((a.total_seconds for _, a in on_time), default=0.0)
-        if stragglers and deadline is not None:
-            wait = max(wait, deadline)
-        updates = [res.update for res in included]
+        # --- pop arrivals until the buffer fills or the round closes;
+        # an emptied event queue also closes it
+        buffer = []
+        while len(buffer) < buffer_size and len(self.clock) and self.clock.next_time() <= close:
+            at, event = self.clock.pop_next()
+            self.clock.advance_to(at)
+            buffer.append(event)
+        if not buffer:
+            # an over-tight (or even negative) deadline closes the round
+            # at the earliest upload instead, taking every client tied
+            # at exactly that instant
+            at = self.clock.next_time()
+            buffer = self.clock.pop_until(at)
+            self.clock.advance_to(at)
+        stragglers = self.clock.drop_pending() if self.mode == "sync" else []
+        if stragglers:
+            self.clock.advance_to(close)
 
-        self.global_params = self.method.aggregate(round_index, self.global_params, updates)
-        # the virtual clock stays purely virtual (download + compute +
-        # upload): host-measured time would make sim columns, and so
-        # every TTA, nondeterministic
-        self.clock.advance_to(round_start + wait)
-
+        # --- staleness-weighted mixing, in launch order (wave, slot)
+        buffer.sort(key=lambda event: event[:2])
+        staleness = np.array([round_index - wave for wave, *_ in buffer], dtype=np.int64)
+        factors = 1.0 / (1.0 + staleness.astype(np.float64)) ** self.config.staleness_exponent
+        updates = [
+            replace(u, payload=replace(u.payload, weight=u.payload.weight * f))
+            for u, f in zip((res.update for _, _, res, _ in buffer), factors)
+        ]
         weights = np.array([u.payload.weight for u in updates], dtype=np.float64)
-        train_loss = self._weighted_train_loss(updates, weights)
+        self.flush_weights = weights / weights.sum()
+        self.global_params = self.method.aggregate(round_index, self.global_params, updates)
+
+        losses = np.array([u.mean_loss for u in updates], dtype=np.float64)
+        train_loss = float((weights * losses).sum() / weights.sum())
         test_loss, test_acc = self._evaluate_if_due(round_index)
 
+        launched = sorted(buffer + stragglers, key=lambda event: event[:2])
         upload_bits = np.array([u.upload_bits for u in updates], dtype=np.float64)
         self._next_round = round_index + 1
         return RoundRecord(
@@ -343,15 +393,18 @@ class FederatedSimulation:
             upload_bits_mean=float(upload_bits.mean()),
             upload_bits_total=int(upload_bits.sum()),
             download_bits_per_client=self.method.download_bits(self.global_params),
-            n_selected=len(updates),
-            lttr_seconds_mean=float(np.mean([res.lttr_seconds for res in included])),
-            n_scheduled=len(results),
+            n_selected=len(buffer),
+            lttr_seconds_mean=float(np.mean([res.lttr_seconds for _, _, res, _ in buffer])),
+            n_scheduled=len(launched),
             n_stragglers=len(stragglers),
-            sim_round_seconds=self.clock.now - round_start,
+            sim_round_seconds=self.clock.now - start,
             sim_clock_seconds=self.clock.now,
             sim_compute_seconds_mean=float(
-                np.mean([a.compute_seconds for a in arrivals])
+                np.mean([arrival.compute_seconds for *_, arrival in launched])
             ),
+            flush_index=round_index if self.mode == "async" else 0,
+            staleness_mean=float(staleness.mean()),
+            staleness_max=int(staleness.max()),
         )
 
     def run(self, progress: bool = False) -> History:
@@ -381,17 +434,5 @@ def run_simulation(
     progress: bool = False,
     system: SystemModel | None = None,
 ) -> History:
-    """Convenience wrapper: construct and run a simulation.
-
-    Dispatches on ``config.mode``: ``"sync"`` builds a
-    :class:`FederatedSimulation`, ``"async"`` a
-    :class:`~repro.fl.async_aggregation.AsyncFederatedSimulation`.
-    """
-    if config.mode == "async":
-        from .async_aggregation import AsyncFederatedSimulation
-
-        sim_cls = AsyncFederatedSimulation
-    else:
-        sim_cls = FederatedSimulation
-    sim = sim_cls(task, method, config, system=system)
-    return sim.run(progress=progress)
+    """Convenience wrapper: construct and run a simulation."""
+    return FederatedSimulation(task, method, config, system=system).run(progress=progress)

@@ -113,9 +113,13 @@ class VirtualClock:
         at, _, payload = heapq.heappop(self._heap)
         return at, payload
 
+    def pending(self) -> list:
+        """Every event still in the queue, in time order (not popped)."""
+        return [item[2] for item in sorted(self._heap)]
+
     def drop_pending(self) -> list:
         """Discard (and return) every event still in the queue."""
-        out = [item[2] for item in sorted(self._heap)]
+        out = self.pending()
         self._heap.clear()
         return out
 

@@ -13,7 +13,6 @@ import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.client import FedBIAD
-from repro.fl.async_aggregation import AsyncFederatedSimulation
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 
@@ -118,6 +117,7 @@ class TestAsyncEquivalence:
             session_image_task, FedAvg(), cfg.with_overrides(mode="async", buffer_size=100)
         )
         assert _learning_key(sync) == _learning_key(asyn)
+        assert _clock_key(sync) == _clock_key(asyn)
 
 
 class TestStalenessWeighting:
@@ -133,7 +133,7 @@ class TestStalenessWeighting:
         return weights
 
     def test_weights_sum_to_one_at_each_flush(self, session_image_task, async_config):
-        sim = AsyncFederatedSimulation(session_image_task, FedBIAD(), async_config)
+        sim = FederatedSimulation(session_image_task, FedBIAD(), async_config)
         assert sim.flush_weights is None
         for weights in self._flush_weights(sim):
             assert weights.shape[0] >= 1
@@ -148,7 +148,7 @@ class TestStalenessWeighting:
     def test_staleness_discounts_effective_weight(self, session_image_task, async_config):
         """A stale update's normalized weight shrinks as beta grows."""
         flat, steep = (
-            self._flush_weights(AsyncFederatedSimulation(
+            self._flush_weights(FederatedSimulation(
                 session_image_task,
                 FedAvg(),
                 async_config.with_overrides(staleness_exponent=beta, buffer_size=2),
@@ -181,9 +181,9 @@ class TestAsyncSemantics:
         assert np.all(history.series("staleness_max") == 0)
 
     def test_run_simulation_dispatches_on_mode(self, session_image_task, session_config):
-        assert FederatedSimulation.mode == "sync"
-        assert AsyncFederatedSimulation.mode == "async"
         cfg = session_config.with_overrides(mode="async")
+        assert FederatedSimulation(session_image_task, FedAvg(), session_config).mode == "sync"
+        assert FederatedSimulation(session_image_task, FedAvg(), cfg).mode == "async"
         history = run_simulation(session_image_task, FedAvg(), cfg)
         assert np.all(history.series("flush_index") > 0)
 

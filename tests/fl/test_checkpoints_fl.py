@@ -180,11 +180,9 @@ def test_resume_matches_uninterrupted_run(tmp_path, tiny_image_task, fast_config
     cfg = fast_config.with_overrides(rounds=5, system="straggler", **mode_overrides)
     uninterrupted = run_simulation(tiny_image_task, FedBIAD(), cfg)
 
-    from repro.fl.async_aggregation import AsyncFederatedSimulation
     from repro.fl.simulation import FederatedSimulation
 
-    sim_cls = AsyncFederatedSimulation if cfg.mode == "async" else FederatedSimulation
-    first = sim_cls(tiny_image_task, FedBIAD(), cfg)
+    first = FederatedSimulation(tiny_image_task, FedBIAD(), cfg)
     try:
         for round_index in range(1, 3):
             first.history.append(first.run_round(round_index))
@@ -193,7 +191,7 @@ def test_resume_matches_uninterrupted_run(tmp_path, tiny_image_task, fast_config
     finally:
         first.close()
 
-    resumed_sim = sim_cls(tiny_image_task, FedBIAD(), cfg)
+    resumed_sim = FederatedSimulation(tiny_image_task, FedBIAD(), cfg)
     restore_checkpoint(resumed_sim, path)
     resumed = resumed_sim.run()
     assert len(resumed) == cfg.rounds
@@ -202,7 +200,6 @@ def test_resume_matches_uninterrupted_run(tmp_path, tiny_image_task, fast_config
 
 def test_restore_rejects_mode_mismatch(tmp_path, tiny_image_task, fast_config):
     from repro.baselines.fedavg import FedAvg
-    from repro.fl.async_aggregation import AsyncFederatedSimulation
     from repro.fl.simulation import FederatedSimulation
 
     sync_sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
@@ -212,7 +209,7 @@ def test_restore_rejects_mode_mismatch(tmp_path, tiny_image_task, fast_config):
         save_checkpoint(sync_sim, path)
     finally:
         sync_sim.close()
-    async_sim = AsyncFederatedSimulation(
+    async_sim = FederatedSimulation(
         tiny_image_task, FedAvg(), fast_config.with_overrides(mode="async")
     )
     try:
@@ -290,7 +287,7 @@ def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config):
     path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
     _rewrite_format(path, None)  # a snapshot written before the header existed
     sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
-    with pytest.raises(ValueError, match="checkpoint format None is not 2"):
+    with pytest.raises(ValueError, match="checkpoint format None is not 3"):
         restore_checkpoint(sim, path)
 
 
@@ -302,7 +299,7 @@ def test_restore_rejects_previous_format(tmp_path, tiny_image_task, fast_config)
     # format 1 round records still carried a host-measured aggregation time
     _rewrite_format(path, 1)
     sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
-    with pytest.raises(ValueError, match="checkpoint format 1 is not 2"):
+    with pytest.raises(ValueError, match="checkpoint format 1 is not 3"):
         restore_checkpoint(sim, path)
 
 
@@ -310,12 +307,15 @@ def test_async_checkpoint_preserves_in_flight_uploads(tmp_path, tiny_image_task,
     """In-flight uploads pending on the virtual clock survive the
     snapshot: the resumed run folds them instead of relaunching."""
     from repro.baselines.fedavg import FedAvg
-    from repro.fl.async_aggregation import AsyncFederatedSimulation
+    from repro.fl.simulation import FederatedSimulation
+
+    def pending_ids(sim):
+        return [res.client_id for _, _, res, _ in sim.clock.pending()]
 
     cfg = fast_config.with_overrides(
         rounds=4, mode="async", buffer_size=1, system="straggler"
     )
-    sim = AsyncFederatedSimulation(tiny_image_task, FedAvg(), cfg)
+    sim = FederatedSimulation(tiny_image_task, FedAvg(), cfg)
     try:
         sim.history.append(sim.run_round(1))
         assert len(sim.clock) > 0  # something must still be in transit
@@ -323,8 +323,38 @@ def test_async_checkpoint_preserves_in_flight_uploads(tmp_path, tiny_image_task,
         save_checkpoint(sim, path)
     finally:
         sim.close()
-    resumed = AsyncFederatedSimulation(tiny_image_task, FedAvg(), cfg)
+    resumed = FederatedSimulation(tiny_image_task, FedAvg(), cfg)
     restore_checkpoint(resumed, path)
-    assert len(resumed.clock) == len(resumed._in_flight)
+    assert pending_ids(resumed) == pending_ids(sim)
     assert len(resumed.clock) > 0
     resumed.run()
+
+
+def _corrupt_empty(path):
+    path.write_bytes(b"")
+
+
+def _corrupt_truncated(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _corrupt_missing_class(path):
+    # a protocol-0 pickle whose one GLOBAL opcode names a class that no
+    # longer exists; format-2 async snapshots pickled this one
+    path.write_bytes(b"crepro.fl.async_aggregation\n_InFlight\n.")
+
+
+@pytest.mark.parametrize("corrupt, cause", [
+    (_corrupt_empty, "EOFError"),
+    (_corrupt_truncated, "UnpicklingError|EOFError"),
+    (_corrupt_missing_class, "ModuleNotFoundError"),
+], ids=["empty", "truncated", "missing-class"])
+def test_restore_names_an_unreadable_file(tmp_path, tiny_image_task, fast_config, corrupt, cause):
+    from repro.baselines.fedavg import FedAvg
+    from repro.fl.simulation import FederatedSimulation
+
+    path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
+    corrupt(path)
+    sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
+    with pytest.raises(ValueError, match=rf"cannot read checkpoint .*sync\.ckpt.*({cause})"):
+        restore_checkpoint(sim, path)

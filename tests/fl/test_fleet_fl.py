@@ -249,6 +249,16 @@ class TestAvailabilityValidation:
         finally:
             sim.close()
 
+    def test_empty_availability_fails_clearly_in_async_mode(self, tiny_image_task, fast_config):
+        """Async mode stops with the same error, naming the system
+        model and the round, instead of a bare nothing-in-flight one."""
+        cfg = fast_config.with_overrides(mode="async", buffer_size=1)
+        with pytest.raises(
+            ValueError,
+            match="system model 'empty' returned no available clients in round 1",
+        ):
+            run_simulation(tiny_image_task, FedAvg(), cfg, system=_EmptyAvailability())
+
 
 class TestSnapshotIsolation:
     def test_snapshot_frozen_while_run_continues(self, tiny_image_task, fast_config):

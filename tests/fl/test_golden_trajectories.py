@@ -59,7 +59,6 @@ from repro.compression.registry import make_sketched
 from repro.data.registry import make_fleet_task, make_task
 from repro.experiments.configs import preset_for
 from repro.experiments.spec import SPEC_FORMAT_VERSION
-from repro.fl.async_aggregation import AsyncFederatedSimulation
 from repro.fl.simulation import FederatedSimulation
 
 LEARNING_COLUMNS = (
@@ -242,9 +241,8 @@ def trajectory_digests(
         return ids
 
     monkeypatch.setattr(FederatedSimulation, "_select_clients", logged)
-    sim_cls = AsyncFederatedSimulation if config.mode == "async" else FederatedSimulation
     fed_method = make_method(method) if method in METHOD_NAMES else make_sketched(method)
-    history = sim_cls(_task(task_name), fed_method, config).run()
+    history = FederatedSimulation(_task(task_name), fed_method, config).run()
 
     def columns_digest(columns):
         h = hashlib.sha256()
