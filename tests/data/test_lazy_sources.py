@@ -45,6 +45,10 @@ EAGER_BATCH_DIGESTS = {
     "ptb": "0b0df9946ac3610936b599df9b6844c7d9b6c40e7b6adce5220bffb6fc19cb33",
 }
 
+#: sha256 over the class prototypes and the ``(x, y)`` test split of
+#: ``make_task("fleet", "paper", seed=0)`` (dtype, shape, bytes each).
+FLEET_SETUP_DIGEST = "747ec3b464b077fde929c7e8f220eafe3d7adfe910b2c1148779399f7645301d"
+
 
 def _payloads_equal(a, b) -> bool:
     if isinstance(a, tuple):
@@ -142,6 +146,15 @@ class TestFleetSource:
         task = make_task("fleet", "small", seed=2)
         assert task.client_size(0) == task.client_size(task.n_clients - 1)
         assert task.min_client_size() == task.client_size(0)
+
+    def test_setup_arrays_pinned(self):
+        """Building the fleet task draws the class prototypes and the
+        test split only; their bytes are pinned, so a change to how
+        client shards are drawn cannot move the set-up path."""
+        task = make_task("fleet", "paper", seed=0)
+        h = hashlib.sha256()
+        _update(h, (task.client_data._protos,) + tuple(task.test_data))
+        assert h.hexdigest() == FLEET_SETUP_DIGEST
 
     def test_million_client_construction_is_cheap(self):
         """Building the paper-scale fleet must not walk K clients."""
