@@ -306,19 +306,23 @@ class Tensor:
         a, b = self.data, other_t.data
 
         def backward(grad: np.ndarray) -> list:
+            # only the operands that require grad get one: a model's
+            # input never does, so its first layer skips ``grad @ W``
             pairs = []
-            if b.ndim == 1:
-                ga = np.multiply.outer(grad, b)
-            else:
-                ga = grad @ np.swapaxes(b, -1, -2)
-            if a.ndim == 1 and ga.ndim > 1:
-                ga = ga.sum(axis=tuple(range(ga.ndim - 1)))
-            pairs.append((self, _unbroadcast(ga, a.shape)))
-            if a.ndim == 1:
-                gb = np.multiply.outer(a, grad)
-            else:
-                gb = np.swapaxes(a, -1, -2) @ grad
-            pairs.append((other_t, _unbroadcast(gb, b.shape)))
+            if self.requires_grad:
+                if b.ndim == 1:
+                    ga = np.multiply.outer(grad, b)
+                else:
+                    ga = grad @ np.swapaxes(b, -1, -2)
+                if a.ndim == 1 and ga.ndim > 1:
+                    ga = ga.sum(axis=tuple(range(ga.ndim - 1)))
+                pairs.append((self, _unbroadcast(ga, a.shape)))
+            if other_t.requires_grad:
+                if a.ndim == 1:
+                    gb = np.multiply.outer(a, grad)
+                else:
+                    gb = np.swapaxes(a, -1, -2) @ grad
+                pairs.append((other_t, _unbroadcast(gb, b.shape)))
             return pairs
 
         return self._node(a @ b, (self, other_t), backward)

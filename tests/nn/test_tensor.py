@@ -151,6 +151,19 @@ class TestBackward:
         a = leaf(rng.normal(size=(3, 4)))
         check_gradients(lambda: (a.T @ a).sum(), [a])
 
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4), (4,)])
+    def test_matmul_skips_operands_without_grad(self, x_shape, rng):
+        """A constant operand (a model's input) gets no gradient
+        computed; the other operand's gradient is unchanged."""
+        x = Tensor(rng.normal(size=x_shape))
+        w = leaf(rng.normal(size=(4, 5)))
+        out = x @ w
+        pairs = out._backward(np.ones_like(out.data))
+        assert [p is w for p, _ in pairs] == [True]
+        check_gradients(lambda: ((x @ w) ** 2).sum(), [w])
+        flipped = leaf(rng.normal(size=(5, 4))) @ Tensor(rng.normal(size=(4, 3)))
+        assert len(flipped._backward(np.ones_like(flipped.data))) == 1
+
     def test_shared_tensor_accumulates(self):
         a = leaf([2.0])
         out = (a * a).sum()  # d/da a^2 = 2a
