@@ -20,7 +20,18 @@ __all__ = [
 
 
 class ImageBatcher:
-    """Draws random ``(x, y)`` minibatches from a client's image shard."""
+    """Draws random ``(x, y)`` minibatches from a client's image shard.
+
+    Each batch is ``min(batch_size, n)`` distinct rows of the shard.  By
+    default every call draws them with one ``choice`` without
+    replacement.  With ``steps`` set, a call that finds no batch ready
+    draws ``steps`` batches at once: row ``v`` of
+    ``rng.random((steps, n)).argsort(axis=1)``, cut to the batch size,
+    is a uniform subset like ``choice``'s, and one fancy index gathers
+    them all.  A block of ``random`` rows consumes the stream exactly as
+    the same rows drawn one per call, so the batches do not depend on
+    ``steps``.
+    """
 
     def __init__(
         self,
@@ -28,23 +39,36 @@ class ImageBatcher:
         y: np.ndarray,
         batch_size: int,
         rng: np.random.Generator,
+        steps: int | None = None,
     ) -> None:
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y length mismatch")
         if x.shape[0] == 0:
             raise ValueError("empty client shard")
+        if steps is not None and steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
         self.x = x
         self.y = y
         self.batch_size = min(batch_size, x.shape[0])
         self.rng = rng
+        self.steps = steps
+        self._ready: Iterator[tuple[np.ndarray, np.ndarray]] = iter(())
 
     @property
     def n_samples(self) -> int:
         return self.x.shape[0]
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.rng.choice(self.x.shape[0], size=self.batch_size, replace=False)
-        return self.x[idx], self.y[idx]
+        if self.steps is None:
+            idx = self.rng.choice(self.x.shape[0], size=self.batch_size, replace=False)
+            return self.x[idx], self.y[idx]
+        batch = next(self._ready, None)
+        if batch is None:
+            keys = self.rng.random((self.steps, self.x.shape[0]))
+            idx = keys.argsort(axis=1)[:, : self.batch_size]
+            self._ready = zip(self.x.take(idx, axis=0), self.y.take(idx))
+            batch = next(self._ready)
+        return batch
 
 
 class SequenceBatcher:

@@ -12,6 +12,8 @@ relative difficulty.  See DESIGN.md §1 for the substitution rationale.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +90,68 @@ def _sample_split(
     # (shirt/pullover/coat) overlap with their neighbours.
     confuser = (y + rng.integers(1, n_classes, size=n)) % n_classes
     amplitude = rng.uniform(0.8, 1.2, size=(n, 1))
-    x = amplitude * protos[y] + mix * protos[confuser]
-    x += noise * rng.normal(size=(n, d)) / np.sqrt(d)
+    x = _mix_prototypes(protos, y, confuser, amplitude, mix, noise, rng.normal(size=(n, d)))
     return x, y
+
+
+def _sample_shard(
+    n: int,
+    protos: np.ndarray,
+    mix: float,
+    noise: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sample_split`'s law in three draws instead of four.
+
+    One ``integers`` draw over the ``k * (k - 1)`` (label, confuser)
+    pairs gives both (:func:`_label_pairs`).  Amplitudes come from
+    ``random`` and noise from ``standard_normal``.  The fleet's client
+    shards are drawn here.
+    """
+    k, d = protos.shape
+    labels, confusers = _label_pairs(k)
+    r = rng.integers(0, labels.size, size=n)
+    y = labels.take(r)
+    confuser = confusers.take(r)
+    amplitude = 0.8 + 0.4 * rng.random((n, 1))
+    x = _mix_prototypes(protos, y, confuser, amplitude, mix, noise, rng.standard_normal((n, d)))
+    return x, y
+
+
+@functools.cache
+def _label_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The label and the confuser of each pair code ``r < k * (k - 1)``:
+    ``r // (k - 1)`` is a uniform label and ``r % (k - 1) + 1`` an
+    independent uniform non-zero offset from it to the confuser, the
+    joint law of :func:`_sample_split`'s two draws."""
+    codes = np.arange(k * (k - 1))
+    labels = codes // (k - 1)
+    return labels, (labels + codes % (k - 1) + 1) % k
+
+
+def _mix_prototypes(
+    protos: np.ndarray,
+    y: np.ndarray,
+    confuser: np.ndarray,
+    amplitude: np.ndarray,
+    mix: float,
+    noise: float,
+    z: np.ndarray,
+) -> np.ndarray:
+    """Images from their labels, confusers, amplitudes and standard
+    normals ``z`` (overwritten): the scaled label prototype, ``mix`` of
+    the confuser's, and ``noise`` per unit norm of white noise."""
+    # in place, operand for operand the expression
+    # ``amplitude * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``
+    x = protos.take(y, axis=0)
+    x *= amplitude
+    confusers = protos.take(confuser, axis=0)
+    confusers *= mix
+    x += confusers
+    z *= noise
+    z /= math.sqrt(protos.shape[1])
+    x += z
+    return x
 
 
 def make_image_dataset(

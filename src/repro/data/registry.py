@@ -46,7 +46,7 @@ from .batching import (
     eval_image_batches,
     eval_sequence_batches,
 )
-from .images import _sample_split, class_prototypes, make_image_dataset
+from .images import _sample_shard, _sample_split, class_prototypes, make_image_dataset
 from .partition import (
     fleet_shard_rng,
     partition_label_shards,
@@ -92,7 +92,15 @@ class ClientDataSource:
     ``client_size(c)`` (``|D_k|``, the aggregation weight of Eq. 10) for
     one client at a time — nothing forces all K payloads into memory at
     once.
+
+    The source also decides how its image clients' minibatches are
+    drawn (:attr:`round_batches`).
     """
+
+    #: ``False``: one ``choice`` per local step (the paper tasks' stream).
+    #: ``True``: all of a round's steps in one draw (``ImageBatcher``'s
+    #: ``steps``), for sources whose per-call overhead dominates.
+    round_batches = False
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -183,6 +191,12 @@ class FleetImageSource(ClientDataSource):
     prototypes).  ``client_size`` is O(1) — fleet methods must never
     walk all K clients at setup.
 
+    A shard is three draws after the size
+    (:func:`~repro.data.images._sample_shard`: labels with their
+    confusers, amplitudes, noise), and a client's minibatches for a
+    round are one index draw (:attr:`round_batches`): per-call overhead,
+    not draw throughput, is what a 200-client round pays for.
+
     ``size_spread > 1`` turns on per-client *size* heterogeneity:
     ``|D_k|`` is log-normal around ``samples_per_client`` (sigma =
     ``log(size_spread) / 2``), clipped to
@@ -190,9 +204,11 @@ class FleetImageSource(ClientDataSource):
     so every client can form a batch).  The size is the *first* draw of
     the client's shard stream, so it is recoverable in O(1) without
     generating the shard, in any process; ``size_spread=1`` (the
-    default, and every preset) draws nothing extra and keeps the
-    historical payload stream bit-for-bit.
+    default, and every preset) draws nothing extra, so the shard's
+    first draw is its labels.
     """
+
+    round_batches = True
 
     def __init__(
         self,
@@ -234,7 +250,7 @@ class FleetImageSource(ClientDataSource):
     def client_payload(self, client_id: int):
         rng = fleet_shard_rng(self._seed, client_id)
         n = self._shard_size(rng)
-        return _sample_split(n, self._protos, self._mix, self._noise, rng)
+        return _sample_shard(n, self._protos, self._mix, self._noise, rng)
 
     def client_size(self, client_id: int) -> int:
         if self._size_spread <= 1.0:  # constant sizes: skip the rng build
@@ -291,12 +307,20 @@ class FederatedTask:
         """min_k |D_k|; O(1) for sources that know it without a fleet walk."""
         return int(self.client_data.min_client_size())
 
-    def batcher(self, client_id: int, batch_size: int, rng: np.random.Generator):
-        """Build the local minibatch sampler for one client."""
+    def batcher(
+        self, client_id: int, batch_size: int, rng: np.random.Generator, steps: int = 1
+    ):
+        """Build the local minibatch sampler for one client.
+
+        ``steps`` is the number of local iterations ahead; a source with
+        :attr:`~ClientDataSource.round_batches` draws that many image
+        batches at a time.  The batches are the same for any ``steps``.
+        """
         payload = self.client_payload(client_id)
         if self.kind == "image":
             x, y = payload
-            return ImageBatcher(x, y, batch_size, rng)
+            block = steps if self.client_data.round_batches else None
+            return ImageBatcher(x, y, batch_size, rng, block)
         return SequenceBatcher(payload, batch_size, self.seq_len, rng)
 
     def eval_batches(self, batch_size: int = 256) -> Iterator:

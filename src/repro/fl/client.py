@@ -98,7 +98,9 @@ class ClientContext:
         a token stream too short for one window) raises ``ValueError``
         naming the round and the client."""
         try:
-            return self.task.batcher(self.client_id, self.config.batch_size, self.rng)
+            return self.task.batcher(
+                self.client_id, self.config.batch_size, self.rng, self.config.local_iterations
+            )
         except ValueError as exc:
             raise ValueError(f"round {self.round_index}, client {self.client_id}: {exc}") from exc
 

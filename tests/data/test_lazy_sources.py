@@ -192,8 +192,9 @@ class TestFleetSizeHeterogeneity:
     ``fleet_shard_rng(seed, client_id)``."""
 
     def test_default_spread_keeps_historical_stream(self):
-        """size_spread=1 must not consume a single extra draw — every
-        existing fleet payload stays bit-identical."""
+        """size_spread=1 draws no size: the shard stream starts with its
+        labels, so the default and an explicit 1.0 give the same
+        payloads at the preset size."""
         plain = make_fleet_task(n_clients=100, seed=3)
         explicit = make_fleet_task(n_clients=100, seed=3, size_spread=1.0)
         for c in (0, 57, 99):

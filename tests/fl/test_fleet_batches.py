@@ -1,0 +1,136 @@
+"""The fleet's minibatches: one index draw per client-round.
+
+A fleet client draws all V minibatches of a round from its ``(seed,
+round, client)`` stream at once (``ImageBatcher``'s ``steps``, chosen by
+``FleetImageSource.round_batches``).  These tests pin what that must
+keep: every batch is ``min(batch_size, n)`` distinct rows of the shard,
+the batches do not depend on how many are drawn at a time, so a client's
+batches are the same alone, in a stack and at any position in a stack,
+and ragged shards still train.  The paper tasks keep one ``choice`` per
+step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.baselines.fedavg import FedAvg
+from repro.data.batching import ImageBatcher
+from repro.data.registry import make_fleet_task, make_task
+from repro.fl import client as fl_client
+from repro.fl.client import ClientContext
+from repro.fl.config import FLConfig
+from repro.fl.parameters import ParamSet
+from repro.nn.models import build_model
+
+V = 5
+BATCH = 16
+SEED, ROUND = 5, 2
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    # |D_k| spans 8..128 around 32: some shards are smaller than a batch
+    return make_fleet_task(400, seed=3, size_spread=4.0)
+
+
+def _rng(client: int) -> np.random.Generator:
+    return np.random.default_rng([SEED, ROUND, client])
+
+
+def _draw(task, client: int, steps: int, n_batches: int = V) -> list:
+    batcher = task.batcher(client, BATCH, _rng(client), steps)
+    return [batcher.next_batch() for _ in range(n_batches)]
+
+
+def _same(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(xa, xb) and np.array_equal(ya, yb) for (xa, ya), (xb, yb) in zip(a, b)
+    )
+
+
+def test_each_batch_is_distinct_shard_rows(ragged):
+    sizes = set()
+    for client in range(24):
+        x, y = ragged.client_payload(client)
+        sizes.add(x.shape[0])
+        for bx, by in _draw(ragged, client, V):
+            # shard rows carry continuous noise, so each is unique
+            hits = (bx[:, None, :] == x[None, :, :]).all(axis=2)
+            assert (hits.sum(axis=1) == 1).all()
+            rows = hits.argmax(axis=1)
+            assert bx.shape[0] == min(BATCH, x.shape[0])
+            assert len(set(rows.tolist())) == bx.shape[0]
+            assert np.array_equal(by, y[rows])
+    assert min(sizes) < BATCH < max(sizes)
+
+
+@pytest.mark.parametrize("steps", [2, V, V + 3])
+def test_batches_do_not_depend_on_the_block(ragged, steps):
+    """One block of V rows, or blocks of any other size, draws the same
+    batches as one row per call (``steps=1``), also past the first block."""
+    for client in (0, 7, 311):
+        assert _same(_draw(ragged, client, steps, 2 * V), _draw(ragged, client, 1, 2 * V))
+
+
+def test_paper_tasks_keep_one_choice_per_step():
+    task = make_task("mnist", "small", seed=1)
+    assert task.batcher(0, 8, _rng(0), V).steps is None
+    assert make_task("fleet", "small", seed=1).batcher(0, 8, _rng(0), V).steps == V
+
+
+def _cohort(task, order, stack, monkeypatch):
+    """FedAvg on ``order``'s clients in stacks of ``stack``: every
+    client's recorded batches and the updates, by client id."""
+    config = FLConfig(
+        rounds=ROUND, kappa=0.5, local_iterations=V, batch_size=BATCH, lr=0.3, seed=SEED
+    )
+    model = build_model(task.model_spec, np.random.default_rng(0))
+    global_params = ParamSet.from_module(model)
+    method = FedAvg()
+    method.setup(model, task, config, np.random.default_rng(1))
+    ctxs = [
+        ClientContext(
+            client_id=c, round_index=ROUND, global_params=global_params, model=model,
+            task=task, config=config, rng=_rng(c), state={},
+        )
+        for c in order
+    ]
+    owner = {id(ctx.rng): ctx.client_id for ctx in ctxs}
+    seen = {c: [] for c in order}
+    next_batch = ImageBatcher.next_batch
+
+    def recording(self):
+        bx, by = next_batch(self)
+        seen[owner[id(self.rng)]].append((bx.copy(), by.copy()))
+        return bx, by
+
+    with monkeypatch.context() as m:
+        m.setattr(fl_client, "STACK_BYTES", stack * 8 * global_params.num_weights)
+        m.setattr(ImageBatcher, "next_batch", recording)
+        updates = method.cohort_update(ctxs)
+    return seen, dict(zip(order, updates))
+
+
+def test_client_batches_same_alone_and_at_any_stack_position(ragged, monkeypatch):
+    # clients of one effective batch size, so they share stacks
+    order = [c for c in range(60) if ragged.client_size(c) >= BATCH][:7]
+    alone, _ = _cohort(ragged, order, 1, monkeypatch)
+    together, _ = _cohort(ragged, order, len(order), monkeypatch)
+    shuffled, _ = _cohort(ragged, order[::-1], 3, monkeypatch)
+    for c in order:
+        assert len(alone[c]) == V
+        assert _same(alone[c], _draw(ragged, c, 1))
+        assert _same(together[c], alone[c])
+        assert _same(shuffled[c], alone[c])
+
+
+def test_ragged_shards_train(ragged, monkeypatch):
+    order = list(range(10, 22))  # sizes 8 to 74
+    seen, updates = _cohort(ragged, order, len(order), monkeypatch)
+    assert len({min(BATCH, ragged.client_size(c)) for c in order}) > 1
+    for c in order:
+        assert [bx.shape[0] for bx, _ in seen[c]] == [min(BATCH, ragged.client_size(c))] * V
+        assert np.isfinite(updates[c].train_losses).all()
+        assert len(updates[c].train_losses) == V

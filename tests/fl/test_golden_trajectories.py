@@ -136,12 +136,12 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
 CELLS = _cells()
 
 GOLDEN = {
-    "fleet-fedavg-async-fleet": "756e01b11ee55cf8dfe3da3f9673aeea0aaa288661d781d3686f00d1c1359509",
-    "fleet-fedavg-async-trace:flash-diurnal": "8e7fa3d987cb3f2d9e11a8e1841083a26a21663284112ec71f58e668d32413cb",
-    "fleet-fedavg-sync-fleet": "d5145e2f6272d9ff693468db1fd4eb5ac1cf15390b364e1cded702f1cefe6be5",
-    "fleet-fedavg-sync-trace:flash-diurnal": "66ef70d6b1ca03b917df23282f122bbfe7a72d51cafb07a789d2da3a6a433efc",
-    "fleet100k-fedavg-sync-trace:flash-diurnal": "6efa9554b81fd8ce1c13f5fea303fd841fd90af91dfce7160703d7beb9dbab1e",
-    "fleetragged-fedavg-sync-fleet": "15faff81d9298af65bfb7353ef225d9c3a37d9d940170223df9d792291b647d8",
+    "fleet-fedavg-async-fleet": "959e1d6d1a10ffb1b7ae608f4900fdf299be94945338f531cbc68896ce5545f9",
+    "fleet-fedavg-async-trace:flash-diurnal": "3169daf459908f14b076478d01c2f1a85766e54c320c9c5dae3d85c3a574fd70",
+    "fleet-fedavg-sync-fleet": "ae34b3097c1b3a8dd9025b15fc35a20f00b92f4da6ddfefb66947794ea146c2c",
+    "fleet-fedavg-sync-trace:flash-diurnal": "249def7be95bfc149123e43cc85bbac7106e3227d7046beb5b57478e57443381",
+    "fleet100k-fedavg-sync-trace:flash-diurnal": "4c66555747cbb4b76d77afe3e7cc84af45e2127e62c809fa2cae79355a39af07",
+    "fleetragged-fedavg-sync-fleet": "5c1bfe40477370ca6da23c6a644615dc8fef7ede80b48f751842b9316b02a046",
     "fmnist-fedbiad-sync-ideal": "2dcc789ba91db3efe417f85f7cbc6e4900992a189b2430bb1507b4afff007e87",
     "mnist-afd-sync-ideal": "b3db16c303b596459eb57abdd63c79fcca3b9161150150e424573e2a064fc1ca",
     "mnist-dgc-sync-ideal": "fffdca1b044433602d357ed97151714b2879863b6fec3976cd7739d269e38f1c",
@@ -177,7 +177,7 @@ GOLDEN = {
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted GOLDEN items)``.  Moving
 #: any digest moves this pin; move the version with it.
-GOLDEN_PIN = (4, "037df6859dcf7c6439f1f28cdc32b34322886f97e21a1513594d61eb2f2d3ea3")
+GOLDEN_PIN = (5, "2d15ca2c90a6d4779d82003ca924b77ad07bcf52287a568f485986f215f24d00")
 
 #: Per-cell sha256 over :data:`CLOCK_COLUMNS`, hashed from the same run
 #: as the learning digest.
@@ -222,7 +222,7 @@ CLOCK_GOLDEN = {
 }
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted CLOCK_GOLDEN items)``.
-CLOCK_PIN = (4, "a5141e2dd5538db5964bc93ad04743e4889a456e2e157503dfeaf33b41072516")
+CLOCK_PIN = (5, "a5141e2dd5538db5964bc93ad04743e4889a456e2e157503dfeaf33b41072516")
 
 
 def trajectory_digests(
