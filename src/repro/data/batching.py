@@ -27,10 +27,10 @@ class ImageBatcher:
     replacement.  With ``steps`` set, a call that finds no batch ready
     draws ``steps`` batches at once: row ``v`` of
     ``rng.random((steps, n)).argsort(axis=1)``, cut to the batch size,
-    is a uniform subset like ``choice``'s, and one fancy index gathers
+    is a uniform subset like ``choice``'s, and one ``take`` gathers
     them all.  A block of ``random`` rows consumes the stream exactly as
-    the same rows drawn one per call, so the batches do not depend on
-    ``steps``.
+    the same rows drawn one per call, so while nothing else draws from
+    ``rng`` between batches, the batches do not depend on ``steps``.
     """
 
     def __init__(

@@ -126,7 +126,9 @@ def _label_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     joint law of :func:`_sample_split`'s two draws."""
     codes = np.arange(k * (k - 1))
     labels = codes // (k - 1)
-    return labels, (labels + codes % (k - 1) + 1) % k
+    confusers = (labels + codes % (k - 1) + 1) % k
+    labels.flags.writeable = confusers.flags.writeable = False  # cached, shared
+    return labels, confusers
 
 
 def _mix_prototypes(
@@ -141,7 +143,7 @@ def _mix_prototypes(
     """Images from their labels, confusers, amplitudes and standard
     normals ``z`` (overwritten): the scaled label prototype, ``mix`` of
     the confuser's, and ``noise`` per unit norm of white noise."""
-    # in place, operand for operand the expression
+    # in place, yet operation for operation (so bit for bit)
     # ``amplitude * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``
     x = protos.take(y, axis=0)
     x *= amplitude

@@ -314,7 +314,7 @@ class FederatedTask:
 
         ``steps`` is the number of local iterations ahead; a source with
         :attr:`~ClientDataSource.round_batches` draws that many image
-        batches at a time.  The batches are the same for any ``steps``.
+        batches at a time (see :class:`ImageBatcher`).
         """
         payload = self.client_payload(client_id)
         if self.kind == "image":

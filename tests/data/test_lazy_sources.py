@@ -16,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.data.images import _label_pairs
 from repro.data.registry import (
     ALL_TASK_NAMES,
     TASK_NAMES,
@@ -155,6 +156,13 @@ class TestFleetSource:
         h = hashlib.sha256()
         _update(h, (task.client_data._protos,) + tuple(task.test_data))
         assert h.hexdigest() == FLEET_SETUP_DIGEST
+
+    def test_label_pairs_hold_every_label_confuser_pair_once(self):
+        """One uniform code per sample gives a uniform label and an
+        independent uniform other class as its confuser."""
+        labels, confusers = _label_pairs(10)
+        pairs = sorted(zip(labels.tolist(), confusers.tolist()))
+        assert pairs == [(y, c) for y in range(10) for c in range(10) if c != y]
 
     def test_million_client_construction_is_cheap(self):
         """Building the paper-scale fleet must not walk K clients."""
