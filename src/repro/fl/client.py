@@ -123,8 +123,10 @@ class ClientUpdate:
     train_losses: list[float] = field(default_factory=list)
     aux: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def mean_loss(self) -> float:
+        """The mean training loss, computed on first read (a
+        ``dataclasses.replace`` copy computes it again)."""
         return float(np.mean(self.train_losses)) if self.train_losses else float("nan")
 
 

@@ -370,15 +370,17 @@ class FederatedSimulation:
         buffer.sort(key=lambda event: event[:2])
         staleness = np.array([round_index - wave for wave, *_ in buffer], dtype=np.int64)
         factors = 1.0 / (1.0 + staleness.astype(np.float64)) ** self.config.staleness_exponent
+        arrived = [res.update for _, _, res, _ in buffer]
         updates = [
             replace(u, payload=replace(u.payload, weight=u.payload.weight * f))
-            for u, f in zip((res.update for _, _, res, _ in buffer), factors)
+            for u, f in zip(arrived, factors)
         ]
         weights = np.array([u.payload.weight for u in updates], dtype=np.float64)
         self.flush_weights = weights / weights.sum()
         self.global_params = self.method.aggregate(round_index, self.global_params, updates)
 
-        losses = np.array([u.mean_loss for u in updates], dtype=np.float64)
+        # the arrived updates already hold their mean loss (the engine read it)
+        losses = np.array([u.mean_loss for u in arrived], dtype=np.float64)
         train_loss = float((weights * losses).sum() / weights.sum())
         test_loss, test_acc = self._evaluate_if_due(round_index)
 
