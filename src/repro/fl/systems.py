@@ -127,12 +127,6 @@ class VirtualClock:
         """Move the clock forward to absolute time ``t`` (never back)."""
         self._time = max(self._time, float(t))
 
-    def advance(self, dt: float) -> None:
-        """Move the clock forward by ``dt`` simulated seconds."""
-        if dt < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self._time += float(dt)
-
     def __len__(self) -> int:
         return len(self._heap)
 

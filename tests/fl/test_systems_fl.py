@@ -57,17 +57,15 @@ class TestVirtualClock:
 
     def test_schedule_in_past_rejected(self):
         clock = VirtualClock()
-        clock.advance(10.0)
+        clock.advance_to(10.0)
         with pytest.raises(ValueError):
             clock.schedule("late", at=5.0)
 
     def test_advance_never_goes_backwards(self):
         clock = VirtualClock()
-        clock.advance(5.0)
+        clock.advance_to(5.0)
         clock.advance_to(3.0)  # no-op guard
         assert clock.now == 5.0
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
 
 
 class _Task:
