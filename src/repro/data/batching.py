@@ -22,15 +22,14 @@ __all__ = [
 class ImageBatcher:
     """Draws random ``(x, y)`` minibatches from a client's image shard.
 
-    Each batch is ``min(batch_size, n)`` distinct rows of the shard.  By
-    default every call draws them with one ``choice`` without
-    replacement.  With ``steps`` set, a call that finds no batch ready
-    draws ``steps`` batches at once: row ``v`` of
-    ``rng.random((steps, n)).argsort(axis=1)``, cut to the batch size,
-    is a uniform subset like ``choice``'s, and one ``take`` gathers
-    them all.  A block of ``random`` rows consumes the stream exactly as
-    the same rows drawn one per call, so while nothing else draws from
-    ``rng`` between batches, the batches do not depend on ``steps``.
+    Each batch is ``min(batch_size, n)`` distinct rows of the shard.  A
+    call that finds no batch ready draws ``steps`` batches at once: row
+    ``v`` of ``rng.random((steps, n)).argsort(axis=1)``, cut to the
+    batch size, is a uniform subset of the shard, and one ``take``
+    gathers them all.  A block of ``random`` rows consumes the stream
+    exactly as the same rows drawn one per call, so while nothing else
+    draws from ``rng`` between batches, the batches do not depend on
+    ``steps``.
     """
 
     def __init__(
@@ -39,13 +38,13 @@ class ImageBatcher:
         y: np.ndarray,
         batch_size: int,
         rng: np.random.Generator,
-        steps: int | None = None,
+        steps: int = 1,
     ) -> None:
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y length mismatch")
         if x.shape[0] == 0:
             raise ValueError("empty client shard")
-        if steps is not None and steps < 1:
+        if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         self.x = x
         self.y = y
@@ -59,9 +58,6 @@ class ImageBatcher:
         return self.x.shape[0]
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.steps is None:
-            idx = self.rng.choice(self.x.shape[0], size=self.batch_size, replace=False)
-            return self.x[idx], self.y[idx]
         batch = next(self._ready, None)
         if batch is None:
             keys = self.rng.random((self.steps, self.x.shape[0]))

@@ -77,53 +77,11 @@ def class_prototypes(
     return protos
 
 
-def _sample_split(
-    n: int,
-    protos: np.ndarray,
-    mix: float,
-    noise: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    n_classes, d = protos.shape
-    y = rng.integers(0, n_classes, size=n)
-    # "confuser" class: neighbouring class index, as FMNIST classes
-    # (shirt/pullover/coat) overlap with their neighbours.
-    confuser = (y + rng.integers(1, n_classes, size=n)) % n_classes
-    amplitude = rng.uniform(0.8, 1.2, size=(n, 1))
-    x = _mix_prototypes(protos, y, confuser, amplitude, mix, noise, rng.normal(size=(n, d)))
-    return x, y
-
-
-def _sample_shard(
-    n: int,
-    protos: np.ndarray,
-    mix: float,
-    noise: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_sample_split`'s law in three draws instead of four.
-
-    One ``integers`` draw over the ``k * (k - 1)`` (label, confuser)
-    pairs gives both (:func:`_label_pairs`).  Amplitudes come from
-    ``random`` and noise from ``standard_normal``.  The fleet's client
-    shards are drawn here.
-    """
-    k, d = protos.shape
-    labels, confusers = _label_pairs(k)
-    r = rng.integers(0, labels.size, size=n)
-    y = labels.take(r)
-    confuser = confusers.take(r)
-    amplitude = 0.8 + 0.4 * rng.random((n, 1))
-    x = _mix_prototypes(protos, y, confuser, amplitude, mix, noise, rng.standard_normal((n, d)))
-    return x, y
-
-
 @functools.cache
 def _label_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The label and the confuser of each pair code ``r < k * (k - 1)``:
     ``r // (k - 1)`` is a uniform label and ``r % (k - 1) + 1`` an
-    independent uniform non-zero offset from it to the confuser, the
-    joint law of :func:`_sample_split`'s two draws."""
+    independent uniform non-zero offset from it to the confuser."""
     codes = np.arange(k * (k - 1))
     labels = codes // (k - 1)
     confusers = (labels + codes % (k - 1) + 1) % k
@@ -131,29 +89,41 @@ def _label_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, confusers
 
 
-def _mix_prototypes(
+def _sample_images(
+    n: int,
     protos: np.ndarray,
-    y: np.ndarray,
-    confuser: np.ndarray,
-    amplitude: np.ndarray,
     mix: float,
     noise: float,
-    z: np.ndarray,
-) -> np.ndarray:
-    """Images from their labels, confusers, amplitudes and standard
-    normals ``z`` (overwritten): the scaled label prototype, ``mix`` of
-    the confuser's, and ``noise`` per unit norm of white noise."""
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` labelled images in three draws from ``rng``.
+
+    One ``integers`` draw over the ``k * (k - 1)`` (label, confuser)
+    pairs gives both (:func:`_label_pairs`); the "confuser" is another
+    class whose prototype is mixed in, as FMNIST classes
+    (shirt/pullover/coat) overlap with their neighbours.  Amplitudes
+    come from ``random`` and noise from ``standard_normal``.  An image
+    is the scaled label prototype, ``mix`` of the confuser's, and
+    ``noise`` per unit norm of white noise.  Every image dataset, fleet
+    shard and test split is drawn here.
+    """
+    k, d = protos.shape
+    labels, confusers = _label_pairs(k)
+    r = rng.integers(0, labels.size, size=n)
+    y = labels.take(r)
+    amplitude = 0.8 + 0.4 * rng.random((n, 1))
+    z = rng.standard_normal((n, d))
     # in place, yet operation for operation (so bit for bit)
     # ``amplitude * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``
     x = protos.take(y, axis=0)
     x *= amplitude
-    confusers = protos.take(confuser, axis=0)
-    confusers *= mix
-    x += confusers
+    mixed = protos.take(confusers.take(r), axis=0)
+    mixed *= mix
+    x += mixed
     z *= noise
-    z /= math.sqrt(protos.shape[1])
+    z /= math.sqrt(d)
     x += z
-    return x
+    return x, y
 
 
 def make_image_dataset(
@@ -184,8 +154,8 @@ def make_image_dataset(
         raise ValueError(f"unknown difficulty {difficulty!r}")
     rng = np.random.default_rng(seed)
     protos = class_prototypes(n_classes, side, rng)
-    x_train, y_train = _sample_split(n_train, protos, mix, noise, rng)
-    x_test, y_test = _sample_split(n_test, protos, mix, noise, rng)
+    x_train, y_train = _sample_images(n_train, protos, mix, noise, rng)
+    x_test, y_test = _sample_images(n_test, protos, mix, noise, rng)
     return ImageDataset(
         x_train=x_train,
         y_train=y_train,

@@ -46,7 +46,7 @@ from .batching import (
     eval_image_batches,
     eval_sequence_batches,
 )
-from .images import _sample_shard, _sample_split, class_prototypes, make_image_dataset
+from .images import _sample_images, class_prototypes, make_image_dataset
 from .partition import (
     fleet_shard_rng,
     partition_label_shards,
@@ -92,15 +92,7 @@ class ClientDataSource:
     ``client_size(c)`` (``|D_k|``, the aggregation weight of Eq. 10) for
     one client at a time — nothing forces all K payloads into memory at
     once.
-
-    The source also decides how its image clients' minibatches are
-    drawn (:attr:`round_batches`).
     """
-
-    #: ``False``: one ``choice`` per local step (the paper tasks' stream).
-    #: ``True``: all of a round's steps in one draw (``ImageBatcher``'s
-    #: ``steps``), for sources whose per-call overhead dominates.
-    round_batches = False
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -192,10 +184,9 @@ class FleetImageSource(ClientDataSource):
     walk all K clients at setup.
 
     A shard is three draws after the size
-    (:func:`~repro.data.images._sample_shard`: labels with their
-    confusers, amplitudes, noise), and a client's minibatches for a
-    round are one index draw (:attr:`round_batches`): per-call overhead,
-    not draw throughput, is what a 200-client round pays for.
+    (:func:`~repro.data.images._sample_images`: labels with their
+    confusers, amplitudes, noise), the same law as every image task's
+    data.
 
     ``size_spread > 1`` turns on per-client *size* heterogeneity:
     ``|D_k|`` is log-normal around ``samples_per_client`` (sigma =
@@ -207,8 +198,6 @@ class FleetImageSource(ClientDataSource):
     default, and every preset) draws nothing extra, so the shard's
     first draw is its labels.
     """
-
-    round_batches = True
 
     def __init__(
         self,
@@ -250,7 +239,7 @@ class FleetImageSource(ClientDataSource):
     def client_payload(self, client_id: int):
         rng = fleet_shard_rng(self._seed, client_id)
         n = self._shard_size(rng)
-        return _sample_shard(n, self._protos, self._mix, self._noise, rng)
+        return _sample_images(n, self._protos, self._mix, self._noise, rng)
 
     def client_size(self, client_id: int) -> int:
         if self._size_spread <= 1.0:  # constant sizes: skip the rng build
@@ -312,15 +301,14 @@ class FederatedTask:
     ):
         """Build the local minibatch sampler for one client.
 
-        ``steps`` is the number of local iterations ahead; a source with
-        :attr:`~ClientDataSource.round_batches` draws that many image
-        batches at a time (see :class:`ImageBatcher`).
+        ``steps`` is the number of local iterations ahead: an image
+        client draws that many batches at a time, in one index draw
+        (see :class:`ImageBatcher`).
         """
         payload = self.client_payload(client_id)
         if self.kind == "image":
             x, y = payload
-            block = steps if self.client_data.round_batches else None
-            return ImageBatcher(x, y, batch_size, rng, block)
+            return ImageBatcher(x, y, batch_size, rng, steps)
         return SequenceBatcher(payload, batch_size, self.seq_len, rng)
 
     def eval_batches(self, batch_size: int = 256) -> Iterator:
@@ -494,7 +482,7 @@ def _make_fleet_task(cfg: dict, seed: int) -> FederatedTask:
         size_spread=cfg.get("size_spread", 1.0),
     )
     test_rng = np.random.default_rng([seed, 0x7E57])
-    x_test, y_test = _sample_split(cfg["n_test"], protos, mix, noise, test_rng)
+    x_test, y_test = _sample_images(cfg["n_test"], protos, mix, noise, test_rng)
     model_spec = {
         "kind": "mlp",
         "input_dim": cfg["side"] * cfg["side"],

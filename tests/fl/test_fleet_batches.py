@@ -1,13 +1,12 @@
-"""The fleet's minibatches: one index draw per client-round.
+"""Image minibatches: one index draw per client-round.
 
-A fleet client draws all V minibatches of a round from its ``(seed,
-round, client)`` stream at once (``ImageBatcher``'s ``steps``, chosen by
-``FleetImageSource.round_batches``).  These tests pin what that must
-keep: every batch is ``min(batch_size, n)`` distinct rows of the shard,
-the batches do not depend on how many are drawn at a time, so a client's
+Every image client, of the paper tasks and the fleet alike, draws all V
+minibatches of a round from its ``(seed, round, client)`` stream at once
+(``ImageBatcher``'s ``steps``).  These tests pin what that must keep:
+every batch is ``min(batch_size, n)`` distinct rows of the shard, the
+batches do not depend on how many are drawn at a time, so a client's
 batches are the same alone, in a stack and at any position in a stack,
-and ragged shards still train.  The paper tasks keep one ``choice`` per
-step.
+and ragged shards still train.
 """
 
 from __future__ import annotations
@@ -35,6 +34,11 @@ def ragged():
     return make_fleet_task(400, seed=3, size_spread=4.0)
 
 
+@pytest.fixture(scope="module")
+def mnist():
+    return make_task("mnist", "small", seed=1)
+
+
 def _rng(client: int) -> np.random.Generator:
     return np.random.default_rng([SEED, ROUND, client])
 
@@ -50,12 +54,14 @@ def _same(a: list, b: list) -> bool:
     )
 
 
-def test_each_batch_is_distinct_shard_rows(ragged):
+@pytest.mark.parametrize("name", ["ragged", "mnist"])
+def test_each_batch_is_distinct_shard_rows(name, request):
+    task = request.getfixturevalue(name)
     sizes = set()
     for client in range(24):
-        x, y = ragged.client_payload(client)
+        x, y = task.client_payload(client)
         sizes.add(x.shape[0])
-        for bx, by in _draw(ragged, client, V):
+        for bx, by in _draw(task, client, V):
             # shard rows carry continuous noise, so each is unique
             hits = (bx[:, None, :] == x[None, :, :]).all(axis=2)
             assert (hits.sum(axis=1) == 1).all()
@@ -63,21 +69,52 @@ def test_each_batch_is_distinct_shard_rows(ragged):
             assert bx.shape[0] == min(BATCH, x.shape[0])
             assert len(set(rows.tolist())) == bx.shape[0]
             assert np.array_equal(by, y[rows])
-    assert min(sizes) < BATCH < max(sizes)
+    if name == "ragged":
+        assert min(sizes) < BATCH < max(sizes)
 
 
-@pytest.mark.parametrize("steps", [2, V, V + 3])
-def test_batches_do_not_depend_on_the_block(ragged, steps):
+# the ragged fleet's cases keep their bare ``steps`` ids
+@pytest.mark.parametrize(
+    "name, steps",
+    [("ragged", s) for s in (2, V, V + 3)] + [("mnist", s) for s in (2, V, V + 3)],
+    ids=["2", str(V), str(V + 3), "mnist-2", f"mnist-{V}", f"mnist-{V + 3}"],
+)
+def test_batches_do_not_depend_on_the_block(name, steps, request):
     """One block of V rows, or blocks of any other size, draws the same
     batches as one row per call (``steps=1``), also past the first block."""
-    for client in (0, 7, 311):
-        assert _same(_draw(ragged, client, steps, 2 * V), _draw(ragged, client, 1, 2 * V))
+    task = request.getfixturevalue(name)
+    for client in (0, 7, min(311, task.n_clients - 1)):
+        assert _same(_draw(task, client, steps, 2 * V), _draw(task, client, 1, 2 * V))
 
 
-def test_paper_tasks_keep_one_choice_per_step():
-    task = make_task("mnist", "small", seed=1)
-    assert task.batcher(0, 8, _rng(0), V).steps is None
-    assert make_task("fleet", "small", seed=1).batcher(0, 8, _rng(0), V).steps == V
+class _RecordingRng:
+    """Forwards ``random`` to a generator and records each draw's shape."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.shapes: list[tuple] = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+def test_every_image_task_draws_a_round_block(mnist, tiny_image_task):
+    """A round's V batches are one ``random((V, n))`` draw, for the
+    paper tasks, the fleet and a task built from a payload list."""
+
+    def draws(task):
+        rng = _RecordingRng(_rng(0))
+        batcher = task.batcher(0, 8, rng, V)
+        for _ in range(V):
+            batcher.next_batch()
+        return rng.shapes
+
+    tasks = [
+        mnist, make_task("fmnist", "small", seed=1), make_task("fleet", "small", seed=1),
+        tiny_image_task,
+    ]
+    assert [draws(t) for t in tasks] == [[(V, t.client_size(0))] for t in tasks]
 
 
 def _cohort(task, order, stack, monkeypatch):

@@ -136,39 +136,39 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
 CELLS = _cells()
 
 GOLDEN = {
-    "fleet-fedavg-async-fleet": "959e1d6d1a10ffb1b7ae608f4900fdf299be94945338f531cbc68896ce5545f9",
-    "fleet-fedavg-async-trace:flash-diurnal": "3169daf459908f14b076478d01c2f1a85766e54c320c9c5dae3d85c3a574fd70",
-    "fleet-fedavg-sync-fleet": "ae34b3097c1b3a8dd9025b15fc35a20f00b92f4da6ddfefb66947794ea146c2c",
-    "fleet-fedavg-sync-trace:flash-diurnal": "249def7be95bfc149123e43cc85bbac7106e3227d7046beb5b57478e57443381",
-    "fleet100k-fedavg-sync-trace:flash-diurnal": "4c66555747cbb4b76d77afe3e7cc84af45e2127e62c809fa2cae79355a39af07",
-    "fleetragged-fedavg-sync-fleet": "5c1bfe40477370ca6da23c6a644615dc8fef7ede80b48f751842b9316b02a046",
-    "fmnist-fedbiad-sync-ideal": "2dcc789ba91db3efe417f85f7cbc6e4900992a189b2430bb1507b4afff007e87",
-    "mnist-afd-sync-ideal": "b3db16c303b596459eb57abdd63c79fcca3b9161150150e424573e2a064fc1ca",
-    "mnist-dgc-sync-ideal": "fffdca1b044433602d357ed97151714b2879863b6fec3976cd7739d269e38f1c",
-    "mnist-fedavg-async-flaky": "86129253e3103d4733e164096216383ce5c251d9c87a3323901c686cdc673bd7",
-    "mnist-fedavg-async-ideal": "bf1d1b3fc8ecfe908f65198de647a1e352a46754d1ec22d72c3b830e0900ac7c",
-    "mnist-fedavg-async-straggler": "4acd7a9b5dfd38ce97fb7abae16fec7beeead0812381459ba6df93ba3ec1a711",
-    "mnist-fedavg-async-trace:flash-diurnal": "244a2ac957148d7950b74b6609eae73105a58f93d99fb25b674c3384ce2ffc91",
-    "mnist-fedavg-sync-flaky": "3eebc7ae53ef1cf53977d6ec25f3c8820743f4ae10c4fe6ada752d055ce87a13",
-    "mnist-fedavg-sync-ideal": "9d3a83f24614c32cd7b7e50f78f074c8fee09973480981c750a65719366f5a49",
-    "mnist-fedavg-sync-ideal-momentum-clip": "5227f15abd53152a83b084d7cfe2a0e56155a6b0b8f7740aef9e0543d84dc479",
-    "mnist-fedavg-sync-straggler": "bba9cc442fa4b967bbdd775c5a429e6a1725bb9b47c7b9af95bd883130f586eb",
-    "mnist-fedavg-sync-trace:flash-diurnal": "4b049772ddffc42b7fab10cd789413db5a86037f562cd3c365c0cf5dfd14964e",
-    "mnist-fedbiad+dgc-sync-ideal": "71526a55ef6ca6982214b1c780a368614083aed5052d7e6393382bace2d3168e",
-    "mnist-fedbiad-async-flaky": "069c13e7a6ca14c9875f147f0072c64f72267e731b56121db3d99bcd002da340",
-    "mnist-fedbiad-async-ideal": "8a849333ed9427a430e1e7f4019255a1e3071d680b3249f089f31661f6a7cecf",
-    "mnist-fedbiad-async-straggler": "c2578ba54b2f03a871ae98f5a4fc1690fe4d84ce7933a76f0581992f653289cc",
-    "mnist-fedbiad-async-trace:flash-diurnal": "c090d2fc7e9d9cfbf423847530b342541d5933e94c5c8c5773f5d43fb5d0dbf6",
-    "mnist-fedbiad-sync-flaky": "e5df73ed413d97e4f57df416c87819da0611ffff0cb938710300e99b3a50930c",
-    "mnist-fedbiad-sync-ideal": "61424d47a5600efa7e6e59acbb259a95f9ef4029cf87c295c752362937014f39",
-    "mnist-fedbiad-sync-ideal-momentum-clip": "86c97a447cd33ab9fb2e9a6c825df782614765b2ce7fd2499beb5428d896835e",
-    "mnist-fedbiad-sync-ideal-stage2": "7b47d0f209a0ae9f266cf1c2c96ba71865d084de134c21b91117b3cc153edea6",
-    "mnist-fedbiad-sync-straggler": "a8f0b0ab246fdfc0e9ce1e8a3418c6d34eb9acc3510c69d8472b7dd803ac401e",
-    "mnist-fedbiad-sync-trace:flash-diurnal": "26285d69ea845e9957b828ca6b3bf71e74bf6c97088d7c2af1807a3411c07fe0",
-    "mnist-feddrop-sync-ideal": "1f7b48fbac752227ea79c8ac11bb246286b7ff20eb36b383c74b9d83f42a4d75",
-    "mnist-fedmp-sync-ideal": "1fe31b5a1fe0c7ed1fd665326216a33bebfdb85f4e7f20c3a8180711d668f514",
-    "mnist-fjord-sync-ideal": "82addc28e336969d96da5c0668a4bb234f01905529ec080473f78d9f81b15d5c",
-    "mnist-heterofl-sync-ideal": "9ee647aea896c8c5fdf047448708f187fa0fb499834372b1d979c15c69a5115c",
+    "fleet-fedavg-async-fleet": "c5b87a8563f55955b303d82476fc8747e6f3e1622f544dd2ac83c447eeeba8df",
+    "fleet-fedavg-async-trace:flash-diurnal": "bcfa8e683f515ce75e6d82e3dc9caba92b3fad2968010d8e4d18771b62248fdd",
+    "fleet-fedavg-sync-fleet": "34051b749fad2aef3e5e28ee6402e1f047062a366c3837d02ce91770848afc42",
+    "fleet-fedavg-sync-trace:flash-diurnal": "49b3eeb746869729f6554dae808779ec727dbcc4d3c8583bd3278b6313b0ab8e",
+    "fleet100k-fedavg-sync-trace:flash-diurnal": "15ae0fae49c31293eb8cbe1a8f6417ed3b7676669e5b3086da5116037327839b",
+    "fleetragged-fedavg-sync-fleet": "ddbe7dcc1fee2586dd976e7e1c2b8fb8a61fee505d2ff75c189974f1bbb44491",
+    "fmnist-fedbiad-sync-ideal": "d0a653a4168692b558e146e4c4e90fa3c7e8518c792398c7a61fc6813de31f52",
+    "mnist-afd-sync-ideal": "bde612b9b43f930c9ce05ef7f6e5a22a948fdd6960afc81696c999e98bc48e70",
+    "mnist-dgc-sync-ideal": "9629bb4588f7c9e4d637ae5a38b630b41c381a876d94ddcf7e3d7a444b326037",
+    "mnist-fedavg-async-flaky": "c9f93b02a930e09108de46a88a8c2de55e07ee7c9ac5375e8debd7a362fceb8c",
+    "mnist-fedavg-async-ideal": "dd06e61f38f9702a90acfc73b204b2b0f42988c408282442cbf70b9f30331f0e",
+    "mnist-fedavg-async-straggler": "7ce39372382695284ad5d4782b9e58431c3852454261b12a82f3dc4aa3692bab",
+    "mnist-fedavg-async-trace:flash-diurnal": "d38a3b7b4f960b816ee4e7161953be8d1fbf8ac14d4c55b3fe14d816704ad163",
+    "mnist-fedavg-sync-flaky": "8a5881f81133e179efd3a02e6757db93585c90d131aa60066d1262499174df61",
+    "mnist-fedavg-sync-ideal": "dcd197fb1805daf7601050b4e96cbc066320a6dd6f8527866c3f7dcb08eee600",
+    "mnist-fedavg-sync-ideal-momentum-clip": "abffde596c5bfb5aa14f7743dbbce7df41cac5647aaf3f04452c19eaf94032a5",
+    "mnist-fedavg-sync-straggler": "f82c6af1b9b0a2e982b01409355066256d396b9a2db7f0ed59b8a5407f504fac",
+    "mnist-fedavg-sync-trace:flash-diurnal": "b8464651047ca4310798fa4c920f77973b7b2d526f1d2239e3891ddb4f5dc32c",
+    "mnist-fedbiad+dgc-sync-ideal": "7d42c8e374c43f5db70f99370aac020e05f8ddf1218c981efa3014d07bb8a44a",
+    "mnist-fedbiad-async-flaky": "89fcfcce184111a1cd98e3bf52d8328ff662a6d57e2404d0d94594d1c59a3632",
+    "mnist-fedbiad-async-ideal": "f1d5470cf5b9159b4eef2bdada90d3dd52767eb3542db7f1d511f8f6c0bd4dfe",
+    "mnist-fedbiad-async-straggler": "348c94bae8e679000a3ff0f368261b94524d557837c450ae1cf2775e0cc45a3c",
+    "mnist-fedbiad-async-trace:flash-diurnal": "d0456a772bf44d62135c6f931e4c5d30535fa7d2f77e9f0fcfde7e4d092248d4",
+    "mnist-fedbiad-sync-flaky": "26746b19db9fbc14091845284d9847aeeef301fee02e9836e5f3f5c454b2a1c1",
+    "mnist-fedbiad-sync-ideal": "7adef90adb4c3f894f9d09d7fa4ac179f86c51981ef6e40b390d3df34c8d04e0",
+    "mnist-fedbiad-sync-ideal-momentum-clip": "f1d8ef0371a1d221c93c03957a668fa5ccd014a1447688117c3ec46c3f41755d",
+    "mnist-fedbiad-sync-ideal-stage2": "eb82eaa660379b3050988ae38e331e0379d867f8cc92a98cd9c82242ec2e2043",
+    "mnist-fedbiad-sync-straggler": "5960b5eb9d501b4637504bf8e101f057b204416f75551fcc113bb9628d608b28",
+    "mnist-fedbiad-sync-trace:flash-diurnal": "368964ed542e2f8786be6e2c695c7008f80ddc1bef12b915dd6a9d6238bc7a0c",
+    "mnist-feddrop-sync-ideal": "77bff244f58db3fa5777de0e75b23e17b0f1d65a44e6fd51d790cf93b4930046",
+    "mnist-fedmp-sync-ideal": "c1c786eb0a2a3022b5fbec57c87abb9ecf81f34f1de883b804233fa71498606b",
+    "mnist-fjord-sync-ideal": "04c18617f5c708138e3196e1f20c8eb9568e7b7f5b28549a93277c51b1da70d5",
+    "mnist-heterofl-sync-ideal": "2b13321e19cb7d85141e6f53d494ad246c128b30d92f1c4987f0828de1daa839",
     "ptb-fedavg-async-ideal": "393595c8a8064a6381e19c14509931f4c4599151ce48edd7c8b14c77203957b7",
     "ptb-fedavg-sync-ideal": "309bb362c39c515234fb10d8433f3abab312eda4658bacf18d574a055ebf56e4",
     "ptb-fedbiad-sync-ideal": "091bdb86385341865d8b14db30cfd92cf82255e3cd071fe58898b23c590d1e3d",
@@ -177,7 +177,7 @@ GOLDEN = {
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted GOLDEN items)``.  Moving
 #: any digest moves this pin; move the version with it.
-GOLDEN_PIN = (5, "2d15ca2c90a6d4779d82003ca924b77ad07bcf52287a568f485986f215f24d00")
+GOLDEN_PIN = (6, "d96d8647f662d5df473bcf0da5cee522842ca8238b093bd897e792fee1df5e12")
 
 #: Per-cell sha256 over :data:`CLOCK_COLUMNS`, hashed from the same run
 #: as the learning digest.
@@ -222,7 +222,7 @@ CLOCK_GOLDEN = {
 }
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted CLOCK_GOLDEN items)``.
-CLOCK_PIN = (5, "a5141e2dd5538db5964bc93ad04743e4889a456e2e157503dfeaf33b41072516")
+CLOCK_PIN = (6, "a5141e2dd5538db5964bc93ad04743e4889a456e2e157503dfeaf33b41072516")
 
 
 def trajectory_digests(
