@@ -113,8 +113,8 @@ def _sample_images(
     y = labels.take(r)
     amplitude = 0.8 + 0.4 * rng.random((n, 1))
     z = rng.standard_normal((n, d))
-    # in place, yet operation for operation (so bit for bit)
-    # ``amplitude * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``
+    # ``amplitude * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``,
+    # evaluated in place in that order of operations
     x = protos.take(y, axis=0)
     x *= amplitude
     mixed = protos.take(confusers.take(r), axis=0)
