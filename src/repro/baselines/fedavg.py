@@ -4,8 +4,9 @@ Every selected client trains the full model for ``V`` local iterations
 and uploads all weights; the server computes the data-weighted average.
 Table I's "Save Ratio" column is defined relative to this method's
 upload size.  Training is the shared cohort loop of
-:class:`~repro.fl.client.FederatedMethod` (stacks of clients on an MLP,
-one client at a time otherwise) with no masks.
+:class:`~repro.fl.client.FederatedMethod` with no masks: every model
+(MLP, LSTM, CNN) trains its clients in stacks, a lone client being a
+stack of one.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from ..nn.optim import SGD
 from .aggregation import ClientPayload, aggregate
 from .config import FLConfig
 from .parameters import ParamSet
-from .rows import RowSpace, broadcast_mask, kept_entries
+from .rows import RowSpace, bind_masks, broadcast_mask, kept_entries
 from .sizing import FLOAT_BITS, dense_bits
 
 __all__ = [
@@ -178,14 +178,25 @@ class LocalRun:
 
 class _StackedBatcher:
     """One minibatch per client per step, each drawn by the client's own
-    batcher, stacked along a leading client axis."""
+    batcher, stacked along a leading client axis.
+
+    Every step writes into the same pair of arrays (a stack's clients
+    share one batch shape), so a batch is valid until the next draw.
+    """
 
     def __init__(self, batchers: list) -> None:
         self.batchers = batchers
+        self._stack: tuple[np.ndarray, np.ndarray] | None = None
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = zip(*(b.next_batch() for b in self.batchers))
-        return np.stack(xs), np.stack(ys)
+        draws = [b.next_batch() for b in self.batchers]
+        if self._stack is None:
+            self._stack = tuple(np.empty((len(draws),) + a.shape, a.dtype) for a in draws[0])
+        xs, ys = self._stack
+        for i, (x, y) in enumerate(draws):
+            xs[i] = x
+            ys[i] = y
+        return xs, ys
 
 
 def _stacks(ctxs: list[ClientContext]) -> list[list[int]]:
@@ -342,10 +353,12 @@ def run_local_sgd(
     ``U <- U - eta * (beta ∘ grad L)``.  When ``masks`` is given (as the model's parameters hold
     them, see :func:`~repro.fl.rows.broadcast_mask`), ``rowspace``
     applies them: gradients are multiplied by the masks before the step
-    and dropped entries re-pinned to +0.0 after it.  The
-    ``on_iteration`` hook runs after each step with its loss; it may
-    rewrite ``masks`` in place (FedBIAD's pattern swap, Algorithm 1
-    lines 18-26).
+    and dropped entries re-pinned to +0.0 after it.  The masks are bound
+    to their parameters once (:func:`~repro.fl.rows.bind_masks`), as
+    views.  The ``on_iteration`` hook runs after each step with its
+    loss; it may rewrite ``masks`` in place (FedBIAD's pattern swap,
+    Algorithm 1 lines 18-26), and the next step masks with the new
+    values.
 
     Every model trains as a stack of clients, so its loss holds one
     value per client: backward is seeded with ones, and each step's
@@ -353,17 +366,18 @@ def run_local_sgd(
     """
     if masks is not None and rowspace is None:
         raise ValueError("masks require a rowspace")
+    bound = bind_masks(model, masks) if masks is not None else None
     losses: list = []
     for v in range(iterations):
         batch = batcher.next_batch()
         optimizer.zero_grad()
         loss = model.loss(batch)
         loss.backward(np.ones_like(loss.data))
-        if masks is not None:
-            rowspace.mask_model_gradients(model, masks)
+        if bound is not None:
+            rowspace.mask_model_gradients(bound)
         optimizer.step()
-        if masks is not None:
-            rowspace.zero_dropped_rows(model, masks)
+        if bound is not None:
+            rowspace.zero_dropped_rows(bound)
         value = loss.data.tolist()
         losses.append(value)
         if on_iteration is not None:

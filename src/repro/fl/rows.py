@@ -16,7 +16,8 @@ It provides:
   the paper's global set, see DESIGN.md §4);
 * score-based pattern construction for FedBIAD's stage two;
 * the masking that :func:`repro.fl.client.run_local_sgd` applies for
-  every method.
+  every method, to parameters bound to their masks once per stack
+  (:func:`bind_masks`).
 
 Masks have one vocabulary (:func:`broadcast_mask`): a mask is aligned
 with its parameter's leading axes and broadcasts over the axes it
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.module import Module, RowSpec
+from ..nn.module import Module, Parameter, RowSpec
 from .parameters import ParamSet
 
-__all__ = ["RowBlock", "RowSpace", "broadcast_mask", "kept_entries"]
+__all__ = ["RowBlock", "RowSpace", "bind_masks", "broadcast_mask", "kept_entries"]
 
 
 def broadcast_mask(mask: np.ndarray, ndim: int) -> np.ndarray:
@@ -59,6 +60,20 @@ def kept_entries(masks: dict[str, np.ndarray], params) -> int:
             mask = broadcast_mask(np.asarray(mask, dtype=bool), value.ndim)
             total += int(np.count_nonzero(np.broadcast_to(mask, value.shape)))
     return total
+
+
+def bind_masks(model: Module, masks: dict[str, np.ndarray]) -> list[tuple[Parameter, np.ndarray]]:
+    """Pair each masked parameter of ``model`` with its mask, broadcast
+    to the parameter's rank, once for many steps.
+
+    The broadcast masks are views, so rewriting ``masks`` in place (a
+    stack's per-client mask swap) takes effect in the next masking.
+    """
+    return [
+        (p, broadcast_mask(masks[name], p.data.ndim))
+        for name, p in model.named_parameters()
+        if name in masks
+    ]
 
 
 @dataclass(frozen=True)
@@ -239,18 +254,18 @@ class RowSpace:
                 out[name] = value.copy()
         return ParamSet(out)
 
-    def mask_model_gradients(self, model: Module, masks: dict[str, np.ndarray]) -> None:
-        """Multiply gradients by their masks in place (Eq. 7's masking)."""
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None and p.grad is not None:
-                p.grad *= broadcast_mask(mask, p.grad.ndim)
+    def mask_model_gradients(self, bound: list[tuple[Parameter, np.ndarray]]) -> None:
+        """Multiply gradients by their masks in place (Eq. 7's masking).
 
-    def zero_dropped_rows(self, model: Module, masks: dict[str, np.ndarray]) -> None:
+        ``bound`` pairs parameters with their masks (:func:`bind_masks`).
+        """
+        for p, mask in bound:
+            if p.grad is not None:
+                p.grad *= mask
+
+    def zero_dropped_rows(self, bound: list[tuple[Parameter, np.ndarray]]) -> None:
         """Pin the dropped entries of the live model to +0.0 (post-step
         guard).  Written, never multiplied: ``x * False`` is -0.0 for
         negative ``x``."""
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None:
-                np.copyto(p.data, 0.0, where=~broadcast_mask(mask, p.data.ndim))
+        for p, mask in bound:
+            np.copyto(p.data, 0.0, where=~mask)

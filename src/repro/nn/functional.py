@@ -7,6 +7,8 @@ evaluation, plus a few free-function aliases for the elementwise ops.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .tensor import Tensor, as_tensor
@@ -40,9 +42,13 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def _log_softmax_data(logits: np.ndarray) -> np.ndarray:
-    """Stable log-softmax along the last axis of a raw array."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Stable log-softmax along the last axis of a raw array.
+
+    The reductions call the ufuncs' ``reduce`` directly: the same kernels
+    as ``max``/``sum``, without their Python wrappers.
+    """
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -61,6 +67,57 @@ def log_softmax(logits: Tensor) -> Tensor:
 def softmax(logits: Tensor) -> Tensor:
     """Softmax along the last axis (computed via stable log-softmax)."""
     return log_softmax(logits).exp()
+
+
+def _cross_entropy_data(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    reduction: str,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """:func:`cross_entropy` on a raw logits array: the reduced losses,
+    and the map from their gradient to the logits' gradient
+    (``softmax - onehot``, scaled).  Fused losses that end in a softmax
+    (:meth:`repro.nn.models.MLPClassifier.loss`) share it."""
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"targets shape {targets.shape} does not match logits {logits.shape}"
+        )
+    n_classes = logits.shape[-1]
+    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
+        raise ValueError("target labels out of range")
+
+    log_probs = _log_softmax_data(logits)
+    flat_lp = log_probs.reshape(-1, n_classes)
+    flat_t = targets.reshape(-1).astype(np.intp)
+    rows = np.arange(flat_t.size)
+    losses = -flat_lp[rows, flat_t].reshape(targets.shape)
+
+    if reduction == "none":
+        out_data = losses
+    elif reduction == "sum":
+        out_data = losses.sum(axis=-1)
+    elif reduction == "mean":
+        # what ``losses.mean(axis=-1)`` computes, without its wrapper
+        out_data = np.add.reduce(losses, axis=-1) / losses.shape[-1]
+    else:
+        raise ValueError(f"unknown reduction {reduction!r}")
+
+    probs = np.exp(log_probs)
+
+    def logits_grad(grad: np.ndarray) -> np.ndarray:
+        g = probs.copy()
+        flat_g = g.reshape(-1, n_classes)
+        flat_g[rows, flat_t] -= 1.0
+        grad = np.asarray(grad)
+        if reduction == "none":
+            flat_g *= grad.reshape(-1, 1)
+        else:
+            scale = grad / max(targets.shape[-1], 1) if reduction == "mean" else grad
+            g *= scale[..., None, None]
+        return g
+
+    return out_data, logits_grad
 
 
 def cross_entropy(
@@ -86,46 +143,15 @@ def cross_entropy(
 
     The forward and backward passes are fused: the backward closure uses
     the classic ``softmax - onehot`` expression so that no intermediate
-    graph nodes are materialized for the inner softmax.  This is the hot
-    path of every local training iteration in the simulation.
+    graph nodes are materialized for the inner softmax.  Every LSTM and
+    CNN training step ends here; the MLP's fused loss shares the same
+    numerics (:func:`_cross_entropy_data`).
     """
     logits = as_tensor(logits)
-    targets = np.asarray(targets)
-    if targets.shape != logits.data.shape[:-1]:
-        raise ValueError(
-            f"targets shape {targets.shape} does not match logits {logits.data.shape}"
-        )
-    n_classes = logits.data.shape[-1]
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
-        raise ValueError("target labels out of range")
-
-    log_probs = _log_softmax_data(logits.data)
-    flat_lp = log_probs.reshape(-1, n_classes)
-    flat_t = targets.reshape(-1).astype(np.intp)
-    losses = -flat_lp[np.arange(flat_t.size), flat_t].reshape(targets.shape)
-
-    if reduction == "none":
-        out_data = losses
-    elif reduction == "sum":
-        out_data = losses.sum(axis=-1)
-    elif reduction == "mean":
-        out_data = losses.mean(axis=-1)
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
-    probs = np.exp(log_probs)
+    out_data, logits_grad = _cross_entropy_data(logits.data, targets, reduction)
 
     def backward(grad: np.ndarray) -> list:
-        g = probs.copy()
-        flat_g = g.reshape(-1, n_classes)
-        flat_g[np.arange(flat_t.size), flat_t] -= 1.0
-        grad = np.asarray(grad)
-        if reduction == "none":
-            flat_g *= grad.reshape(-1, 1)
-        else:
-            scale = grad / max(targets.shape[-1], 1) if reduction == "mean" else grad
-            g *= scale[..., None, None]
-        return [(logits, g)]
+        return [(logits, logits_grad(grad))]
 
     return Tensor._node(out_data, (logits,), backward)
 

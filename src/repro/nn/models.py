@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functional import cross_entropy
+from .functional import _cross_entropy_data, cross_entropy
 from .layers import Embedding, Linear, ReLU, Sequential
 from .module import Module, Parameter
 from .recurrent import LSTM
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, _unbroadcast, no_grad
 
 __all__ = ["MLPClassifier", "WordLSTM", "build_model"]
 
@@ -69,22 +69,59 @@ class MLPClassifier(Module):
         # (MNIST p=0.2 -> 1.25x, FMNIST p=0.5 -> 2x).
         layers.append(Linear(previous, n_classes, rng, init="xavier", droppable=False))
         self.net = Sequential(*layers)
+        self._linears = tuple(layer for layer in layers if isinstance(layer, Linear))
 
-    def forward(self, x: np.ndarray | Tensor) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return self.net(x)
+    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """The raw forward pass: each ``Linear``'s input, then the logits.
+
+        ``x`` is ``(batch, in)``, or ``(c, batch, in)`` under
+        :meth:`~repro.nn.module.Module.stacked`; each layer is
+        ``h @ W^T + b`` over the last two axes, then ``max(., 0)``
+        except after the output layer.
+        """
+        acts = [np.asarray(x, dtype=np.float64)]
+        last = len(self._linears) - 1
+        for i, layer in enumerate(self._linears):
+            z = acts[-1] @ np.swapaxes(layer.weight.data, -1, -2) + layer.bias.data
+            acts.append(z if i == last else np.maximum(z, 0.0))
+        return acts
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
         """Mean cross-entropy over one ``(images, labels)`` minibatch, or
         the ``(c,)`` per-client means of ``(c, batch, in)`` images and
-        ``(c, batch)`` labels."""
+        ``(c, batch)`` labels.
+
+        One autograd node over the whole network: a numpy forward that
+        keeps the activations, and a hand-written VJP that applies the
+        numpy operations of the composed ``Linear``/``ReLU``/
+        :func:`~repro.nn.functional.cross_entropy` graph in the same
+        order, so losses and gradients are bit-identical to it.
+        """
         x, y = batch
-        return cross_entropy(self.forward(x), y)
+        acts = self._activations(x)
+        out, logits_grad = _cross_entropy_data(acts[-1], y, "mean")
+        linears = self._linears
+
+        def backward(grad: np.ndarray) -> list:
+            g = logits_grad(grad)
+            pairs = []
+            for i in range(len(linears) - 1, -1, -1):
+                layer, h = linears[i], acts[i]
+                pairs.append((layer.bias, _unbroadcast(g, layer.bias.data.shape)))
+                # a transposed view, as ``W.mT``'s backward hands it on:
+                # the leaf's copy keeps that memory layout, and with it
+                # the summation order of gradient clipping
+                pairs.append((layer.weight, np.swapaxes(np.swapaxes(h, -1, -2) @ g, -1, -2)))
+                if i:
+                    # h = max(z, 0) is positive exactly where z is
+                    g = (g @ layer.weight.data) * (h > 0.0)
+            return pairs
+
+        params = tuple(p for layer in linears for p in (layer.weight, layer.bias))
+        return Tensor._node(out, params, backward)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.forward(x).numpy()
+        return self._activations(x)[-1]
 
 
 class WordLSTM(Module):

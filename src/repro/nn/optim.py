@@ -78,28 +78,39 @@ class SGD:
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
+        self._buffers: list[np.ndarray | None] = [None] * len(self.params)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
-        """Apply one SGD update to every parameter with a gradient."""
+        """Apply one SGD update to every parameter with a gradient.
+
+        In place: each parameter has one persistent scratch buffer (and
+        a velocity with momentum), and the update evaluates
+        ``grad + weight_decay * data``, the velocity and ``lr * update``
+        in the order of the out-of-place expression, bit for bit.
+        """
         if self.max_grad_norm is not None:
             clip_grad_norm(self.params, self.max_grad_norm)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            grad = p.grad
+            buf = self._buffers[i]
+            if buf is None:
+                buf = self._buffers[i] = np.empty_like(p.data)
+            update = p.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
+                np.multiply(p.data, self.weight_decay, out=buf)
+                buf += update
+                update = buf
             if self.momentum:
                 if self._velocity[i] is None:
                     self._velocity[i] = np.zeros_like(p.data)
                 v = self._velocity[i]
                 v *= self.momentum
-                v += grad
+                v += update
                 update = v
-            else:
-                update = grad
-            p.data -= self.lr * update
+            np.multiply(update, self.lr, out=buf)
+            p.data -= buf

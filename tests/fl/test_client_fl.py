@@ -9,7 +9,7 @@ from repro.baselines.feddrop import FedDrop
 from repro.fl.client import ClientContext, FederatedMethod, run_local_sgd
 from repro.fl.metrics import evaluate
 from repro.fl.parameters import ParamSet
-from repro.fl.rows import RowSpace
+from repro.fl.rows import RowSpace, bind_masks
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
 
@@ -35,7 +35,7 @@ class TestRunLocalSGD:
         space = RowSpace.from_module(model)
         beta = space.sample_pattern(0.5, rng)
         masks = space.split(beta)
-        space.zero_dropped_rows(model, masks)
+        space.zero_dropped_rows(bind_masks(model, masks))
         batcher = tiny_image_task.batcher(0, 8, rng)
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9, weight_decay=0.1)
         run_local_sgd(model, optimizer, batcher, 6, rowspace=space, masks=masks)
@@ -65,7 +65,7 @@ class TestElementMaskedSGD:
         masks = {
             "net.layer0.weight": rng.random((8, 12)) < 0.5,
         }
-        space.zero_dropped_rows(model, masks)
+        space.zero_dropped_rows(bind_masks(model, masks))
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9)
         batcher = tiny_image_task.batcher(0, 8, rng)
         run_local_sgd(model, optimizer, batcher, 5, rowspace=space, masks=masks)
@@ -103,14 +103,16 @@ class TestElementMaskedSGD:
         loss = model.loss(batcher.next_batch())
         loss.backward()
         mask = np.zeros((8, 12), dtype=bool)
-        RowSpace.from_module(model).mask_model_gradients(model, {"net.layer0.weight": mask})
+        bound = bind_masks(model, {"net.layer0.weight": mask})
+        RowSpace.from_module(model).mask_model_gradients(bound)
         p = dict(model.named_parameters())["net.layer0.weight"]
         assert np.all(p.grad == 0.0)
 
     def test_apply_element_masks(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
         mask = np.zeros((8, 12), dtype=bool)
-        RowSpace.from_module(model).zero_dropped_rows(model, {"net.layer0.weight": mask})
+        bound = bind_masks(model, {"net.layer0.weight": mask})
+        RowSpace.from_module(model).zero_dropped_rows(bound)
         p = dict(model.named_parameters())["net.layer0.weight"]
         assert np.all(p.data == 0.0) and not np.any(np.signbit(p.data))
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fl.parameters import ParamSet
-from repro.fl.rows import RowSpace
+from repro.fl.rows import RowSpace, bind_masks
 from repro.nn.module import RowSpec
 
 
@@ -153,7 +153,7 @@ class TestMaskApplication:
         y = rng.integers(0, 9, size=(2, 4))
         loss = tiny_lstm.loss((x, y))
         loss.backward()
-        space.mask_model_gradients(tiny_lstm, masks)
+        space.mask_model_gradients(bind_masks(tiny_lstm, masks))
         for name, p in tiny_lstm.named_parameters():
             if name in masks and p.grad is not None:
                 assert np.all(p.grad[~masks[name]] == 0.0)
@@ -162,7 +162,20 @@ class TestMaskApplication:
         space = RowSpace.from_module(tiny_lstm)
         beta = space.sample_pattern(0.5, rng)
         masks = space.split(beta)
-        space.zero_dropped_rows(tiny_lstm, masks)
+        space.zero_dropped_rows(bind_masks(tiny_lstm, masks))
         for name, p in tiny_lstm.named_parameters():
             if name in masks:
                 assert np.all(p.data[~masks[name]] == 0.0)
+
+    def test_binding_sees_in_place_rewrites(self, tiny_lstm):
+        """A binding holds views of the masks, so a mask rewritten in
+        place (a stack's per-client swap) takes effect at the next pin."""
+        space = RowSpace.from_module(tiny_lstm)
+        masks = space.split(space.full_pattern())
+        bound = bind_masks(tiny_lstm, masks)
+        for mask in masks.values():
+            mask[...] = False
+        space.zero_dropped_rows(bound)
+        for name, p in tiny_lstm.named_parameters():
+            if name in masks:
+                assert np.all(p.data == 0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.nn.functional import cross_entropy
 from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import Embedding, Linear, ReLU, Sequential, Tanh
 from repro.nn.models import MLPClassifier, WordLSTM, build_model
@@ -162,6 +163,81 @@ class TestMLPClassifier:
 
     def test_predict_logits_shape(self, tiny_mlp, rng):
         assert tiny_mlp.predict_logits(rng.normal(size=(7, 6))).shape == (7, 4)
+
+
+def _composed_loss(model: MLPClassifier, x: np.ndarray, y: np.ndarray) -> Tensor:
+    """The reference for the fused loss: the model's own layers as an
+    autograd graph, Linear -> ReLU -> ... -> Linear -> cross_entropy."""
+    return cross_entropy(model.net(Tensor(x)), y)
+
+
+def _loss_and_grads(model: MLPClassifier, loss_fn, x, y) -> list:
+    """The loss's bytes, then each gradient's bytes and memory layout
+    (the layout fixes the summation order of gradient clipping)."""
+    model.zero_grad()
+    loss = loss_fn(x, y)
+    loss.backward(np.ones_like(loss.data))
+    return [loss.data.tobytes()] + [(p.grad.tobytes(), p.grad.strides) for p in model.parameters()]
+
+
+class TestFusedMLPLoss:
+    """``MLPClassifier.loss`` is one autograd node whose loss and
+    gradients are bit-identical to the composed graph it replaces."""
+
+    @pytest.mark.parametrize("hidden", [(5,), (7, 5)])
+    @pytest.mark.parametrize("c", [None, 1, 3, 13])
+    def test_bit_identical_to_composed_graph(self, rng, c, hidden):
+        model = MLPClassifier(input_dim=6, hidden_dims=hidden, n_classes=4, rng=rng)
+        lead = () if c is None else (c,)
+        x = rng.normal(size=lead + (9, 6))
+        y = rng.integers(0, 4, size=lead + (9,))
+
+        def check():
+            fused = _loss_and_grads(model, lambda x, y: model.loss((x, y)), x, y)
+            composed = _loss_and_grads(model, lambda x, y: _composed_loss(model, x, y), x, y)
+            assert fused == composed
+
+        if c is None:
+            check()
+        else:
+            state = {
+                name: np.stack([p.data * (1.0 + 0.1 * i) for i in range(c)])
+                for name, p in model.named_parameters()
+            }
+            with model.stacked(state):
+                check()
+
+    def test_predict_logits_is_the_composed_forward(self, rng):
+        model = MLPClassifier(input_dim=6, hidden_dims=(7, 5), n_classes=4, rng=rng)
+        x = rng.normal(size=(11, 6))
+        reference = model.net(Tensor(x)).data
+        assert model.predict_logits(x).tobytes() == reference.tobytes()
+
+    def test_one_node_per_loss(self, tiny_mlp, rng):
+        loss = tiny_mlp.loss((rng.normal(size=(5, 6)), rng.integers(0, 4, size=5)))
+        assert set(map(id, loss._parents)) == set(map(id, tiny_mlp.parameters()))
+
+    @pytest.mark.parametrize("hidden", [(5,), (7, 5)])
+    def test_gradcheck(self, rng, hidden):
+        model = MLPClassifier(input_dim=6, hidden_dims=hidden, n_classes=4, rng=rng)
+        x = rng.normal(size=(9, 6))
+        y = rng.integers(0, 4, size=9)
+        check_gradients(lambda: model.loss((x, y)), model.parameters())
+
+    def test_gradcheck_stacked(self, rng):
+        model = MLPClassifier(input_dim=6, hidden_dims=(5,), n_classes=4, rng=rng)
+        state = {name: np.stack([p.data, -p.data]) for name, p in model.named_parameters()}
+        x = rng.normal(size=(2, 9, 6))
+        y = rng.integers(0, 4, size=(2, 9))
+        with model.stacked(state):
+            check_gradients(lambda: model.loss((x, y)).sum(), model.parameters())
+
+    def test_target_errors(self, tiny_mlp, rng):
+        x = rng.normal(size=(5, 6))
+        with pytest.raises(ValueError, match="does not match"):
+            tiny_mlp.loss((x, rng.integers(0, 4, size=4)))
+        with pytest.raises(ValueError, match="out of range"):
+            tiny_mlp.loss((x, np.array([0, 1, 2, 3, 4])))
 
 
 class TestWordLSTM:

@@ -59,6 +59,55 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([param([1.0])], lr=0.0)
 
+    @pytest.mark.parametrize("max_grad_norm", [None, 0.5])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_in_place_step_matches_out_of_place(self, weight_decay, momentum, max_grad_norm):
+        """The in-place step is byte-identical to the out-of-place
+        expression over many stacked steps."""
+
+        def reference_step(params, velocity, lr):
+            if max_grad_norm is not None:
+                clip_grad_norm(params, max_grad_norm)
+            for i, p in enumerate(params):
+                grad = p.grad
+                if weight_decay:
+                    grad = grad + weight_decay * p.data
+                if momentum:
+                    if velocity[i] is None:
+                        velocity[i] = np.zeros_like(p.data)
+                    v = velocity[i]
+                    v *= momentum
+                    v += grad
+                    update = v
+                else:
+                    update = grad
+                p.data -= lr * update
+
+        gen = np.random.default_rng(4)
+        shapes = [(3, 5, 4), (3, 1, 5), (3, 5, 5), (3, 1, 5)]  # two layers, 3 clients
+        start = [gen.normal(size=s) for s in shapes]
+        ours = [Parameter(a.copy()) for a in start]
+        theirs = [Parameter(a.copy()) for a in start]
+        opt = SGD(ours, lr=0.05, momentum=momentum, weight_decay=weight_decay,
+                  max_grad_norm=max_grad_norm)
+        velocity = [None] * len(theirs)
+        for _ in range(200):
+            scale = gen.choice([0.01, 1.0], size=(3, 1, 1))  # some clients below the clip norm
+            for a, b in zip(ours, theirs):
+                g = gen.normal(size=a.data.shape) * scale
+                a.grad, b.grad = g.copy(), g.copy()
+            opt.step()
+            reference_step(theirs, velocity, lr=0.05)
+            for a, b in zip(ours, theirs):
+                assert a.data.tobytes() == b.data.tobytes()
+        buffers = [b for b in opt._buffers + opt._velocity if b is not None]
+        assert len(buffers) == len(shapes) * (2 if momentum else 1)
+        owned = buffers + [p.data for p in ours]
+        for i, a in enumerate(owned):
+            for b in owned[i + 1:]:
+                assert not np.shares_memory(a, b)
+
 
 class TestClipGradNorm:
     def test_scales_to_max(self):
