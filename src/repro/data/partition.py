@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..streams import stream
+
 __all__ = [
     "partition_iid",
     "partition_label_shards",
@@ -192,9 +194,9 @@ def contiguous_client_chunk(
 def fleet_shard_rng(seed: int, client_id: int) -> np.random.Generator:
     """The RNG stream owning one fleet client's shard.
 
-    Keyed by ``(seed, tag, client_id)`` — never by draw order — so any
+    Keyed by ``(seed, client_id)`` — never by draw order — so any
     client's payload can be generated on demand, in any process, without
-    touching the other K-1 clients.  The 3-element key with a fixed tag
-    cannot collide with the registry's dataset-level streams.
+    touching the other K-1 clients (the ``"fleet_shard"`` purpose of
+    :mod:`repro.streams`).
     """
-    return np.random.default_rng([int(seed), 0xF7EE7, int(client_id)])
+    return stream("fleet_shard", seed, client_id)

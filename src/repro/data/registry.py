@@ -40,6 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..streams import stream
 from .batching import (
     ImageBatcher,
     SequenceBatcher,
@@ -481,8 +482,9 @@ def _make_fleet_task(cfg: dict, seed: int) -> FederatedTask:
         seed=seed,
         size_spread=cfg.get("size_spread", 1.0),
     )
-    test_rng = np.random.default_rng([seed, 0x7E57])
-    x_test, y_test = _sample_images(cfg["n_test"], protos, mix, noise, test_rng)
+    x_test, y_test = _sample_images(
+        cfg["n_test"], protos, mix, noise, stream("test_split", seed)
+    )
     model_spec = {
         "kind": "mlp",
         "input_dim": cfg["side"] * cfg["side"],

@@ -36,7 +36,7 @@ __all__ = ["ExperimentSpec", "SweepSpec", "SPEC_FORMAT_VERSION"]
 #: Bumped whenever the hash inputs or the stored payload layout change,
 #: or the numerics of a stored column change; part of every cell hash so
 #: stale stores miss instead of misloading.
-SPEC_FORMAT_VERSION = 6
+SPEC_FORMAT_VERSION = 7
 
 
 def _canonical(value):

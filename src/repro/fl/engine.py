@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..streams import stream
 from .client import ClientContext, ClientUpdate, FederatedMethod
 from .config import FLConfig
 from .parameters import ParamSet
@@ -74,7 +75,7 @@ def execute_client(
             model=model,
             task=task,
             config=config,
-            rng=np.random.default_rng([config.seed, round_index, int(cid)]),
+            rng=stream("engine", config.seed, round_index, cid),
             state=state,
         )
         for cid, state in zip(client_ids, states)

@@ -83,6 +83,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from ..nn.models import build_model
+from ..streams import stream
 from .client import FederatedMethod
 from .config import FLConfig
 from . import engine
@@ -95,7 +96,7 @@ __all__ = ["FederatedSimulation", "run_simulation", "CHECKPOINT_FORMAT"]
 
 #: Layout version of :meth:`FederatedSimulation.checkpoint_state`
 #: snapshots; a snapshot of any other version is refused on restore.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 class FederatedSimulation:
@@ -121,9 +122,8 @@ class FederatedSimulation:
         self.task = task
         self.method = method
         self.config = config
-        self.rng = np.random.default_rng(config.seed)
-        model_rng = np.random.default_rng([config.seed, 0xBEEF])
-        self.model = build_model(task.model_spec, model_rng)
+        self.rng = stream("setup", config.seed)
+        self.model = build_model(task.model_spec, stream("model_init", config.seed))
         method.setup(self.model, task, config, self.rng)
         self.global_params = ParamSet.from_module(self.model)
         self.client_states: dict[int, dict] = defaultdict(dict)
@@ -151,13 +151,9 @@ class FederatedSimulation:
     # launching a wave
     # ------------------------------------------------------------------
     def _system_rng(self, round_index: int) -> np.random.Generator:
-        """Per-round stream for stochastic device behaviour.
-
-        The 4-element key cannot collide with any client stream's
-        3-element ``[seed, round, client]`` key, whatever the fleet
-        size.
-        """
-        return np.random.default_rng([self.config.seed, round_index, 0x5C1, 0])
+        """Per-round stream for stochastic device behaviour (the
+        ``"system"`` purpose of :mod:`repro.streams`)."""
+        return stream("system", self.config.seed, round_index)
 
     def _select_clients(
         self,
@@ -175,7 +171,7 @@ class FederatedSimulation:
         concurrency slots) and ``exclude`` removes ids from
         consideration (the clients still in flight).
         """
-        rng = np.random.default_rng([self.config.seed, round_index])
+        rng = stream("selection", self.config.seed, round_index)
         c = self.config.clients_per_round(self.task.n_clients)
         if cap is not None:
             c = min(c, cap)

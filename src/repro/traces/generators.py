@@ -12,8 +12,8 @@ Dropout and FedDD.  :class:`SyntheticTrace` reproduces that shape:
 * availability follows a **diurnal sinusoid** sampled into the schema's
   per-period rate table (:func:`diurnal_availability`).
 
-Every per-client quantity is drawn from
-``default_rng([seed, 0x7ACE, client_id])`` — a pure function of the
+Every per-client quantity is drawn from the ``"trace_traits"`` stream
+of ``(seed, client_id)`` (:mod:`repro.streams`) — a pure function of the
 key, never of draw order — so any client's record can be generated in
 any process in O(1), and a ``K = 1,000,000`` trace costs O(cohort) per
 simulated round.
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..streams import stream
 from .schema import (
     TRACE_FORMAT_VERSION,
     ClientRecord,
@@ -41,11 +42,6 @@ __all__ = [
     "SyntheticTrace",
     "make_synthetic_trace",
 ]
-
-#: Per-client trait stream tag (cannot collide with the simulation's
-#: ``[seed, round, client]`` streams or the fleet data tag).
-_TRACE_TAG = 0x7ACE
-
 
 @dataclass(frozen=True)
 class DeviceClassSpec:
@@ -165,7 +161,7 @@ class SyntheticTrace(DeviceTrace):
         client_id = int(client_id)
         if client_id < 0 or (self._n_clients is not None and client_id >= self._n_clients):
             raise ValueError(f"client_id {client_id} outside the trace's fleet")
-        rng = np.random.default_rng([self.seed, _TRACE_TAG, client_id])
+        rng = stream("trace_traits", self.seed, client_id)
         index = int(np.searchsorted(self._cum_weights, rng.random(), side="right"))
         cls = self.classes[min(index, len(self.classes) - 1)]
         speed = float(np.exp(rng.normal(math.log(cls.speed_median), cls.speed_sigma)))

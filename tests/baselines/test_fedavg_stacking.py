@@ -26,6 +26,7 @@ from repro.fl.parameters import ParamSet
 from repro.nn.models import build_model
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, clip_grad_norm
+from repro.streams import stream
 from tests.conftest import make_tiny_text_task
 
 ROUND = 3
@@ -94,7 +95,7 @@ def _contexts(task, model, config, global_params):
             model=model,
             task=task,
             config=config,
-            rng=np.random.default_rng([config.seed, ROUND, cid]),
+            rng=stream("engine", config.seed, ROUND, cid),
             state={},
         )
         for cid in range(N_CLIENTS)
@@ -103,7 +104,7 @@ def _contexts(task, model, config, global_params):
 
 def _reference(task, model, config, global_params, cid, round_index=ROUND):
     """One client trained alone on the unstacked model."""
-    rng = np.random.default_rng([config.seed, round_index, cid])
+    rng = stream("engine", config.seed, round_index, cid)
     global_params.to_module(model)
     optimizer = _GlobalClipSGD(
         model.parameters(),
@@ -191,7 +192,7 @@ def test_lstm_trains_one_client_at_a_time(tiny_text_task, monkeypatch):
         ClientContext(
             client_id=cid, round_index=1, global_params=global_params, model=model,
             task=tiny_text_task, config=config,
-            rng=np.random.default_rng([0, 1, cid]), state={},
+            rng=stream("engine", 0, 1, cid), state={},
         )
         for cid in range(3)
     ]

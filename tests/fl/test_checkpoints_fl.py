@@ -287,7 +287,7 @@ def test_restore_rejects_foreign_format(tmp_path, tiny_image_task, fast_config):
     path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
     _rewrite_format(path, None)  # a snapshot written before the header existed
     sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
-    with pytest.raises(ValueError, match="checkpoint format None is not 3"):
+    with pytest.raises(ValueError, match="checkpoint format None is not 4"):
         restore_checkpoint(sim, path)
 
 
@@ -296,10 +296,11 @@ def test_restore_rejects_previous_format(tmp_path, tiny_image_task, fast_config)
     from repro.fl.simulation import FederatedSimulation
 
     path = _sync_checkpoint(tmp_path, tiny_image_task, FedAvg(), fast_config)
-    # format 1 round records still carried a host-measured aggregation time
-    _rewrite_format(path, 1)
+    # format 3 snapshots were taken on the RNG streams before the
+    # keyed-stream table, so resuming one would switch streams mid-run
+    _rewrite_format(path, 3)
     sim = FederatedSimulation(tiny_image_task, FedAvg(), fast_config)
-    with pytest.raises(ValueError, match="checkpoint format 1 is not 3"):
+    with pytest.raises(ValueError, match="checkpoint format 3 is not 4"):
         restore_checkpoint(sim, path)
 
 

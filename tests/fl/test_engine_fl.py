@@ -102,14 +102,15 @@ class TestDivergence:
         self, fast_config, monkeypatch, method
     ):
         """A NaN in the last client's data diverges that client alone
-        inside a stack, and the error names it."""
+        inside a stack, and the error names it (client 1 is last in
+        seed 0's round-1 cohort)."""
         gen = np.random.default_rng(99)
         task = FederatedTask(
             name="nan-shard",
             kind="image",
             model_spec={"kind": "mlp", "input_dim": 12, "hidden_dims": (8,), "n_classes": 4},
             metric="top1",
-            client_data=_NaNShardSource(bad=4),
+            client_data=_NaNShardSource(bad=1),
             test_data=(gen.normal(size=(16, 12)), gen.integers(0, 4, size=16)),
         )
         stacks, cohorts = [], []
@@ -127,10 +128,10 @@ class TestDivergence:
         monkeypatch.setattr(MLPClassifier, "loss", recording)
         monkeypatch.setattr(engine, "execute_client", logged)
         name = method.name
-        with pytest.raises(FloatingPointError, match=rf"round 1, client 4: {name}"):
+        with pytest.raises(FloatingPointError, match=rf"round 1, client 1: {name}"):
             run_simulation(task, method(), fast_config.with_overrides(kappa=1.0))
         assert stacks[0] == (6, fast_config.batch_size)
-        assert cohorts[0][-1] == 4
+        assert cohorts[0][-1] == 1
 
 
 class TestUnusableShard:

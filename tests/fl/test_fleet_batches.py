@@ -1,7 +1,7 @@
 """Image minibatches: one index draw per client-round.
 
 Every image client, of the paper tasks and the fleet alike, draws all V
-minibatches of a round from its ``(seed, round, client)`` stream at once
+minibatches of a round from its ``(seed, round, client)`` engine stream at once
 (``ImageBatcher``'s ``steps``).  These tests pin what that must keep:
 every batch is ``min(batch_size, n)`` distinct rows of the shard, the
 batches do not depend on how many are drawn at a time, so a client's
@@ -22,6 +22,7 @@ from repro.fl.client import ClientContext
 from repro.fl.config import FLConfig
 from repro.fl.parameters import ParamSet
 from repro.nn.models import build_model
+from repro.streams import stream
 
 V = 5
 BATCH = 16
@@ -40,7 +41,7 @@ def mnist():
 
 
 def _rng(client: int) -> np.random.Generator:
-    return np.random.default_rng([SEED, ROUND, client])
+    return stream("engine", SEED, ROUND, client)
 
 
 def _draw(task, client: int, steps: int, n_batches: int = V) -> list:

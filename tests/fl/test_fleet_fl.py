@@ -25,6 +25,7 @@ from repro.fl.systems import (
     make_system,
     sample_index_cohort,
 )
+from repro.streams import stream
 from repro.traces import TraceSystem, profile_system
 
 
@@ -147,7 +148,7 @@ class TestFleetProfile:
         system.bind(_Fleet(), FLConfig(seed=0))
         draws = []
         for _ in range(2):
-            rng = np.random.default_rng([0, 3, 0x5C1, 0])  # the (seed, round) system stream
+            rng = stream("system", 0, 3)  # the simulation's (seed, round) system stream
             draws.append(system.available_clients(3, rng).size)
         assert draws[0] == draws[1]
         # roughly 60% of the fleet (binomial concentration)

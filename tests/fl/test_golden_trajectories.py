@@ -136,85 +136,85 @@ def _cells() -> dict[str, tuple[str, str, dict]]:
 CELLS = _cells()
 
 GOLDEN = {
-    "fleet-fedavg-async-fleet": "c5b87a8563f55955b303d82476fc8747e6f3e1622f544dd2ac83c447eeeba8df",
-    "fleet-fedavg-async-trace:flash-diurnal": "bcfa8e683f515ce75e6d82e3dc9caba92b3fad2968010d8e4d18771b62248fdd",
-    "fleet-fedavg-sync-fleet": "34051b749fad2aef3e5e28ee6402e1f047062a366c3837d02ce91770848afc42",
-    "fleet-fedavg-sync-trace:flash-diurnal": "49b3eeb746869729f6554dae808779ec727dbcc4d3c8583bd3278b6313b0ab8e",
-    "fleet100k-fedavg-sync-trace:flash-diurnal": "15ae0fae49c31293eb8cbe1a8f6417ed3b7676669e5b3086da5116037327839b",
-    "fleetragged-fedavg-sync-fleet": "ddbe7dcc1fee2586dd976e7e1c2b8fb8a61fee505d2ff75c189974f1bbb44491",
-    "fmnist-fedbiad-sync-ideal": "d0a653a4168692b558e146e4c4e90fa3c7e8518c792398c7a61fc6813de31f52",
-    "mnist-afd-sync-ideal": "bde612b9b43f930c9ce05ef7f6e5a22a948fdd6960afc81696c999e98bc48e70",
-    "mnist-dgc-sync-ideal": "9629bb4588f7c9e4d637ae5a38b630b41c381a876d94ddcf7e3d7a444b326037",
-    "mnist-fedavg-async-flaky": "c9f93b02a930e09108de46a88a8c2de55e07ee7c9ac5375e8debd7a362fceb8c",
-    "mnist-fedavg-async-ideal": "dd06e61f38f9702a90acfc73b204b2b0f42988c408282442cbf70b9f30331f0e",
-    "mnist-fedavg-async-straggler": "7ce39372382695284ad5d4782b9e58431c3852454261b12a82f3dc4aa3692bab",
-    "mnist-fedavg-async-trace:flash-diurnal": "d38a3b7b4f960b816ee4e7161953be8d1fbf8ac14d4c55b3fe14d816704ad163",
-    "mnist-fedavg-sync-flaky": "8a5881f81133e179efd3a02e6757db93585c90d131aa60066d1262499174df61",
-    "mnist-fedavg-sync-ideal": "dcd197fb1805daf7601050b4e96cbc066320a6dd6f8527866c3f7dcb08eee600",
-    "mnist-fedavg-sync-ideal-momentum-clip": "abffde596c5bfb5aa14f7743dbbce7df41cac5647aaf3f04452c19eaf94032a5",
-    "mnist-fedavg-sync-straggler": "f82c6af1b9b0a2e982b01409355066256d396b9a2db7f0ed59b8a5407f504fac",
-    "mnist-fedavg-sync-trace:flash-diurnal": "b8464651047ca4310798fa4c920f77973b7b2d526f1d2239e3891ddb4f5dc32c",
-    "mnist-fedbiad+dgc-sync-ideal": "7d42c8e374c43f5db70f99370aac020e05f8ddf1218c981efa3014d07bb8a44a",
-    "mnist-fedbiad-async-flaky": "89fcfcce184111a1cd98e3bf52d8328ff662a6d57e2404d0d94594d1c59a3632",
-    "mnist-fedbiad-async-ideal": "f1d5470cf5b9159b4eef2bdada90d3dd52767eb3542db7f1d511f8f6c0bd4dfe",
-    "mnist-fedbiad-async-straggler": "348c94bae8e679000a3ff0f368261b94524d557837c450ae1cf2775e0cc45a3c",
-    "mnist-fedbiad-async-trace:flash-diurnal": "d0456a772bf44d62135c6f931e4c5d30535fa7d2f77e9f0fcfde7e4d092248d4",
-    "mnist-fedbiad-sync-flaky": "26746b19db9fbc14091845284d9847aeeef301fee02e9836e5f3f5c454b2a1c1",
-    "mnist-fedbiad-sync-ideal": "7adef90adb4c3f894f9d09d7fa4ac179f86c51981ef6e40b390d3df34c8d04e0",
-    "mnist-fedbiad-sync-ideal-momentum-clip": "f1d8ef0371a1d221c93c03957a668fa5ccd014a1447688117c3ec46c3f41755d",
-    "mnist-fedbiad-sync-ideal-stage2": "eb82eaa660379b3050988ae38e331e0379d867f8cc92a98cd9c82242ec2e2043",
-    "mnist-fedbiad-sync-straggler": "5960b5eb9d501b4637504bf8e101f057b204416f75551fcc113bb9628d608b28",
-    "mnist-fedbiad-sync-trace:flash-diurnal": "368964ed542e2f8786be6e2c695c7008f80ddc1bef12b915dd6a9d6238bc7a0c",
-    "mnist-feddrop-sync-ideal": "77bff244f58db3fa5777de0e75b23e17b0f1d65a44e6fd51d790cf93b4930046",
-    "mnist-fedmp-sync-ideal": "c1c786eb0a2a3022b5fbec57c87abb9ecf81f34f1de883b804233fa71498606b",
-    "mnist-fjord-sync-ideal": "04c18617f5c708138e3196e1f20c8eb9568e7b7f5b28549a93277c51b1da70d5",
-    "mnist-heterofl-sync-ideal": "2b13321e19cb7d85141e6f53d494ad246c128b30d92f1c4987f0828de1daa839",
-    "ptb-fedavg-async-ideal": "393595c8a8064a6381e19c14509931f4c4599151ce48edd7c8b14c77203957b7",
-    "ptb-fedavg-sync-ideal": "309bb362c39c515234fb10d8433f3abab312eda4658bacf18d574a055ebf56e4",
-    "ptb-fedbiad-sync-ideal": "091bdb86385341865d8b14db30cfd92cf82255e3cd071fe58898b23c590d1e3d",
-    "ptb-fjord-sync-ideal": "ffb8579d4fec9aa838732e58c3185db715fd6a564a13a5f4a8fe9e93a2da3794",
+    "fleet-fedavg-async-fleet": "a8980a4bd09e8110e3888fcf11aa1b8128a8ac759e096dfc6c46f9bc6dab42cf",
+    "fleet-fedavg-async-trace:flash-diurnal": "1dff51acd6a7e1a46534b0054c3f5e8c5df6d9cc023a7a9ac5b738cf283d0c50",
+    "fleet-fedavg-sync-fleet": "05b3a4b62f9af12182101f9c83c26e240d3dcd480985f22b95763787d0a42290",
+    "fleet-fedavg-sync-trace:flash-diurnal": "fc5e41d7df00096138eb45a2369a678d7446971b7159c584453019aae470ed48",
+    "fleet100k-fedavg-sync-trace:flash-diurnal": "c42ef31396365470c80523df973c8759fcbabee2e769f1bafabd09302377a66a",
+    "fleetragged-fedavg-sync-fleet": "1884882455b8551ad2fa233786496dd6fdadb9b238a0460f95c228a229af3269",
+    "fmnist-fedbiad-sync-ideal": "ff9756e381408b1b4704cb5a8373d97cbaa6447dbc02aca5f84d538fbf2fb743",
+    "mnist-afd-sync-ideal": "5a7c0bfa1620968bc396e8c2cf5110f9801d1319580c263ad7e51de836b24407",
+    "mnist-dgc-sync-ideal": "a590accf4fb4cc2c6cd0a202c81317ee518f41a324d6d56dcb3d040a2addf46c",
+    "mnist-fedavg-async-flaky": "da62cf894e6222db6f1990e7e7d86c4b391eb0fe22cb95a309b700d7f849a2d1",
+    "mnist-fedavg-async-ideal": "bb0a840bac8ec02638849807b1731d56462751729b460e52152006d98d34dd1d",
+    "mnist-fedavg-async-straggler": "a94c33bbcb95eb2d3ab37bd37bf2751edba985fe38ff53598fe0d381212d33ca",
+    "mnist-fedavg-async-trace:flash-diurnal": "8c9185bfc74d5b681515bac926dcec910e11a48a88b6d7593e25b03865fdf13f",
+    "mnist-fedavg-sync-flaky": "84761afede3d71f0915840e65d4342f85cc74a781e3a5f5a6022cdeade5a7a89",
+    "mnist-fedavg-sync-ideal": "f082bb26a627518c7f9ad7fed8e3cd001bda136dfa0a41d341046c2990a3a676",
+    "mnist-fedavg-sync-ideal-momentum-clip": "905fa2b02452fc6fd9a9c0a5228ad9d495a81b0f8477da30b0e88db1a7d9d719",
+    "mnist-fedavg-sync-straggler": "8cfb92d9207af1c344dc45508bf7d4b74f33e9254faa86e2134c274e8b274acd",
+    "mnist-fedavg-sync-trace:flash-diurnal": "99c6d72ef24f03af2b8c1d8a606ce3131e23c655079c759010671deaef013baf",
+    "mnist-fedbiad+dgc-sync-ideal": "01358d5a30420d1f58739582c64d7341f118714e2d65d999d8d73f99d8406453",
+    "mnist-fedbiad-async-flaky": "30c38d11d72f8951d4b82ba074a05363b5178f0014b24914de232cf1214c0ef0",
+    "mnist-fedbiad-async-ideal": "35660504cdecff5af123b1409fb20ec5f9500f044ad80314c51898a3f984d481",
+    "mnist-fedbiad-async-straggler": "df85dcdf0306fd24197edd2f499c86f0a74b181bb1ce99a54152126dd4738099",
+    "mnist-fedbiad-async-trace:flash-diurnal": "70ef63d83bacc3238cb147633794c42aea44b23327084107fa8b613bce854e2a",
+    "mnist-fedbiad-sync-flaky": "03155819ed555992552b67b650d1a908d1d60c223e3da8a0ee19c9c14fc2afd4",
+    "mnist-fedbiad-sync-ideal": "0633548298c3321fb6353eb0853a248fa95c0a81c4e206ce26a3a04b4fedeecb",
+    "mnist-fedbiad-sync-ideal-momentum-clip": "15b49861d9c3453c64fc945f6f4f738a02d75c5f964454eecf235b419a423f22",
+    "mnist-fedbiad-sync-ideal-stage2": "fc9334c4d81672148689f4a4162f3ccf75eeb58960eeb9d9539ff97b27e80415",
+    "mnist-fedbiad-sync-straggler": "b3013779d7ad1aa4d958242dc8af747446d8525092dcdc3f15799fce95cb2221",
+    "mnist-fedbiad-sync-trace:flash-diurnal": "15a9d53d1322ddb839253753ca7cb69b125e223260ecaf5530e874f24b5e698f",
+    "mnist-feddrop-sync-ideal": "0b6f5ddc7af1c8645176ca0dafd2ce8381157068ed16fde2a8ca1841cdfc244d",
+    "mnist-fedmp-sync-ideal": "b1f60f3cc942c8ee2fc91670e315139404f4eb58f8b8522e6200767dc155eb22",
+    "mnist-fjord-sync-ideal": "03d2a8d8336095f0f4691b656cfa046cb6a5f117306304fed4231ada95eb9b53",
+    "mnist-heterofl-sync-ideal": "20a87d5cd01ca565e9b52a4f0706c878eb7a120ac3098737fd3cc037b6814ad5",
+    "ptb-fedavg-async-ideal": "ced78bf75d2d928cc56f3f2409505145912b7fe8d8872e91f43c23f213ef8e42",
+    "ptb-fedavg-sync-ideal": "6d0320df7172077915180721b851aec0a89aa16babb1e646a14000cb400e75c9",
+    "ptb-fedbiad-sync-ideal": "ec79ef25f440927c2e29cd3580f85bede6364efee8d98a948f2bb792f62955ed",
+    "ptb-fjord-sync-ideal": "fdf0a50d09194ec7179bda3600864d62ea4e4a1a004c08f2a23dcceb29352f0f",
 }
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted GOLDEN items)``.  Moving
 #: any digest moves this pin; move the version with it.
-GOLDEN_PIN = (6, "d96d8647f662d5df473bcf0da5cee522842ca8238b093bd897e792fee1df5e12")
+GOLDEN_PIN = (7, "be83d0b909bcc1c8306d7de834a79779149d5bd4d8eb1f2c5d624f3a19f7b761")
 
 #: Per-cell sha256 over :data:`CLOCK_COLUMNS`, hashed from the same run
 #: as the learning digest.
 CLOCK_GOLDEN = {
-    "fleet-fedavg-async-fleet": "d2fbc793fd66a57eb96df955b88f9cdb26dae42582c75d803a3de3b8972dcfc7",
-    "fleet-fedavg-async-trace:flash-diurnal": "faa454b28db75e341a2bb96814736624e09f98c810c1173e24425e686b17bb98",
-    "fleet-fedavg-sync-fleet": "7b41c9bba78b388a3cf3b1377af1c6d2c24b7be2b52a82976caf9546228dfb9c",
-    "fleet-fedavg-sync-trace:flash-diurnal": "f5a52b7327af25366854e1bab9bc4aea6cc39ccac908eb4ff2aed0380c350422",
-    "fleet100k-fedavg-sync-trace:flash-diurnal": "61d9ece1effb5b36647fd68b17c2fdb071dacc55957b8bedf1c63a7a59e99da0",
-    "fleetragged-fedavg-sync-fleet": "7b41c9bba78b388a3cf3b1377af1c6d2c24b7be2b52a82976caf9546228dfb9c",
+    "fleet-fedavg-async-fleet": "636deb3457a795aa8a4fe169cf5380a472700b03862a8e95e1483deb9066dcb6",
+    "fleet-fedavg-async-trace:flash-diurnal": "0bd224220e8b33e51196a2c39ce85e276ea54e76528786e1aa31c5174ff75837",
+    "fleet-fedavg-sync-fleet": "d98571778af9960fb09c78b28c82d3d7fa0386164d0c773a4395c238bfebdba3",
+    "fleet-fedavg-sync-trace:flash-diurnal": "c8115b2b9f9aeee1dc09b8f6180677f9e637a9793a6e5cca666e0aba9634fd25",
+    "fleet100k-fedavg-sync-trace:flash-diurnal": "720ee959895a115b078e7d2ecf7ed9ed80a0579e835bfaf9e025c26deca803d7",
+    "fleetragged-fedavg-sync-fleet": "d98571778af9960fb09c78b28c82d3d7fa0386164d0c773a4395c238bfebdba3",
     "fmnist-fedbiad-sync-ideal": "1abb1566c7b7c672cc19f5967189e9182df0dbebaa533ddcf32307f17857ddc8",
     "mnist-afd-sync-ideal": "c30609030a63192b7102a3978dab25752fb85c92853246a8a9d6a4955ea47bfd",
     "mnist-dgc-sync-ideal": "1fa6f76f63026714ebcba5169c0f4d0fefe4e13d1cf838026e9c6e8e63686786",
-    "mnist-fedavg-async-flaky": "e27fa34a9f42a73eb0ca56d67a8b5c2899e5c978325de2f8b44d5d8eb651d445",
+    "mnist-fedavg-async-flaky": "c01b519bf8a01a4e920052ec78d2812ed44e5796972d4eb4b6d1b0ffaaf50f52",
     "mnist-fedavg-async-ideal": "72211606388346e088e8558276d9b66e3d3342d31c950a792cc08354d6d2babf",
-    "mnist-fedavg-async-straggler": "7da0e863536da9d06f850b532e7fcc36b3c011fec7c6da41bcdb4b0c8f81da32",
-    "mnist-fedavg-async-trace:flash-diurnal": "f521c4872921feb347b47ba71df2abe449851e4996155fa8eeef5619de712599",
-    "mnist-fedavg-sync-flaky": "be0c87cbc1787f482f0367ca7d69756ed91b3590fe5ca111c1735af9ccc03f49",
+    "mnist-fedavg-async-straggler": "e59b968e47ced6093f2be90524742f8de94d6f5759b448767d1873faf4d800e4",
+    "mnist-fedavg-async-trace:flash-diurnal": "8f32cc77051f4b606130fa874c7dc7dc86b35dffbdca8f16cff7ca1f2b55bab9",
+    "mnist-fedavg-sync-flaky": "0473ed1e0c469867c8d4147eaaafe9827ae8613928b4e6fcb123ac3062c190d9",
     "mnist-fedavg-sync-ideal": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
     "mnist-fedavg-sync-ideal-momentum-clip": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
-    "mnist-fedavg-sync-straggler": "bc08a60426b2374b76ec4a0f71015fb4c129e966972ce112b382b0401e09f510",
-    "mnist-fedavg-sync-trace:flash-diurnal": "35dc922e7697b94b58a0bd4411f561f261b3d81b0ba74e8ab95ac5bf4d745b9b",
+    "mnist-fedavg-sync-straggler": "ccdf9e618345b76c7c35341bb0837ee3c07bfc07ad57cafebaf8f3273f4a1ba4",
+    "mnist-fedavg-sync-trace:flash-diurnal": "cb7eb9b24d3a75d7711e5f5668662c37b115fde54a5cb05793d114c05f4e2cae",
     "mnist-fedbiad+dgc-sync-ideal": "b6f5747cd4e4d9bb580b7c61eb8e6d32db5e1ee21a20c4565aa84520acd3d7c8",
-    "mnist-fedbiad-async-flaky": "41fd8cdff02bcbc5d6caf5b46cbcdcdb0f3758e1f4aee25452875d3dbab5c2a4",
+    "mnist-fedbiad-async-flaky": "4e893c72eb972b155f5c75c9c81f8f3ae3d17719d603bc8c58c8c3d260f444fd",
     "mnist-fedbiad-async-ideal": "d60a0cb8d2168bdb188fbea57b6445ee47f1502a3ce6d7a006d371bf9067d944",
-    "mnist-fedbiad-async-straggler": "cbc49cd459bead07ad6faba02f6f88d00d7fc75bd6dd8a94c4e8e17749e5dbc3",
-    "mnist-fedbiad-async-trace:flash-diurnal": "31d73ba7659300ce14e196c5575659f781de3b1bcae9a61d2f7fa23c597d01de",
-    "mnist-fedbiad-sync-flaky": "68e3a7932843313abc66f0f7646e2d9fca382106c5bd6ba1a4a8372d9a8ace62",
+    "mnist-fedbiad-async-straggler": "3210ba6943d16a3f5e1093303f695d30e031a02ccd0186dd0937043c3716ce5b",
+    "mnist-fedbiad-async-trace:flash-diurnal": "bff423ba768213fbc5c399939a8635cb4a8255315f28c2e7710bdc6fe6e6c983",
+    "mnist-fedbiad-sync-flaky": "41ddf4b6ae967740213960186c6567181626b41cce5ea3fae8734a931769c862",
     "mnist-fedbiad-sync-ideal": "b2594fae829030ba82f6df46039cd66641eb5163a720beb5de40d31e83a84a9c",
     "mnist-fedbiad-sync-ideal-momentum-clip": "b2594fae829030ba82f6df46039cd66641eb5163a720beb5de40d31e83a84a9c",
     "mnist-fedbiad-sync-ideal-stage2": "b2594fae829030ba82f6df46039cd66641eb5163a720beb5de40d31e83a84a9c",
-    "mnist-fedbiad-sync-straggler": "6dbe8c837d1010b3e45d16fe9223d4aea3a26ff0d934dc50be07e8b7e9f2b0e9",
-    "mnist-fedbiad-sync-trace:flash-diurnal": "0102c3e0445272a63acc19db0d527a7eab01a48ae49b47b690909c30b7d4df58",
+    "mnist-fedbiad-sync-straggler": "da3785d524b8e3b4747a14f94e14e9aaeb5301f4cb805a4637c48114659761ce",
+    "mnist-fedbiad-sync-trace:flash-diurnal": "e6441c5a750ad3dc2b889c43e605924d0716828c5cbad6a14214b5a24d807be8",
     "mnist-feddrop-sync-ideal": "f846783911e364ca3d41df00a91cced76cb45f9967904e603ce7018a89bd488f",
     "mnist-fedmp-sync-ideal": "d6619576fd15a22de4b228ada9ba8da9d2c85c9588a5e3366c2eddef6c078e63",
-    "mnist-fjord-sync-ideal": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
-    "mnist-heterofl-sync-ideal": "0327ccbb8e63e561484cd0a39fb49d40cc9f3cfb5657ae05de4ad422ef057981",
+    "mnist-fjord-sync-ideal": "a64418bcc3069088832e83fe843cee438db969d977b13b0a9184085bd9569a9a",
+    "mnist-heterofl-sync-ideal": "798f5187bd371a69e2dbef0ea9d4cc9270737596feea83ac7b6f9a25598f5a2e",
     "ptb-fedavg-async-ideal": "5877526894607ac3fb7442929b1685b542fea4c8805f3b21f56aef5b62bbfcde",
     "ptb-fedavg-sync-ideal": "d912502449f7a74cb71b5d7c6f75fb120cb3b05c1c0520fa566b548403b56418",
     "ptb-fedbiad-sync-ideal": "f0b9ef7b6b90a7a22bc8e9113f39784109716710dd6a791d30a1f3787388227e",
@@ -222,7 +222,7 @@ CLOCK_GOLDEN = {
 }
 
 #: ``(SPEC_FORMAT_VERSION, sha256 of the sorted CLOCK_GOLDEN items)``.
-CLOCK_PIN = (6, "a5141e2dd5538db5964bc93ad04743e4889a456e2e157503dfeaf33b41072516")
+CLOCK_PIN = (7, "3818fe34aa5ed786eb6fdccf942449ab553bf962ab78b3e3691e7233bf08f333")
 
 
 def trajectory_digests(
