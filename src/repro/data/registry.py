@@ -40,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..streams import stream
+from ..streams import stream, streams
 from .batching import (
     ImageBatcher,
     SequenceBatcher,
@@ -100,6 +100,11 @@ class ClientDataSource:
 
     def client_payload(self, client_id: int):
         raise NotImplementedError
+
+    def prepare_cohort(self, client_ids) -> None:
+        """Called with a cohort's ids before their payloads are read, so
+        a source can get ready for all of them at once; the default
+        does nothing."""
 
     def client_size(self, client_id: int) -> int:
         """|D_k|; default derives it from the materialized payload."""
@@ -182,7 +187,8 @@ class FleetImageSource(ClientDataSource):
     function of the key, so any client can be materialized in any
     process in O(shard), with O(1) state held here (the class
     prototypes).  ``client_size`` is O(1) — fleet methods must never
-    walk all K clients at setup.
+    walk all K clients at setup.  :meth:`prepare_cohort` builds a
+    cohort's streams in one pass before its shards are drawn.
 
     A shard is three draws after the size
     (:func:`~repro.data.images._sample_images`: labels with their
@@ -225,6 +231,8 @@ class FleetImageSource(ClientDataSource):
         self._max_samples = max(
             self._min_samples, int(round(self._samples * self._size_spread))
         )
+        #: untouched shard streams of the latest cohort, by client id
+        self._fresh: dict[int, np.random.Generator] = {}
 
     def __len__(self) -> int:
         return self._n_clients
@@ -237,8 +245,18 @@ class FleetImageSource(ClientDataSource):
         size = int(round(self._samples * float(np.exp(rng.normal(0.0, sigma)))))
         return int(np.clip(size, self._min_samples, self._max_samples))
 
+    def prepare_cohort(self, client_ids) -> None:
+        """Build the cohort's shard streams in one pass
+        (:func:`repro.streams.streams`); each client's payload takes its
+        stream once.  Only generators are built — no shard is drawn
+        ahead of its client — so memory still holds one stack's shards."""
+        ids = [int(c) for c in client_ids]
+        self._fresh = dict(zip(ids, streams("fleet_shard", self._seed, ids=ids)))
+
     def client_payload(self, client_id: int):
-        rng = fleet_shard_rng(self._seed, client_id)
+        rng = self._fresh.pop(client_id, None)
+        if rng is None:
+            rng = fleet_shard_rng(self._seed, client_id)
         n = self._shard_size(rng)
         return _sample_images(n, self._protos, self._mix, self._noise, rng)
 
@@ -288,6 +306,11 @@ class FederatedTask:
     def client_payload(self, client_id: int):
         """One client's payload (materialized on demand for lazy sources)."""
         return self.client_data.client_payload(client_id)
+
+    def prepare_cohort(self, client_ids) -> None:
+        """Announce a cohort before its payloads are read
+        (:meth:`ClientDataSource.prepare_cohort`)."""
+        self.client_data.prepare_cohort(client_ids)
 
     def client_size(self, client_id: int) -> int:
         """|D_k| — the aggregation weight of Eq. (10)."""

@@ -5,9 +5,10 @@ cohort and each async wave to :func:`execute_client` in one call, which
 builds one :class:`~repro.fl.client.ClientContext` per client and runs
 them all through the method's
 :meth:`~repro.fl.client.FederatedMethod.cohort_update` hook.  Every
-client draws from its own seeded RNG stream
-(``default_rng([seed, round, client])``), so a client's update does not
-depend on which clients ran before it or trained beside it in a stack.
+client draws from its own ``(seed, round, client)`` stream, the
+``"engine"`` purpose of :mod:`repro.streams`, so a client's update does
+not depend on which clients ran before it or trained beside it in a
+stack.
 
 Runs are parallelized one level up: a sweep spreads whole, independent
 runs across processes (``sweep --shards N``, see
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..streams import stream
+from ..streams import streams
 from .client import ClientContext, ClientUpdate, FederatedMethod
 from .config import FLConfig
 from .parameters import ParamSet
@@ -56,7 +57,10 @@ def execute_client(
     ``states[i]`` is client ``client_ids[i]``'s persistent state; the
     method updates it in place.  Each client's RNG stream is derived
     from ``(seed, round, client)`` alone, so a result does not depend on
-    the order the cohort runs in or on how the method groups it.
+    the order the cohort runs in or on how the method groups it.  The
+    cohort's streams are built in one pass
+    (:func:`repro.streams.streams`), and the task is told the cohort
+    before any shard is read (:meth:`FederatedTask.prepare_cohort`).
 
     Keep the name and the module-level lookup: the benchmark's tracer
     (``perfbench/tracing.py``) wraps ``repro.fl.engine.execute_client``
@@ -67,18 +71,21 @@ def execute_client(
     the order given, and the method, instead of folding NaN into the
     global model.
     """
+    client_ids = [int(cid) for cid in client_ids]
+    rngs = streams("engine", config.seed, round_index, ids=client_ids)
+    task.prepare_cohort(client_ids)
     ctxs = [
         ClientContext(
-            client_id=int(cid),
+            client_id=cid,
             round_index=round_index,
             global_params=global_params,
             model=model,
             task=task,
             config=config,
-            rng=stream("engine", config.seed, round_index, cid),
+            rng=rng,
             state=state,
         )
-        for cid, state in zip(client_ids, states)
+        for cid, rng, state in zip(client_ids, rngs, states)
     ]
     start = time.perf_counter()
     updates = method.cohort_update(ctxs)

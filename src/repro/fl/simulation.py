@@ -197,6 +197,7 @@ class FederatedSimulation:
         self, round_index: int, results: list[ClientResult]
     ) -> list[ClientArrival]:
         """Model each executed client's simulated round duration."""
+        self.system.prepare_cohort([res.client_id for res in results])
         download_bits = self.method.download_bits(self.global_params)
         arrivals = []
         for res in results:

@@ -258,8 +258,8 @@ class SystemModel:
     has a deadline.  :class:`repro.traces.TraceSystem` overrides the
     three sources — :meth:`traits`, :meth:`availability_rate` and
     :meth:`round_deadline`; the hooks the simulation calls
-    (:meth:`available_clients`, :meth:`compute_seconds`,
-    :meth:`network`) are defined here once.  :meth:`bind` is called once
+    (:meth:`prepare_cohort`, :meth:`available_clients`,
+    :meth:`compute_seconds`, :meth:`network`) are defined here once.  :meth:`bind` is called once
     per simulation with the task and config.
     """
 
@@ -293,6 +293,11 @@ class SystemModel:
         return None
 
     # -- hooks ----------------------------------------------------------
+    def prepare_cohort(self, client_ids) -> None:
+        """Called with a launched cohort's ids before its arrivals are
+        simulated, so traits can be read for all of them at once; the
+        unit devices need nothing."""
+
     def available_clients(self, round_index: int, rng: np.random.Generator) -> Availability:
         """Clients selectable this round (never empty)."""
         return Availability.at_rate(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..streams import stream
+from ..streams import stream, streams
 from .schema import (
     TRACE_FORMAT_VERSION,
     ClientRecord,
@@ -157,11 +157,24 @@ class SyntheticTrace(DeviceTrace):
     def n_clients(self) -> int | None:
         return self._n_clients
 
-    def client_record(self, client_id: int) -> ClientRecord:
+    def _check(self, client_id) -> int:
         client_id = int(client_id)
         if client_id < 0 or (self._n_clients is not None and client_id >= self._n_clients):
             raise ValueError(f"client_id {client_id} outside the trace's fleet")
-        rng = stream("trace_traits", self.seed, client_id)
+        return client_id
+
+    def client_record(self, client_id: int) -> ClientRecord:
+        client_id = self._check(client_id)
+        return self._record(client_id, stream("trace_traits", self.seed, client_id))
+
+    def client_records(self, client_ids) -> list[ClientRecord]:
+        """The records of ``client_ids``, their trait streams built in
+        one pass (:func:`repro.streams.streams`)."""
+        ids = [self._check(c) for c in client_ids]
+        rngs = streams("trace_traits", self.seed, ids=ids)
+        return [self._record(c, rng) for c, rng in zip(ids, rngs)]
+
+    def _record(self, client_id: int, rng: np.random.Generator) -> ClientRecord:
         index = int(np.searchsorted(self._cum_weights, rng.random(), side="right"))
         cls = self.classes[min(index, len(self.classes) - 1)]
         speed = float(np.exp(rng.normal(math.log(cls.speed_median), cls.speed_sigma)))

@@ -109,6 +109,11 @@ class DeviceTrace:
     def client_record(self, client_id: int) -> ClientRecord:
         raise NotImplementedError
 
+    def client_records(self, client_ids) -> list[ClientRecord]:
+        """Several clients' records, in order; a trace may build them
+        in one pass."""
+        return [self.client_record(c) for c in client_ids]
+
     def device_class_names(self) -> tuple[str, ...]:
         raise NotImplementedError
 

@@ -4,7 +4,9 @@
 the trait and availability source of the device model: each client
 record's ``compute_speed`` and ``bandwidth_divisor`` are its
 ``(speed, bandwidth_divisor)`` traits, fetched on demand through a
-bounded per-client cache, and the per-round availability rate follows
+bounded per-client cache (a launched cohort's missing records are read
+in one pass, :meth:`TraceSystem.prepare_cohort`), and the per-round
+availability rate follows
 the trace's period schedule (day/night cycles).  It is the only source
 of device traits: the built-in ``heterogeneous``, ``flaky``,
 ``straggler`` and ``fleet`` profiles are one-class synthetic traces
@@ -78,6 +80,23 @@ class TraceSystem(SystemModel):
                 self._trait_cache.clear()
             self._trait_cache[client_id] = cached
         return cached
+
+    def prepare_cohort(self, client_ids) -> None:
+        """Cache the cohort's traits, reading the records of the ids not
+        cached yet in one pass (:meth:`DeviceTrace.client_records`).  A
+        full cache is emptied first, keeping the cohort's own entries,
+        so every cohort trait is cached when the arrivals read it."""
+        cache = self._trait_cache
+        ids = list(dict.fromkeys(int(c) for c in client_ids))
+        missing = [c for c in ids if c not in cache]
+        if not missing:
+            return
+        if len(cache) + len(missing) > TRAIT_CACHE_SIZE:
+            kept = {c: cache[c] for c in ids if c in cache}
+            cache.clear()
+            cache.update(kept)
+        for record in self.trace.client_records(missing):
+            cache[record.client_id] = record.compute_speed, record.bandwidth_divisor
 
     def availability_rate(self, round_index: int) -> float:
         return self.trace.availability_rate(round_index)

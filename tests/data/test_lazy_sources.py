@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data.images import _label_pairs
+from repro.data.partition import fleet_shard_rng
 from repro.data.registry import (
     ALL_TASK_NAMES,
     TASK_NAMES,
@@ -27,6 +28,7 @@ from repro.data.registry import (
     make_task,
     task_summary,
 )
+from repro.streams import VECTOR_MIN_KEYS
 
 #: sha256 over every client's payload arrays (dtype, shape, bytes), its
 #: size and the task's ``min_client_size``, for
@@ -193,6 +195,27 @@ class TestFleetSource:
         preset = make_task("fleet", "paper", seed=1)
         sized = make_fleet_task(n_clients=1_000_000, seed=1)
         assert _payloads_equal(preset.client_payload(42), sized.client_payload(42))
+
+    @pytest.mark.parametrize("size_spread", [1.0, 4.0])
+    def test_prepared_cohort_reads_the_per_id_shards(self, size_spread):
+        """A prepared cohort (one stream pass) gives every client the
+        payload and size it has alone, on every read; preparing holds
+        untouched generators only, never a drawn shard."""
+        task = make_fleet_task(5_000, seed=2, size_spread=size_spread)
+        ids = list(range(4_990, 5_000)) + list(range(40, 40 + VECTOR_MIN_KEYS))
+        alone = [(task.client_payload(c), task.client_size(c)) for c in ids]
+        task.prepare_cohort(ids)
+        fresh = task.client_data._fresh
+        assert sorted(fresh) == sorted(ids)
+        assert all(
+            g.bit_generator.state == fleet_shard_rng(2, c).bit_generator.state
+            for c, g in fresh.items()
+        )
+        for c, (payload, size) in zip(ids, alone):
+            for _ in range(2):
+                assert _payloads_equal(task.client_payload(c), payload)
+            assert task.client_size(c) == size
+        assert not fresh
 
 
 class TestFleetSizeHeterogeneity:

@@ -10,12 +10,14 @@ import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.client import FedBIAD
-from repro.data.registry import ClientDataSource, FederatedTask
+from repro.data.registry import ClientDataSource, FederatedTask, make_fleet_task
 from repro.experiments.context import ExecutionContext
 from repro.fl import engine
+from repro.fl.client import ClientUpdate
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, run_simulation
 from repro.nn.models import MLPClassifier
+from repro.streams import VECTOR_MIN_KEYS, stream
 
 
 class TestSerialEngine:
@@ -52,6 +54,26 @@ class TestSerialEngine:
         monkeypatch.setattr(FederatedSimulation, "_select_clients", logged)
         FederatedSimulation(session_image_task, FedAvg(), session_config).run_round(1)
         assert seen == selected and seen
+
+    def test_each_client_draws_its_engine_stream(self, monkeypatch):
+        """A fleet cohort's contexts carry the ``(seed, round, client)``
+        engine streams, built in one pass, untouched when training starts."""
+        task = make_fleet_task(5_000, seed=1)
+        config = FLConfig(seed=4, kappa=0.004, local_iterations=2)
+        method = FedAvg()
+        seen = {}
+
+        def capture(ctxs):
+            seen.update((ctx.client_id, ctx.rng.bit_generator.state) for ctx in ctxs)
+            return [ClientUpdate(payload=None, upload_bits=0, train_losses=[0.0]) for _ in ctxs]
+
+        sim = FederatedSimulation(task, method, config)
+        monkeypatch.setattr(method, "cohort_update", capture)
+        ids = list(range(100, 100 + 2 * VECTOR_MIN_KEYS))
+        engine.execute_client(
+            task, method, sim.model, config, sim.global_params, 6, ids, [{} for _ in ids]
+        )
+        assert seen == {c: stream("engine", 4, 6, c).bit_generator.state for c in ids}
 
     def test_non_serial_backend_rejected(self):
         """``"serial"`` is the only engine; the error points at sweep sharding."""

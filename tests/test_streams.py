@@ -9,11 +9,14 @@ purposes at the keys their payloads are drawn from.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
+import pytest
 
-from repro.streams import PURPOSES, key
+from repro.streams import PURPOSES, VECTOR_MIN_KEYS, _pcg64_states, key, stream, streams
 
 SEEDS = range(4)
 ROUNDS = range(41)
@@ -68,3 +71,98 @@ def test_table_layout():
     assert len(set(tags)) == len(tags)
     assert all(0 < tag < 2**32 for tag in tags)
     assert all(2 + arity <= 4 for _, arity in PURPOSES.values())
+
+
+# ----------------------------------------------------------------------
+# the cohort pass
+# ----------------------------------------------------------------------
+
+
+def _random_prefixes(gen, arity: int, n: int):
+    """``n`` random ``(seed, *keys)`` prefixes for a purpose of ``arity``
+    (its last key word is the cohort id), with words at both ends."""
+    edges = [0, 2**32 - 1]
+    words = gen.integers(0, 2**32, size=(n, arity), dtype=np.uint64).tolist()
+    return [tuple(w) for w in words] + [tuple([e] * arity) for e in edges]
+
+
+@pytest.mark.parametrize("purpose", sorted(p for p, (_, arity) in PURPOSES.items() if arity))
+@pytest.mark.parametrize("n_ids", [1, VECTOR_MIN_KEYS - 1, VECTOR_MIN_KEYS, 64])
+def test_cohort_pass_equals_default_rng(purpose, n_ids):
+    """Either side of the crossover, every generator equals
+    ``default_rng(key)`` in state and in its first draws."""
+    gen = np.random.default_rng([n_ids, len(purpose)])
+    arity = PURPOSES[purpose][1]
+    for prefix in _random_prefixes(gen, arity, 3):
+        seed, keys = prefix[0], prefix[1:]
+        ids = [0, 2**32 - 1] + gen.integers(0, 2**32, n_ids, dtype=np.uint64).tolist()
+        ids = ids[:n_ids]
+        built = streams(purpose, seed, *keys, ids=ids)
+        assert len(built) == n_ids
+        for client, g in zip(ids, built):
+            ref = np.random.default_rng(key(purpose, seed, *keys, client))
+            assert g.bit_generator.state == ref.bit_generator.state
+            assert g.random(3).tobytes() == ref.random(3).tobytes()
+            assert g.integers(0, 2**63, 2).tobytes() == ref.integers(0, 2**63, 2).tobytes()
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3, 4])
+def test_vectorised_hash_equals_seed_sequence(n_words):
+    """The hash behind the pass, at every key length a purpose can have
+    (arity-0 purposes included), equals ``SeedSequence``'s state."""
+    gen = np.random.default_rng(n_words)
+    table = np.zeros((40, 4), dtype=np.uint32)
+    table[:, :n_words] = gen.integers(0, 2**32, (40, n_words), dtype=np.uint64)
+    table[0, :n_words] = 0
+    table[1, :n_words] = 2**32 - 1
+    expected = [
+        np.random.SeedSequence([int(w) for w in row[:n_words]]).generate_state(4, np.uint64)
+        for row in table
+    ]
+    assert _pcg64_states(table).tobytes() == np.array(expected).tobytes()
+
+
+def test_cohort_pass_takes_numpy_ids():
+    ids = np.arange(40, 40 + 2 * VECTOR_MIN_KEYS, dtype=np.int64)
+    built = streams("engine", 3, 5, ids=ids)
+    assert [g.bit_generator.state for g in built] == [
+        stream("engine", 3, 5, int(c)).bit_generator.state for c in ids
+    ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stream("engine", 0, 1, -1),
+        lambda: stream("engine", 0, 1, 2**32),
+        lambda: stream("engine", -1, 1, 0),
+        lambda: stream("engine", 0, 1),
+        lambda: stream("engine", 0, 1, 2, 3),
+        lambda: stream("engine", 0, 1, True),
+        lambda: stream("engine", 0, 1.0, 2),
+        lambda: stream("no-such-purpose", 0),
+        lambda: streams("engine", 0, 1, ids=[0, -1]),
+        lambda: streams("engine", 0, 1, ids=[2**32] * VECTOR_MIN_KEYS),
+        lambda: streams("engine", 0, ids=range(VECTOR_MIN_KEYS)),
+        lambda: streams("setup", 0, ids=[0]),
+    ],
+)
+def test_bad_keys_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_fast_path_generator_pickles_with_its_state():
+    """A checkpoint can hold a fast-path generator: it unpickles (and
+    deep-copies) to the same state and the same draws."""
+    g = streams("engine", 7, 2, ids=range(VECTOR_MIN_KEYS))[-1]
+    g.random(5)
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied.bit_generator.state == g.bit_generator.state
+        assert copied.random(4).tobytes() == copy.deepcopy(g).random(4).tobytes()
+
+
+def test_fast_path_generators_cannot_spawn():
+    g = streams("engine", 7, 2, ids=range(VECTOR_MIN_KEYS))[0]
+    with pytest.raises(TypeError):
+        g.spawn(1)

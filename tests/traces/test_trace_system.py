@@ -20,6 +20,8 @@ from repro.traces import (
     save_trace,
     trace_system_spec,
 )
+from repro.streams import VECTOR_MIN_KEYS
+from repro.traces.systems_trace import TRAIT_CACHE_SIZE
 
 
 class _Task:
@@ -62,6 +64,49 @@ class TestHooks:
         assert system.compute_seconds(1, 17) == pytest.approx(
             trace.client_record(17).compute_speed
         )
+
+    def test_cohort_records_equal_per_id_records(self):
+        trace = make_synthetic_trace("t", seed=3)
+        ids = [5, 0, 77, 2**20, 5] + list(range(900, 900 + VECTOR_MIN_KEYS))
+        assert trace.client_records(ids) == [trace.client_record(c) for c in ids]
+
+    def test_prepare_cohort_reads_only_uncached_ids(self, monkeypatch):
+        trace = make_synthetic_trace("t", seed=1)
+        system = _bound(trace, 10_000)
+        system.traits(3)
+        system.traits(4)
+        asked = []
+        read = trace.client_records
+
+        def recording(ids):
+            asked.append(list(ids))
+            return read(ids)
+
+        monkeypatch.setattr(trace, "client_records", recording)
+        system.prepare_cohort([3, 9, 4, 11, 9])
+        assert asked == [[9, 11]]
+        for c in (3, 4, 9, 11):
+            record = trace.client_record(c)
+            assert system.traits(c) == (record.compute_speed, record.bandwidth_divisor)
+
+    def test_cache_clear_keeps_the_cohort(self, monkeypatch):
+        """A cohort that overflows the cache empties it first, keeping
+        its own cached entries: no cohort trait is read twice."""
+        trace = make_synthetic_trace("t", seed=2)
+        system = _bound(trace, 100_000)
+        for cid in range(TRAIT_CACHE_SIZE - 2):
+            system.traits(cid)
+        cohort = [0, 1] + list(range(50_000, 50_000 + 2 * VECTOR_MIN_KEYS))
+        system.prepare_cohort(cohort)
+        assert len(system._trait_cache) == len(cohort)
+
+        def unexpected(client_id):
+            raise AssertionError(f"client {client_id}'s record read again")
+
+        monkeypatch.setattr(trace, "client_record", unexpected)
+        for cid in cohort:
+            assert system.compute_seconds(1, cid) > 0
+            assert system.network(1, cid).uplink_mbps > 0
 
 
 class TestAvailability:
