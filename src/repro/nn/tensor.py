@@ -80,6 +80,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(key) -> bool:
+    """Whether ``key`` is a basic index — ints, slices, ``...``,
+    ``None``, or a tuple of these — which picks each element at most
+    once.  Bools index like arrays (a mask), so they are not basic."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 def as_tensor(value: "Tensor | np.ndarray | float | int") -> "Tensor":
     """Coerce ``value`` into a constant :class:`Tensor` when necessary."""
     if isinstance(value, Tensor):
@@ -364,10 +378,14 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         shape = self.data.shape
+        basic = _is_basic_index(key)
 
         def backward(grad: np.ndarray) -> list:
             full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, key, grad)
+            if basic:  # each element is picked at most once
+                full[key] += grad
+            else:  # an index array may pick an element more than once
+                np.add.at(full, key, grad)
             return [(self, full)]
 
         return self._node(self.data[key], (self,), backward)

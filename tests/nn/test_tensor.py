@@ -143,6 +143,48 @@ class TestBackward:
         a = leaf(rng.normal(size=(4, 5)))
         check_gradients(lambda: (a[1:3, ::2] ** 2).sum(), [a])
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            1,
+            -1,
+            np.int64(2),
+            slice(1, 3),
+            (slice(None), 1),
+            (Ellipsis, slice(None, None, -2)),
+            (None, 0, slice(1, None)),
+            (1, Ellipsis, None),
+            (),
+        ],
+    )
+    def test_basic_getitem_backward_matches_add_at(self, key, rng):
+        """A basic key takes the ``full[key] += grad`` path; its gradient
+        is byte-identical to scattering with ``np.add.at``."""
+        data = rng.normal(size=(3, 4, 5))
+        grad = rng.normal(size=data[key].shape)
+        grad.flat[0] = -0.0
+        a = leaf(data)
+        a[key].backward(grad)
+        expected = np.zeros_like(data)
+        np.add.at(expected, key, grad)
+        assert a.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "key",
+        [np.array([0, 2, 0, 0]), ([1, 1], slice(None)), np.array([True, False, True]), True],
+    )
+    def test_advanced_getitem_backward_accumulates(self, key):
+        """Index arrays and bools keep ``np.add.at``: a repeated index
+        accumulates its gradients."""
+        a = leaf(np.arange(6.0).reshape(3, 2))
+        out = a[key]
+        out.backward(np.ones_like(out.data))
+        expected = np.zeros((3, 2))
+        np.add.at(expected, key, 1.0)
+        assert a.grad.tobytes() == expected.tobytes()
+        if isinstance(key, np.ndarray) and key.dtype != bool:
+            assert a.grad[0].tolist() == [3.0, 3.0]
+
     def test_sum_keepdims_gradcheck(self, rng):
         a = leaf(rng.normal(size=(3, 4)))
         check_gradients(lambda: (a.sum(axis=1, keepdims=True) * a).sum(), [a])
