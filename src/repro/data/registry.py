@@ -307,11 +307,6 @@ class FederatedTask:
         """One client's payload (materialized on demand for lazy sources)."""
         return self.client_data.client_payload(client_id)
 
-    def prepare_cohort(self, client_ids) -> None:
-        """Announce a cohort before its payloads are read
-        (:meth:`ClientDataSource.prepare_cohort`)."""
-        self.client_data.prepare_cohort(client_ids)
-
     def client_size(self, client_id: int) -> int:
         """|D_k| — the aggregation weight of Eq. (10)."""
         return int(self.client_data.client_size(client_id))

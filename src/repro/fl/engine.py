@@ -59,8 +59,9 @@ def execute_client(
     from ``(seed, round, client)`` alone, so a result does not depend on
     the order the cohort runs in or on how the method groups it.  The
     cohort's streams are built in one pass
-    (:func:`repro.streams.streams`), and the task is told the cohort
-    before any shard is read (:meth:`FederatedTask.prepare_cohort`).
+    (:func:`repro.streams.streams`), and the task's data source is told
+    the cohort before any shard is read
+    (:meth:`~repro.data.registry.ClientDataSource.prepare_cohort`).
 
     Keep the name and the module-level lookup: the benchmark's tracer
     (``perfbench/tracing.py``) wraps ``repro.fl.engine.execute_client``
@@ -73,7 +74,7 @@ def execute_client(
     """
     client_ids = [int(cid) for cid in client_ids]
     rngs = streams("engine", config.seed, round_index, ids=client_ids)
-    task.prepare_cohort(client_ids)
+    task.client_data.prepare_cohort(client_ids)
     ctxs = [
         ClientContext(
             client_id=cid,

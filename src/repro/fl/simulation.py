@@ -65,7 +65,8 @@ keep the previous global value.  Sync buffers are never stale, so their
 factors are exactly 1.
 
 Every stochastic choice is drawn from an RNG stream derived from
-``(seed, round[, client])`` — never from shared-generator call order —
+``(seed, round[, client])`` through the table of :mod:`repro.streams`,
+where no two streams alias — never from shared-generator call order —
 and simulated compute runs on the system model's virtual LTTR base, so
 a run's trajectory (losses, accuracies, selection, upload/download bits,
 stragglers and every ``sim_*`` clock column) is bit-identical across

@@ -204,7 +204,7 @@ class TestFleetSource:
         task = make_fleet_task(5_000, seed=2, size_spread=size_spread)
         ids = list(range(4_990, 5_000)) + list(range(40, 40 + VECTOR_MIN_KEYS))
         alone = [(task.client_payload(c), task.client_size(c)) for c in ids]
-        task.prepare_cohort(ids)
+        task.client_data.prepare_cohort(ids)
         fresh = task.client_data._fresh
         assert sorted(fresh) == sorted(ids)
         assert all(
