@@ -259,8 +259,8 @@ class SystemModel:
     three sources — :meth:`traits`, :meth:`availability_rate` and
     :meth:`round_deadline`; the hooks the simulation calls
     (:meth:`prepare_cohort`, :meth:`available_clients`,
-    :meth:`compute_seconds`, :meth:`network`) are defined here once.  :meth:`bind` is called once
-    per simulation with the task and config.
+    :meth:`compute_seconds`, :meth:`network`) are defined here once.
+    :meth:`bind` is called once per simulation with the task and config.
     """
 
     name = "ideal"

@@ -46,8 +46,7 @@ __all__ = ["PURPOSES", "VECTOR_MIN_KEYS", "key", "stream", "streams"]
 
 #: ``purpose -> (tag, arity)``: the tag sits in word 1 of the key,
 #: after the seed, and ``arity`` words follow it.  The data and trait
-#: purposes keep the keys they had before the table existed, so their
-#: payloads are unchanged; ``model_init``'s key already fit the layout.
+#: tags are the ones their pinned payload digests were drawn with.
 PURPOSES: dict[str, tuple[int, int]] = {
     # the simulation's streams
     "setup": (0x5E7, 0),  # FederatedMethod.setup's generator

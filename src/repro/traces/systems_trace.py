@@ -6,11 +6,11 @@ record's ``compute_speed`` and ``bandwidth_divisor`` are its
 ``(speed, bandwidth_divisor)`` traits, fetched on demand through a
 bounded per-client cache (a launched cohort's missing records are read
 in one pass, :meth:`TraceSystem.prepare_cohort`), and the per-round
-availability rate follows
-the trace's period schedule (day/night cycles).  It is the only source
-of device traits: the built-in ``heterogeneous``, ``flaky``,
-``straggler`` and ``fleet`` profiles are one-class synthetic traces
-replayed here (:data:`repro.fl.systems.DEVICE_PROFILES`).
+availability rate follows the trace's period schedule (day/night
+cycles).  It is the only source of device traits: the built-in
+``heterogeneous``, ``flaky``, ``straggler`` and ``fleet`` profiles are
+one-class synthetic traces replayed here
+(:data:`repro.fl.systems.DEVICE_PROFILES`).
 
 Availability takes the shape the fleet size calls for
 (:meth:`~repro.fl.systems.Availability.at_rate`): explicit ids from a
@@ -95,8 +95,8 @@ class TraceSystem(SystemModel):
             kept = {c: cache[c] for c in ids if c in cache}
             cache.clear()
             cache.update(kept)
-        for record in self.trace.client_records(missing):
-            cache[record.client_id] = record.compute_speed, record.bandwidth_divisor
+        for c, record in zip(missing, self.trace.client_records(missing)):
+            cache[c] = record.compute_speed, record.bandwidth_divisor
 
     def availability_rate(self, round_index: int) -> float:
         return self.trace.availability_rate(round_index)
