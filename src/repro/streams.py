@@ -27,9 +27,9 @@ them.
 
 A cohort's streams
 ------------------
-:func:`streams` builds one stream per client of a cohort.  Above
-:data:`VECTOR_MIN_KEYS` keys it does ``SeedSequence``'s work for all of
-them at once: the pool mixing and ``generate_state(4, uint64)`` in
+:func:`streams` builds one stream per client of a cohort.  From
+:data:`VECTOR_MIN_KEYS` keys up it does ``SeedSequence``'s work for all
+of them at once: the pool mixing and ``generate_state(4, uint64)`` in
 vectorised ``uint32`` arithmetic, then one ``PCG64`` per key seeded
 from the precomputed state.  The generators equal ``default_rng(key)``
 in state and in every draw (``tests/test_streams.py`` checks this, so a
