@@ -20,12 +20,10 @@ from .registry import (
     ALL_TASK_NAMES,
     FLEET_TASK_NAME,
     TASK_NAMES,
+    ArraySource,
     ClientDataSource,
-    EagerClientData,
     FederatedTask,
     FleetImageSource,
-    IndexedArraySource,
-    StreamShardSource,
     make_fleet_task,
     make_task,
     task_summary,
@@ -59,9 +57,7 @@ __all__ = [
     "FLEET_TASK_NAME",
     "ALL_TASK_NAMES",
     "ClientDataSource",
-    "EagerClientData",
-    "IndexedArraySource",
-    "StreamShardSource",
+    "ArraySource",
     "FleetImageSource",
     "FederatedTask",
     "make_task",

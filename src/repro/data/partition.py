@@ -151,15 +151,11 @@ def partition_stream_contiguous(
 
 
 # ----------------------------------------------------------------------
-# fleet-scale O(1)-per-client shard assignment
+# O(1)-per-client shard assignment
 # ----------------------------------------------------------------------
-# A million-client simulation must never materialize all K shard index
-# arrays: per-round cost has to follow the selected cohort.  The
-# functions below answer "what is client c's shard?" in O(1) (plus the
-# size of that one shard), as pure functions of the partition geometry
-# and seed — the lazy data sources in :mod:`repro.data.registry` are
-# built on them.  Label-shard and Dirichlet splits stay list-returning:
-# their cost is bounded by the *dataset* size, not the fleet size.
+# The functions below answer "what is client c's shard?" in O(1) (plus
+# the size of that one shard), as pure functions of the partition
+# geometry and seed, without materializing all K shards.
 
 
 def contiguous_client_span(
@@ -171,8 +167,8 @@ def contiguous_client_span(
     ``np.linspace(0, stream_len, n_clients + 1).astype(int)`` —
     the historical bounds of :func:`partition_stream_contiguous` —
     pointwise: ``linspace`` computes ``i * (stream_len / n_clients)``
-    in float64 and truncates, which is reproduced here exactly, so the
-    lazy per-client view is bit-identical to the eager split.
+    in float64 and truncates, which is reproduced here exactly, so one
+    client's chunk is bit-identical to its part of the whole split.
     """
     _validate(stream_len, n_clients)
     if not 0 <= client_id < n_clients:

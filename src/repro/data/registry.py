@@ -26,11 +26,10 @@ Beyond the five paper tasks there is a ``"fleet"`` task whose client
 payloads are *generated on demand* from ``(seed, client_id)`` — memory
 and per-round cost follow the selected cohort, never the fleet, so a
 million-client simulation fits in a laptop's RAM.  Every task's
-``client_data`` is a :class:`ClientDataSource`: the five paper tasks
-slice their resident arrays per access (:class:`IndexedArraySource`,
-:class:`StreamShardSource`; Reddit's per-user streams sit behind
-:class:`EagerClientData`), and a task built from a plain per-client
-list wraps it in :class:`EagerClientData` once.
+``client_data`` is a :class:`ClientDataSource`.  The five paper tasks
+and every task built from a plain per-client list hold their rows in
+one :class:`ArraySource`: the rows stored back to back in client order
+plus ``(K+1,)`` offsets, a payload being a read-only slice view.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ from .text import make_text_corpus, make_user_corpora
 
 __all__ = [
     "ClientDataSource",
-    "EagerClientData",
-    "IndexedArraySource",
-    "StreamShardSource",
+    "ArraySource",
     "FleetImageSource",
     "FederatedTask",
     "make_task",
@@ -86,13 +83,12 @@ ALL_TASK_NAMES = TASK_NAMES + (FLEET_TASK_NAME,)
 
 
 class ClientDataSource:
-    """Lazy per-client payload access.
+    """Per-client payload access.
 
-    A source answers ``client_payload(c)`` (the ``(x, y)`` arrays of an
-    image client or the token stream of a text client) and
-    ``client_size(c)`` (``|D_k|``, the aggregation weight of Eq. 10) for
-    one client at a time — nothing forces all K payloads into memory at
-    once.
+    A source answers ``client_payload(c)`` (an image client's ``(x, y)``
+    arrays or a text client's token stream), ``client_size(c)`` (``|D_k|``,
+    the aggregation weight of Eq. 10) and ``min_client_size()`` (``m_r``'s
+    floor in Thm. 1) one client at a time; a size never builds a payload.
     """
 
     def __len__(self) -> int:
@@ -101,22 +97,16 @@ class ClientDataSource:
     def client_payload(self, client_id: int):
         raise NotImplementedError
 
+    def client_size(self, client_id: int) -> int:
+        raise NotImplementedError
+
+    def min_client_size(self) -> int:
+        raise NotImplementedError
+
     def prepare_cohort(self, client_ids) -> None:
         """Called with a cohort's ids before their payloads are read, so
         a source can get ready for all of them at once; the default
         does nothing."""
-
-    def client_size(self, client_id: int) -> int:
-        """|D_k|; default derives it from the materialized payload."""
-        payload = self.client_payload(client_id)
-        if isinstance(payload, tuple):
-            return int(payload[0].shape[0])
-        return int(payload.shape[0])
-
-    def min_client_size(self) -> int:
-        """min_k |D_k| (``m_r``'s floor in Thm. 1); override when it is
-        known in O(1) — the default walks every client."""
-        return min(self.client_size(c) for c in range(len(self)))
 
     def __getitem__(self, client_id: int):
         return self.client_payload(client_id)
@@ -125,58 +115,72 @@ class ClientDataSource:
         return (self.client_payload(c) for c in range(len(self)))
 
 
-class EagerClientData(ClientDataSource):
-    """Adapter presenting an in-memory payload list as a source."""
-
-    def __init__(self, payloads: list) -> None:
-        self._payloads = list(payloads)
-
-    def __len__(self) -> int:
-        return len(self._payloads)
-
-    def client_payload(self, client_id: int):
-        return self._payloads[client_id]
+def _offsets(sizes) -> np.ndarray:
+    """``(K+1,)`` row offsets of clients stored back to back."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
-class IndexedArraySource(ClientDataSource):
-    """Lazy image shards: one ``(x, y)`` view sliced per access.
+def _each(arrays, f):
+    """``f`` over each array of an ``(x, y)`` pair, or over one array."""
+    return tuple(map(f, arrays)) if isinstance(arrays, tuple) else f(arrays)
 
-    Holds the full training arrays once plus the per-client index
-    arrays; ``client_payload(c)`` fancy-indexes on demand, so no
-    per-client copy of the training set is held.
+
+class ArraySource(ClientDataSource):
+    """Resident client data: every client's rows back to back.
+
+    ``arrays`` is an image task's ``(x, y)`` pair or a text task's token
+    stream, its rows stored in client order: client ``c`` owns rows
+    ``offsets[c]:offsets[c + 1]``.  A payload is a slice view shaped
+    like ``arrays``, so the source makes the arrays read-only.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, parts: list[np.ndarray]) -> None:
-        self._x = x
-        self._y = y
-        self._parts = parts
+    def __init__(self, arrays, offsets: np.ndarray) -> None:
+        _each(arrays, lambda a: a.setflags(write=False))
+        self._arrays, self._offsets = arrays, offsets
+
+    @classmethod
+    def gather(cls, arrays, parts: list[np.ndarray]) -> ArraySource:
+        """Client ``c`` gets rows ``parts[c]`` of ``arrays``, gathered
+        into client order in one take per array."""
+        idx = np.concatenate(parts)
+        return cls(_each(arrays, lambda a: a[idx]), _offsets([p.shape[0] for p in parts]))
+
+    @classmethod
+    def from_payloads(cls, payloads) -> ArraySource:
+        """Store a plain per-client list: ``(x, y)`` pairs or token
+        streams.  An empty list, a list mixing the two kinds, or an image
+        client whose ``x`` and ``y`` row counts differ raises
+        ``ValueError`` naming the client."""
+        payloads = list(payloads)
+        if not payloads:
+            raise ValueError("client_data holds no clients")
+        pair = isinstance(payloads[0], tuple)
+        for c, payload in enumerate(payloads):
+            if isinstance(payload, tuple) != pair:
+                raise ValueError(f"client {c}: image and text payloads mixed in one list")
+            if pair and (len(payload) != 2 or len(payload[0]) != len(payload[1])):
+                counts = [len(a) for a in payload]
+                raise ValueError(f"client {c}: image payload rows {counts}, want (x, y) alike")
+        rows = tuple(map(np.concatenate, zip(*payloads))) if pair else np.concatenate(payloads)
+        return cls(rows, _offsets([len(p[0] if pair else p) for p in payloads]))
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return self._offsets.shape[0] - 1
+
+    def _rows(self, client_id: int) -> slice:
+        c = range(len(self))[client_id]  # bounds-checked; negatives count from the end
+        return slice(self._offsets[c], self._offsets[c + 1])
 
     def client_payload(self, client_id: int):
-        idx = self._parts[client_id]
-        return self._x[idx], self._y[idx]
+        rows = self._rows(client_id)
+        return _each(self._arrays, lambda a: a[rows])
 
     def client_size(self, client_id: int) -> int:
-        return int(self._parts[client_id].shape[0])
+        rows = self._rows(client_id)
+        return int(rows.stop - rows.start)
 
-
-class StreamShardSource(ClientDataSource):
-    """Lazy text shards: one stream slice per access."""
-
-    def __init__(self, stream: np.ndarray, parts: list[np.ndarray]) -> None:
-        self._stream = stream
-        self._parts = parts
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def client_payload(self, client_id: int):
-        return self._stream[self._parts[client_id]]
-
-    def client_size(self, client_id: int) -> int:
-        return int(self._parts[client_id].shape[0])
+    def min_client_size(self) -> int:
+        return int(np.diff(self._offsets).min())
 
 
 class FleetImageSource(ClientDataSource):
@@ -201,9 +205,9 @@ class FleetImageSource(ClientDataSource):
     ``[samples / size_spread, samples * size_spread]`` (never below 2,
     so every client can form a batch).  The size is the *first* draw of
     the client's shard stream, so it is recoverable in O(1) without
-    generating the shard, in any process; ``size_spread=1`` (the
-    default, and every preset) draws nothing extra, so the shard's
-    first draw is its labels.
+    generating the shard, in any process; a cohort pass draws it once.
+    ``size_spread=1`` (the default, and every preset) draws nothing
+    extra, so the shard's first draw is its labels.
     """
 
     def __init__(
@@ -231,7 +235,8 @@ class FleetImageSource(ClientDataSource):
         self._max_samples = max(
             self._min_samples, int(round(self._samples * self._size_spread))
         )
-        #: untouched shard streams of the latest cohort, by client id
+        #: shard sizes drawn since the latest cohort pass, and its unread streams
+        self._sizes: dict[int, int] = {}
         self._fresh: dict[int, np.random.Generator] = {}
 
     def __len__(self) -> int:
@@ -247,22 +252,24 @@ class FleetImageSource(ClientDataSource):
 
     def prepare_cohort(self, client_ids) -> None:
         """Build the cohort's shard streams in one pass
-        (:func:`repro.streams.streams`); each client's payload takes its
-        stream once.  Only generators are built — no shard is drawn
-        ahead of its client — so memory still holds one stack's shards."""
+        (:func:`repro.streams.streams`) and draw each one's size; each
+        client's payload takes its stream once.  No shard is drawn ahead
+        of its client, so memory still holds one stack's shards."""
         ids = [int(c) for c in client_ids]
         self._fresh = dict(zip(ids, streams("fleet_shard", self._seed, ids=ids)))
+        self._sizes = {c: self._shard_size(rng) for c, rng in self._fresh.items()}
 
     def client_payload(self, client_id: int):
         rng = self._fresh.pop(client_id, None)
         if rng is None:
             rng = fleet_shard_rng(self._seed, client_id)
-        n = self._shard_size(rng)
+            self._sizes[client_id] = self._shard_size(rng)
+        n = self._sizes[client_id]
         return _sample_images(n, self._protos, self._mix, self._noise, rng)
 
     def client_size(self, client_id: int) -> int:
-        if self._size_spread <= 1.0:  # constant sizes: skip the rng build
-            return self._samples
+        if client_id in self._sizes or self._size_spread <= 1.0:
+            return self._sizes.get(client_id, self._samples)
         return self._shard_size(fleet_shard_rng(self._seed, client_id))
 
     def min_client_size(self) -> int:
@@ -279,7 +286,7 @@ class FederatedTask:
     image tasks, token streams for text tasks — through a
     :class:`ClientDataSource`, which lets payloads be computed on demand
     so fleet-scale tasks never hold all K shards at once.  A plain
-    payload list is wrapped in :class:`EagerClientData` on construction.
+    payload list is checked into an :class:`ArraySource` on construction.
     """
 
     name: str
@@ -293,7 +300,7 @@ class FederatedTask:
 
     def __post_init__(self) -> None:
         if not isinstance(self.client_data, ClientDataSource):
-            self.client_data = EagerClientData(self.client_data)
+            self.client_data = ArraySource.from_payloads(self.client_data)
 
     @property
     def n_clients(self) -> int:
@@ -304,7 +311,7 @@ class FederatedTask:
         return 1 if self.metric == "top1" else 3
 
     def client_payload(self, client_id: int):
-        """One client's payload (materialized on demand for lazy sources)."""
+        """One client's payload (a resident view, or a fleet shard drawn now)."""
         return self.client_data.client_payload(client_id)
 
     def client_size(self, client_id: int) -> int:
@@ -312,7 +319,7 @@ class FederatedTask:
         return int(self.client_data.client_size(client_id))
 
     def min_client_size(self) -> int:
-        """min_k |D_k|; O(1) for sources that know it without a fleet walk."""
+        """min_k |D_k|, read without building a payload."""
         return int(self.client_data.min_client_size())
 
     def batcher(
@@ -326,8 +333,7 @@ class FederatedTask:
         """
         payload = self.client_payload(client_id)
         if self.kind == "image":
-            x, y = payload
-            return ImageBatcher(x, y, batch_size, rng, steps)
+            return ImageBatcher(*payload, batch_size, rng, steps)
         return SequenceBatcher(payload, batch_size, self.seq_len, rng)
 
     def eval_batches(self, batch_size: int = 256) -> Iterator:
@@ -418,7 +424,7 @@ def _make_image_task(name: str, cfg: dict, seed: int) -> FederatedTask:
     parts = partition_label_shards(
         ds.y_train, cfg["n_clients"], shards_per_client=cfg["shards"], rng=rng
     )
-    client_data = IndexedArraySource(ds.x_train, ds.y_train, parts)
+    client_data = ArraySource.gather((ds.x_train, ds.y_train), parts)
     model_spec = {
         "kind": "mlp",
         "input_dim": ds.input_dim,
@@ -446,9 +452,10 @@ def _make_text_task(name: str, cfg: dict, seed: int) -> FederatedTask:
             test_tokens=cfg["test_tokens"],
             seed=seed,
         )
-        # per-user streams are the natural partition and already
-        # materialized by the corpus
-        client_data = EagerClientData(corpus.user_streams)
+        # per-user streams are the natural partition, and the training
+        # stream already holds them back to back
+        offsets = _offsets([s.shape[0] for s in corpus.user_streams])
+        client_data = ArraySource(corpus.train_stream, offsets)
     else:
         corpus = make_text_corpus(
             name,
@@ -461,7 +468,7 @@ def _make_text_task(name: str, cfg: dict, seed: int) -> FederatedTask:
         parts = partition_stream_contiguous(
             corpus.train_stream.shape[0], cfg["n_clients"], rng
         )
-        client_data = StreamShardSource(corpus.train_stream, parts)
+        client_data = ArraySource.gather(corpus.train_stream, parts)
     model_spec = {
         "kind": "lstm",
         "vocab_size": corpus.vocab_size,

@@ -21,8 +21,9 @@ from repro.data.partition import fleet_shard_rng
 from repro.data.registry import (
     ALL_TASK_NAMES,
     TASK_NAMES,
+    ArraySource,
     ClientDataSource,
-    EagerClientData,
+    FederatedTask,
     FleetImageSource,
     make_fleet_task,
     make_task,
@@ -45,7 +46,10 @@ EAGER_PAYLOAD_DIGESTS = {
 #: each from its ``(0, 1, client)`` stream.
 EAGER_BATCH_DIGESTS = {
     "mnist": "d63f2de401e91ae9a8bf772df761006fe7b3908b52b4794905d3157b53512e28",
+    "fmnist": "f43e0bf1a9979fdbeb5759e74f810e6570b837b182aa9ba7bec9e161e7355464",
     "ptb": "0b0df9946ac3610936b599df9b6844c7d9b6c40e7b6adce5220bffb6fc19cb33",
+    "wikitext2": "436e0b903588bc175477b6d34ba7193cfe9b57ffeb7053d24d05e11669f4273f",
+    "reddit": "0df5e0430937fc1331b4835725cebeb51d44cd2891077b31d7daa13b5de05077",
 }
 
 #: sha256 over the class prototypes and the ``(x, y)`` test split of
@@ -94,7 +98,7 @@ class TestLazyMatchesEager:
         assert isinstance(task.client_data, ClientDataSource)
         assert payload_digest(task) == EAGER_PAYLOAD_DIGESTS[name]
 
-    @pytest.mark.parametrize("name", ("mnist", "ptb"))
+    @pytest.mark.parametrize("name", TASK_NAMES)
     def test_batcher_streams_identical(self, name):
         """The same (seed, round, client) RNG over a source's payload
         yields the pinned minibatches — the engine-level stream."""
@@ -106,24 +110,64 @@ class TestLazyMatchesEager:
         second = task.client_payload(5)
         assert _payloads_equal(first, second)
 
+    @pytest.mark.parametrize("name", TASK_NAMES)
+    def test_payloads_are_read_only_views(self, name):
+        """A resident payload is a slice of the source's arrays, never a
+        copy, so writing into it must fail rather than corrupt the rows
+        every later read sees."""
+        task = make_task(name, "small", seed=1)
+        first, second = task.client_payload(3), task.client_payload(3)
+        rows = task.client_data._arrays
+        reads = zip(first, second, rows) if task.kind == "image" else [(first, second, rows)]
+        for a, b, whole in reads:
+            assert np.shares_memory(a, b) and np.shares_memory(a, whole)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
 
 class TestEagerAdapter:
     def test_wraps_plain_list(self):
         payloads = [np.arange(4), np.arange(9)]
-        source = EagerClientData(payloads)
+        source = ArraySource.from_payloads(payloads)
         assert len(source) == 2
         assert np.array_equal(source.client_payload(1), np.arange(9))
         assert np.array_equal(source[1], np.arange(9))
         assert source.client_size(0) == 4
         assert source.min_client_size() == 4
         assert [len(p) for p in source] == [4, 9]
+        assert np.array_equal(source[-1], np.arange(9))
+        with pytest.raises(IndexError):
+            source.client_payload(2)
 
     def test_raw_lists_still_work_on_tasks(self, tiny_image_task):
-        """A task built from a plain payload list wraps it once."""
-        assert isinstance(tiny_image_task.client_data, EagerClientData)
+        """A task built from a plain payload list stores it once."""
+        assert isinstance(tiny_image_task.client_data, ArraySource)
         assert tiny_image_task.n_clients == 4
         assert tiny_image_task.client_size(0) == 40
         assert tiny_image_task.min_client_size() == 40
+
+    @pytest.mark.parametrize(
+        "client_data, match",
+        [
+            ([], "no clients"),
+            ([np.arange(20), (np.zeros((5, 12)), np.zeros(5))], "client 1: image and text"),
+            ([(np.zeros((5, 12)), np.zeros(5)), np.arange(20)], "client 1: image and text"),
+            (
+                [(np.zeros((5, 12)), np.zeros(5)), (np.zeros((6, 12)), np.zeros(5))],
+                r"client 1: image payload rows \[6, 5\]",
+            ),
+        ],
+        ids=["empty", "text-then-image", "image-then-text", "row-mismatch"],
+    )
+    def test_bad_payload_lists_rejected_at_construction(self, client_data, match):
+        """Rows are stored back to back, so a client whose x and y row
+        counts differ would shift every later client's rows: a bad list
+        fails when the task is built, naming the client."""
+        with pytest.raises(ValueError, match=match):
+            FederatedTask(
+                name="bad", kind="image", model_spec={}, metric="top1",
+                client_data=client_data, test_data=None,
+            )
 
 
 class TestFleetSource:
@@ -200,17 +244,22 @@ class TestFleetSource:
     def test_prepared_cohort_reads_the_per_id_shards(self, size_spread):
         """A prepared cohort (one stream pass) gives every client the
         payload and size it has alone, on every read; preparing holds
-        untouched generators only, never a drawn shard."""
+        each client's size and its generator drawn up to that size
+        only, never a drawn shard."""
         task = make_fleet_task(5_000, seed=2, size_spread=size_spread)
         ids = list(range(4_990, 5_000)) + list(range(40, 40 + VECTOR_MIN_KEYS))
         alone = [(task.client_payload(c), task.client_size(c)) for c in ids]
         task.client_data.prepare_cohort(ids)
         fresh = task.client_data._fresh
         assert sorted(fresh) == sorted(ids)
-        assert all(
-            g.bit_generator.state == fleet_shard_rng(2, c).bit_generator.state
-            for c, g in fresh.items()
-        )
+        assert task.client_data._sizes == {c: size for c, (_, size) in zip(ids, alone)}
+
+        def sized(c):
+            rng = fleet_shard_rng(2, c)
+            task.client_data._shard_size(rng)
+            return rng.bit_generator.state
+
+        assert all(g.bit_generator.state == sized(c) for c, g in fresh.items())
         for c, (payload, size) in zip(ids, alone):
             for _ in range(2):
                 assert _payloads_equal(task.client_payload(c), payload)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.client import FedBIAD
-from repro.data.registry import ClientDataSource, FederatedTask, make_fleet_task
+from repro.data.registry import FederatedTask, make_fleet_task
 from repro.experiments.context import ExecutionContext
 from repro.fl import engine
 from repro.fl.client import ClientUpdate
@@ -96,22 +96,17 @@ class _Diverging(FedAvg):
         ]
 
 
-class _NaNShardSource(ClientDataSource):
+def _nan_shards(bad: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Six 20-sample image clients; every image of client ``bad`` holds
     a NaN."""
-
-    def __init__(self, bad: int) -> None:
-        self.bad = bad
-
-    def __len__(self) -> int:
-        return 6
-
-    def client_payload(self, client_id: int):
+    shards = []
+    for client_id in range(6):
         gen = np.random.default_rng(client_id)
         x = gen.normal(size=(20, 12))
-        if client_id == self.bad:
+        if client_id == bad:
             x[:, 0] = np.nan
-        return x, gen.integers(0, 4, size=20)
+        shards.append((x, gen.integers(0, 4, size=20)))
+    return shards
 
 
 class TestDivergence:
@@ -132,7 +127,7 @@ class TestDivergence:
             kind="image",
             model_spec={"kind": "mlp", "input_dim": 12, "hidden_dims": (8,), "n_classes": 4},
             metric="top1",
-            client_data=_NaNShardSource(bad=1),
+            client_data=_nan_shards(bad=1),
             test_data=(gen.normal(size=(16, 12)), gen.integers(0, 4, size=16)),
         )
         stacks, cohorts = [], []

@@ -56,6 +56,7 @@ import pytest
 
 from repro.baselines.registry import METHOD_NAMES, make_method
 from repro.compression.registry import make_sketched
+from repro.data import registry
 from repro.data.registry import make_fleet_task, make_task
 from repro.experiments.configs import preset_for
 from repro.experiments.spec import SPEC_FORMAT_VERSION
@@ -277,3 +278,18 @@ def test_golden_table_is_pinned_to_the_spec_format_version():
 def test_clock_table_is_pinned_to_the_spec_format_version():
     table = json.dumps(sorted(CLOCK_GOLDEN.items())).encode()
     assert (SPEC_FORMAT_VERSION, hashlib.sha256(table).hexdigest()) == CLOCK_PIN
+
+
+def test_ragged_cell_reads_sizes_from_the_cohort_pass(monkeypatch):
+    """A prepared cohort's shard sizes are drawn once, in its stream
+    pass: the ragged-fleet cell reads every size and shard without a
+    per-id stream build, and its digests hold."""
+    builds = []
+    build = registry.fleet_shard_rng
+    monkeypatch.setattr(
+        registry, "fleet_shard_rng", lambda *key: builds.append(key) or build(*key)
+    )
+    cell = "fleetragged-fedavg-sync-fleet"
+    learning, clock = trajectory_digests(*CELLS[cell], monkeypatch)
+    assert (learning, clock) == (GOLDEN[cell], CLOCK_GOLDEN[cell])
+    assert builds == []
