@@ -34,7 +34,7 @@ def main() -> None:
     model = build_model(task.model_spec, np.random.default_rng(0))
     space = RowSpace.from_module(model)
     structure = structure_from_spec(task.model_spec, space.unsparse_number(0.2))
-    min_size = min(task.client_size(c) for c in range(task.n_clients))
+    min_size = task.min_client_size()
 
     print(f"{'round':>5s} {'test loss':>10s} {'bound (Eq.14)':>14s}")
     for record in history.records:

@@ -104,24 +104,50 @@ def _sample_images(
     (shirt/pullover/coat) overlap with their neighbours.  Amplitudes
     come from ``random`` and noise from ``standard_normal``.  An image
     is the scaled label prototype, ``mix`` of the confuser's, and
-    ``noise`` per unit norm of white noise.  Every image dataset, fleet
-    shard and test split is drawn here.
+    ``noise`` per unit norm of white noise (:func:`_mix_images`).  Every
+    image dataset, fleet shard and test split is drawn here.
     """
     k, d = protos.shape
-    labels, confusers = _label_pairs(k)
-    r = rng.integers(0, labels.size, size=n)
-    y = labels.take(r)
-    amplitude = 0.8 + 0.4 * rng.random((n, 1))
-    z = rng.standard_normal((n, d))
-    # ``amplitude * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``,
+    codes, amplitude, z = np.empty(n, np.int64), np.empty((n, 1)), np.empty((n, d))
+    _draw_images(rng, k, codes, amplitude, z)
+    return _mix_images(codes, amplitude, z, protos, mix, noise)
+
+
+def _draw_images(
+    rng: np.random.Generator, k: int, codes: np.ndarray, amplitude: np.ndarray, z: np.ndarray
+) -> None:
+    """:func:`_sample_images`' three draws, into ``n`` rows of ``codes``
+    ``(n,)``, ``amplitude`` ``(n, 1)`` and ``z`` ``(n, d)``: the same
+    numbers as drawing each at its shape."""
+    codes[...] = rng.integers(0, k * (k - 1), size=codes.shape[0])
+    rng.random(out=amplitude)
+    rng.standard_normal(out=z)
+
+
+def _mix_images(
+    codes: np.ndarray,
+    amplitude: np.ndarray,
+    z: np.ndarray,
+    protos: np.ndarray,
+    mix: float,
+    noise: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The images of :func:`_draw_images`' rows (any number of draws
+    stored back to back), elementwise, so each row is the same as if it
+    were mixed alone.  ``amplitude`` and ``z`` are overwritten."""
+    labels, confusers = _label_pairs(protos.shape[0])
+    y = labels.take(codes)
+    # ``(0.8 + 0.4 * u) * protos[y] + mix * protos[confuser] + noise * z / sqrt(d)``,
     # evaluated in place in that order of operations
+    amplitude *= 0.4
+    amplitude += 0.8
     x = protos.take(y, axis=0)
     x *= amplitude
-    mixed = protos.take(confusers.take(r), axis=0)
+    mixed = protos.take(confusers.take(codes), axis=0)
     mixed *= mix
     x += mixed
     z *= noise
-    z /= math.sqrt(d)
+    z /= math.sqrt(protos.shape[1])
     x += z
     return x, y
 

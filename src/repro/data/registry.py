@@ -30,6 +30,13 @@ million-client simulation fits in a laptop's RAM.  Every task's
 and every task built from a plain per-client list hold their rows in
 one :class:`ArraySource`: the rows stored back to back in client order
 plus ``(K+1,)`` offsets, a payload being a read-only slice view.
+
+Training reads data a *stack* of clients at a time:
+:meth:`FederatedTask.batcher` asks the source for the stack's rows
+(:meth:`ClientDataSource.stack_rows`) and builds one batcher over them.
+An :class:`ArraySource` hands over its own rows and each client's row
+start, so nothing is copied before the batch gather; the fleet source
+draws the stack's shards back to back and mixes them in one pass.
 """
 
 from __future__ import annotations
@@ -46,7 +53,13 @@ from .batching import (
     eval_image_batches,
     eval_sequence_batches,
 )
-from .images import _sample_images, class_prototypes, make_image_dataset
+from .images import (
+    _draw_images,
+    _mix_images,
+    _sample_images,
+    class_prototypes,
+    make_image_dataset,
+)
 from .partition import (
     fleet_shard_rng,
     partition_label_shards,
@@ -89,6 +102,7 @@ class ClientDataSource:
     arrays or a text client's token stream), ``client_size(c)`` (``|D_k|``,
     the aggregation weight of Eq. 10) and ``min_client_size()`` (``m_r``'s
     floor in Thm. 1) one client at a time; a size never builds a payload.
+    :meth:`stack_rows` hands a stack of clients' rows to its batcher.
     """
 
     def __len__(self) -> int:
@@ -107,6 +121,12 @@ class ClientDataSource:
         """Called with a cohort's ids before their payloads are read, so
         a source can get ready for all of them at once; the default
         does nothing."""
+
+    def stack_rows(self, client_ids):
+        """``(arrays, starts, sizes)``: rows shaped like a payload, and
+        the ``(c,)`` row starts and counts of each client of the stack
+        (:mod:`repro.data.batching`)."""
+        raise NotImplementedError
 
     def __getitem__(self, client_id: int):
         return self.client_payload(client_id)
@@ -182,6 +202,13 @@ class ArraySource(ClientDataSource):
     def min_client_size(self) -> int:
         return int(np.diff(self._offsets).min())
 
+    def stack_rows(self, client_ids):
+        """The source's own rows: a stack gathers its batches from them
+        without copying a client's rows first."""
+        ids = [range(len(self))[c] for c in client_ids]
+        starts = self._offsets[ids]
+        return self._arrays, starts, self._offsets[np.add(ids, 1)] - starts
+
 
 class FleetImageSource(ClientDataSource):
     """Million-client image shards generated on demand.
@@ -238,6 +265,10 @@ class FleetImageSource(ClientDataSource):
         #: shard sizes drawn since the latest cohort pass, and its unread streams
         self._sizes: dict[int, int] = {}
         self._fresh: dict[int, np.random.Generator] = {}
+        #: the noise draws' scratch rows, kept across stacks: a fresh
+        #: block per stack made the heap shrink and regrow, at about
+        #: 1,000 page faults per fleet round
+        self._noise_rows = np.empty((0, protos.shape[1]))
 
     def __len__(self) -> int:
         return self._n_clients
@@ -259,13 +290,34 @@ class FleetImageSource(ClientDataSource):
         self._fresh = dict(zip(ids, streams("fleet_shard", self._seed, ids=ids)))
         self._sizes = {c: self._shard_size(rng) for c, rng in self._fresh.items()}
 
-    def client_payload(self, client_id: int):
+    def _shard_stream(self, client_id: int) -> np.random.Generator:
+        """The client's shard stream past its size draw: the prepared
+        one, taken once, or a per-id stream built now."""
         rng = self._fresh.pop(client_id, None)
         if rng is None:
             rng = fleet_shard_rng(self._seed, client_id)
             self._sizes[client_id] = self._shard_size(rng)
-        n = self._sizes[client_id]
-        return _sample_images(n, self._protos, self._mix, self._noise, rng)
+        return rng
+
+    def client_payload(self, client_id: int):
+        return self.stack_rows([client_id])[0]
+
+    def stack_rows(self, client_ids):
+        """Draw the stack's shards back to back: each client's three
+        draws from its own stream, in order, then one elementwise mix of
+        all their rows (:func:`~repro.data.images._mix_images`)."""
+        rngs = [self._shard_stream(c) for c in client_ids]
+        sizes = np.array([self._sizes[c] for c in client_ids], dtype=np.int64)
+        offsets = _offsets(sizes)
+        k, d = self._protos.shape
+        n = int(offsets[-1])
+        if self._noise_rows.shape[0] < n:
+            self._noise_rows = np.empty((n, d))
+        codes, amplitude, z = np.empty(n, np.int64), np.empty((n, 1)), self._noise_rows[:n]
+        for rng, a, b in zip(rngs, offsets[:-1].tolist(), offsets[1:].tolist()):
+            _draw_images(rng, k, codes[a:b], amplitude[a:b], z[a:b])
+        rows = _mix_images(codes, amplitude, z, self._protos, self._mix, self._noise)
+        return rows, offsets[:-1], sizes
 
     def client_size(self, client_id: int) -> int:
         if client_id in self._sizes or self._size_spread <= 1.0:
@@ -323,18 +375,27 @@ class FederatedTask:
         return int(self.client_data.min_client_size())
 
     def batcher(
-        self, client_id: int, batch_size: int, rng: np.random.Generator, steps: int = 1
+        self,
+        client_ids,
+        batch_size: int,
+        rngs: list[np.random.Generator],
+        steps: int = 1,
     ):
-        """Build the local minibatch sampler for one client.
+        """Build the local minibatch sampler of a stack of clients.
 
-        ``steps`` is the number of local iterations ahead: an image
-        client draws that many batches at a time, in one index draw
-        (see :class:`ImageBatcher`).
+        Client ``client_ids[i]`` draws its batches from ``rngs[i]`` and
+        owns slot ``i`` of every batch's leading axis; a lone client is
+        a stack of one.  ``steps`` is the number of local iterations
+        ahead: an image client draws that many batches at a time, in one
+        index draw (see :class:`ImageBatcher`).  A client whose shard
+        cannot form a batch (empty, or a token stream too short for one
+        window) raises ``ValueError`` naming it.
         """
-        payload = self.client_payload(client_id)
+        ids = [int(c) for c in client_ids]
+        arrays, starts, sizes = self.client_data.stack_rows(ids)
         if self.kind == "image":
-            return ImageBatcher(*payload, batch_size, rng, steps)
-        return SequenceBatcher(payload, batch_size, self.seq_len, rng)
+            return ImageBatcher(*arrays, starts, sizes, batch_size, rngs, steps, ids)
+        return SequenceBatcher(arrays, starts, sizes, batch_size, self.seq_len, rngs, ids)
 
     def eval_batches(self, batch_size: int = 256) -> Iterator:
         """Deterministic iterator over the global test set."""
@@ -454,8 +515,7 @@ def _make_text_task(name: str, cfg: dict, seed: int) -> FederatedTask:
         )
         # per-user streams are the natural partition, and the training
         # stream already holds them back to back
-        offsets = _offsets([s.shape[0] for s in corpus.user_streams])
-        client_data = ArraySource(corpus.train_stream, offsets)
+        client_data = ArraySource(corpus.train_stream, corpus.user_offsets)
     else:
         corpus = make_text_corpus(
             name,

@@ -16,7 +16,7 @@ vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def perturb_topic(
 class TextCorpus:
     """A next-word-prediction corpus.
 
-    ``train_stream`` may be the concatenation of per-client streams; the
+    ``train_stream`` may be the concatenation of per-user streams, user
+    ``u`` owning tokens ``user_offsets[u]:user_offsets[u + 1]``; the
     federated registry slices it.  ``test_stream`` is held out globally.
     """
 
@@ -137,7 +138,8 @@ class TextCorpus:
     test_stream: np.ndarray
     vocab_size: int
     name: str
-    user_streams: list[np.ndarray] = field(default_factory=list)
+    #: ``(users + 1,)`` token offsets of a per-user corpus, else ``None``
+    user_offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.train_stream.shape[0]
@@ -209,6 +211,7 @@ def make_user_corpora(
         topics[user_topic[u]].sample(int(lengths[u]), rng, mix=unigram_mix)
         for u in range(n_users)
     ]
+    offsets = np.concatenate(([0], np.cumsum([s.shape[0] for s in user_streams])))
     per_topic = max(test_tokens // n_topics, 1)
     test = np.concatenate([t.sample(per_topic, rng, mix=unigram_mix) for t in topics])
     return TextCorpus(
@@ -216,5 +219,5 @@ def make_user_corpora(
         test_stream=test,
         vocab_size=vocab,
         name=name,
-        user_streams=user_streams,
+        user_offsets=offsets.astype(np.int64),
     )

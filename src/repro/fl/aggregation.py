@@ -96,9 +96,18 @@ def aggregate(
                 numerator += p.weight * p.params[name]
             out[name] = numerator / total_weight
             continue
+        masks = [p.mask_array(name, prev.shape) for p in payloads]
+        if all(mask is None for mask in masks):
+            # every client held every entry: the denominator is the
+            # running weight sum, the same in each entry
+            held_weight = 0.0
+            for p in payloads:
+                numerator += p.weight * p.params[name]
+                held_weight += p.weight
+            out[name] = numerator / held_weight if held_weight > 0 else prev.copy()
+            continue
         denominator = np.zeros_like(prev)
-        for p in payloads:
-            mask = p.mask_array(name, prev.shape)
+        for p, mask in zip(payloads, masks):
             if mask is None:
                 numerator += p.weight * p.params[name]
                 denominator += p.weight

@@ -30,11 +30,13 @@ only its per-client parts, each drawing from the client's own
 Every slice of a stack is computed by the same kernels as a lone
 client, so each client's update is bit-identical to training it alone.
 
-A :class:`ClientContext` materializes its client's shard only when the
-method first asks for ``ctx.batcher`` (building a batcher draws nothing
-from the client's RNG), and :meth:`ClientContext.release` drops it once
-the client has trained, so a cohort holds the shards of one stack at a
-time, never all of them.
+A stack's data is one batcher (:meth:`repro.data.registry.FederatedTask.batcher`),
+built after the clients' ``local_start``: a fleet stack's shards are
+drawn then, and resident clients' rows are read in place.  The stack
+gathers each step's ``(c, batch, ...)`` arrays in one ``take``, and its
+shards and batches are dropped when the stack has trained, so a cohort
+holds the data of one stack at a time, never all of it.  The stack's
+per-client mean losses are computed once, row by row.
 
 The local-training loop (:func:`run_local_sgd`) implements the masked
 update rule of Eq. (7): gradients are multiplied by the masks, and
@@ -91,27 +93,10 @@ class ClientContext:
     rng: np.random.Generator
     state: dict  # per-client persistent storage across rounds
 
-    @cached_property
-    def batcher(self):
-        """The client's minibatch sampler (ImageBatcher | SequenceBatcher),
-        built from its shard on first use.  An unusable shard (empty, or
-        a token stream too short for one window) raises ``ValueError``
-        naming the round and the client."""
-        try:
-            return self.task.batcher(
-                self.client_id, self.config.batch_size, self.rng, self.config.local_iterations
-            )
-        except ValueError as exc:
-            raise ValueError(f"round {self.round_index}, client {self.client_id}: {exc}") from exc
-
     @property
     def n_samples(self) -> int:
         """|D_k|, in O(1) without materializing the shard."""
         return self.task.client_size(self.client_id)
-
-    def release(self) -> None:
-        """Drop the batcher and with it the materialized shard."""
-        self.__dict__.pop("batcher", None)
 
 
 @dataclass
@@ -125,7 +110,8 @@ class ClientUpdate:
 
     @cached_property
     def mean_loss(self) -> float:
-        """The mean training loss, computed on first read (a
+        """The mean training loss, computed on first read unless the
+        stack that trained the client filled it in (a
         ``dataclasses.replace`` copy computes it again)."""
         return float(np.mean(self.train_losses)) if self.train_losses else float("nan")
 
@@ -174,29 +160,6 @@ class LocalRun:
             train_losses=self.losses,
             aux=self.aux,
         )
-
-
-class _StackedBatcher:
-    """One minibatch per client per step, each drawn by the client's own
-    batcher, stacked along a leading client axis.
-
-    Every step writes into the same pair of arrays (a stack's clients
-    share one batch shape), so a batch is valid until the next draw.
-    """
-
-    def __init__(self, batchers: list) -> None:
-        self.batchers = batchers
-        self._stack: tuple[np.ndarray, np.ndarray] | None = None
-
-    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        draws = [b.next_batch() for b in self.batchers]
-        if self._stack is None:
-            self._stack = tuple(np.empty((len(draws),) + a.shape, a.dtype) for a in draws[0])
-        xs, ys = self._stack
-        for i, (x, y) in enumerate(draws):
-            xs[i] = x
-            ys[i] = y
-        return xs, ys
 
 
 def _stacks(ctxs: list[ClientContext]) -> list[list[int]]:
@@ -275,7 +238,9 @@ class FederatedMethod:
 
         Parameters and masks live in ``(c,) + shape`` arrays; client
         ``i`` owns slot ``i`` of each, and its ``run.weights`` are views
-        of its slots.
+        of its slots.  One batcher serves the stack, built after every
+        ``local_start``; a shard it cannot draw from raises
+        ``ValueError`` naming the round and the client.
         """
         model = ctxs[0].model
         runs = [self.local_start(ctx) for ctx in ctxs]
@@ -301,16 +266,32 @@ class FederatedMethod:
                     run.load()
 
         hook = on_iteration if type(self).local_step is not FederatedMethod.local_step else None
-        batcher = _StackedBatcher([ctx.batcher for ctx in ctxs])
+        first = ctxs[0]
+        try:
+            batcher = first.task.batcher(
+                [ctx.client_id for ctx in ctxs], first.config.batch_size,
+                [ctx.rng for ctx in ctxs], first.config.local_iterations,
+            )
+        except ValueError as exc:
+            raise ValueError(f"round {first.round_index}, {exc}") from exc
         with model.stacked(state):
             steps = run_local_sgd(
                 model, self.make_optimizer(model), batcher,
-                ctxs[0].config.local_iterations, self.rowspace, masks, hook,
+                first.config.local_iterations, self.rowspace, masks, hook,
             )
-        for i, run in enumerate(runs):
-            run.losses = [step[i] for step in steps]
-            run.ctx.release()
-        return [self.upload(run) for run in runs]
+        del batcher  # the stack's shards and batches, before the uploads
+        # one row per client, so each mean reduces a contiguous row as
+        # ``np.mean`` of the client's list does (pairwise from 8 values)
+        rows = np.array(steps).T.copy()
+        means = rows.mean(axis=1).tolist()
+        updates = []
+        for run, losses, mean in zip(runs, rows.tolist(), means):
+            run.losses = losses
+            update = self.upload(run)
+            if update.train_losses == losses:
+                update.__dict__["mean_loss"] = mean  # ClientUpdate.mean_loss's cache
+            updates.append(update)
+        return updates
 
     def aggregate(
         self,

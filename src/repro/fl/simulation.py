@@ -369,9 +369,10 @@ class FederatedSimulation:
         staleness = np.array([round_index - wave for wave, *_ in buffer], dtype=np.int64)
         factors = 1.0 / (1.0 + staleness.astype(np.float64)) ** self.config.staleness_exponent
         arrived = [res.update for _, _, res, _ in buffer]
+        # a factor of exactly 1 (every sync round) leaves ``w * 1.0 == w``
         updates = [
-            replace(u, payload=replace(u.payload, weight=u.payload.weight * f))
-            for u, f in zip(arrived, factors)
+            u if f == 1.0 else replace(u, payload=replace(u.payload, weight=u.payload.weight * f))
+            for u, f in zip(arrived, factors.tolist())
         ]
         weights = np.array([u.payload.weight for u in updates], dtype=np.float64)
         self.flush_weights = weights / weights.sum()

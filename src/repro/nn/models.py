@@ -70,6 +70,9 @@ class MLPClassifier(Module):
         layers.append(Linear(previous, n_classes, rng, init="xavier", droppable=False))
         self.net = Sequential(*layers)
         self._linears = tuple(layer for layer in layers if isinstance(layer, Linear))
+        #: each layer's weight-gradient buffer, ``(c, in, out)`` under a
+        #: stack, reused while the shape holds
+        self._weight_grads: list[np.ndarray | None] = [None] * len(self._linears)
 
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
         """The raw forward pass: each ``Linear``'s input, then the logits.
@@ -95,7 +98,10 @@ class MLPClassifier(Module):
         keeps the activations, and a hand-written VJP that applies the
         numpy operations of the composed ``Linear``/``ReLU``/
         :func:`~repro.nn.functional.cross_entropy` graph in the same
-        order, so losses and gradients are bit-identical to it.
+        order, so losses and gradients are bit-identical to it.  The
+        node owns its gradients, so the leaves keep them uncopied: a
+        weight's is written into the layer's buffer, unless the leaf
+        still holds an earlier gradient there (it then gets a new array).
         """
         x, y = batch
         acts = self._activations(x)
@@ -108,17 +114,27 @@ class MLPClassifier(Module):
             for i in range(len(linears) - 1, -1, -1):
                 layer, h = linears[i], acts[i]
                 pairs.append((layer.bias, _unbroadcast(g, layer.bias.data.shape)))
+                h_t = np.swapaxes(h, -1, -2)
+                buf = self._weight_grads[i]
+                shape = h_t.shape[:-1] + g.shape[-1:]
+                if layer.weight.grad is not None:
+                    buf = None
+                elif buf is None or buf.shape != shape:
+                    # laid out as numpy copies the transposed view, down
+                    # to the stride of a size-1 client axis
+                    leaf = np.empty_like(np.swapaxes(np.empty(shape), -1, -2))
+                    buf = self._weight_grads[i] = np.swapaxes(leaf, -1, -2)
                 # a transposed view, as ``W.mT``'s backward hands it on:
-                # the leaf's copy keeps that memory layout, and with it
-                # the summation order of gradient clipping
-                pairs.append((layer.weight, np.swapaxes(np.swapaxes(h, -1, -2) @ g, -1, -2)))
+                # that memory layout keeps the summation order of
+                # gradient clipping
+                pairs.append((layer.weight, np.swapaxes(np.matmul(h_t, g, out=buf), -1, -2)))
                 if i:
                     # h = max(z, 0) is positive exactly where z is
                     g = (g @ layer.weight.data) * (h > 0.0)
             return pairs
 
         params = tuple(p for layer in linears for p in (layer.weight, layer.bias))
-        return Tensor._node(out, params, backward)
+        return Tensor._node(out, params, backward, owned=True)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         return self._activations(x)[-1]

@@ -152,6 +152,10 @@ class SyntheticTrace(DeviceTrace):
         self._cum_weights = np.cumsum(
             zipf_class_weights(len(self.classes), self.zipf_exponent)
         )
+        self._log_medians = np.array(
+            [(math.log(c.speed_median), math.log(c.bandwidth_median)) for c in self.classes]
+        )
+        self._sigmas = np.array([(c.speed_sigma, c.bandwidth_sigma) for c in self.classes])
 
     @property
     def n_clients(self) -> int | None:
@@ -165,28 +169,37 @@ class SyntheticTrace(DeviceTrace):
 
     def client_record(self, client_id: int) -> ClientRecord:
         client_id = self._check(client_id)
-        return self._record(client_id, stream("trace_traits", self.seed, client_id))
+        return self._records([client_id], [stream("trace_traits", self.seed, client_id)])[0]
 
     def client_records(self, client_ids) -> list[ClientRecord]:
         """The records of ``client_ids``, their trait streams built in
         one pass (:func:`repro.streams.streams`)."""
         ids = [self._check(c) for c in client_ids]
-        rngs = streams("trace_traits", self.seed, ids=ids)
-        return [self._record(c, rng) for c, rng in zip(ids, rngs)]
+        return self._records(ids, streams("trace_traits", self.seed, ids=ids))
 
-    def _record(self, client_id: int, rng: np.random.Generator) -> ClientRecord:
-        index = int(np.searchsorted(self._cum_weights, rng.random(), side="right"))
-        cls = self.classes[min(index, len(self.classes) - 1)]
-        speed = float(np.exp(rng.normal(math.log(cls.speed_median), cls.speed_sigma)))
-        bandwidth = float(
-            np.exp(rng.normal(math.log(cls.bandwidth_median), cls.bandwidth_sigma))
-        )
-        return ClientRecord(
-            client_id=client_id,
-            device_class=cls.name,
-            compute_speed=speed,
-            bandwidth_divisor=bandwidth,
-        )
+    def _records(self, ids: list[int], rngs) -> list[ClientRecord]:
+        """Each client's three scalar draws from its own stream (a class
+        uniform, then the speed and bandwidth normals), turned into
+        records array-wide: one ``searchsorted`` for the classes and one
+        ``exp`` for both traits.  ``rng.normal(mu, sigma)`` is ``mu +
+        sigma * standard_normal()``, so the traits are the same numbers
+        as drawing each at its class's parameters."""
+        draws = np.array(
+            [(rng.random(), rng.standard_normal(), rng.standard_normal()) for rng in rngs]
+        ).reshape(len(ids), 3)
+        index = np.searchsorted(self._cum_weights, draws[:, 0], side="right")
+        index = np.minimum(index, len(self.classes) - 1)
+        # (c, 2): speed then bandwidth, log-normal around the class medians
+        traits = np.exp(self._log_medians[index] + self._sigmas[index] * draws[:, 1:]).tolist()
+        return [
+            ClientRecord(
+                client_id=c,
+                device_class=self.classes[k].name,
+                compute_speed=speed,
+                bandwidth_divisor=bandwidth,
+            )
+            for c, k, (speed, bandwidth) in zip(ids, index.tolist(), traits)
+        ]
 
     def device_class_names(self) -> tuple[str, ...]:
         return tuple(cls.name for cls in self.classes)

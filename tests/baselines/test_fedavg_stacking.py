@@ -27,7 +27,7 @@ from repro.nn.models import build_model
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, clip_grad_norm
 from repro.streams import stream
-from tests.conftest import make_tiny_text_task
+from tests.conftest import LoneBatcher, make_tiny_text_task
 
 ROUND = 3
 N_CLIENTS = 7
@@ -114,7 +114,7 @@ def _reference(task, model, config, global_params, cid, round_index=ROUND):
         max_grad_norm=config.max_grad_norm,
     )
     losses = run_local_sgd(
-        model, optimizer, task.batcher(cid, config.batch_size, rng), config.local_iterations
+        model, optimizer, LoneBatcher(task, cid, config.batch_size, rng), config.local_iterations
     )
     return ParamSet.from_module(model), losses
 

@@ -25,6 +25,18 @@ def tiny_lstm(rng) -> WordLSTM:
     return WordLSTM(vocab_size=9, embed_dim=5, hidden_size=5, num_layers=2, rng=rng)
 
 
+class LoneBatcher:
+    """One client's batches from a stack-of-one batcher
+    (``task.batcher([client], ...)``) without the client axis, for
+    training a bare, unstacked model."""
+
+    def __init__(self, task, client: int, batch_size: int, rng, steps: int = 1) -> None:
+        self.stack = task.batcher([client], batch_size, [rng], steps)
+
+    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(a[0] for a in self.stack.next_batch())
+
+
 def make_tiny_image_task(n_clients: int = 4, seed: int = 0) -> FederatedTask:
     """A minimal image task for integration tests (fast to train)."""
     gen = np.random.default_rng(seed)

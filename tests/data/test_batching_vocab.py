@@ -14,57 +14,66 @@ from repro.data.batching import (
 from repro.data.vocab import Vocabulary
 
 
+def _lone_image(x, y, batch_size, rng) -> ImageBatcher:
+    """A stack of one client owning every row."""
+    return ImageBatcher(x, y, [0], [x.shape[0]], batch_size, [rng])
+
+
+def _lone_sequence(stream, batch_size, seq_len, rng) -> SequenceBatcher:
+    return SequenceBatcher(stream, [0], [stream.shape[0]], batch_size, seq_len, [rng])
+
+
 class TestImageBatcher:
     def test_batch_shapes(self, rng):
         x = rng.normal(size=(50, 8))
         y = rng.integers(0, 3, size=50)
-        b = ImageBatcher(x, y, 16, rng)
+        b = _lone_image(x, y, 16, rng)
         bx, by = b.next_batch()
-        assert bx.shape == (16, 8) and by.shape == (16,)
+        assert bx.shape == (1, 16, 8) and by.shape == (1, 16)
 
     def test_batch_clamped_to_shard(self, rng):
-        b = ImageBatcher(rng.normal(size=(5, 4)), np.zeros(5, dtype=int), 20, rng)
+        b = _lone_image(rng.normal(size=(5, 4)), np.zeros(5, dtype=int), 20, rng)
         bx, _ = b.next_batch()
-        assert bx.shape[0] == 5
+        assert bx.shape[1] == 5
 
     def test_no_duplicates_within_batch(self, rng):
         x = np.arange(40, dtype=float)[:, None]
-        b = ImageBatcher(x, np.zeros(40, dtype=int), 20, rng)
+        b = _lone_image(x, np.zeros(40, dtype=int), 20, rng)
         bx, _ = b.next_batch()
         assert len(np.unique(bx)) == 20
 
     def test_mismatched_lengths(self, rng):
         with pytest.raises(ValueError):
-            ImageBatcher(np.zeros((3, 2)), np.zeros(4, dtype=int), 2, rng)
+            _lone_image(np.zeros((3, 2)), np.zeros(4, dtype=int), 2, rng)
 
     def test_empty_shard(self, rng):
         with pytest.raises(ValueError):
-            ImageBatcher(np.zeros((0, 2)), np.zeros(0, dtype=int), 2, rng)
+            _lone_image(np.zeros((0, 2)), np.zeros(0, dtype=int), 2, rng)
 
     def test_n_samples(self, rng):
-        b = ImageBatcher(np.zeros((9, 2)), np.zeros(9, dtype=int), 2, rng)
-        assert b.n_samples == 9
+        b = _lone_image(np.zeros((9, 2)), np.zeros(9, dtype=int), 2, rng)
+        assert b.n_samples.tolist() == [9]
 
 
 class TestSequenceBatcher:
     def test_target_is_shifted_input(self, rng):
         stream = np.arange(200)
-        b = SequenceBatcher(stream, 4, 10, rng)
+        b = _lone_sequence(stream, 4, 10, rng)
         x, y = b.next_batch()
         np.testing.assert_array_equal(y, x + 1)
 
     def test_shapes(self, rng):
-        b = SequenceBatcher(np.arange(100), 5, 7, rng)
+        b = _lone_sequence(np.arange(100), 5, 7, rng)
         x, y = b.next_batch()
-        assert x.shape == (5, 7) and y.shape == (5, 7)
+        assert x.shape == (1, 5, 7) and y.shape == (1, 5, 7)
 
     def test_stream_too_short(self, rng):
         with pytest.raises(ValueError):
-            SequenceBatcher(np.arange(5), 2, 10, rng)
+            _lone_sequence(np.arange(5), 2, 10, rng)
 
     def test_windows_in_bounds(self, rng):
         stream = np.arange(30)
-        b = SequenceBatcher(stream, 8, 5, rng)
+        b = _lone_sequence(stream, 8, 5, rng)
         for _ in range(20):
             x, y = b.next_batch()
             assert y.max() <= 29

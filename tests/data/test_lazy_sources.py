@@ -85,9 +85,9 @@ def payload_digest(task) -> str:
 def batch_digest(task) -> str:
     h = hashlib.sha256()
     for c in (0, task.n_clients - 1):
-        batcher = task.batcher(c, 8, np.random.default_rng([0, 1, c]))
+        batcher = task.batcher([c], 8, [np.random.default_rng([0, 1, c])])
         for _ in range(3):
-            _update(h, tuple(batcher.next_batch()))
+            _update(h, tuple(a[0] for a in batcher.next_batch()))
     return h.hexdigest()
 
 

@@ -52,9 +52,9 @@ class TestMakeTask:
 
     def test_batcher_and_eval(self):
         task = make_task("ptb", "small", seed=0)
-        b = task.batcher(0, 4, np.random.default_rng(0))
+        b = task.batcher([0], 4, [np.random.default_rng(0)])
         x, y = b.next_batch()
-        assert x.shape == (4, task.seq_len)
+        assert x.shape == y.shape == (1, 4, task.seq_len)
         ex, ey = next(iter(task.eval_batches(8)))
         assert ex.shape[1] == task.seq_len
 

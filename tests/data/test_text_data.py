@@ -66,8 +66,8 @@ class TestCorpora:
         corpus = make_user_corpora(
             "reddit", vocab=60, n_users=8, mean_tokens=400, test_tokens=200, seed=0
         )
-        lengths = [len(s) for s in corpus.user_streams]
-        assert len(corpus.user_streams) == 8
+        lengths = np.diff(corpus.user_offsets).tolist()
+        assert len(lengths) == 8 and sum(lengths) == len(corpus)
         assert max(lengths) > min(lengths)  # log-normal lengths differ
 
     def test_user_corpora_topics_differ(self):
@@ -82,7 +82,8 @@ class TestCorpora:
             np.add.at(m, (stream[:-1], stream[1:]), 1.0)
             return m / max(m.sum(), 1)
 
-        users = corpus.user_streams
+        o = corpus.user_offsets
+        users = [corpus.train_stream[o[u] : o[u + 1]] for u in range(len(o) - 1)]
         d_cross = np.abs(bigram(users[0]) - bigram(users[1])).sum()
         half = len(users[0]) // 2
         d_self = np.abs(bigram(users[0][:half]) - bigram(users[0][half:])).sum()

@@ -27,6 +27,23 @@ class TestDenseAggregation:
         out = aggregate([ClientPayload(ps(2.0), weight=5.0)], prev_global=ps(0.0))
         np.testing.assert_allclose(out["w"], np.full((3, 2), 2.0))
 
+    def test_unmasked_equals_every_entry_held(self):
+        """Unmasked payloads divide by the running weight sum and match,
+        bit for bit, the same payloads under masks that hold everything."""
+        rng = np.random.default_rng(4)
+        prev = ParamSet({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+        payloads = [
+            ClientPayload(ParamSet({n: rng.normal(size=v.shape) for n, v in prev.items()}), w)
+            for w in (3.0, 1.5, 7.25, 0.1, 32.0)
+        ]
+        held = [
+            ClientPayload(p.params, p.weight, {n: np.ones(v.shape, bool) for n, v in prev.items()})
+            for p in payloads
+        ]
+        ours, reference = aggregate(payloads, prev), aggregate(held, prev)
+        for name in prev:
+            assert ours[name].tobytes() == reference[name].tobytes()
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             aggregate([], prev_global=ps(0.0))

@@ -5,19 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.fedavg import FedAvg
 from repro.baselines.feddrop import FedDrop
+from repro.core.client import FedBIAD
 from repro.fl.client import ClientContext, FederatedMethod, run_local_sgd
 from repro.fl.metrics import evaluate
 from repro.fl.parameters import ParamSet
 from repro.fl.rows import RowSpace, bind_masks
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
+from tests.conftest import LoneBatcher
 
 
 class TestRunLocalSGD:
     def test_returns_losses(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
-        batcher = tiny_image_task.batcher(0, 8, rng)
+        batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         optimizer = SGD(model.parameters(), lr=0.2)
         losses = run_local_sgd(model, optimizer, batcher, iterations=5)
         assert len(losses) == 5
@@ -25,7 +28,7 @@ class TestRunLocalSGD:
 
     def test_masks_require_rowspace(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
-        batcher = tiny_image_task.batcher(0, 8, rng)
+        batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         optimizer = SGD(model.parameters(), lr=0.2)
         with pytest.raises(ValueError):
             run_local_sgd(model, optimizer, batcher, 2, masks={"w": np.ones(3, bool)})
@@ -36,7 +39,7 @@ class TestRunLocalSGD:
         beta = space.sample_pattern(0.5, rng)
         masks = space.split(beta)
         space.zero_dropped_rows(bind_masks(model, masks))
-        batcher = tiny_image_task.batcher(0, 8, rng)
+        batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9, weight_decay=0.1)
         run_local_sgd(model, optimizer, batcher, 6, rowspace=space, masks=masks)
         for name, p in model.named_parameters():
@@ -45,7 +48,7 @@ class TestRunLocalSGD:
 
     def test_on_iteration_hook(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
-        batcher = tiny_image_task.batcher(0, 8, rng)
+        batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         optimizer = SGD(model.parameters(), lr=0.2)
         seen = []
         run_local_sgd(
@@ -53,6 +56,32 @@ class TestRunLocalSGD:
             on_iteration=lambda v, loss: seen.append((v, loss)),
         )
         assert [v for v, _ in seen] == [0, 1, 2]
+
+
+class TestStackMeans:
+    @pytest.mark.parametrize("method", [FedAvg, FedBIAD], ids=["fedavg", "fedbiad"])
+    @pytest.mark.parametrize("V", [5, 10, 30])
+    def test_stack_mean_is_np_mean(self, tiny_image_task, fast_config, method, V):
+        """The stack fills each update's mean loss row by row, bit for
+        bit what ``np.mean`` of the uploaded losses gives (FedBIAD
+        uploads its tracker's copy of them)."""
+        config = fast_config.with_overrides(local_iterations=V, kappa=1.0)
+        model = build_model(tiny_image_task.model_spec, np.random.default_rng(0))
+        m = method()
+        m.setup(model, tiny_image_task, config, np.random.default_rng(1))
+        global_params = ParamSet.from_module(model)
+        ctxs = [
+            ClientContext(
+                client_id=c, round_index=1, global_params=global_params, model=model,
+                task=tiny_image_task, config=config, rng=np.random.default_rng(c), state={},
+            )
+            for c in range(4)
+        ]
+        for update in m.cohort_update(ctxs):
+            assert "mean_loss" in vars(update)  # filled in, not computed on read
+            assert len(update.train_losses) == V
+            expected = np.float64(np.mean(update.train_losses))
+            assert np.float64(update.mean_loss).tobytes() == expected.tobytes()
 
 
 class TestElementMaskedSGD:
@@ -67,7 +96,7 @@ class TestElementMaskedSGD:
         }
         space.zero_dropped_rows(bind_masks(model, masks))
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9)
-        batcher = tiny_image_task.batcher(0, 8, rng)
+        batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         run_local_sgd(model, optimizer, batcher, 5, rowspace=space, masks=masks)
         p = dict(model.named_parameters())["net.layer0.weight"]
         dropped = p.data[~masks["net.layer0.weight"]]
@@ -99,7 +128,7 @@ class TestElementMaskedSGD:
 
     def test_gradient_masking(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
-        batcher = tiny_image_task.batcher(0, 8, rng)
+        batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         loss = model.loss(batcher.next_batch())
         loss.backward()
         mask = np.zeros((8, 12), dtype=bool)

@@ -162,6 +162,21 @@ class TestUnusableShard:
         with pytest.raises(ValueError, match=r"round 1, client 2: empty client shard"):
             run_simulation(task, FedAvg(), fast_config.with_overrides(kappa=1.0))
 
+    def test_bad_shard_inside_a_stack_names_its_client(self, tiny_image_task, tiny_text_task):
+        """A stack's batcher names the client whose shard cannot form a
+        batch, wherever it sits in the stack."""
+        rngs = [np.random.default_rng(c) for c in range(3)]
+        shards = [tiny_image_task.client_payload(c) for c in range(4)]
+        shards[2] = tuple(a[:0] for a in shards[2])
+        images = replace(tiny_image_task, client_data=shards)
+        with pytest.raises(ValueError, match=r"^client 2: empty client shard"):
+            images.batcher([3, 2, 0], 10, rngs)
+        streams = [tiny_text_task.client_payload(c) for c in range(3)]
+        streams[1] = streams[1][:5]
+        text = replace(tiny_text_task, client_data=streams)
+        with pytest.raises(ValueError, match=r"^client 1: stream of 5 tokens too short"):
+            text.batcher([0, 1, 2], 4, rngs)
+
     def test_short_text_stream(self, tiny_text_task, fast_config):
         streams = [tiny_text_task.client_payload(c) for c in range(3)]
         streams[1] = streams[1][:5]

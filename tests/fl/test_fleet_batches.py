@@ -11,18 +11,23 @@ and ragged shards still train.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvg
 from repro.data.batching import ImageBatcher
-from repro.data.registry import make_fleet_task, make_task
+from repro.data.registry import FederatedTask, make_fleet_task, make_task
+from repro.experiments.configs import preset_for
 from repro.fl import client as fl_client
 from repro.fl.client import ClientContext
 from repro.fl.config import FLConfig
 from repro.fl.parameters import ParamSet
+from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import build_model
 from repro.streams import stream
+from tests.conftest import LoneBatcher
 
 V = 5
 BATCH = 16
@@ -40,12 +45,20 @@ def mnist():
     return make_task("mnist", "small", seed=1)
 
 
+@pytest.fixture(scope="module")
+def uneven(mnist):
+    """Resident image clients holding 20 to 65 rows: one batch size,
+    unequal row counts."""
+    payloads = [tuple(a[: 20 + 9 * c] for a in mnist.client_payload(c)) for c in range(6)]
+    return replace(mnist, client_data=payloads)
+
+
 def _rng(client: int) -> np.random.Generator:
     return stream("engine", SEED, ROUND, client)
 
 
 def _draw(task, client: int, steps: int, n_batches: int = V) -> list:
-    batcher = task.batcher(client, BATCH, _rng(client), steps)
+    batcher = LoneBatcher(task, client, BATCH, _rng(client), steps)
     return [batcher.next_batch() for _ in range(n_batches)]
 
 
@@ -88,6 +101,64 @@ def test_batches_do_not_depend_on_the_block(name, steps, request):
         assert _same(_draw(task, client, steps, 2 * V), _draw(task, client, 1, 2 * V))
 
 
+@pytest.mark.parametrize("name", ["uneven", "ragged"])
+def test_stack_batches_are_the_lone_batches_stacked(name, request):
+    """One batcher over a stack of clients with unequal row counts hands
+    each client, in its slot, the batches it draws alone."""
+    task = request.getfixturevalue(name)
+    ids = [c for c in range(min(60, task.n_clients)) if task.client_size(c) >= BATCH][:7]
+    ids = ids[::-1]  # a stack in any order
+    assert len({task.client_size(c) for c in ids}) > 1
+    stack = task.batcher(ids, BATCH, [_rng(c) for c in ids], V)
+    together = [stack.next_batch() for _ in range(2 * V)]
+    assert together[0][0].shape[:2] == (len(ids), BATCH)
+    for i, c in enumerate(ids):
+        assert _same([(x[i], y[i]) for x, y in together], _draw(task, c, V, 2 * V))
+
+
+def test_text_stack_batches_with_draws_between_steps():
+    """Text stacks draw each client's window starts per step from its own
+    rng, so a method's draws between steps (FedBIAD's pattern swaps,
+    here a different count per client) leave each slot equal to the
+    client's lone batches.  Reddit's users hold unequal streams."""
+    task = make_task("reddit", "small", seed=1)
+    ids = [3, 0, 11, 7]
+    assert len({task.client_size(c) for c in ids}) == len(ids)
+
+    def run(batcher, rngs, slots):
+        batches = []
+        for v in range(V):
+            batches.append(batcher.next_batch())
+            for rng, k in zip(rngs, slots):
+                rng.random(k + v)
+        return batches
+
+    rngs = [_rng(c) for c in ids]
+    together = run(task.batcher(ids, 8, rngs), rngs, range(len(ids)))
+    for i, c in enumerate(ids):
+        rng = _rng(c)
+        alone = run(LoneBatcher(task, c, 8, rng), [rng], [i])
+        assert _same([(x[i], y[i]) for x, y in together], alone)
+
+
+def test_fleet_round_builds_one_batcher_per_stack(monkeypatch):
+    """The K=1M fleet's 200-client cohort gets one batcher per stack of
+    13: 16 calls, not one per client."""
+    task = make_task("fleet", "paper", seed=0)
+    config = preset_for("fleet", "paper").fl.with_overrides(kappa=2e-4, rounds=1, seed=11)
+    stacks = []
+    batcher = FederatedTask.batcher
+
+    def counting(self, client_ids, *args):
+        stacks.append(len(client_ids))
+        return batcher(self, client_ids, *args)
+
+    monkeypatch.setattr(FederatedTask, "batcher", counting)
+    FederatedSimulation(task, FedAvg(), config).run_round(1)
+    assert sum(stacks) == 200
+    assert len(stacks) == 16
+
+
 class _RecordingRng:
     """Forwards ``random`` to a generator and records each draw's shape."""
 
@@ -106,7 +177,7 @@ def test_every_image_task_draws_a_round_block(mnist, tiny_image_task):
 
     def draws(task):
         rng = _RecordingRng(_rng(0))
-        batcher = task.batcher(0, 8, rng, V)
+        batcher = task.batcher([0], 8, [rng], V)
         for _ in range(V):
             batcher.next_batch()
         return rng.shapes
@@ -141,7 +212,8 @@ def _cohort(task, order, stack, monkeypatch):
 
     def recording(self):
         bx, by = next_batch(self)
-        seen[owner[id(self.rng)]].append((bx.copy(), by.copy()))
+        for i, rng in enumerate(self.rngs):
+            seen[owner[id(rng)]].append((bx[i].copy(), by[i].copy()))
         return bx, by
 
     with monkeypatch.context() as m:

@@ -207,6 +207,21 @@ class TestFusedMLPLoss:
             with model.stacked(state):
                 check()
 
+    def test_leaves_keep_the_fused_gradients(self, tiny_mlp, rng):
+        """The fused node hands its gradients to the leaves uncopied (a
+        weight's lives in its layer's buffer), and a second backward
+        without ``zero_grad`` still accumulates, leaving the buffer the
+        first gradient lives in untouched."""
+        batch = (rng.normal(size=(5, 6)), rng.integers(0, 4, size=5))
+        tiny_mlp.zero_grad()
+        tiny_mlp.loss(batch).backward()
+        first = [p.grad.copy() for p in tiny_mlp.parameters()]
+        assert np.shares_memory(tiny_mlp.net.layer0.weight.grad, tiny_mlp._weight_grads[0])
+        tiny_mlp.loss(batch).backward()
+        for p, g in zip(tiny_mlp.parameters(), first):
+            assert p.grad.tobytes() == (g + g).tobytes()
+        assert tiny_mlp._weight_grads[0].tobytes() == first[0].T.tobytes()
+
     def test_predict_logits_is_the_composed_forward(self, rng):
         model = MLPClassifier(input_dim=6, hidden_dims=(7, 5), n_classes=4, rng=rng)
         x = rng.normal(size=(11, 6))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from repro.traces import (
     make_trace_system,
     save_trace,
     trace_system_spec,
+    zipf_class_weights,
 )
-from repro.streams import VECTOR_MIN_KEYS
+from repro.streams import VECTOR_MIN_KEYS, stream
 from repro.traces.systems_trace import TRAIT_CACHE_SIZE
 
 
@@ -69,6 +72,25 @@ class TestHooks:
         trace = make_synthetic_trace("t", seed=3)
         ids = [5, 0, 77, 2**20, 5] + list(range(900, 900 + VECTOR_MIN_KEYS))
         assert trace.client_records(ids) == [trace.client_record(c) for c in ids]
+
+    def test_records_equal_the_scalar_draws_for_200_ids(self):
+        """The array-wide records are bit for bit what the scalar
+        formula gives each id's own stream: a class uniform, then
+        ``exp(normal(log median, sigma))`` for speed and bandwidth."""
+        trace = make_synthetic_trace("t", seed=11)
+        ids = list(range(7, 7 * 201, 7))
+        expected = []
+        for c in ids:
+            rng = stream("trace_traits", 11, c)
+            k = int(np.searchsorted(np.cumsum(zipf_class_weights(3, 1.2)), rng.random(), "right"))
+            cls = trace.classes[min(k, 2)]
+            speed = float(np.exp(rng.normal(math.log(cls.speed_median), cls.speed_sigma)))
+            bw = float(np.exp(rng.normal(math.log(cls.bandwidth_median), cls.bandwidth_sigma)))
+            expected.append(ClientRecord(c, cls.name, speed, bw))
+        assert len(ids) == 200
+        assert trace.client_records(ids) == expected
+        assert [trace.client_record(c) for c in ids] == expected
+        assert len({r.device_class for r in expected}) == 3
 
     def test_prepare_cohort_reads_only_uncached_ids(self, monkeypatch):
         trace = make_synthetic_trace("t", seed=1)
