@@ -56,7 +56,10 @@ class ImageBatcher:
     one contiguous ``(c, batch, ...)`` slice.  A block of ``random``
     rows consumes the stream exactly as the same rows drawn one per
     call, so while nothing else draws from a client's rng between
-    batches, the batches do not depend on ``steps``.
+    batches, the batches do not depend on ``steps``.  Given
+    ``n_classes``, each block's labels are checked to lie in
+    ``[0, n_classes)`` once, for the models that train on them unchecked
+    (:meth:`repro.nn.models.MLPClassifier.loss_and_grads`).
     """
 
     def __init__(
@@ -69,6 +72,7 @@ class ImageBatcher:
         rngs: list[np.random.Generator],
         steps: int = 1,
         ids=None,
+        n_classes: int | None = None,
     ) -> None:
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y length mismatch")
@@ -85,6 +89,7 @@ class ImageBatcher:
         self.batch_size = batch.pop()
         self.rngs = list(rngs)
         self.steps = steps
+        self.n_classes = n_classes
         self._block: tuple[np.ndarray, np.ndarray] = (x[:0], y[:0])
         self._next = 0
 
@@ -105,7 +110,12 @@ class ImageBatcher:
             idx = keys.argsort(axis=2)[:, :, : self.batch_size]
             idx += self.starts[:, None, None]
             idx = idx.transpose(1, 0, 2)
-            self._block = (self.x.take(idx, axis=0), self.y.take(idx))
+            labels = self.y.take(idx)
+            if self.n_classes is not None and (
+                labels.min() < 0 or labels.max() >= self.n_classes
+            ):
+                raise ValueError("target labels out of range")
+            self._block = (self.x.take(idx, axis=0), labels)
             self._next = 0
         v = self._next
         self._next += 1

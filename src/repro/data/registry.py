@@ -394,7 +394,10 @@ class FederatedTask:
         ids = [int(c) for c in client_ids]
         arrays, starts, sizes = self.client_data.stack_rows(ids)
         if self.kind == "image":
-            return ImageBatcher(*arrays, starts, sizes, batch_size, rngs, steps, ids)
+            return ImageBatcher(
+                *arrays, starts, sizes, batch_size, rngs, steps, ids,
+                n_classes=self.model_spec.get("n_classes"),
+            )
         return SequenceBatcher(arrays, starts, sizes, batch_size, self.seq_len, rngs, ids)
 
     def eval_batches(self, batch_size: int = 256) -> Iterator:

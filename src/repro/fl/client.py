@@ -15,7 +15,7 @@ through three server-side hooks:
 CNN).  It trains the cohort in *stacks*: up to :data:`STACK_BYTES` of
 float64 parameters' worth of clients sharing one effective batch size
 ``min(batch_size, |D_k|)`` run through the model at once
-(:meth:`repro.nn.module.Module.stacked`), one ``loss``/``backward``/
+(:meth:`repro.nn.module.Module.stacked`), one ``loss_and_grads``/
 ``step`` per local iteration for the whole stack.  A model larger than
 the budget trains in stacks of one, on the same path.  A method supplies
 only its per-client parts, each drawing from the client's own
@@ -38,10 +38,20 @@ shards and batches are dropped when the stack has trained, so a cohort
 holds the data of one stack at a time, never all of it.  The stack's
 per-client mean losses are computed once, row by row.
 
+The stack's start is written in one pass per parameter: every
+client's start parameters, then the masks and per-client scales
+applied array-wide (what :meth:`LocalRun.load` does for one client, and
+does again after a mid-round mask swap).  A stack whose clients share
+their masks, or are unmasked, counts its kept entries once for all
+uploads.
+
 The local-training loop (:func:`run_local_sgd`) implements the masked
-update rule of Eq. (7): gradients are multiplied by the masks, and
-dropped entries are pinned to +0.0 after every step so momentum or
-weight decay cannot resurrect them.  Masks follow
+update rule of Eq. (7) on plain arrays: the model's
+``loss_and_grads`` hands back one gradient array per parameter, they
+are multiplied by float keep-masks, ``SGD.step`` takes them, and
+dropped entries are pinned to +0.0 through bool drop-masks after every
+step so momentum or weight decay cannot resurrect them.  An MLP step
+builds no autograd graph.  Masks follow
 :func:`repro.fl.rows.broadcast_mask`: a row mask broadcasts along its
 rows, an element mask is used as is.
 """
@@ -121,8 +131,8 @@ class LocalRun:
     """One client's local round, as a method's per-client hooks see it.
 
     ``params`` is what the client's slot of the model is loaded from, at
-    the start and again whenever :meth:`FederatedMethod.local_step`
-    swaps the masks: dropped entries become +0.0 and kept ones are
+    the start (for the whole stack at once) and again whenever
+    :meth:`FederatedMethod.local_step` swaps the masks: dropped entries become +0.0 and kept ones are
     multiplied by ``scale`` (inverted dropout; the upload takes it
     back out).  ``masks`` maps parameter names to row or element masks
     (:func:`~repro.fl.rows.broadcast_mask`); ``None`` trains unmasked.
@@ -138,9 +148,14 @@ class LocalRun:
     #: its slot of the stack), its trained parameters afterwards
     weights: dict[str, np.ndarray] = field(default_factory=dict)
     losses: list[float] = field(default_factory=list)
+    #: the kept entries under ``masks``, counted once for a stack whose
+    #: clients share their masks or are unmasked; ``None`` counts anew
+    n_kept: int | None = None
 
     def load(self) -> None:
-        """Write ``params`` into the live weights under ``masks``."""
+        """Write ``params`` into the live weights under ``masks``, after
+        a mid-round mask swap (the stack writes every client's start at
+        once, the same way)."""
         for name, w in self.weights.items():
             w[...] = self.params[name]
             if self.masks is not None and name in self.masks:
@@ -154,9 +169,10 @@ class LocalRun:
         at 32 bits each and no mask bits: the server knows the masks."""
         params = ParamSet(self.weights)
         masks = self.masks or {}
+        kept = kept_entries(masks, params) if self.n_kept is None else self.n_kept
         return ClientUpdate(
             payload=ClientPayload(params=params, weight=float(self.ctx.n_samples), masks=masks),
-            upload_bits=FLOAT_BITS * kept_entries(masks, params),
+            upload_bits=FLOAT_BITS * kept,
             train_losses=self.losses,
             aux=self.aux,
         )
@@ -236,33 +252,42 @@ class FederatedMethod:
     def _train(self, ctxs: list[ClientContext]) -> list[ClientUpdate]:
         """Train one stack through :func:`run_local_sgd`.
 
-        Parameters and masks live in ``(c,) + shape`` arrays; client
-        ``i`` owns slot ``i`` of each, and its ``run.weights`` are views
-        of its slots.  One batcher serves the stack, built after every
+        Parameters and masks (float keep-masks and bool drop-masks) live
+        in ``(c,) + shape`` arrays; client ``i`` owns slot ``i`` of each,
+        and its ``run.weights`` are views of its slots.  One batcher serves the stack, built after every
         ``local_start``; a shard it cannot draw from raises
         ``ValueError`` naming the round and the client.
         """
         model = ctxs[0].model
         runs = [self.local_start(ctx) for ctx in ctxs]
+        # the stack's start, one pass per parameter: ``LocalRun.load``
+        # of every client at once
         state = {
-            name: np.empty((len(runs),) + p.data.shape) for name, p in model.named_parameters()
+            name: np.array([run.params[name] for run in runs], dtype=np.float64)
+            for name, _ in model.named_parameters()
         }
+        scales = np.array([run.scale for run in runs])
+        scaled = bool((scales != 1.0).any())
+        keep, drop = {}, {}
+        for name in runs[0].masks or ():
+            w = state[name]
+            kept = np.array([broadcast_mask(run.masks[name], w.ndim - 1) for run in runs])
+            keep[name], drop[name] = kept.astype(np.float64), ~kept
+            np.copyto(w, 0.0, where=drop[name])
+            if scaled:
+                np.multiply(w, broadcast_mask(scales, w.ndim), out=w, where=kept)
         for i, run in enumerate(runs):
             run.weights = {name: a[i] for name, a in state.items()}
-            run.load()
-        slots = {
-            name: np.stack([broadcast_mask(run.masks[name], state[name].ndim - 1) for run in runs])
-            for name in runs[0].masks or ()
-        }
-        masks = {name: _as_param(m) for name, m in slots.items()} if slots else None
+        masks = {name: (_as_param(keep[name]), _as_param(drop[name])) for name in keep} or None
 
         def on_iteration(v: int, losses) -> None:
             for i, run in enumerate(runs):
                 new = self.local_step(run, v, losses[i])
                 if new is not None:
                     run.masks = new
-                    for name, m in slots.items():
-                        m[i] = broadcast_mask(new[name], m.ndim - 1)
+                    for name, k in keep.items():
+                        k[i] = broadcast_mask(new[name], k.ndim - 1)
+                        np.logical_not(k[i], out=drop[name][i])
                     run.load()
 
         hook = on_iteration if type(self).local_step is not FederatedMethod.local_step else None
@@ -284,6 +309,10 @@ class FederatedMethod:
         # ``np.mean`` of the client's list does (pairwise from 8 values)
         rows = np.array(steps).T.copy()
         means = rows.mean(axis=1).tolist()
+        if all(run.masks is runs[0].masks for run in runs):
+            n_kept = kept_entries(runs[0].masks or {}, runs[0].weights)
+            for run in runs:
+                run.n_kept = n_kept
         updates = []
         for run, losses, mean in zip(runs, rows.tolist(), means):
             run.losses = losses
@@ -324,42 +353,44 @@ def run_local_sgd(
     batcher,
     iterations: int,
     rowspace: RowSpace | None = None,
-    masks: dict[str, np.ndarray] | None = None,
+    masks: dict | None = None,
     on_iteration: Callable[[int, float], None] | None = None,
 ) -> list:
     """Run ``iterations`` masked SGD steps; returns per-step losses.
 
     The only local-training loop: every method's clients train here, in
     stacks (:meth:`FederatedMethod.cohort_update`).  Implements Eq. (7):
-    ``U <- U - eta * (beta ∘ grad L)``.  When ``masks`` is given (as the model's parameters hold
-    them, see :func:`~repro.fl.rows.broadcast_mask`), ``rowspace``
-    applies them: gradients are multiplied by the masks before the step
-    and dropped entries re-pinned to +0.0 after it.  The masks are bound
-    to their parameters once (:func:`~repro.fl.rows.bind_masks`), as
-    views.  The ``on_iteration`` hook runs after each step with its
-    loss; it may rewrite ``masks`` in place (FedBIAD's pattern swap,
+    ``U <- U - eta * (beta ∘ grad L)``, one array loop: a batch, the
+    model's ``loss_and_grads``, the gradients times the keep-masks, the
+    SGD step and the pin.  When ``masks`` is given (as the model's
+    parameters hold them, see :func:`~repro.fl.rows.broadcast_mask`),
+    ``rowspace`` applies them: gradients are multiplied by the masks
+    before the step and dropped entries re-pinned to +0.0 after it.  The
+    masks are bound to their parameters once
+    (:func:`~repro.fl.rows.bind_masks`); ``(keep, drop)`` pairs are
+    bound as views.  The ``on_iteration`` hook runs after each step with
+    its loss; it may rewrite the pairs in place (FedBIAD's pattern swap,
     Algorithm 1 lines 18-26), and the next step masks with the new
     values.
 
     Every model trains as a stack of clients, so its loss holds one
-    value per client: backward is seeded with ones, and each step's
-    entry is the list of per-client losses.
+    value per client, and each step's entry is the list of per-client
+    losses.  An MLP's step makes no ``Tensor``
+    (:meth:`~repro.nn.models.MLPClassifier.loss_and_grads`); other
+    models run their graph inside ``loss_and_grads``.
     """
     if masks is not None and rowspace is None:
         raise ValueError("masks require a rowspace")
     bound = bind_masks(model, masks) if masks is not None else None
     losses: list = []
     for v in range(iterations):
-        batch = batcher.next_batch()
-        optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward(np.ones_like(loss.data))
+        loss, grads = model.loss_and_grads(batcher.next_batch())
         if bound is not None:
-            rowspace.mask_model_gradients(bound)
-        optimizer.step()
+            rowspace.mask_model_gradients(grads, bound)
+        optimizer.step(grads)
         if bound is not None:
             rowspace.zero_dropped_rows(bound)
-        value = loss.data.tolist()
+        value = loss.tolist()
         losses.append(value)
         if on_iteration is not None:
             on_iteration(v, value)

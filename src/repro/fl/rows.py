@@ -16,8 +16,8 @@ It provides:
   the paper's global set, see DESIGN.md §4);
 * score-based pattern construction for FedBIAD's stage two;
 * the masking that :func:`repro.fl.client.run_local_sgd` applies for
-  every method, to parameters bound to their masks once per stack
-  (:func:`bind_masks`).
+  every method, to gradient arrays and parameters bound to their masks
+  once per stack (:func:`bind_masks`).
 
 Masks have one vocabulary (:func:`broadcast_mask`): a mask is aligned
 with its parameter's leading axes and broadcasts over the axes it
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.module import Module, Parameter, RowSpec
+from ..nn.module import Module, RowSpec
 from .parameters import ParamSet
 
 __all__ = ["RowBlock", "RowSpace", "bind_masks", "broadcast_mask", "kept_entries"]
@@ -62,18 +62,30 @@ def kept_entries(masks: dict[str, np.ndarray], params) -> int:
     return total
 
 
-def bind_masks(model: Module, masks: dict[str, np.ndarray]) -> list[tuple[Parameter, np.ndarray]]:
-    """Pair each masked parameter of ``model`` with its mask, broadcast
-    to the parameter's rank, once for many steps.
+#: a stack's masks bound to the parameters (:func:`bind_masks`)
+Binding = list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
-    The broadcast masks are views, so rewriting ``masks`` in place (a
-    stack's per-client mask swap) takes effect in the next masking.
+
+def bind_masks(model: Module, masks: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]) -> Binding:
+    """Bind each masked parameter of ``model`` to its mask, once for
+    many steps: ``(i, data, keep, drop)`` for the parameter at position
+    ``i`` of ``model.parameters()``, its array, a float keep-mask (1.0
+    kept, 0.0 dropped) for the gradient multiply and a bool drop-mask
+    for the pin, both broadcast to the parameter's rank.
+
+    ``masks`` maps names to bool masks, or to ``(keep, drop)`` pairs of
+    float and bool masks.  A pair is bound as views, so rewriting it in
+    place (a stack's per-client mask swap) takes effect in the next
+    masking; a bool mask is converted once.
     """
-    return [
-        (p, broadcast_mask(masks[name], p.data.ndim))
-        for name, p in model.named_parameters()
-        if name in masks
-    ]
+    bound = []
+    for i, (name, p) in enumerate(model.named_parameters()):
+        if name in masks:
+            mask = masks[name]
+            keep, drop = mask if isinstance(mask, tuple) else (mask.astype(np.float64), ~mask)
+            ndim = p.data.ndim
+            bound.append((i, p.data, broadcast_mask(keep, ndim), broadcast_mask(drop, ndim)))
+    return bound
 
 
 @dataclass(frozen=True)
@@ -254,18 +266,20 @@ class RowSpace:
                 out[name] = value.copy()
         return ParamSet(out)
 
-    def mask_model_gradients(self, bound: list[tuple[Parameter, np.ndarray]]) -> None:
-        """Multiply gradients by their masks in place (Eq. 7's masking).
+    def mask_model_gradients(self, grads: list[np.ndarray | None], bound: Binding) -> None:
+        """Multiply the gradient arrays ``grads`` (one per parameter, in
+        parameter order) by their keep-masks in place (Eq. 7's masking).
 
-        ``bound`` pairs parameters with their masks (:func:`bind_masks`).
+        ``bound`` is the masks' binding (:func:`bind_masks`); a float
+        keep-mask gives the bytes a bool one does, without its cast.
         """
-        for p, mask in bound:
-            if p.grad is not None:
-                p.grad *= mask
+        for i, _, keep, _ in bound:
+            if grads[i] is not None:
+                grads[i] *= keep
 
-    def zero_dropped_rows(self, bound: list[tuple[Parameter, np.ndarray]]) -> None:
+    def zero_dropped_rows(self, bound: Binding) -> None:
         """Pin the dropped entries of the live model to +0.0 (post-step
-        guard).  Written, never multiplied: ``x * False`` is -0.0 for
+        guard).  Written, never multiplied: ``x * 0.0`` is -0.0 for
         negative ``x``."""
-        for p, mask in bound:
-            np.copyto(p.data, 0.0, where=~mask)
+        for _, data, _, drop in bound:
+            np.copyto(data, 0.0, where=drop)

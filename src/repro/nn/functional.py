@@ -73,25 +73,27 @@ def _cross_entropy_data(
     logits: np.ndarray,
     targets: np.ndarray,
     reduction: str,
+    checked: bool = False,
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """:func:`cross_entropy` on a raw logits array: the reduced losses,
     and the map from their gradient to the logits' gradient
     (``softmax - onehot``, scaled).  Fused losses that end in a softmax
-    (:meth:`repro.nn.models.MLPClassifier.loss`) share it."""
+    (:meth:`repro.nn.models.MLPClassifier.loss`) share it.  ``checked``
+    says the labels' range was checked already (a training batcher
+    checks each block it draws); unchecked labels are checked here."""
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ValueError(
             f"targets shape {targets.shape} does not match logits {logits.shape}"
         )
     n_classes = logits.shape[-1]
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
+    if not checked and targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         raise ValueError("target labels out of range")
 
     log_probs = _log_softmax_data(logits)
-    flat_lp = log_probs.reshape(-1, n_classes)
-    flat_t = targets.reshape(-1).astype(np.intp)
-    rows = np.arange(flat_t.size)
-    losses = -flat_lp[rows, flat_t].reshape(targets.shape)
+    # one flat index of each row's target entry
+    flat = np.arange(0, targets.size * n_classes, n_classes) + targets.reshape(-1)
+    losses = -log_probs.take(flat).reshape(targets.shape)
 
     if reduction == "none":
         out_data = losses
@@ -107,11 +109,10 @@ def _cross_entropy_data(
 
     def logits_grad(grad: np.ndarray) -> np.ndarray:
         g = probs.copy()
-        flat_g = g.reshape(-1, n_classes)
-        flat_g[rows, flat_t] -= 1.0
+        g.reshape(-1)[flat] -= 1.0
         grad = np.asarray(grad)
         if reduction == "none":
-            flat_g *= grad.reshape(-1, 1)
+            g *= grad[..., None]
         else:
             scale = grad / max(targets.shape[-1], 1) if reduction == "mean" else grad
             g *= scale[..., None, None]

@@ -10,9 +10,10 @@ Both expose a uniform interface consumed by the federated layer:
 
 * ``loss(batch) -> Tensor`` — the training loss of one minibatch, a
   scalar; under :meth:`~repro.nn.module.Module.stacked` a stack of ``c``
-  minibatches gives the ``(c,)`` per-client losses, and seeding
-  ``backward`` with ones trains on their sum, which gives every client
-  exactly its own gradient;
+  minibatches gives the ``(c,)`` per-client losses;
+* ``loss_and_grads(batch)`` — those losses and, as arrays, the gradient
+  of their sum, which gives every client exactly its own gradient (the
+  MLP's without a graph);
 * ``predict_logits(inputs) -> np.ndarray`` — evaluation-time logits;
 * ``state_dict`` / ``load_state_dict`` / ``row_specs`` from
   :class:`repro.nn.module.Module`.
@@ -26,7 +27,7 @@ from .functional import _cross_entropy_data, cross_entropy
 from .layers import Embedding, Linear, ReLU, Sequential
 from .module import Module, Parameter
 from .recurrent import LSTM
-from .tensor import Tensor, _unbroadcast, no_grad
+from .tensor import Tensor, no_grad
 
 __all__ = ["MLPClassifier", "WordLSTM", "build_model"]
 
@@ -89,52 +90,71 @@ class MLPClassifier(Module):
             acts.append(z if i == last else np.maximum(z, 0.0))
         return acts
 
+    def _grads(self, acts: list[np.ndarray], g: np.ndarray, fresh=()) -> list[np.ndarray]:
+        """The VJP: every parameter's gradient, in parameter order, from
+        the logits' gradient ``g`` and the forward's ``acts``.
+
+        It applies the numpy operations of the composed ``Linear``/
+        ``ReLU``/:func:`~repro.nn.functional.cross_entropy` graph in the
+        same order, so gradients are bit-identical to it.  A weight's is
+        written into the layer's buffer, unless its layer is in ``fresh``
+        (it then gets a new array).
+        """
+        linears = self._linears
+        grads = []
+        for i in range(len(linears) - 1, -1, -1):
+            layer, h = linears[i], acts[i]
+            grads.append(np.add.reduce(g, axis=-2, keepdims=layer.bias.data.ndim == g.ndim))
+            h_t = np.swapaxes(h, -1, -2)
+            buf = self._weight_grads[i]
+            shape = h_t.shape[:-1] + g.shape[-1:]
+            if i in fresh:
+                buf = None
+            elif buf is None or buf.shape != shape:
+                # laid out as numpy copies the transposed view, down
+                # to the stride of a size-1 client axis
+                leaf = np.empty_like(np.swapaxes(np.empty(shape), -1, -2))
+                buf = self._weight_grads[i] = np.swapaxes(leaf, -1, -2)
+            # a transposed view, as ``W.mT``'s backward hands it on:
+            # that memory layout keeps the summation order of
+            # gradient clipping
+            grads.append(np.swapaxes(np.matmul(h_t, g, out=buf), -1, -2))
+            if i:
+                # h = max(z, 0) is positive exactly where z is
+                g = (g @ layer.weight.data) * (h > 0.0)
+        return grads[::-1]
+
+    def loss_and_grads(self, batch: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, list]:
+        """:meth:`loss`'s values and its parameters' gradients as arrays,
+        without a graph: the ``(c,)`` losses of a stack and the gradient
+        of their sum.  Each weight's gradient lives in its layer's
+        buffer until the next call.  The labels' range is left to the
+        batcher (:class:`~repro.data.batching.ImageBatcher`)."""
+        x, y = batch
+        acts = self._activations(x)
+        out, logits_grad = _cross_entropy_data(acts[-1], y, "mean", checked=True)
+        return out, self._grads(acts, logits_grad(np.ones_like(out)))
+
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
         """Mean cross-entropy over one ``(images, labels)`` minibatch, or
         the ``(c,)`` per-client means of ``(c, batch, in)`` images and
         ``(c, batch)`` labels.
 
-        One autograd node over the whole network: a numpy forward that
-        keeps the activations, and a hand-written VJP that applies the
-        numpy operations of the composed ``Linear``/``ReLU``/
-        :func:`~repro.nn.functional.cross_entropy` graph in the same
-        order, so losses and gradients are bit-identical to it.  The
-        node owns its gradients, so the leaves keep them uncopied: a
-        weight's is written into the layer's buffer, unless the leaf
-        still holds an earlier gradient there (it then gets a new array).
+        One autograd node over the whole network, the numpy forward and
+        VJP of :meth:`loss_and_grads`, which tests hold against the
+        composed graph.  The leaves keep its gradients uncopied (a weight
+        that still holds an earlier gradient gets a new array).
         """
         x, y = batch
         acts = self._activations(x)
         out, logits_grad = _cross_entropy_data(acts[-1], y, "mean")
-        linears = self._linears
+        params = self.parameters()
 
         def backward(grad: np.ndarray) -> list:
-            g = logits_grad(grad)
-            pairs = []
-            for i in range(len(linears) - 1, -1, -1):
-                layer, h = linears[i], acts[i]
-                pairs.append((layer.bias, _unbroadcast(g, layer.bias.data.shape)))
-                h_t = np.swapaxes(h, -1, -2)
-                buf = self._weight_grads[i]
-                shape = h_t.shape[:-1] + g.shape[-1:]
-                if layer.weight.grad is not None:
-                    buf = None
-                elif buf is None or buf.shape != shape:
-                    # laid out as numpy copies the transposed view, down
-                    # to the stride of a size-1 client axis
-                    leaf = np.empty_like(np.swapaxes(np.empty(shape), -1, -2))
-                    buf = self._weight_grads[i] = np.swapaxes(leaf, -1, -2)
-                # a transposed view, as ``W.mT``'s backward hands it on:
-                # that memory layout keeps the summation order of
-                # gradient clipping
-                pairs.append((layer.weight, np.swapaxes(np.matmul(h_t, g, out=buf), -1, -2)))
-                if i:
-                    # h = max(z, 0) is positive exactly where z is
-                    g = (g @ layer.weight.data) * (h > 0.0)
-            return pairs
+            fresh = {i for i, layer in enumerate(self._linears) if layer.weight.grad is not None}
+            return list(zip(params, self._grads(acts, logits_grad(grad), fresh)))
 
-        params = tuple(p for layer in linears for p in (layer.weight, layer.bias))
-        return Tensor._node(out, params, backward, owned=True)
+        return Tensor._node(out, tuple(params), backward, owned=True)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         return self._activations(x)[-1]

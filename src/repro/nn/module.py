@@ -212,5 +212,19 @@ class Module:
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
+    def loss_and_grads(self, batch) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """The ``loss(batch)`` values and the gradient of their sum as
+        arrays, one per parameter in parameter order (``None`` for a
+        parameter the loss does not reach).
+
+        This default runs the composed autograd graph and returns its
+        leaves' gradients; a model with a fused VJP overrides it
+        (:meth:`repro.nn.models.MLPClassifier.loss_and_grads`).
+        """
+        self.zero_grad()
+        loss = self.loss(batch)
+        loss.backward(np.ones_like(loss.data))
+        return loss.data, [p.grad for p in self.parameters()]
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -5,7 +5,10 @@ norm (LSTM tasks, following Merity et al.).  The FedBIAD update rule of
 Eq. (7) masks gradients row-wise before the step; that masking lives in
 :mod:`repro.fl.rows` — the optimizer itself stays generic.
 
-Local training always steps a stack of independent clients along the
+Both act on plain arrays: the gradients a model's ``loss_and_grads``
+returns, one per parameter (:meth:`repro.nn.module.Module.loss_and_grads`),
+so a training step reads and writes no ``Parameter.grad``.  Local
+training always steps a stack of independent clients along the
 parameters' leading axis (:meth:`repro.nn.module.Module.stacked`), one
 client being a stack of one.  Momentum, weight decay and the update are
 elementwise and so already per client; clipping reduces each client's
@@ -21,15 +24,16 @@ from .module import Parameter
 __all__ = ["SGD", "clip_grad_norm"]
 
 
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> np.ndarray:
-    """Scale gradients in place so each client's L2 norm is <= ``max_norm``.
+def clip_grad_norm(grads: list[np.ndarray | None], max_norm: float) -> np.ndarray:
+    """Scale gradient arrays in place so each client's L2 norm is <=
+    ``max_norm``; ``None`` entries (no gradient) are skipped.
 
     The leading axis indexes clients: each client's norm reduces over
     all its other axes, summed in parameter order, and each client is
     clipped on its own.  Returns the ``(c,)`` pre-clipping norms (useful
     for monitoring divergence).
     """
-    grads = [p.grad for p in params if p.grad is not None]
+    grads = [g for g in grads if g is not None]
     total = 0.0
     for g in grads:
         total = total + np.sum(g * g, axis=tuple(range(1, g.ndim)))
@@ -80,27 +84,24 @@ class SGD:
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
         self._buffers: list[np.ndarray | None] = [None] * len(self.params)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        """Apply one SGD update to every parameter with a gradient.
+    def step(self, grads: list[np.ndarray | None]) -> None:
+        """Apply one SGD update to every parameter, given its gradient
+        array (``grads[i]`` for ``params[i]``; ``None`` skips it).
 
         In place: each parameter has one persistent scratch buffer (and
         a velocity with momentum), and the update evaluates
         ``grad + weight_decay * data``, the velocity and ``lr * update``
         in the order of the out-of-place expression, bit for bit.
+        Clipping scales ``grads`` in place.
         """
         if self.max_grad_norm is not None:
-            clip_grad_norm(self.params, self.max_grad_norm)
-        for i, p in enumerate(self.params):
-            if p.grad is None:
+            clip_grad_norm(grads, self.max_grad_norm)
+        for i, (p, update) in enumerate(zip(self.params, grads)):
+            if update is None:
                 continue
             buf = self._buffers[i]
             if buf is None:
                 buf = self._buffers[i] = np.empty_like(p.data)
-            update = p.grad
             if self.weight_decay:
                 np.multiply(p.data, self.weight_decay, out=buf)
                 buf += update

@@ -129,13 +129,11 @@ class TestElementMaskedSGD:
     def test_gradient_masking(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
         batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
-        loss = model.loss(batcher.next_batch())
-        loss.backward()
+        _, grads = model.loss_and_grads(batcher.next_batch())
         mask = np.zeros((8, 12), dtype=bool)
         bound = bind_masks(model, {"net.layer0.weight": mask})
-        RowSpace.from_module(model).mask_model_gradients(bound)
-        p = dict(model.named_parameters())["net.layer0.weight"]
-        assert np.all(p.grad == 0.0)
+        RowSpace.from_module(model).mask_model_gradients(grads, bound)
+        assert np.all(grads[0] == 0.0) and np.any(grads[2] != 0.0)
 
     def test_apply_element_masks(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)

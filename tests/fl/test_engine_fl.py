@@ -131,18 +131,18 @@ class TestDivergence:
             test_data=(gen.normal(size=(16, 12)), gen.integers(0, 4, size=16)),
         )
         stacks, cohorts = [], []
-        loss = MLPClassifier.loss
+        loss_and_grads = MLPClassifier.loss_and_grads
         execute = engine.execute_client
 
         def recording(self, batch):
             stacks.append(np.shape(batch[1]))
-            return loss(self, batch)
+            return loss_and_grads(self, batch)
 
         def logged(*args):
             cohorts.append([int(c) for c in args[6]])
             return execute(*args)
 
-        monkeypatch.setattr(MLPClassifier, "loss", recording)
+        monkeypatch.setattr(MLPClassifier, "loss_and_grads", recording)
         monkeypatch.setattr(engine, "execute_client", logged)
         name = method.name
         with pytest.raises(FloatingPointError, match=rf"round 1, client 1: {name}"):

@@ -151,12 +151,11 @@ class TestMaskApplication:
         masks = space.split(beta)
         x = rng.integers(0, 9, size=(2, 4))
         y = rng.integers(0, 9, size=(2, 4))
-        loss = tiny_lstm.loss((x, y))
-        loss.backward()
-        space.mask_model_gradients(bind_masks(tiny_lstm, masks))
-        for name, p in tiny_lstm.named_parameters():
-            if name in masks and p.grad is not None:
-                assert np.all(p.grad[~masks[name]] == 0.0)
+        _, grads = tiny_lstm.loss_and_grads((x, y))
+        space.mask_model_gradients(grads, bind_masks(tiny_lstm, masks))
+        for (name, _), grad in zip(tiny_lstm.named_parameters(), grads):
+            if name in masks and grad is not None:
+                assert np.all(grad[~masks[name]] == 0.0)
 
     def test_zero_dropped_rows(self, tiny_lstm, rng):
         space = RowSpace.from_module(tiny_lstm)
@@ -167,15 +166,24 @@ class TestMaskApplication:
             if name in masks:
                 assert np.all(p.data[~masks[name]] == 0.0)
 
-    def test_binding_sees_in_place_rewrites(self, tiny_lstm):
-        """A binding holds views of the masks, so a mask rewritten in
-        place (a stack's per-client swap) takes effect at the next pin."""
+    def test_binding_sees_in_place_rewrites(self, tiny_lstm, rng):
+        """A binding holds views of ``(keep, drop)`` pairs, so a pair
+        rewritten in place (a stack's per-client swap) takes effect at
+        the next masking and pin."""
         space = RowSpace.from_module(tiny_lstm)
-        masks = space.split(space.full_pattern())
-        bound = bind_masks(tiny_lstm, masks)
-        for mask in masks.values():
-            mask[...] = False
+        pairs = {
+            name: (m.astype(np.float64), ~m)
+            for name, m in space.split(space.full_pattern()).items()
+        }
+        bound = bind_masks(tiny_lstm, pairs)
+        for keep, drop in pairs.values():
+            keep[...] = 0.0
+            drop[...] = True
+        _, grads = tiny_lstm.loss_and_grads(
+            (rng.integers(0, 9, size=(2, 4)), rng.integers(0, 9, size=(2, 4)))
+        )
+        space.mask_model_gradients(grads, bound)
         space.zero_dropped_rows(bound)
-        for name, p in tiny_lstm.named_parameters():
-            if name in masks:
-                assert np.all(p.data == 0.0)
+        for (name, p), grad in zip(tiny_lstm.named_parameters(), grads):
+            if name in pairs:
+                assert np.all(p.data == 0.0) and np.all(grad == 0.0)

@@ -151,10 +151,7 @@ class TestMLPClassifier:
         opt = SGD(tiny_mlp.parameters(), lr=0.5)
         first = tiny_mlp.loss((x, y)).item()
         for _ in range(150):
-            opt.zero_grad()
-            loss = tiny_mlp.loss((x, y))
-            loss.backward()
-            opt.step()
+            opt.step(tiny_mlp.loss_and_grads((x, y))[1])
         assert tiny_mlp.loss((x, y)).item() < 0.5 * first
 
     def test_output_layer_not_droppable(self, tiny_mlp):
@@ -291,10 +288,7 @@ class TestWordLSTM:
             opt = SGD(tiny_lstm.parameters(), lr=1.0, max_grad_norm=1.0)
             first = tiny_lstm.loss((x, y)).data[0]
             for _ in range(50):
-                opt.zero_grad()
-                tiny_lstm_loss = tiny_lstm.loss((x, y))
-                tiny_lstm_loss.backward()
-                opt.step()
+                opt.step(tiny_lstm.loss_and_grads((x, y))[1])
         tiny_lstm.load_state_dict({name: a[0] for name, a in state.items()})
         assert tiny_lstm.loss((x[0], y[0])).item() < first
 

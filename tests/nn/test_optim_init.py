@@ -18,41 +18,35 @@ def param(values):
 class TestSGD:
     def test_plain_step(self):
         p = param([1.0, 2.0])
-        p.grad = np.array([0.5, 0.5])
-        SGD([p], lr=0.1).step()
+        SGD([p], lr=0.1).step([np.array([0.5, 0.5])])
         np.testing.assert_allclose(p.data, [0.95, 1.95])
 
     def test_skips_missing_grads(self):
         p = param([1.0])
-        SGD([p], lr=0.1).step()
+        SGD([p], lr=0.1).step([None])
         np.testing.assert_allclose(p.data, [1.0])
 
     def test_weight_decay(self):
         p = param([1.0])
-        p.grad = np.array([0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
+        SGD([p], lr=0.1, weight_decay=0.5).step([np.array([0.0])])
         np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5])
 
     def test_momentum_accumulates(self):
         p = param([0.0])
         opt = SGD([p], lr=1.0, momentum=0.5)
-        p.grad = np.array([1.0])
-        opt.step()  # v=1, p=-1
-        p.grad = np.array([1.0])
-        opt.step()  # v=1.5, p=-2.5
+        opt.step([np.array([1.0])])  # v=1, p=-1
+        opt.step([np.array([1.0])])  # v=1.5, p=-2.5
         np.testing.assert_allclose(p.data, [-2.5])
 
     def test_clipping_invoked(self):
         p = param([0.0])
-        p.grad = np.array([100.0])
-        SGD([p], lr=1.0, max_grad_norm=1.0).step()
+        SGD([p], lr=1.0, max_grad_norm=1.0).step([np.array([100.0])])
         np.testing.assert_allclose(p.data, [-1.0])
 
-    def test_zero_grad(self):
+    def test_step_leaves_parameter_grads_alone(self):
+        """The step reads only the arrays it is given."""
         p = param([0.0])
-        p.grad = np.array([1.0])
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
+        SGD([p], lr=0.1).step([np.array([1.0])])
         assert p.grad is None
 
     def test_invalid_lr(self):
@@ -66,11 +60,10 @@ class TestSGD:
         """The in-place step is byte-identical to the out-of-place
         expression over many stacked steps."""
 
-        def reference_step(params, velocity, lr):
+        def reference_step(params, grads, velocity, lr):
             if max_grad_norm is not None:
-                clip_grad_norm(params, max_grad_norm)
-            for i, p in enumerate(params):
-                grad = p.grad
+                clip_grad_norm(grads, max_grad_norm)
+            for i, (p, grad) in enumerate(zip(params, grads)):
                 if weight_decay:
                     grad = grad + weight_decay * p.data
                 if momentum:
@@ -94,11 +87,9 @@ class TestSGD:
         velocity = [None] * len(theirs)
         for _ in range(200):
             scale = gen.choice([0.01, 1.0], size=(3, 1, 1))  # some clients below the clip norm
-            for a, b in zip(ours, theirs):
-                g = gen.normal(size=a.data.shape) * scale
-                a.grad, b.grad = g.copy(), g.copy()
-            opt.step()
-            reference_step(theirs, velocity, lr=0.05)
+            grads = [gen.normal(size=a.data.shape) * scale for a in ours]
+            opt.step([g.copy() for g in grads])
+            reference_step(theirs, grads, velocity, lr=0.05)
             for a, b in zip(ours, theirs):
                 assert a.data.tobytes() == b.data.tobytes()
         buffers = [b for b in opt._buffers + opt._velocity if b is not None]
@@ -111,19 +102,16 @@ class TestSGD:
 
 class TestClipGradNorm:
     def test_scales_to_max(self):
-        p1, p2 = param([0.0]), param([0.0])
-        p1.grad = np.array([3.0])
-        p2.grad = np.array([4.0])
-        norm = clip_grad_norm([p1, p2], max_norm=1.0)
+        g1, g2 = np.array([3.0]), np.array([4.0])
+        norm = clip_grad_norm([g1, None, g2], max_norm=1.0)
         assert norm == pytest.approx(5.0)
-        total = np.sqrt(p1.grad**2 + p2.grad**2)
+        total = np.sqrt(g1**2 + g2**2)
         np.testing.assert_allclose(total, [1.0])
 
     def test_no_scaling_below_max(self):
-        p = param([0.0])
-        p.grad = np.array([0.5])
-        clip_grad_norm([p], max_norm=1.0)
-        np.testing.assert_allclose(p.grad, [0.5])
+        g = np.array([0.5])
+        clip_grad_norm([g], max_norm=1.0)
+        np.testing.assert_allclose(g, [0.5])
 
 
 class TestInitializers:
