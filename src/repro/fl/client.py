@@ -132,9 +132,9 @@ class LocalRun:
 
     ``params`` is what the client's slot of the model is loaded from, at
     the start (for the whole stack at once) and again whenever
-    :meth:`FederatedMethod.local_step` swaps the masks: dropped entries become +0.0 and kept ones are
-    multiplied by ``scale`` (inverted dropout; the upload takes it
-    back out).  ``masks`` maps parameter names to row or element masks
+    :meth:`FederatedMethod.local_step` swaps the masks: dropped entries
+    become +0.0 and kept ones are multiplied by ``scale`` (inverted
+    dropout; the upload takes it back out).  ``masks`` maps parameter names to row or element masks
     (:func:`~repro.fl.rows.broadcast_mask`); ``None`` trains unmasked.
     """
 
@@ -254,9 +254,10 @@ class FederatedMethod:
 
         Parameters and masks (float keep-masks and bool drop-masks) live
         in ``(c,) + shape`` arrays; client ``i`` owns slot ``i`` of each,
-        and its ``run.weights`` are views of its slots.  One batcher serves the stack, built after every
-        ``local_start``; a shard it cannot draw from raises
-        ``ValueError`` naming the round and the client.
+        and its ``run.weights`` are views of its slots.  One batcher
+        serves the stack, built after every ``local_start``; a shard it
+        cannot draw from raises ``ValueError`` naming the round and the
+        client.
         """
         model = ctxs[0].model
         runs = [self.local_start(ctx) for ctx in ctxs]

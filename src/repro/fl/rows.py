@@ -66,7 +66,9 @@ def kept_entries(masks: dict[str, np.ndarray], params) -> int:
 Binding = list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def bind_masks(model: Module, masks: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]) -> Binding:
+def bind_masks(
+    model: Module, masks: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]
+) -> Binding:
     """Bind each masked parameter of ``model`` to its mask, once for
     many steps: ``(i, data, keep, drop)`` for the parameter at position
     ``i`` of ``model.parameters()``, its array, a float keep-mask (1.0
