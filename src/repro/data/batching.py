@@ -56,9 +56,9 @@ class ImageBatcher:
     one contiguous ``(c, batch, ...)`` slice.  A block of ``random``
     rows consumes the stream exactly as the same rows drawn one per
     call, so while nothing else draws from a client's rng between
-    batches, the batches do not depend on ``steps``.  Given
-    ``n_classes``, each block's labels are checked to lie in
-    ``[0, n_classes)`` once, for the models that train on them unchecked
+    batches, the batches do not depend on ``steps``.  Each block's
+    labels are checked to lie in ``[0, n_classes)`` once, for the models
+    that train on them unchecked
     (:meth:`repro.nn.models.MLPClassifier.loss_and_grads`).
     """
 
@@ -72,7 +72,8 @@ class ImageBatcher:
         rngs: list[np.random.Generator],
         steps: int = 1,
         ids=None,
-        n_classes: int | None = None,
+        *,
+        n_classes: int,
     ) -> None:
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y length mismatch")
@@ -111,9 +112,7 @@ class ImageBatcher:
             idx += self.starts[:, None, None]
             idx = idx.transpose(1, 0, 2)
             labels = self.y.take(idx)
-            if self.n_classes is not None and (
-                labels.min() < 0 or labels.max() >= self.n_classes
-            ):
+            if labels.min() < 0 or labels.max() >= self.n_classes:
                 raise ValueError("target labels out of range")
             self._block = (self.x.take(idx, axis=0), labels)
             self._next = 0

@@ -396,7 +396,7 @@ class FederatedTask:
         if self.kind == "image":
             return ImageBatcher(
                 *arrays, starts, sizes, batch_size, rngs, steps, ids,
-                n_classes=self.model_spec.get("n_classes"),
+                n_classes=self.model_spec["n_classes"],
             )
         return SequenceBatcher(arrays, starts, sizes, batch_size, self.seq_len, rngs, ids)
 

@@ -41,9 +41,7 @@ per-client mean losses are computed once, row by row.
 The stack's start is written in one pass per parameter: every
 client's start parameters, then the masks and per-client scales
 applied array-wide (what :meth:`LocalRun.load` does for one client, and
-does again after a mid-round mask swap).  A stack whose clients share
-their masks, or are unmasked, counts its kept entries once for all
-uploads.
+does again after a mid-round mask swap).
 
 The local-training loop (:func:`run_local_sgd`) implements the masked
 update rule of Eq. (7) on plain arrays: the model's
@@ -134,8 +132,9 @@ class LocalRun:
     the start (for the whole stack at once) and again whenever
     :meth:`FederatedMethod.local_step` swaps the masks: dropped entries
     become +0.0 and kept ones are multiplied by ``scale`` (inverted
-    dropout; the upload takes it back out).  ``masks`` maps parameter names to row or element masks
-    (:func:`~repro.fl.rows.broadcast_mask`); ``None`` trains unmasked.
+    dropout; the upload takes it back out).  ``masks`` maps parameter
+    names to row or element masks (:func:`~repro.fl.rows.broadcast_mask`);
+    ``None`` trains unmasked.
     """
 
     ctx: ClientContext
@@ -148,9 +147,6 @@ class LocalRun:
     #: its slot of the stack), its trained parameters afterwards
     weights: dict[str, np.ndarray] = field(default_factory=dict)
     losses: list[float] = field(default_factory=list)
-    #: the kept entries under ``masks``, counted once for a stack whose
-    #: clients share their masks or are unmasked; ``None`` counts anew
-    n_kept: int | None = None
 
     def load(self) -> None:
         """Write ``params`` into the live weights under ``masks``, after
@@ -169,10 +165,9 @@ class LocalRun:
         at 32 bits each and no mask bits: the server knows the masks."""
         params = ParamSet(self.weights)
         masks = self.masks or {}
-        kept = kept_entries(masks, params) if self.n_kept is None else self.n_kept
         return ClientUpdate(
             payload=ClientPayload(params=params, weight=float(self.ctx.n_samples), masks=masks),
-            upload_bits=FLOAT_BITS * kept,
+            upload_bits=FLOAT_BITS * kept_entries(masks, params),
             train_losses=self.losses,
             aux=self.aux,
         )
@@ -310,10 +305,6 @@ class FederatedMethod:
         # ``np.mean`` of the client's list does (pairwise from 8 values)
         rows = np.array(steps).T.copy()
         means = rows.mean(axis=1).tolist()
-        if all(run.masks is runs[0].masks for run in runs):
-            n_kept = kept_entries(runs[0].masks or {}, runs[0].weights)
-            for run in runs:
-                run.n_kept = n_kept
         updates = []
         for run, losses, mean in zip(runs, rows.tolist(), means):
             run.losses = losses
@@ -367,12 +358,12 @@ def run_local_sgd(
     parameters hold them, see :func:`~repro.fl.rows.broadcast_mask`),
     ``rowspace`` applies them: gradients are multiplied by the masks
     before the step and dropped entries re-pinned to +0.0 after it.  The
-    masks are bound to their parameters once
-    (:func:`~repro.fl.rows.bind_masks`); ``(keep, drop)`` pairs are
-    bound as views.  The ``on_iteration`` hook runs after each step with
-    its loss; it may rewrite the pairs in place (FedBIAD's pattern swap,
-    Algorithm 1 lines 18-26), and the next step masks with the new
-    values.
+    masks, ``(keep, drop)`` pairs of float keep-masks and bool
+    drop-masks, are bound to their parameters once, as views
+    (:func:`~repro.fl.rows.bind_masks`).  The ``on_iteration`` hook runs
+    after each step with its loss; it may rewrite the pairs in place
+    (FedBIAD's pattern swap, Algorithm 1 lines 18-26), and the next step
+    masks with the new values.
 
     Every model trains as a stack of clients, so its loss holds one
     value per client, and each step's entry is the list of per-client

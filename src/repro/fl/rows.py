@@ -66,25 +66,21 @@ def kept_entries(masks: dict[str, np.ndarray], params) -> int:
 Binding = list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def bind_masks(
-    model: Module, masks: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]
-) -> Binding:
+def bind_masks(model: Module, masks: dict[str, tuple[np.ndarray, np.ndarray]]) -> Binding:
     """Bind each masked parameter of ``model`` to its mask, once for
     many steps: ``(i, data, keep, drop)`` for the parameter at position
     ``i`` of ``model.parameters()``, its array, a float keep-mask (1.0
     kept, 0.0 dropped) for the gradient multiply and a bool drop-mask
     for the pin, both broadcast to the parameter's rank.
 
-    ``masks`` maps names to bool masks, or to ``(keep, drop)`` pairs of
-    float and bool masks.  A pair is bound as views, so rewriting it in
-    place (a stack's per-client mask swap) takes effect in the next
-    masking; a bool mask is converted once.
+    ``masks`` maps names to ``(keep, drop)`` pairs of float and bool
+    masks.  They are bound as views, so rewriting a pair in place (a
+    stack's per-client mask swap) takes effect in the next masking.
     """
     bound = []
     for i, (name, p) in enumerate(model.named_parameters()):
         if name in masks:
-            mask = masks[name]
-            keep, drop = mask if isinstance(mask, tuple) else (mask.astype(np.float64), ~mask)
+            keep, drop = masks[name]
             ndim = p.data.ndim
             bound.append((i, p.data, broadcast_mask(keep, ndim), broadcast_mask(drop, ndim)))
     return bound

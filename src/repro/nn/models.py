@@ -71,8 +71,8 @@ class MLPClassifier(Module):
         layers.append(Linear(previous, n_classes, rng, init="xavier", droppable=False))
         self.net = Sequential(*layers)
         self._linears = tuple(layer for layer in layers if isinstance(layer, Linear))
-        #: each layer's weight-gradient buffer, ``(c, in, out)`` under a
-        #: stack, reused while the shape holds
+        #: each layer's weight-gradient buffer for :meth:`loss_and_grads`,
+        #: ``(c, in, out)`` under a stack, reused while the shape holds
         self._weight_grads: list[np.ndarray | None] = [None] * len(self._linears)
 
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
@@ -90,15 +90,15 @@ class MLPClassifier(Module):
             acts.append(z if i == last else np.maximum(z, 0.0))
         return acts
 
-    def _grads(self, acts: list[np.ndarray], g: np.ndarray, fresh=()) -> list[np.ndarray]:
+    def _grads(self, acts: list[np.ndarray], g: np.ndarray, bufs=None) -> list[np.ndarray]:
         """The VJP: every parameter's gradient, in parameter order, from
         the logits' gradient ``g`` and the forward's ``acts``.
 
         It applies the numpy operations of the composed ``Linear``/
         ``ReLU``/:func:`~repro.nn.functional.cross_entropy` graph in the
-        same order, so gradients are bit-identical to it.  A weight's is
-        written into the layer's buffer, unless its layer is in ``fresh``
-        (it then gets a new array).
+        same order, so gradients are bit-identical to it.  Given ``bufs``
+        (one entry per layer), a weight's is written into its layer's
+        buffer; otherwise it is a new array.
         """
         linears = self._linears
         grads = []
@@ -106,15 +106,13 @@ class MLPClassifier(Module):
             layer, h = linears[i], acts[i]
             grads.append(np.add.reduce(g, axis=-2, keepdims=layer.bias.data.ndim == g.ndim))
             h_t = np.swapaxes(h, -1, -2)
-            buf = self._weight_grads[i]
+            buf = None if bufs is None else bufs[i]
             shape = h_t.shape[:-1] + g.shape[-1:]
-            if i in fresh:
-                buf = None
-            elif buf is None or buf.shape != shape:
+            if bufs is not None and (buf is None or buf.shape != shape):
                 # laid out as numpy copies the transposed view, down
                 # to the stride of a size-1 client axis
                 leaf = np.empty_like(np.swapaxes(np.empty(shape), -1, -2))
-                buf = self._weight_grads[i] = np.swapaxes(leaf, -1, -2)
+                buf = bufs[i] = np.swapaxes(leaf, -1, -2)
             # a transposed view, as ``W.mT``'s backward hands it on:
             # that memory layout keeps the summation order of
             # gradient clipping
@@ -129,11 +127,12 @@ class MLPClassifier(Module):
         without a graph: the ``(c,)`` losses of a stack and the gradient
         of their sum.  Each weight's gradient lives in its layer's
         buffer until the next call.  The labels' range is left to the
-        batcher (:class:`~repro.data.batching.ImageBatcher`)."""
+        batcher, which checks each block it draws
+        (:class:`~repro.data.batching.ImageBatcher`)."""
         x, y = batch
         acts = self._activations(x)
         out, logits_grad = _cross_entropy_data(acts[-1], y, "mean", checked=True)
-        return out, self._grads(acts, logits_grad(np.ones_like(out)))
+        return out, self._grads(acts, logits_grad(np.ones_like(out)), self._weight_grads)
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
         """Mean cross-entropy over one ``(images, labels)`` minibatch, or
@@ -142,8 +141,8 @@ class MLPClassifier(Module):
 
         One autograd node over the whole network, the numpy forward and
         VJP of :meth:`loss_and_grads`, which tests hold against the
-        composed graph.  The leaves keep its gradients uncopied (a weight
-        that still holds an earlier gradient gets a new array).
+        composed graph; its gradients are new arrays, which the leaves
+        copy as they do a composed graph's.
         """
         x, y = batch
         acts = self._activations(x)
@@ -151,10 +150,9 @@ class MLPClassifier(Module):
         params = self.parameters()
 
         def backward(grad: np.ndarray) -> list:
-            fresh = {i for i, layer in enumerate(self._linears) if layer.weight.grad is not None}
-            return list(zip(params, self._grads(acts, logits_grad(grad), fresh)))
+            return list(zip(params, self._grads(acts, logits_grad(grad))))
 
-        return Tensor._node(out, tuple(params), backward, owned=True)
+        return Tensor._node(out, tuple(params), backward)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         return self._activations(x)[-1]

@@ -114,7 +114,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
@@ -122,15 +122,12 @@ class Tensor:
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
         _backward: BackwardFn | None = None,
-        _owned: bool = False,
     ) -> None:
         self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = _parents
         self._backward: BackwardFn | None = _backward
-        #: the backward hands each parent an array of its own
-        self._owned = _owned
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -174,20 +171,10 @@ class Tensor:
         data: np.ndarray,
         parents: tuple["Tensor", ...],
         backward: BackwardFn,
-        owned: bool = False,
     ) -> "Tensor":
-        """Create a result node, recording provenance only when needed.
-
-        ``owned`` promises that ``backward`` hands every parent a float64
-        array no other array shares and that nothing writes to later, so
-        a leaf may keep it as its gradient without a copy (a fused
-        node's VJP); an op of a composed graph may hand one array to two
-        parents, and its leaves copy.
-        """
+        """Create a result node, recording provenance only when needed."""
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            return Tensor(
-                data, requires_grad=True, _parents=parents, _backward=backward, _owned=owned
-            )
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
         return Tensor(data, requires_grad=False)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -230,16 +217,13 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        owned: set[int] = set()  # pending gradients an owned node handed on
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
             if node._backward is None:
                 # Leaf tensor: accumulate into .grad
-                if node.grad is None and id(node) in owned:
-                    node.grad = node_grad
-                elif node.grad is None:
+                if node.grad is None:
                     node.grad = np.array(node_grad, dtype=np.float64, copy=True)
                 else:
                     node.grad = node.grad + node_grad
@@ -250,11 +234,8 @@ class Tensor:
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pgrad
-                    owned.discard(key)
                 else:
                     grads[key] = pgrad
-                    if node._owned:
-                        owned.add(key)
 
     # ------------------------------------------------------------------
     # arithmetic

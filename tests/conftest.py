@@ -37,6 +37,12 @@ class LoneBatcher:
         return tuple(a[0] for a in self.stack.next_batch())
 
 
+def mask_pairs(masks: dict[str, np.ndarray]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Bool masks as ``run_local_sgd`` and ``bind_masks`` take them:
+    ``(keep, drop)`` pairs of float keep-masks and bool drop-masks."""
+    return {name: (m.astype(np.float64), ~m) for name, m in masks.items()}
+
+
 def make_tiny_image_task(n_clients: int = 4, seed: int = 0) -> FederatedTask:
     """A minimal image task for integration tests (fast to train)."""
     gen = np.random.default_rng(seed)

@@ -15,8 +15,8 @@ from repro.data.vocab import Vocabulary
 
 
 def _lone_image(x, y, batch_size, rng) -> ImageBatcher:
-    """A stack of one client owning every row."""
-    return ImageBatcher(x, y, [0], [x.shape[0]], batch_size, [rng])
+    """A stack of one client owning every row, labels in ``[0, 10)``."""
+    return ImageBatcher(x, y, [0], [x.shape[0]], batch_size, [rng], n_classes=10)
 
 
 def _lone_sequence(stream, batch_size, seq_len, rng) -> SequenceBatcher:

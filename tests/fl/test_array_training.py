@@ -27,7 +27,7 @@ from repro.nn.models import MLPClassifier, build_model
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 from repro.streams import stream
-from tests.conftest import make_tiny_image_task
+from tests.conftest import make_tiny_image_task, mask_pairs
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,16 +40,17 @@ def _stack(model, c: int) -> dict[str, np.ndarray]:
     }
 
 
-def _masks(model, kind: str, c: int, rng) -> dict[str, np.ndarray] | None:
-    """Per-client bool masks as the stacked parameters hold them."""
+def _masks(model, kind: str, c: int, rng) -> dict | None:
+    """Per-client ``(keep, drop)`` mask pairs as the stacked parameters
+    hold them."""
     if kind == "none":
         return None
     space = RowSpace.from_module(model)
     if kind == "row":
         rows = [space.split(space.sample_pattern(0.5, rng)) for _ in range(c)]
-        return {name: np.stack([r[name] for r in rows]) for name in rows[0]}
+        return mask_pairs({name: np.stack([r[name] for r in rows]) for name in rows[0]})
     w = model.net.layer0.weight.data
-    return {"net.layer0.weight": rng.random((c,) + w.shape) < 0.5}
+    return mask_pairs({"net.layer0.weight": rng.random((c,) + w.shape) < 0.5})
 
 
 def _graph_grads(model, batch) -> list[np.ndarray]:
@@ -152,7 +153,8 @@ def test_mlp_stack_trains_without_tensors(tiny_image_task, rng, monkeypatch):
     """A masked, clipped MLP stack's local steps create no ``Tensor``."""
     model = build_model(tiny_image_task.model_spec, rng)
     masks = _masks(model, "row", 3, rng)
-    batcher = tiny_image_task.batcher([0, 1, 2], 8, [np.random.default_rng(i) for i in range(3)], 5)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    batcher = tiny_image_task.batcher([0, 1, 2], 8, rngs, 5)
     init = Tensor.__init__
     made = []
 
@@ -168,14 +170,18 @@ def test_mlp_stack_trains_without_tensors(tiny_image_task, rng, monkeypatch):
 
 
 def test_batcher_checks_each_blocks_labels(rng):
+    """The MLP's array step gathers each row's target entry unchecked,
+    so a bad label must stop training at the batcher: it would read
+    another row's logit."""
+    model = MLPClassifier(input_dim=3, hidden_dims=(5,), n_classes=4, rng=rng)
     x = rng.normal(size=(8, 3))
     for bad in (4, -1):
         y = np.array([0, 1, 2, 3, 0, 1, bad, 3])
         batcher = ImageBatcher(x, y, [0], [8], 8, [rng], steps=2, n_classes=4)
-        with pytest.raises(ValueError, match="out of range"):
-            batcher.next_batch()
-    unchecked = ImageBatcher(x, np.arange(8), [0], [8], 8, [rng])
-    assert unchecked.next_batch()[1].max() == 7
+        with model.stacked(_stack(model, 1)):
+            opt = SGD(model.parameters(), lr=0.1)
+            with pytest.raises(ValueError, match="out of range"):
+                run_local_sgd(model, opt, batcher, 2)
 
 
 def test_perfbench_wraps_only_defined_names():

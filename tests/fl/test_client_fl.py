@@ -14,7 +14,7 @@ from repro.fl.parameters import ParamSet
 from repro.fl.rows import RowSpace, bind_masks
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
-from tests.conftest import LoneBatcher
+from tests.conftest import LoneBatcher, mask_pairs
 
 
 class TestRunLocalSGD:
@@ -38,10 +38,10 @@ class TestRunLocalSGD:
         space = RowSpace.from_module(model)
         beta = space.sample_pattern(0.5, rng)
         masks = space.split(beta)
-        space.zero_dropped_rows(bind_masks(model, masks))
+        space.zero_dropped_rows(bind_masks(model, mask_pairs(masks)))
         batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9, weight_decay=0.1)
-        run_local_sgd(model, optimizer, batcher, 6, rowspace=space, masks=masks)
+        run_local_sgd(model, optimizer, batcher, 6, rowspace=space, masks=mask_pairs(masks))
         for name, p in model.named_parameters():
             if name in masks:
                 assert np.all(p.data[~masks[name]] == 0.0)
@@ -94,10 +94,10 @@ class TestElementMaskedSGD:
         masks = {
             "net.layer0.weight": rng.random((8, 12)) < 0.5,
         }
-        space.zero_dropped_rows(bind_masks(model, masks))
+        space.zero_dropped_rows(bind_masks(model, mask_pairs(masks)))
         optimizer = SGD(model.parameters(), lr=0.5, momentum=0.9)
         batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
-        run_local_sgd(model, optimizer, batcher, 5, rowspace=space, masks=masks)
+        run_local_sgd(model, optimizer, batcher, 5, rowspace=space, masks=mask_pairs(masks))
         p = dict(model.named_parameters())["net.layer0.weight"]
         dropped = p.data[~masks["net.layer0.weight"]]
         assert np.all(dropped == 0.0) and not np.any(np.signbit(dropped))
@@ -131,14 +131,14 @@ class TestElementMaskedSGD:
         batcher = LoneBatcher(tiny_image_task, 0, 8, rng)
         _, grads = model.loss_and_grads(batcher.next_batch())
         mask = np.zeros((8, 12), dtype=bool)
-        bound = bind_masks(model, {"net.layer0.weight": mask})
+        bound = bind_masks(model, mask_pairs({"net.layer0.weight": mask}))
         RowSpace.from_module(model).mask_model_gradients(grads, bound)
         assert np.all(grads[0] == 0.0) and np.any(grads[2] != 0.0)
 
     def test_apply_element_masks(self, tiny_image_task, rng):
         model = build_model(tiny_image_task.model_spec, rng)
         mask = np.zeros((8, 12), dtype=bool)
-        bound = bind_masks(model, {"net.layer0.weight": mask})
+        bound = bind_masks(model, mask_pairs({"net.layer0.weight": mask}))
         RowSpace.from_module(model).zero_dropped_rows(bound)
         p = dict(model.named_parameters())["net.layer0.weight"]
         assert np.all(p.data == 0.0) and not np.any(np.signbit(p.data))

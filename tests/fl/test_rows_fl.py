@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.fl.parameters import ParamSet
 from repro.fl.rows import RowSpace, bind_masks
 from repro.nn.module import RowSpec
+from tests.conftest import mask_pairs
 
 
 def mlp_space(tiny_mlp) -> RowSpace:
@@ -152,7 +153,7 @@ class TestMaskApplication:
         x = rng.integers(0, 9, size=(2, 4))
         y = rng.integers(0, 9, size=(2, 4))
         _, grads = tiny_lstm.loss_and_grads((x, y))
-        space.mask_model_gradients(grads, bind_masks(tiny_lstm, masks))
+        space.mask_model_gradients(grads, bind_masks(tiny_lstm, mask_pairs(masks)))
         for (name, _), grad in zip(tiny_lstm.named_parameters(), grads):
             if name in masks and grad is not None:
                 assert np.all(grad[~masks[name]] == 0.0)
@@ -161,7 +162,7 @@ class TestMaskApplication:
         space = RowSpace.from_module(tiny_lstm)
         beta = space.sample_pattern(0.5, rng)
         masks = space.split(beta)
-        space.zero_dropped_rows(bind_masks(tiny_lstm, masks))
+        space.zero_dropped_rows(bind_masks(tiny_lstm, mask_pairs(masks)))
         for name, p in tiny_lstm.named_parameters():
             if name in masks:
                 assert np.all(p.data[~masks[name]] == 0.0)
@@ -171,10 +172,7 @@ class TestMaskApplication:
         rewritten in place (a stack's per-client swap) takes effect at
         the next masking and pin."""
         space = RowSpace.from_module(tiny_lstm)
-        pairs = {
-            name: (m.astype(np.float64), ~m)
-            for name, m in space.split(space.full_pattern()).items()
-        }
+        pairs = mask_pairs(space.split(space.full_pattern()))
         bound = bind_masks(tiny_lstm, pairs)
         for keep, drop in pairs.values():
             keep[...] = 0.0
